@@ -18,6 +18,25 @@ projectivized stratum is the rational multiple
 
 of ``pi^(n-2)``.  The sign of this normalization is reported verbatim along
 with its absolute value; no sign convention is imposed on the result.
+
+Two engines compute the top self-intersection ``D_mu^(n-3)``:
+
+* when every ``k_i < 0`` (so ``0 < mu_i < 1``), McMullen's sum over set
+  partitions of the cone-metric volume of M_{0,n} (C. McMullen, *The
+  Gauss-Bonnet theorem for cone manifolds and volumes of moduli spaces*,
+  Amer. J. Math. 2017), which Koziarz-Nguyen (arXiv:1601.03046) identify
+  with ``D_mu^(n-3)``:
+
+      D_mu^(n-3) = (-d)^(n-3) / (n-2) * sum_P (-1)^(|P|+1) (|P|-3)!
+                                         * prod_{B in P} max(0, 1-mu_B)^(|B|-1),
+
+  over set partitions ``P`` of the markings with ``|P| >= 3``;
+* for every other signature, the intersection fold of
+  :func:`strata0.intersection.product_number` on the boundary form.
+
+The same identity matched the fold on every recorded E-trivial signature
+with some ``k_i >= 0`` as well, but the theorem does not cover those, so they
+stay on the fold.  The fold remains the oracle for the closed form in tests.
 """
 
 from __future__ import annotations
@@ -130,6 +149,48 @@ class VolumeResult:
         return f"{abs(float(self.coefficient)) * math.pi ** self.pi_power:.{digits}g}"
 
 
+def _partition_sum_self_intersection(sig: Signature) -> Fraction:
+    """``D_mu^(n-3)`` from McMullen's partition sum; needs every ``k_i < 0``.
+
+    With ``1 - mu_B = (d + k_B) / d`` each block contributes the integer
+    weight ``max(0, d + k_B)^(|B|-1)`` and a partition into ``m`` blocks the
+    power ``d^(m-n)``, so the sum is accumulated per block count over a subset
+    DP (each block holds the lowest marking still unplaced, so every
+    partition is counted once) and the powers of ``d`` are applied at the
+    end: ``O(3^n n)`` integer operations.
+    """
+    n, d, kappa = sig.n, sig.d, sig.kappa
+    size = 1 << n
+    ksum = [0] * size
+    weight = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        ksum[mask] = ksum[mask ^ low] + kappa[low.bit_length() - 1]
+        weight[mask] = max(0, d + ksum[mask]) ** (mask.bit_count() - 1)
+    # by_blocks[mask][m]: weighted count of the partitions of mask into m blocks
+    by_blocks = [[1]]
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        acc = [0] * (mask.bit_count() + 1)
+        sub = rest
+        while True:
+            w = weight[sub | low]
+            if w:
+                for m, c in enumerate(by_blocks[rest ^ sub]):
+                    acc[m + 1] += w * c
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        by_blocks.append(acc)
+    total = sum(
+        (-1) ** (m + 1) * math.factorial(m - 3) * d ** (m - 3) * c
+        for m, c in enumerate(by_blocks[-1])
+        if m >= 3
+    )
+    return Fraction((-1) ** (n - 3) * total, n - 2)
+
+
 def volume(sig: Signature) -> VolumeResult:
     """Volume of the projectivized stratum as an exact multiple of ``pi^(n-2)``.
 
@@ -137,6 +198,10 @@ def volume(sig: Signature) -> VolumeResult:
     coefficient is positive; warns (but proceeds) when ``d`` divides one of
     the ``k_i``, where the closed formula is stated under the contrary
     hypothesis.
+
+    The self-intersection comes from McMullen's partition sum when every
+    ``k_i < 0``, the case his theorem covers, and from the intersection fold
+    otherwise (see the module docstring).
     """
     n = sig.n
     exc = exceptional_divisor(sig)
@@ -155,8 +220,10 @@ def volume(sig: Signature) -> VolumeResult:
         "all exceptional Weil coefficients vanish; the self-intersection is "
         "computed on the base via the projection formula"
     )
-    expr = d_mu_boundary_form(sig)
-    inter = product_number(n, [expr] * (n - 3))
+    if all(k < 0 for k in sig.kappa):
+        inter = _partition_sum_self_intersection(sig)
+    else:
+        inter = product_number(n, [d_mu_boundary_form(sig)] * (n - 3))
     coeff = Fraction((-1) ** (n - 3), sig.d ** (n - 3) * math.factorial(n - 2)) * inter
     return VolumeResult(
         coefficient=coeff,

@@ -597,6 +597,7 @@ def _pair_final(
     At this depth every live stratum has exactly one vertex with one unit of
     slack; only symbols acting there contribute, and each contribution is a
     product of per-vertex multinomials evaluated in place (no new strata).
+    A stratum with any other slack profile raises ``RuntimeError``.
     """
     full = (1 << n) - 1
     total = 0
@@ -608,7 +609,11 @@ def _pair_final(
         if star is None or deficit[star] != 1 or any(
             d != 0 for v, d in enumerate(deficit) if v != star
         ):
-            continue
+            # total slack is 1 and _alive keeps every vertex's slack >= 0
+            raise RuntimeError(
+                f"internal error: stratum with vertex slacks {deficit} reached "
+                "the final pairing; please report"
+            )
         base = 1
         for v in range(len(flags)):
             if v != star:

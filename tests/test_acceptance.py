@@ -326,3 +326,11 @@ def test_10_performance_envelope():
         assert res.coefficient == F((-1) ** 5 * 40, 4 ** 5 * factorial(6))
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert peak_mb < 4096, f"peak memory {peak_mb:.0f} MB"
+
+
+def test_11_fold_n8_oracle():
+    # volume() takes McMullen's partition sum when every k_i < 0, so test 10
+    # no longer runs the fold; this keeps the n=8 fold covered
+    with Stopwatch("11 n=8 fold self-intersection", 60):
+        sig = validate_signature(4, [-1] * 8)
+        assert product_number(8, [d_mu_boundary_form(sig)] * 5) == 40

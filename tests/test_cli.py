@@ -80,6 +80,20 @@ class TestExitCodes:
         )
         assert code == 4 and "FAILED" in out
 
+    @pytest.mark.parametrize(
+        "params,code",
+        [("t[0-1]=59/59 t[0-2]=-64/56", 2),  # marking 7 onto the node 0-2
+         ("t[0-1]=3/7 t[0-2]=-64/64", 2),  # marking 5 onto the node 0-1
+         ("t[0-1]=3/7 t[0-2]=-64/55", 0)],
+    )
+    def test_degenerate_chart_is_2(self, capsys, params, code):
+        got, _, err = run(
+            capsys, "verify-family", "--d", "3", "--kappa=5,-1,-2,-1,-2,-1,-2,0,-2",
+            "--chart", "2;6,7,9;1,3,4,5,8 0-1 0-2 " + params,
+        )
+        assert got == code
+        assert ("degenerate chart" in err) == (code == 2)
+
 
 class TestJson:
     def test_boundary_round_trip(self, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import strata0.divisors as divisors_mod
 from strata0.divisors import (
     ExceptionalDivisorNontrivial,
     blowup_is_trivial,
@@ -194,3 +195,57 @@ class TestVolume:
                 continue
             b = volume(rsig)
             assert (a.coefficient, a.intersection_number) == (b.coefficient, b.intersection_number)
+
+
+def _covered_e_trivial(n, d):
+    """Every E-trivial signature with all k_i < 0, up to relabeling."""
+    for kappa in itertools.combinations_with_replacement(range(1 - d, 0), n):
+        if sum(kappa) == -2 * d:
+            sig = validate_signature(d, list(kappa))
+            if blowup_is_trivial(sig):
+                yield sig
+
+
+def _count_fold_calls(monkeypatch):
+    calls = []
+
+    def spy(n, factors):
+        calls.append(n)
+        return product_number(n, factors)
+
+    monkeypatch.setattr(divisors_mod, "product_number", spy)
+    return calls
+
+
+class TestPartitionSumEngine:
+    """McMullen's partition sum against the fold, which stays its oracle."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_matches_fold_on_every_covered_signature(self, n, monkeypatch):
+        calls = _count_fold_calls(monkeypatch)
+        checked = 0
+        for d in range(2, 6):
+            for sig in _covered_e_trivial(n, d):
+                fold = product_number(n, [d_mu_boundary_form(sig)] * (n - 3))
+                assert volume(sig).intersection_number == fold, sig.kappa
+                checked += 1
+        assert checked and not calls
+
+    def test_n9_value(self, monkeypatch):
+        calls = _count_fold_calls(monkeypatch)
+        res = volume(validate_signature(5, [-1] * 8 + [-2]))
+        assert res.intersection_number == 245
+        assert res.coefficient == F(245, 5 ** 6 * 5040)
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "d,kappa",
+        [(2, [1, -1, -1, -1, -1, -1]), (4, [1, 1, -1, -3, -3, -3]),
+         (4, [2, -2, -2, -2, -2, -2]), (3, [0, -1, -1, -1, -1, -1, -1])],
+    )
+    def test_nonnegative_order_stays_on_fold(self, d, kappa, monkeypatch):
+        sig = validate_signature(d, kappa)
+        fold = product_number(sig.n, [d_mu_boundary_form(sig)] * (sig.n - 3))
+        calls = _count_fold_calls(monkeypatch)
+        assert volume(sig).intersection_number == fold
+        assert calls == [sig.n]

@@ -148,6 +148,13 @@ class TestProductNumber:
         with pytest.raises(WrongDegree):
             product_number(5, [P(1)])
 
+    def test_final_pairing_rejects_wrong_slack(self):
+        # the n = 5 fundamental class has two units of slack, not one
+        from strata0.intersection import _pair_final
+
+        with pytest.raises(RuntimeError, match="internal error"):
+            _pair_final(5, {next(iter(unit(5).terms)): 1}, {1: 1}, {})
+
     def test_matches_multiply_chain(self):
         # the folded fast path agrees with naive multiply + integrate
         rng = random.Random(3)
