@@ -27,7 +27,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from strata0 import strata
 from strata0.divisors import (
@@ -233,12 +233,14 @@ def _expression_json(expr: DivisorExpression, sig: Signature) -> list[dict]:
     ]
 
 
-def _emit(payload: dict, args, table_lines: list[str]) -> None:
+def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
+    """Print the JSON payload or, without ``--json``, the lines ``table()``
+    returns (built only then); ``--out`` always gets the JSON."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.json:
         sys.stdout.write(text)
     else:
-        sys.stdout.write("\n".join(table_lines) + "\n")
+        sys.stdout.write("\n".join(table()) + "\n")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -255,16 +257,21 @@ def _fmt_blocks(blocks: list[list[int]]) -> str:
 
 def _cmd_boundary(sig: Signature, args) -> int:
     w = sig.weights()
+    mus = []
     rows = []
     for part in enumerate_two_block(sig):
-        rows.append({"blocks": _blocks(part), "mu_s": _rat(boundary_weight(part, w))})
+        mus.append(boundary_weight(part, w))
+        rows.append({"blocks": _blocks(part), "mu_s": _rat(mus[-1])})
     payload = {"command": "boundary", "d": sig.d, "kappa": list(sig.kappa), "n": sig.n,
                "count": len(rows), "partitions": rows}
-    lines = [f"boundary divisors of the base (n = {sig.n}): {len(rows)}"]
-    for row in rows:
-        mu = Fraction(int(row["mu_s"]["num"]), int(row["mu_s"]["den"]))
-        lines.append(f"  {_fmt_blocks(row['blocks']):<40} mu_S = {mu}")
-    _emit(payload, args, lines)
+
+    def table() -> list[str]:
+        lines = [f"boundary divisors of the base (n = {sig.n}): {len(rows)}"]
+        for row, mu in zip(rows, mus):
+            lines.append(f"  {_fmt_blocks(row['blocks']):<40} mu_S = {mu}")
+        return lines
+
+    _emit(payload, args, table)
     return EXIT_OK
 
 
@@ -274,10 +281,14 @@ def _cmd_phat(sig: Signature, args) -> int:
         rows.append({"blocks": _blocks(part), "r": part.r, "m": m_value(part, sig)})
     payload = {"command": "phat", "d": sig.d, "kappa": list(sig.kappa), "n": sig.n,
                "count": len(rows), "partitions": rows}
-    lines = [f"boundary divisors of the blow-up: {len(rows)}"]
-    for row in rows:
-        lines.append(f"  r={row['r']}  {_fmt_blocks(row['blocks']):<40} m = {row['m']}")
-    _emit(payload, args, lines)
+
+    def table() -> list[str]:
+        lines = [f"boundary divisors of the blow-up: {len(rows)}"]
+        for row in rows:
+            lines.append(f"  r={row['r']}  {_fmt_blocks(row['blocks']):<40} m = {row['m']}")
+        return lines
+
+    _emit(payload, args, table)
     return EXIT_OK
 
 
@@ -293,11 +304,15 @@ def _cmd_exceptional(sig: Signature, args) -> int:
         rows.append({"blocks": _blocks(part), "coefficient": coeff, "orders": orders})
     payload = {"command": "exceptional", "d": sig.d, "kappa": list(sig.kappa),
                "n": sig.n, "trivial": exc.is_zero(), "terms": rows}
-    lines = [f"exceptional Weil divisor ({'zero' if exc.is_zero() else 'nonzero'}):"]
-    for row in rows:
-        extra = f"  orders = {row['orders']}" if row["orders"] else ""
-        lines.append(f"  {_fmt_blocks(row['blocks']):<40} coeff = {row['coefficient']}{extra}")
-    _emit(payload, args, lines)
+
+    def table() -> list[str]:
+        lines = [f"exceptional Weil divisor ({'zero' if exc.is_zero() else 'nonzero'}):"]
+        for row in rows:
+            extra = f"  orders = {row['orders']}" if row["orders"] else ""
+            lines.append(f"  {_fmt_blocks(row['blocks']):<40} coeff = {row['coefficient']}{extra}")
+        return lines
+
+    _emit(payload, args, table)
     return EXIT_OK
 
 
@@ -333,7 +348,7 @@ def _cmd_principal(sig: Signature, args) -> int:
     ]
     for j, b in enumerate(betas):
         lines.append(f"  beta_{j} = {dict(b.entries)}")
-    _emit(payload, args, lines)
+    _emit(payload, args, lambda: lines)
     return EXIT_OK
 
 
@@ -343,16 +358,20 @@ def _cmd_divisor(sig: Signature, args) -> int:
     payload = {"command": "divisor", "d": sig.d, "kappa": list(sig.kappa),
                "boundary_form": _expression_json(bf, sig),
                "psi_form": _expression_json(pf, sig)}
-    lines = ["distinguished divisor, boundary form:"]
-    for row in payload["boundary_form"]:
-        c = Fraction(int(row["coefficient"]["num"]), int(row["coefficient"]["den"]))
-        lines.append(f"  {_fmt_blocks(row['boundary']):<40} {c}")
-    lines.append("psi form:")
-    for row in payload["psi_form"]:
-        c = Fraction(int(row["coefficient"]["num"]), int(row["coefficient"]["den"]))
-        name = f"psi_{row['psi']}" if "psi" in row else _fmt_blocks(row["boundary"])
-        lines.append(f"  {name:<40} {c}")
-    _emit(payload, args, lines)
+
+    def table() -> list[str]:
+        lines = ["distinguished divisor, boundary form:"]
+        for row in payload["boundary_form"]:
+            c = Fraction(int(row["coefficient"]["num"]), int(row["coefficient"]["den"]))
+            lines.append(f"  {_fmt_blocks(row['boundary']):<40} {c}")
+        lines.append("psi form:")
+        for row in payload["psi_form"]:
+            c = Fraction(int(row["coefficient"]["num"]), int(row["coefficient"]["den"]))
+            name = f"psi_{row['psi']}" if "psi" in row else _fmt_blocks(row["boundary"])
+            lines.append(f"  {name:<40} {c}")
+        return lines
+
+    _emit(payload, args, table)
     return EXIT_OK
 
 
@@ -361,7 +380,7 @@ def _cmd_intersect(sig: Signature, args) -> int:
     value = product_number(sig.n, factors)
     payload = {"command": "intersect", "d": sig.d, "kappa": list(sig.kappa),
                "factors": args.factors, "value": _rat(value)}
-    _emit(payload, args, [f"product = {value}"])
+    _emit(payload, args, lambda: [f"product = {value}"])
     return EXIT_OK
 
 
@@ -392,7 +411,7 @@ def _cmd_volume(sig: Signature, args) -> int:
         f"volume = {res.coefficient} * pi^{res.pi_power}",
         f"       = {res.signed_decimal()}  (|.| = {res.abs_decimal()})",
     ] + [f"note: {wng}" for wng in res.warnings]
-    _emit(payload, args, lines)
+    _emit(payload, args, lambda: lines)
     return EXIT_OK
 
 
@@ -441,7 +460,7 @@ def _cmd_verify_family(sig: Signature, args) -> int:
     for p in pairs:
         lines.append(f"  sections at vertices {p['j']},{p['k']}: {'ok' if p['ok'] else 'FAILED'}")
     lines.append("family verification " + ("passed" if all_ok else "FAILED"))
-    _emit(payload, args, lines)
+    _emit(payload, args, lambda: lines)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -531,6 +550,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sig = validate_signature(args.d, parse_kappa(args.kappa))
         if getattr(args, "samples", 1) < 1:
             raise StrataError("--samples must be >= 1")
+        if getattr(args, "max_codim", None) is not None and args.max_codim < 0:
+            raise StrataError("--max-codim must be >= 0")
         return args.func(sig, args)
     except ExceptionalDivisorNontrivial as exc:
         print(f"error: {exc}", file=sys.stderr)

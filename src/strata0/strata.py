@@ -6,6 +6,13 @@ with ``d >= 2``, ``k_i >= 1 - d`` and ``sum(kappa) == -2*d``; the derived
 weight of the i-th marked point is ``mu_i = -k_i / d``, so ``mu_i < 1`` and
 ``sum(mu) == 2`` hold automatically.
 
+The boundary index set of the blow-up (two-block splits, P-hat membership
+and the multiplicities ``m(S)``) needs no fractions: with
+``k_B = sum_{i in B} k_i``, ``mu(B) < 1`` iff ``k_B > -d`` and
+``d * (mu(B) - 1) = -k_B - d``.  Those enumerators work on integer ``k_B``
+tables over bitmasks (bit ``i-1`` is marking ``i``) and build the frozenset
+blocks only for their output.
+
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  A two-block partition ``{I0, I1}`` is always numbered so that
 ``mu(I0) <= 1 <= mu(I1)``; when both sides have weight exactly 1 the block
@@ -259,20 +266,36 @@ class MultiBlockPartition:
         return MultiBlockPartition.from_blocks(imgs[0], imgs[1:])
 
 
+def _kappa_sums(sig: Signature) -> list[int]:
+    """``k_B`` for every mask ``B`` (bit ``i-1`` is marking ``i``), by a lowest-bit DP."""
+    ks = [0] * (1 << sig.n)
+    for mask in range(1, len(ks)):
+        low = mask & -mask
+        ks[mask] = ks[mask ^ low] + sig.kappa[low.bit_length() - 1]
+    return ks
+
+
+def _mask_marks(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def enumerate_two_block(sig: Signature) -> list[TwoBlockPartition]:
     """All boundary partitions of ``{1..n}``: both blocks of size >= 2.
 
     There are exactly ``2**(n-1) - n - 1`` of them.
     """
     n = sig.n
-    w = sig.weights()
-    others = list(range(2, n + 1))
+    ks = _kappa_sums(sig)
+    full = (1 << n) - 1
     out = []
-    # enumerate the side containing marking 1; sizes 2..n-2
-    for size in range(1, n - 2):
-        for rest in itertools.combinations(others, size):
-            side = frozenset((1,) + rest)
-            out.append(TwoBlockPartition.from_blocks(side, frozenset(range(1, n + 1)) - side, w))
+    # the side A holding marking 1 runs over the masks with bit 0 set; the
+    # lighter side (larger k) is I0, and A stays I0 on a tie
+    for a in range(1, full, 2):
+        b = full ^ a
+        if not 2 <= a.bit_count() <= n - 2:
+            continue
+        sa, sb = _mask_marks(a), _mask_marks(b)
+        out.append(TwoBlockPartition(sa, sb) if ks[a] >= ks[b] else TwoBlockPartition(sb, sa))
     out.sort(key=TwoBlockPartition.sort_key)
     return out
 
@@ -663,26 +686,28 @@ def fiber_projective_dim(tree: StableTree, w: WeightVector) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _heavy_block_partitions(
-    pool: list[int], w: WeightVector, min_blocks: int
-) -> Iterator[list[frozenset[int]]]:
-    """Partitions of ``pool`` into >= min_blocks blocks, each of weight > 1.
+def _heavy_partitions(rest: int, ks: list[int], d: int) -> Iterator[list[int]]:
+    """Partitions of the mask ``rest`` into blocks with ``k_B < -d`` (``mu > 1``).
 
-    Canonical: the first remaining element anchors the next block.
+    Each block holds the lowest unplaced bit, so blocks come out sorted by
+    least element.  A union of such blocks has ``k < -d`` too, so a
+    remainder with ``k >= -d`` is dropped at once.
     """
-    if not pool:
-        if min_blocks <= 0:
-            yield []
-        return
-    first, rest = pool[0], pool[1:]
-    for size in range(0, len(rest) + 1):
-        for extra in itertools.combinations(rest, size):
-            block = frozenset((first,) + extra)
-            if w.total(block) <= 1:
-                continue
-            remaining = [x for x in rest if x not in block]
-            for tail in _heavy_block_partitions(remaining, w, min_blocks - 1):
-                yield [block] + tail
+    low = rest & -rest
+    others = rest ^ low
+    sub = others
+    while True:
+        block = low | sub
+        if ks[block] < -d:
+            tail = others ^ sub
+            if not tail:
+                yield [block]
+            elif ks[tail] < -d:
+                for blocks in _heavy_partitions(tail, ks, d):
+                    yield [block] + blocks
+        if not sub:
+            return
+        sub = (sub - 1) & others
 
 
 def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
@@ -692,25 +717,24 @@ def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
     ``r >= 2``, ``mu(I0) < 1`` and ``mu(Ij) > 1`` for ``j >= 1``.  Blocks are
     nonempty; ``I0`` comes first, heavy blocks sorted by least element.
     """
-    w = sig.weights()
     out = [MultiBlockPartition.from_two_block(p) for p in enumerate_two_block(sig)]
-    n = sig.n
-    marks = list(range(1, n + 1))
-    for size in range(1, n - 3):
-        for i0 in itertools.combinations(marks, size):
-            i0set = frozenset(i0)
-            if w.total(i0set) >= 1:
-                continue
-            pool = [m for m in marks if m not in i0set]
-            for heavy in _heavy_block_partitions(pool, w, 2):
-                if len(heavy) >= 2:
-                    out.append(MultiBlockPartition.from_blocks(i0set, heavy))
+    n, d = sig.n, sig.d
+    ks = _kappa_sums(sig)
+    full = (1 << n) - 1
+    marks = [_mask_marks(mask) for mask in range(full + 1)]
+    for i0 in range(1, full):
+        # two heavy blocks need at least 4 markings, since every mu_i < 1
+        if ks[i0] <= -d or i0.bit_count() > n - 4:
+            continue
+        for heavy in _heavy_partitions(full ^ i0, ks, d):
+            if len(heavy) >= 2:
+                out.append(MultiBlockPartition(tuple(marks[mask] for mask in [i0] + heavy)))
     out.sort(key=MultiBlockPartition.sort_key)
     return out
 
 
-def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> WeightVector:
-    w = sig.weights()
+def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> list[int]:
+    """Check membership in the boundary index set; return each block's ``k_B``."""
     universe: set[int] = set()
     for b in part.blocks:
         if not b:
@@ -720,31 +744,27 @@ def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> WeightVector:
         universe |= b
     if universe != set(range(1, sig.n + 1)):
         raise NotInPHat("blocks do not cover 1..n")
+    d = sig.d
+    ks = [sum(sig.kappa[i - 1] for i in b) for b in part.blocks]
     if part.r == 1:
         if min(len(part.blocks[0]), len(part.blocks[1])) < 2:
             raise NotInPHat("two-block partitions need both sides >= 2")
-        if w.total(part.blocks[0]) > 1:
+        if ks[0] < -d:
             raise NotInPHat("I0 must be the light block")
     elif part.r >= 2:
-        if w.total(part.blocks[0]) >= 1:
+        if ks[0] <= -d:
             raise NotInPHat("mu(I0) must be < 1")
-        for b in part.blocks[1:]:
-            if w.total(b) <= 1:
+        for k in ks[1:]:
+            if k >= -d:
                 raise NotInPHat("every heavy block needs mu > 1")
     else:
         raise NotInPHat("need at least two blocks")
-    return w
+    return ks
 
 
 def _m_factors(part: MultiBlockPartition, sig: Signature) -> list[int]:
-    w = _check_in_p_hat(part, sig)
-    out = []
-    for b in part.blocks[1:]:
-        val = sig.d * (w.total(b) - 1)
-        if val.denominator != 1:
-            raise StrataError(f"d * (mu(I_j) - 1) = {val} is not an integer")
-        out.append(int(val))
-    return out
+    """The factors ``m_j = d * (mu(Ij) - 1) = -k_Ij - d`` over the heavy blocks."""
+    return [-k - sig.d for k in _check_in_p_hat(part, sig)[1:]]
 
 
 def m_value(part: MultiBlockPartition, sig: Signature) -> int:

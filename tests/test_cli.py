@@ -80,6 +80,14 @@ class TestExitCodes:
         )
         assert code == 4 and "FAILED" in out
 
+    @pytest.mark.parametrize("depth,code", [("-5", 2), ("-1", 2), ("0", 0)])
+    def test_negative_max_codim_is_2(self, capsys, depth, code):
+        got, _, err = run(
+            capsys, "volume", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", "--max-codim", depth,
+        )
+        assert got == code
+        assert ("--max-codim must be >= 0" in err) == (code == 2)
+
     @pytest.mark.parametrize(
         "params,code",
         [("t[0-1]=59/59 t[0-2]=-64/56", 2),  # marking 7 onto the node 0-2

@@ -1,0 +1,114 @@
+"""The integer bitmask enumerators of the boundary index set against an
+independent oracle on random signatures: the same sets enumerated with
+``Fraction`` weights over ``itertools`` subsets."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strata0.strata import (
+    MultiBlockPartition,
+    TwoBlockPartition,
+    enumerate_p_hat,
+    enumerate_two_block,
+    m_value,
+    validate_signature,
+)
+
+
+# ---------------------------------------------------------------------------
+# oracle: Fraction weights summed over frozensets, itertools subsets
+# ---------------------------------------------------------------------------
+
+
+def oracle_two_block(sig):
+    n = sig.n
+    w = sig.weights()
+    others = list(range(2, n + 1))
+    out = []
+    # enumerate the side containing marking 1; sizes 2..n-2
+    for size in range(1, n - 2):
+        for rest in itertools.combinations(others, size):
+            side = frozenset((1,) + rest)
+            out.append(TwoBlockPartition.from_blocks(side, frozenset(range(1, n + 1)) - side, w))
+    out.sort(key=TwoBlockPartition.sort_key)
+    return out
+
+
+def oracle_heavy_block_partitions(pool, w, min_blocks):
+    """Partitions of ``pool`` into >= min_blocks blocks, each of weight > 1;
+    the first remaining element anchors the next block."""
+    if not pool:
+        if min_blocks <= 0:
+            yield []
+        return
+    first, rest = pool[0], pool[1:]
+    for size in range(0, len(rest) + 1):
+        for extra in itertools.combinations(rest, size):
+            block = frozenset((first,) + extra)
+            if w.total(block) <= 1:
+                continue
+            remaining = [x for x in rest if x not in block]
+            for tail in oracle_heavy_block_partitions(remaining, w, min_blocks - 1):
+                yield [block] + tail
+
+
+def oracle_p_hat(sig):
+    w = sig.weights()
+    out = [MultiBlockPartition.from_two_block(p) for p in oracle_two_block(sig)]
+    n = sig.n
+    marks = list(range(1, n + 1))
+    for size in range(1, n - 3):
+        for i0 in itertools.combinations(marks, size):
+            i0set = frozenset(i0)
+            if w.total(i0set) >= 1:
+                continue
+            pool = [m for m in marks if m not in i0set]
+            for heavy in oracle_heavy_block_partitions(pool, w, 2):
+                if len(heavy) >= 2:
+                    out.append(MultiBlockPartition.from_blocks(i0set, heavy))
+    out.sort(key=MultiBlockPartition.sort_key)
+    return out
+
+
+def oracle_m_value(part, sig):
+    """``prod_j d * (mu(Ij) - 1)`` in Fractions."""
+    w = sig.weights()
+    prod = Fraction(1)
+    for b in part.blocks[1:]:
+        prod *= sig.d * (w.total(b) - 1)
+    return prod
+
+
+# ---------------------------------------------------------------------------
+# random signatures: n <= 8, d <= 4
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def signatures(draw):
+    d = draw(st.integers(2, 4))
+    # every k_i starts at its floor 1 - d; the excess up to -2d is spread
+    # over the markings one unit at a time
+    n = draw(st.integers(3, 8).filter(lambda n: n * (d - 1) >= 2 * d))
+    excess = n * (d - 1) - 2 * d
+    kappa = [1 - d] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=excess, max_size=excess)):
+        kappa[i] += 1
+    return validate_signature(d, kappa)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signatures())
+def test_enumerators_match_oracle(sig):
+    assert enumerate_two_block(sig) == oracle_two_block(sig)
+    assert enumerate_p_hat(sig) == oracle_p_hat(sig)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signatures())
+def test_m_value_matches_fraction_product(sig):
+    for part in oracle_p_hat(sig):
+        assert m_value(part, sig) == oracle_m_value(part, sig)

@@ -551,6 +551,72 @@ class TestMValue:
                         assert mj.denominator == 1 and mj > 0
 
 
+def k_sum(sig, block):
+    return sum(sig.kappa[i - 1] for i in block)
+
+
+# d = 4: every pair of poles has k_B = -d, i.e. mu(B) = 1 exactly
+SIG_FLAT7 = validate_signature(4, [4, -2, -2, -2, -2, -2, -2])
+
+
+class TestWeightExactlyOne:
+    """Blocks of weight exactly 1 (``k_B = -d``), where a strict/non-strict
+    slip in an integer weight test would otherwise go unnoticed."""
+
+    def test_balanced_split_keeps_marking_1_in_i0(self):
+        sig = validate_signature(3, [-1, -2, -1, -2, -2, 2])
+        parts = enumerate_two_block(sig)
+        balanced = 0
+        for part in parts:
+            k0, k1 = k_sum(sig, part.i0), k_sum(sig, part.i1)
+            assert k0 >= k1
+            if k0 == k1:
+                balanced += 1
+                assert 1 in part.i0
+        assert balanced == 6
+        split = {frozenset({p.i0, p.i1}): p for p in parts}
+        assert split[frozenset({frozenset({2, 3}), frozenset({1, 4, 5, 6})})].i0 == {1, 4, 5, 6}
+
+    def test_p_hat_excludes_weight_one_blocks(self):
+        d = SIG_FLAT7.d
+        parts = enumerate_p_hat(SIG_FLAT7)
+        assert {frozenset(p.blocks) for p in parts} == brute_p_hat(SIG_FLAT7)
+        multi = [p for p in parts if p.r >= 2]
+        # {1} plus the poles split into two triples; no pair of poles is heavy
+        assert len(multi) == 10
+        for part in multi:
+            assert k_sum(SIG_FLAT7, part.blocks[0]) > -d
+            assert all(k_sum(SIG_FLAT7, b) < -d for b in part.blocks[1:])
+        assert MultiBlockPartition.from_blocks({1}, [{2, 3}, {4, 5, 6, 7}]) not in parts
+
+    def test_balanced_two_block_in_either_order(self):
+        for blocks in (({2, 3}, {1, 4, 5, 6, 7}), ({1, 4, 5, 6, 7}, {2, 3})):
+            part = MultiBlockPartition(tuple(frozenset(b) for b in blocks))
+            assert m_value(part, SIG_FLAT7) == 0
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            (({1}, set(), {2, 3, 4, 5, 6, 7}), "empty block"),
+            (({1}, {1, 2, 3, 4}, {5, 6, 7}), "overlap"),
+            (({1}, {2, 3, 4}, {5, 6}), "cover"),
+            (({1}, {2, 3, 4, 5, 6, 7}), "both sides"),
+            (({2, 3, 4}, {1, 5, 6, 7}), "I0 must be the light block"),
+            (({2, 3}, {1, 4, 5}, {6, 7}), "mu\\(I0\\) must be < 1"),
+            (({1}, {2, 3}, {4, 5, 6, 7}), "every heavy block"),
+            (({1, 2, 3, 4, 5, 6, 7},), "at least two blocks"),
+        ],
+        ids=["empty", "overlap", "missing", "side-of-one", "heavy-i0", "i0-weight-one",
+             "heavy-weight-one", "one-block"],
+    )
+    def test_every_not_in_p_hat_branch(self, blocks, message):
+        part = MultiBlockPartition(tuple(frozenset(b) for b in blocks))
+        with pytest.raises(NotInPHat, match=message):
+            m_value(part, SIG_FLAT7)
+        with pytest.raises(NotInPHat, match=message):
+            vanishing_orders(part, SIG_FLAT7)
+
+
 class TestExceptional:
     def test_pole6_all_zero(self):
         assert exceptional_divisor(SIG_POLE6).is_zero()
