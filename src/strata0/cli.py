@@ -175,6 +175,7 @@ def _split_factor_list(text: str) -> list[tuple[int, str]]:
 def parse_factors(text: str, sig: Signature) -> list[DivisorExpression]:
     """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``, ``Dmu_psi``."""
     out = []
+    forms: dict[str, DivisorExpression] = {}  # each form of D_mu is built at most once
     for pos, piece in _split_factor_list(text):
         piece = piece.strip()
         m = _FACTOR_RE.match(piece)
@@ -188,10 +189,10 @@ def parse_factors(text: str, sig: Signature) -> list[DivisorExpression]:
         elif m.group(3):
             side = {int(x) for x in m.group(3).split(",") if x}
             out.append(DivisorExpression({Boundary.of(sig.n, side): Fraction(1)}))
-        elif piece == "Dmu":
-            out.append(d_mu_boundary_form(sig))
         else:
-            out.append(d_mu_psi_form(sig))
+            if piece not in forms:
+                forms[piece] = (d_mu_boundary_form if piece == "Dmu" else d_mu_psi_form)(sig)
+            out.append(forms[piece])
     return out
 
 
@@ -211,13 +212,15 @@ def _blocks(part: MultiBlockPartition | strata.TwoBlockPartition) -> list[list[i
     return [sorted(b) for b in part.blocks]
 
 
-def _symbol_json(sym, sig: Signature) -> dict:
+def _symbol_json(sym, kappa: Sequence[int]) -> dict:
     if isinstance(sym, Psi):
         return {"psi": sym.i}
-    w = sig.weights()
+    # the lighter side (larger k_B, as mu(B) = -k_B/d) is I0; on a tie the
+    # side holding marking 1, which sides() lists first
     a, b = sym.sides()
-    part = strata.TwoBlockPartition.from_blocks(a, b, w)
-    return {"boundary": _blocks(part)}
+    if sum(kappa[i - 1] for i in a) < sum(kappa[i - 1] for i in b):
+        a, b = b, a
+    return {"boundary": [list(a), list(b)]}
 
 
 def _expression_json(expr: DivisorExpression, sig: Signature) -> list[dict]:
@@ -225,10 +228,10 @@ def _expression_json(expr: DivisorExpression, sig: Signature) -> list[dict]:
         sym, _ = item
         if isinstance(sym, Psi):
             return (0, sym.i, ())
-        return (1, 0, tuple(sorted(sym.sides()[0])))
+        return (1, 0, sym.sides()[0])
 
     return [
-        {**_symbol_json(sym, sig), "coefficient": _rat(c)}
+        {**_symbol_json(sym, sig.kappa), "coefficient": _rat(c)}
         for sym, c in sorted(expr.items(), key=order)
     ]
 

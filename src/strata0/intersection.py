@@ -16,15 +16,21 @@ A top-degree decorated stratum integrates to a product of one multinomial
 per vertex, ``(m_v - 3)! / prod_f a_f!`` when the decorations at each vertex
 sum to ``m_v - 3`` (and 0 otherwise).
 
-Marking sets are stored as bitmasks (bit ``i-1`` is marking ``i``); strata are
-kept in a canonical vertex order so equal classes combine, which is what keeps
-intermediate term counts polynomial in practice.
+Marking sets are stored as bitmasks (bit ``i-1`` is marking ``i``).  Equal
+strata must combine, which is what keeps intermediate term counts polynomial
+in practice.  The product fold behind :func:`product_number` keys each
+stratum by its set of split masks, pairwise compatible, which determines the
+tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
+so keys are canonical with no vertex renumbering.  :func:`multiply` keeps the
+vertex form of :class:`DecoratedStratum`, renumbered into a canonical vertex
+order, and serves as the fold's oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -228,14 +234,14 @@ class _Info:
             self.split_edge[key] = (u, v)
 
 
-_INFO: dict[DecoratedStratum, _Info] = {}
+# `multiply` and `integrate` revisit strata; the caches below are bounded so
+# a long-lived process does not grow without limit.
+_CACHE_SIZE = 4096
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _info(s: DecoratedStratum) -> _Info:
-    info = _INFO.get(s)
-    if info is None:
-        info = _INFO[s] = _Info(s)
-    return info
+    return _Info(s)
 
 
 def _canonical(n: int, verts: Sequence[int], edges: Iterable[tuple[int, int]],
@@ -319,10 +325,15 @@ def unit(n: int) -> ChowElement:
 # ---------------------------------------------------------------------------
 
 
-def _bump(s: DecoratedStratum, flag: Flag) -> DecoratedStratum:
-    d = dict(s.dec)
+def _bumped(dec: tuple[tuple, ...], flag) -> tuple[tuple, ...]:
+    """A sorted decoration tuple with the power at ``flag`` raised by one."""
+    d = dict(dec)
     d[flag] = d.get(flag, 0) + 1
-    return DecoratedStratum(s.n, s.verts, s.edges, tuple(sorted(d.items())))
+    return tuple(sorted(d.items()))
+
+
+def _bump(s: DecoratedStratum, flag: Flag) -> DecoratedStratum:
+    return DecoratedStratum(s.n, s.verts, s.edges, _bumped(s.dec, flag))
 
 
 def _psi_target(s: DecoratedStratum, i: int) -> DecoratedStratum:
@@ -367,9 +378,7 @@ def _refine(s: DecoratedStratum, v: int, moved: Sequence[tuple[int, int, int]]) 
     return _canonical(s.n, verts, edges, dec)
 
 
-_PRODUCTS: dict[DecoratedStratum, dict[int, tuple[tuple[DecoratedStratum, int], ...]]] = {}
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def _boundary_products(s: DecoratedStratum) -> dict[int, tuple[tuple[DecoratedStratum, int], ...]]:
     """All nonzero products of this stratum with boundary divisors.
 
@@ -377,9 +386,6 @@ def _boundary_products(s: DecoratedStratum) -> dict[int, tuple[tuple[DecoratedSt
     ``(stratum, +-1)`` output terms.  Splits not present as keys annihilate
     the stratum.
     """
-    got = _PRODUCTS.get(s)
-    if got is not None:
-        return got
     info = _info(s)
     full = (1 << s.n) - 1
     out: dict[int, tuple[tuple[DecoratedStratum, int], ...]] = {}
@@ -404,7 +410,6 @@ def _boundary_products(s: DecoratedStratum) -> dict[int, tuple[tuple[DecoratedSt
             key = mmask if mmask & 1 else full ^ mmask
             assert key not in out  # splits name refinements uniquely on a tree
             out[key] = ((_refine(s, v, moved), 1),)
-    _PRODUCTS[s] = out
     return out
 
 
@@ -474,121 +479,127 @@ def _scaled_parts(n: int, expr: DivisorExpression) -> tuple[int, dict[int, int],
     return den, psis, bnds
 
 
-class _Profile:
-    """Per-stratum working data for the product fold (not cached)."""
-
-    __slots__ = ("flags", "decsum", "denfac", "edge_keys")
-
-    def __init__(self, s: DecoratedStratum):
-        n = s.n
-        nv = len(s.verts)
-        nbr: list[list[int]] = [[] for _ in range(nv)]
-        for u, v in s.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        far: dict[tuple[int, int], int] = {}
-
-        def far_mask(a: int, b: int) -> int:
-            got = far.get((a, b))
-            if got is None:
-                got = s.verts[b]
-                for c in nbr[b]:
-                    if c != a:
-                        got |= far_mask(b, c)
-                far[(a, b)] = got
-            return got
-
-        full = (1 << n) - 1
-        self.edge_keys = []
-        for u, v in s.edges:
-            m = far_mask(u, v)
-            self.edge_keys.append((u, v, m if m & 1 else full ^ m))
-            far_mask(v, u)
-        self.flags = [
-            [(0, i, 1 << (i - 1)) for i in _unmask(s.verts[v])]
-            + [(1, w, far[(v, w)]) for w in sorted(nbr[v])]
-            for v in range(nv)
-        ]
-        self.decsum = [0] * nv
-        self.denfac = [1] * nv
-        for (v, _, _), p in s.dec:
-            self.decsum[v] += p
-            self.denfac[v] *= factorial(p)
+# The fold keys a stratum by ``(splits, dec)``: the frozenset of its split
+# masks (side holding marking 1, as in ``Boundary.key``) and a sorted tuple of
+# ``(flag, power)``.  A flag is named by its far mask, the markings beyond it:
+# ``1 << (i-1)`` for the leg of marking ``i``; ``full ^ K`` for the branch of
+# split ``K`` on its marking-1 side and ``K`` for the one on its far side.
+# Compatible splits determine the tree, so keys are canonical by construction,
+# and splitting a vertex keeps every flag's far mask, so a refinement only adds
+# its split and leaves ``dec`` as it is.
+_Key = tuple[frozenset[int], tuple[tuple[int, int], ...]]
 
 
-def _alive(s: DecoratedStratum) -> bool:
-    """Capacity check: every vertex can still absorb its decorations.
+def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
+    """Vertex data of a split-set stratum, derived from the laminar family of
+    far sides ``full ^ K``.
 
-    A vertex whose decoration sum exceeds ``#flags - 3`` integrates to zero
-    against every continuation (decorations never shrink, and splitting a
-    vertex only lowers the total slack), so such terms can be dropped inside
-    a top-degree product.
+    Returns ``(flags, where, decsum, denfac)``: the far mask of each flag per
+    vertex, with first the flag toward marking 1 (so no other flag's far mask
+    holds marking 1); the vertex of each flag; and per vertex the decoration
+    sum and the product of ``p!`` over its decorations.
     """
-    nv = len(s.verts)
-    flags = [bin(m).count("1") for m in s.verts]
-    for u, v in s.edges:
-        flags[u] += 1
-        flags[v] += 1
-    decsum = [0] * nv
-    for (v, _, _), p in s.dec:
-        decsum[v] += p
-    return all(decsum[v] <= flags[v] - 3 for v in range(nv))
+    full = (1 << n) - 1
+    fars = sorted((full ^ k for k in splits), key=int.bit_count, reverse=True)
+    # vertex 0 holds marking 1; vertex j >= 1 lies just beyond fars[j-1]
+    flags = [[1]] + [[full ^ a] for a in fars]
+    own = [full ^ 1, *fars]
+    for j, a in enumerate(fars, 1):
+        p = j - 1  # the smallest earlier far side holding a, else the root
+        while p and fars[p - 1] & a != a:
+            p -= 1
+        flags[p].append(a)
+        own[p] &= ~a
+    where = {}
+    for v, m in enumerate(own):
+        while m:
+            low = m & -m
+            flags[v].append(low)
+            m ^= low
+        for fm in flags[v]:
+            where[fm] = v
+    decsum = [0] * len(flags)
+    denfac = [1] * len(flags)
+    for fm, p in dec:
+        decsum[where[fm]] += p
+        denfac[where[fm]] *= factorial(p)
+    return flags, where, decsum, denfac
+
+
+def _subsets(fl, powers, fact):
+    """Far mask, decoration sum and factorial denominator of every subset of
+    the flags ``fl[1:]`` (bit ``t`` is ``fl[t+1]``), by a lowest-bit DP."""
+    rest = fl[1:]
+    pw = [powers.get(fm, 0) for fm in rest]
+    far = [0] * (1 << len(rest))
+    dsum = [0] * len(far)
+    den = [1] * len(far)
+    for bits in range(1, len(far)):
+        low = bits & -bits
+        i = low.bit_length() - 1
+        prev = bits ^ low
+        far[bits] = far[prev] | rest[i]
+        dsum[bits] = dsum[prev] + pw[i]
+        den[bits] = den[prev] * fact[pw[i]]
+    return far, dsum, den
 
 
 def _fold_step(
     n: int,
-    state: dict[DecoratedStratum, int],
+    state: dict[_Key, int],
     psis: dict[int, int],
     bnds: dict[int, int],
-) -> dict[DecoratedStratum, int]:
-    """One multiplication step with dead-term pruning."""
+) -> dict[_Key, int]:
+    """One multiplication step; only terms whose every vertex keeps
+    ``decorations <= #flags - 3`` are kept (decorations never shrink and
+    splitting a vertex only lowers the total slack, so the others integrate
+    to zero inside a top-degree product)."""
     full = (1 << n) - 1
-    nxt: dict[DecoratedStratum, int] = {}
+    fact = [factorial(i) for i in range(n + 1)]
+    nxt: dict[_Key, int] = {}
     get = nxt.get
-    for s, c in state.items():
-        prof = _Profile(s)
+    for (splits, dec), c in state.items():
+        flags, where, decsum, _ = _vertices(n, splits, dec)
         if bnds:
-            for u, v, key in prof.edge_keys:
-                q = bnds.get(key)
+            # excess terms at both branches of an existing edge
+            for k in splits:
+                q = bnds.get(k)
                 if q:
-                    cq = c * q
-                    for end_a, end_b in ((u, v), (v, u)):
-                        if prof.decsum[end_a] + 1 <= len(prof.flags[end_a]) - 3:
-                            t = _bump(s, (end_a, 1, end_b))
-                            nxt[t] = get(t, 0) - cq
-            for v, flags in enumerate(prof.flags):
-                f = len(flags)
+                    for fm in (full ^ k, k):
+                        v = where[fm]
+                        if decsum[v] + 1 <= len(flags[v]) - 3:
+                            t = (splits, _bumped(dec, fm))
+                            nxt[t] = get(t, 0) - c * q
+            # refinements: move the flags of `bits` off vertex v to a new vertex
+            powers = dict(dec)
+            for v, fl in enumerate(flags):
+                f = len(fl)
                 if f < 4:
                     continue
-                rest = flags[1:]
-                nrest = f - 1
-                for bits in range(1, 1 << nrest):
+                dv = decsum[v]
+                far, dsum, _ = _subsets(fl, powers, fact)
+                for bits in range(1, len(far)):
+                    dm = dsum[bits]
                     size = bits.bit_count()
-                    if size < 2 or size > f - 2:
-                        continue
-                    mmask = 0
-                    for t_i in range(nrest):
-                        if bits >> t_i & 1:
-                            mmask |= rest[t_i][2]
-                    key = mmask if mmask & 1 else full ^ mmask
-                    q = bnds.get(key)
-                    if q:
-                        moved = [rest[t_i] for t_i in range(nrest) if bits >> t_i & 1]
-                        t = _refine(s, v, moved)
-                        if _alive(t):
+                    # halves of size+1 and f-size+1 flags keep their slack
+                    if dm <= size - 2 and dv - dm <= f - size - 2:
+                        key = full ^ far[bits]
+                        q = bnds.get(key)
+                        if q:
+                            t = (splits | {key}, dec)
                             nxt[t] = get(t, 0) + c * q
         for i, q in psis.items():
-            bit = 1 << (i - 1)
-            v = next(j for j, m in enumerate(s.verts) if m & bit)
-            if prof.decsum[v] + 1 <= len(prof.flags[v]) - 3:
-                t = _bump(s, (v, 0, i))
+            fm = 1 << (i - 1)
+            v = where[fm]
+            if decsum[v] + 1 <= len(flags[v]) - 3:
+                t = (splits, _bumped(dec, fm))
                 nxt[t] = get(t, 0) + c * q
     return {t: c for t, c in nxt.items() if c}
 
 
 def _pair_final(
     n: int,
-    state: dict[DecoratedStratum, int],
+    state: dict[_Key, int],
     psis: dict[int, int],
     bnds: dict[int, int],
 ) -> int:
@@ -600,79 +611,54 @@ def _pair_final(
     A stratum with any other slack profile raises ``RuntimeError``.
     """
     full = (1 << n) - 1
+    fact = [factorial(i) for i in range(n + 1)]
     total = 0
-    for s, c in state.items():
-        prof = _Profile(s)
-        flags, decsum, denfac = prof.flags, prof.decsum, prof.denfac
+    for (splits, dec), c in state.items():
+        flags, where, decsum, denfac = _vertices(n, splits, dec)
         deficit = [len(fl) - 3 - d for fl, d in zip(flags, decsum)]
         star = next((v for v, d in enumerate(deficit) if d), None)
         if star is None or deficit[star] != 1 or any(
             d != 0 for v, d in enumerate(deficit) if v != star
         ):
-            # total slack is 1 and _alive keeps every vertex's slack >= 0
+            # total slack is 1 and the fold keeps every vertex's slack >= 0
             raise RuntimeError(
                 f"internal error: stratum with vertex slacks {deficit} reached "
                 "the final pairing; please report"
             )
         base = 1
-        for v in range(len(flags)):
+        for v, fl in enumerate(flags):
             if v != star:
-                base *= factorial(len(flags[v]) - 3) // denfac[v]
-        mstar = len(flags[star])
-        dec_map = dict(s.dec)
+                base *= fact[len(fl) - 3] // denfac[v]
+        fl = flags[star]
+        f = len(fl)
+        den_all = denfac[star]
+        powers = dict(dec)
         acc = 0
         if bnds:
             # excess at edges meeting the slack vertex
-            for u, v, key in prof.edge_keys:
-                q = bnds.get(key)
-                if not q:
-                    continue
-                for end, other in ((u, v), (v, u)):
-                    if end != star:
-                        continue
-                    p = dec_map.get((end, 1, other), 0)
-                    val = factorial(mstar - 3) // (denfac[star] * (p + 1))
-                    acc -= q * val
+            for k in splits:
+                q = bnds.get(k)
+                if q:
+                    for fm in (full ^ k, k):
+                        if where[fm] == star:
+                            acc -= q * (fact[f - 3] // (den_all * (powers.get(fm, 0) + 1)))
             # refinements at the slack vertex
-            fl = flags[star]
-            f = len(fl)
             if f >= 4:
-                rest = fl[1:]
-                nrest = f - 1
-                powers = [dec_map.get((star, kind, ident), 0) for kind, ident, _ in fl]
-                den_all = denfac[star]
-                for bits in range(1, 1 << nrest):
+                dv = decsum[star]
+                far, dsum, den = _subsets(fl, powers, fact)
+                for bits in range(1, len(far)):
+                    dm = dsum[bits]
                     size = bits.bit_count()
-                    if size < 2 or size > f - 2:
+                    if dm != size - 2 or dv - dm != f - size - 2:
                         continue
-                    mmask = 0
-                    dmoved = 0
-                    den_moved = 1
-                    for t_i in range(nrest):
-                        if bits >> t_i & 1:
-                            mmask |= rest[t_i][2]
-                            p = powers[t_i + 1]
-                            dmoved += p
-                            den_moved *= factorial(p)
-                    key = mmask if mmask & 1 else full ^ mmask
-                    q = bnds.get(key)
-                    if not q:
-                        continue
-                    m_moved = size + 1
-                    m_keep = f - size + 1
-                    d_keep = decsum[star] - dmoved
-                    if dmoved != m_moved - 3 or d_keep != m_keep - 3:
-                        continue
-                    val = (factorial(m_moved - 3) // den_moved) * (
-                        factorial(m_keep - 3) // (den_all // den_moved)
-                    )
-                    acc += q * val
+                    q = bnds.get(full ^ far[bits])
+                    if q:
+                        dn = den[bits]
+                        acc += q * (fact[size - 2] // dn) * (fact[f - size - 2] // (den_all // dn))
         for i, q in psis.items():
-            bit = 1 << (i - 1)
-            if s.verts[star] & bit:
-                p = dec_map.get((star, 0, i), 0)
-                val = factorial(mstar - 3) // (denfac[star] * (p + 1))
-                acc += q * val
+            fm = 1 << (i - 1)
+            if where[fm] == star:
+                acc += q * (fact[f - 3] // (den_all * (powers.get(fm, 0) + 1)))
         total += c * base * acc
     return total
 
@@ -695,7 +681,7 @@ def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
     den_total = 1
     for den, _, _ in parts:
         den_total *= den
-    state: dict[DecoratedStratum, int] = {next(iter(unit(n).terms)): 1}
+    state: dict[_Key, int] = {(frozenset(), ()): 1}
     for den, psis, bnds in parts[:-1]:
         state = _fold_step(n, state, psis, bnds)
         if not state:

@@ -8,9 +8,13 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strata0.divisors import d_mu_boundary_form, d_mu_psi_form
 from strata0.intersection import (
     Boundary,
+    ChowElement,
     DegreeOverflow,
     DivisorExpression,
     Psi,
@@ -22,6 +26,7 @@ from strata0.intersection import (
     psi_boundary_expression,
     unit,
 )
+from strata0.strata import validate_signature
 
 
 def D(n, side):
@@ -153,7 +158,7 @@ class TestProductNumber:
         from strata0.intersection import _pair_final
 
         with pytest.raises(RuntimeError, match="internal error"):
-            _pair_final(5, {next(iter(unit(5).terms)): 1}, {1: 1}, {})
+            _pair_final(5, {(frozenset(), ()): 1}, {1: 1}, {})
 
     def test_matches_multiply_chain(self):
         # the folded fast path agrees with naive multiply + integrate
@@ -294,3 +299,82 @@ class TestEquivariance:
                 [DivisorExpression({relabel_symbol(s, sigma, n): F(1)}) for s in chosen],
             )
             assert before == after
+
+
+# ---------------------------------------------------------------------------
+# property tests: the fold against multiply/integrate, relabeling of D_mu
+# ---------------------------------------------------------------------------
+
+
+def expand_product(n, factors):
+    """Oracle: multiply every term of every factor into the class, then integrate."""
+    terms = dict(unit(n).terms)
+    for expr in factors:
+        nxt = {}
+        for sym, c in expr.items():
+            for t, v in multiply(ChowElement(n, terms), sym).terms.items():
+                nxt[t] = nxt.get(t, 0) + c * v
+        terms = {t: v for t, v in nxt.items() if v}
+    return integrate(ChowElement(n, terms))
+
+
+@st.composite
+def expression_products(draw):
+    # a few splits per example, each factor drawing its boundary terms from
+    # them, so that splits repeat and excess terms meet psi decorations at
+    # either branch of an edge
+    n = draw(st.integers(5, 7))
+    bnds = [s for s in all_symbols(n) if isinstance(s, Boundary)]
+    pool = draw(st.lists(st.sampled_from(bnds), min_size=1, max_size=3, unique=True))
+    syms = pool + [Psi(i) for i in range(1, n + 1)]
+    coeff = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    factor = st.dictionaries(st.sampled_from(syms), coeff, min_size=1, max_size=3)
+    factors = draw(st.lists(factor, min_size=n - 3, max_size=n - 3))
+    return n, [DivisorExpression(f) for f in factors]
+
+
+@st.composite
+def d_mu_mixes(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(5, 7))
+    # every k_i starts at its floor 1 - d; the excess up to -2d is spread
+    # over the markings one unit at a time
+    excess = n * (d - 1) - 2 * d
+    kappa = [1 - d] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=excess, max_size=excess)):
+        kappa[i] += 1
+    sigma = draw(st.permutations(range(1, n + 1)))
+    psi_form = draw(st.lists(st.booleans(), min_size=n - 3, max_size=n - 3))
+    return validate_signature(d, kappa), sigma, psi_form
+
+
+class TestFoldProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(expression_products())
+    def test_fold_matches_multiply_integrate(self, case):
+        n, factors = case
+        assert product_number(n, factors) == expand_product(n, factors)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d_mu_mixes())
+    def test_d_mu_mix_invariant_under_relabeling(self, case):
+        sig, sigma, psi_form = case
+
+        def mix(s):
+            bf, pf = d_mu_boundary_form(s), d_mu_psi_form(s)
+            return [pf if p else bf for p in psi_form]
+
+        assert product_number(sig.n, mix(sig)) == product_number(sig.n, mix(sig.relabeled(sigma)))
+
+
+class TestCaches:
+    def test_multiply_caches_stay_bounded(self):
+        from strata0.intersection import DecoratedStratum, _boundary_products, _info
+
+        for cache in (_info, _boundary_products):
+            bound = cache.cache_info().maxsize
+            assert bound is not None
+            # single-vertex n = 4 strata, made distinct by the psi power at leg 1
+            for p in range(bound + 10):
+                cache(DecoratedStratum(4, (15,), (), (((0, 0, 1), p + 1),)))
+            assert cache.cache_info().currsize <= bound
