@@ -48,12 +48,9 @@ from fractions import Fraction
 from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
 from strata0.strata import (
     Signature,
-    boundary_weight,
     enumerate_p_hat,
-    enumerate_stable_trees,
     enumerate_two_block,
     exceptional_divisor,
-    in_ideal_support,
 )
 
 __all__ = [
@@ -81,12 +78,12 @@ class ExceptionalDivisorNontrivial(ValueError):
 
 def d_mu_boundary_form(sig: Signature) -> DivisorExpression:
     """Boundary-divisor representation of the distinguished class."""
-    n = sig.n
-    w = sig.weights()
-    lead = Fraction(sig.d, (n - 2) * (n - 1))
+    n, d = sig.n, sig.d
+    lead = Fraction(d, (n - 2) * (n - 1))
     terms = {}
     for part in enumerate_two_block(sig):
-        mu_s = boundary_weight(part, w)
+        # mu_S = 1 - mu(I0) = (d + k_I0) / d
+        mu_s = Fraction(d + sum(sig.kappa[i - 1] for i in part.i0), d)
         c = lead * (len(part.i0) - 1) * (len(part.i1) - 1 - (n - 1) * mu_s)
         if c:
             terms[Boundary.from_partition(part)] = c
@@ -94,37 +91,31 @@ def d_mu_boundary_form(sig: Signature) -> DivisorExpression:
 
 
 def d_mu_psi_form(sig: Signature) -> DivisorExpression:
-    """Psi-and-boundary representation, linearly equivalent to the boundary form."""
-    w = sig.weights()
-    half_d = Fraction(sig.d, 2)
+    """Psi-and-boundary representation, linearly equivalent to the boundary form.
+
+    With ``mu_i = -k_i / d`` the coefficients ``-(d/2) mu_i`` and
+    ``(d/2)(1 - mu_S)`` are ``k_i / 2`` and ``-k_I0 / 2``.
+    """
     terms: dict = {}
-    for i in range(1, sig.n + 1):
-        c = -half_d * w.of(i)
-        if c:
-            terms[Psi(i)] = c
+    for i, k in enumerate(sig.kappa, start=1):
+        if k:
+            terms[Psi(i)] = Fraction(k, 2)
     for part in enumerate_two_block(sig):
-        c = half_d * (1 - boundary_weight(part, w))
+        c = Fraction(-sum(sig.kappa[i - 1] for i in part.i0), 2)
         if c:
             sym = Boundary.from_partition(part)
             terms[sym] = terms.get(sym, Fraction(0)) + c
     return DivisorExpression(terms)
 
 
-def blowup_is_trivial(sig: Signature, exhaustive: bool = False) -> bool:
-    """True when the blow-up changes nothing.
+def blowup_is_trivial(sig: Signature) -> bool:
+    """True when the blow-up changes nothing: the boundary index set has no
+    multi-block element, so the exceptional Weil coefficients all vanish.
 
-    Default criterion: the boundary index set has no multi-block element (so
-    the exceptional Weil coefficients all vanish).  With ``exhaustive=True``
-    the stratum-by-stratum criterion is used instead: every stable tree, in
-    every codimension, must have a unique principal subcurve.  The two agree;
-    the slow mode exists as a cross-check.
+    Equivalently every stable tree, in every codimension, has a unique
+    principal subcurve; the tests keep that stratum-by-stratum criterion as
+    the oracle.
     """
-    if exhaustive:
-        w = sig.weights()
-        for tree in enumerate_stable_trees(sig, sig.n - 3):
-            if in_ideal_support(tree, w):
-                return False
-        return True
     return all(p.r == 1 for p in enumerate_p_hat(sig))
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from strata0.strata import TwoBlockPartition
+from strata0.strata import TwoBlockPartition, _laminar
 
 __all__ = [
     "DegreeOverflow",
@@ -491,8 +491,8 @@ _Key = tuple[frozenset[int], tuple[tuple[int, int], ...]]
 
 
 def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
-    """Vertex data of a split-set stratum, derived from the laminar family of
-    far sides ``full ^ K``.
+    """Vertex data of a split-set stratum, in the vertex numbering of
+    :func:`strata0.strata._laminar`.
 
     Returns ``(flags, where, decsum, denfac)``: the far mask of each flag per
     vertex, with first the flag toward marking 1 (so no other flag's far mask
@@ -500,16 +500,11 @@ def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
     sum and the product of ``p!`` over its decorations.
     """
     full = (1 << n) - 1
-    fars = sorted((full ^ k for k in splits), key=int.bit_count, reverse=True)
-    # vertex 0 holds marking 1; vertex j >= 1 lies just beyond fars[j-1]
+    fars, parent, own = _laminar(n, splits)
+    own[0] ^= 1  # the leg of marking 1 leads vertex 0's flags
     flags = [[1]] + [[full ^ a] for a in fars]
-    own = [full ^ 1, *fars]
     for j, a in enumerate(fars, 1):
-        p = j - 1  # the smallest earlier far side holding a, else the root
-        while p and fars[p - 1] & a != a:
-            p -= 1
-        flags[p].append(a)
-        own[p] &= ~a
+        flags[parent[j]].append(a)
     where = {}
     for v, m in enumerate(own):
         while m:

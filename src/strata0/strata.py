@@ -13,6 +13,14 @@ and the multiplicities ``m(S)``) needs no fractions: with
 tables over bitmasks (bit ``i-1`` is marking ``i``) and build the frozenset
 blocks only for their output.
 
+A stable tree is determined by its set of pairwise-compatible splits
+(Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each
+stored as the bitmask of the side holding marking 1.  ``canonical_key`` is
+the sorted tuple of those masks, :meth:`StableTree.from_splits` builds the
+tree back, and :func:`enumerate_stable_trees` walks the compatible sets
+directly.  Every tree fills one far-side table on construction; principal
+subcurves and exponent vectors read it and compare integer ``k_B`` sums.
+
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  A two-block partition ``{I0, I1}`` is always numbered so that
 ``mu(I0) <= 1 <= mu(I1)``; when both sides have weight exactly 1 the block
@@ -22,8 +30,7 @@ never a computed invariant).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -317,17 +324,43 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _laminar(n: int, splits: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+    """The tree of a set of compatible splits, read off the laminar family of
+    their far sides ``full ^ K`` (each split ``K`` is the side holding marking 1).
+
+    Returns ``(fars, parent, own)``: vertex 0 holds marking 1 and vertex
+    ``j >= 1`` lies just beyond ``fars[j-1]`` (far sides largest first, ties
+    in the order given); ``parent[j]`` is the neighbor of ``j`` toward
+    marking 1 and ``own[v]`` the mask of the markings on ``v``.
+    """
+    full = (1 << n) - 1
+    fars = sorted((full ^ k for k in splits), key=int.bit_count, reverse=True)
+    parent = [-1] * (len(fars) + 1)
+    own = [full, *fars]
+    for j, a in enumerate(fars, 1):
+        p = j - 1  # the smallest earlier far side holding a, else the root
+        while p and fars[p - 1] & a != a:
+            p -= 1
+        parent[j] = p
+        own[p] &= ~a
+    return fars, parent, own
+
+
 @dataclass(frozen=True)
 class StableTree:
     """Dual tree of a stable n-pointed genus-0 curve.
 
     ``vertex_marks[j]`` is the (possibly empty) set of markings on component
     ``j``; ``edges`` are unordered vertex pairs, one per node.  Stability means
-    ``|marks| + degree >= 3`` at every vertex.
+    ``|marks| + degree >= 3`` at every vertex.  Construction fills one
+    far-side table: rooted at vertex 0, ``_below[j]`` is the parent of ``j``
+    and the marking mask and vertex mask of the subtree under ``j``, so either
+    side of every edge is one lookup (see :meth:`_far`).
     """
 
     vertex_marks: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]
+    _below: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nv = len(self.vertex_marks)
@@ -341,28 +374,47 @@ class StableTree:
             seen |= marks
         if seen != set(range(1, len(seen) + 1)):
             raise StrataError("markings must be exactly 1..n")
-        deg = [0] * nv
         adj: list[list[int]] = [[] for _ in range(nv)]
         for u, v in self.edges:
             if not (0 <= u < nv and 0 <= v < nv) or u == v:
                 raise StrataError(f"bad edge ({u},{v})")
-            deg[u] += 1
-            deg[v] += 1
             adj[u].append(v)
             adj[v].append(u)
         for j in range(nv):
-            if len(self.vertex_marks[j]) + deg[j] < 3:
+            if len(self.vertex_marks[j]) + len(adj[j]) < 3:
                 raise StrataError(f"vertex {j} is unstable")
-        # connectivity (edge count already matches a tree)
-        if nv > 1:
-            stack, reached = [0], {0}
-            while stack:
-                for v in adj[stack.pop()]:
-                    if v not in reached:
-                        reached.add(v)
-                        stack.append(v)
-            if len(reached) != nv:
-                raise StrataError("tree is not connected")
+        # connectivity (edge count already matches a tree), by a search from
+        # vertex 0 that records each vertex's parent
+        parent = [-1] * nv
+        order = [0]
+        for v in order:
+            for u in adj[v]:
+                if u and parent[u] < 0:  # not reached yet
+                    parent[u] = v
+                    order.append(u)
+        if len(order) != nv:
+            raise StrataError("tree is not connected")
+        # subtree masks, children before parents
+        marks = [sum(1 << (i - 1) for i in m) for m in self.vertex_marks]
+        verts = [1 << j for j in range(nv)]
+        for v in reversed(order[1:]):
+            marks[parent[v]] |= marks[v]
+            verts[parent[v]] |= verts[v]
+        object.__setattr__(self, "_below", tuple(zip(parent, marks, verts)))
+
+    @staticmethod
+    def from_splits(n: int, splits: Iterable[int]) -> "StableTree":
+        """The tree whose nodes cut out exactly ``splits``: pairwise-compatible
+        masks of the side holding marking 1 (bit ``i-1`` is marking ``i``).
+        Vertex 0 holds marking 1; the numbering depends only on the set."""
+        key = tuple(sorted(splits))
+        _, parent, own = _laminar(n, key)
+        tree = StableTree(
+            tuple(_mask_marks(m) for m in own), tuple((parent[j], j) for j in range(1, len(own)))
+        )
+        if tree.canonical_key() != key:
+            raise StrataError("splits must be distinct, pairwise compatible and hold marking 1")
+        return tree
 
     @property
     def n(self) -> int:
@@ -373,44 +425,42 @@ class StableTree:
         return len(self.vertex_marks)
 
     def neighbors(self, j: int) -> list[int]:
-        out = []
-        for u, v in self.edges:
-            if u == j:
-                out.append(v)
-            elif v == j:
-                out.append(u)
-        return out
+        below = self._below
+        return [k for k in range(len(below)) if below[k][0] == j or below[j][0] == k]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in set(self.edges)
+        below = self._below
+        return 0 <= u < len(below) and 0 <= v < len(below) and (
+            below[v][0] == u or below[u][0] == v
+        )
+
+    def _far(self, j: int, k: int) -> tuple[int, int]:
+        """Marking mask and vertex mask of the ``k``-side of the edge ``{j, k}``."""
+        parent, marks, verts = self._below[k]
+        if parent == j:
+            return marks, verts
+        _, all_marks, all_verts = self._below[0]
+        _, marks, verts = self._below[j]
+        return all_marks ^ marks, all_verts ^ verts
 
     def far_marks(self, j: int, k: int) -> frozenset[int]:
         """Markings on the ``k``-side of the edge ``{j, k}``."""
         if not self.has_edge(j, k):
             raise NoSuchEdge(f"no edge between vertices {j} and {k}")
-        reached = {k}
-        stack = [k]
-        while stack:
-            cur = stack.pop()
-            for nxt in self.neighbors(cur):
-                if nxt != j and nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        out: set[int] = set()
-        for v in reached:
-            out |= self.vertex_marks[v]
-        return frozenset(out)
+        return _mask_marks(self._far(j, k)[0])
 
     def edge_partition(self, u: int, v: int, w: WeightVector) -> TwoBlockPartition:
         """Two-block partition cut out by the edge ``{u, v}``."""
         return TwoBlockPartition.from_blocks(self.far_marks(v, u), self.far_marks(u, v), w)
 
-    def canonical_key(self) -> tuple:
-        """Isomorphism-invariant key (stable marked trees are rigid)."""
-        return _canonical_form(self)[0]
+    def canonical_key(self) -> tuple[int, ...]:
+        """The sorted split masks (side holding marking 1) of the nodes; they
+        determine the tree up to vertex numbering."""
+        full = self._below[0][1]
+        return tuple(sorted(m if m & 1 else full ^ m for _, m, _ in self._below[1:]))
 
     def canonical(self) -> "StableTree":
-        return _canonical_form(self)[1]
+        return StableTree.from_splits(self.n, self.canonical_key())
 
     def relabeled(self, sigma: Sequence[int]) -> "StableTree":
         return StableTree(
@@ -418,105 +468,31 @@ class StableTree:
         )
 
 
-def _canonical_form(tree: StableTree) -> tuple[tuple, StableTree]:
-    """Deterministic vertex renumbering: root at the vertex holding the least
-    marking, children ordered by the least marking in their subtree."""
-    nv = tree.num_vertices
-    if nv == 1:
-        t = StableTree(tree.vertex_marks, ())
-        return ((tuple(sorted(tree.vertex_marks[0])),), ()), t
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    lo = min(min(m) for m in tree.vertex_marks if m)
-    root = next(j for j, m in enumerate(tree.vertex_marks) if lo in m)
-
-    submin: dict[tuple[int, int], int] = {}
-
-    def min_beyond(parent: int, child: int) -> int:
-        key = (parent, child)
-        if key not in submin:
-            vals = [min(tree.vertex_marks[child])] if tree.vertex_marks[child] else []
-            vals += [min_beyond(child, g) for g in adj[child] if g != parent]
-            submin[key] = min(vals)
-        return submin[key]
-
-    order: list[int] = []
-
-    def visit(v: int, parent: int) -> None:
-        order.append(v)
-        for c in sorted((c for c in adj[v] if c != parent), key=lambda c: min_beyond(v, c)):
-            visit(c, v)
-
-    visit(root, -1)
-    perm = {old: new for new, old in enumerate(order)}
-    marks = tuple(tree.vertex_marks[old] for old in order)
-    edges = tuple(sorted(_norm_edge(perm[u], perm[v]) for u, v in tree.edges))
-    canon = StableTree(marks, edges)
-    key = (tuple(tuple(sorted(m)) for m in marks), edges)
-    return key, canon
-
-
-def _vertex_splits(tree: StableTree, j: int) -> Iterator[tuple[frozenset[int], list[int]]]:
-    """All ways to split vertex ``j`` in two, both halves keeping >= 2 flags.
-
-    Yields ``(moved_marks, moved_neighbor_list)``; the first flag always stays.
-    """
-    flags: list[tuple[str, int]] = [("m", i) for i in sorted(tree.vertex_marks[j])]
-    flags += [("e", k) for k in sorted(tree.neighbors(j))]
-    f = len(flags)
-    if f < 4:
-        return
-    rest = flags[1:]
-    for size in range(2, f - 1):
-        for moved in itertools.combinations(rest, size):
-            marks = frozenset(i for kind, i in moved if kind == "m")
-            nbrs = [i for kind, i in moved if kind == "e"]
-            yield marks, nbrs
-
-
-def _split_vertex(tree: StableTree, j: int, marks: frozenset[int], nbrs: list[int]) -> StableTree:
-    nv = tree.num_vertices
-    new_marks = list(tree.vertex_marks)
-    new_marks[j] = tree.vertex_marks[j] - marks
-    new_marks.append(marks)
-    moved = set(nbrs)
-    edges = []
-    for u, v in tree.edges:
-        if u == j and v in moved:
-            edges.append((nv, v))
-        elif v == j and u in moved:
-            edges.append((u, nv))
-        else:
-            edges.append((u, v))
-    edges.append((j, nv))
-    return StableTree(tuple(new_marks), tuple(edges))
-
-
 def enumerate_stable_trees(sig: Signature, max_edges: int) -> list[StableTree]:
     """All isomorphism classes of stable trees with 0..max_edges edges.
 
-    The 0-edge tree (smooth curve) is included.  Trees are returned in
-    canonical form, sorted by edge count then canonical key.
+    A tree is its set of pairwise-compatible splits, so a backtracking walk
+    that adds split masks (side holding marking 1) in increasing order meets
+    each tree exactly once.  Two such masks ``K < L`` are compatible iff
+    ``K`` lies inside ``L`` or ``K | L`` is everything.  The 0-edge tree
+    (smooth curve) is included.  Trees are built by
+    :meth:`StableTree.from_splits`, sorted by edge count then canonical key.
     """
     n = sig.n
     if max_edges > n - 3:
         raise StrataError(f"max_edges = {max_edges} exceeds n - 3 = {n - 3}")
-    base = StableTree((frozenset(range(1, n + 1)),), ())
-    levels: list[dict[tuple, StableTree]] = [{base.canonical_key(): base}]
-    for _ in range(max_edges):
-        nxt: dict[tuple, StableTree] = {}
-        for tree in levels[-1].values():
-            for j in range(tree.num_vertices):
-                for marks, nbrs in _vertex_splits(tree, j):
-                    refined = _split_vertex(tree, j, marks, nbrs).canonical()
-                    nxt.setdefault(refined.canonical_key(), refined)
-        levels.append(nxt)
-    out: list[StableTree] = []
-    for level in levels:
-        out.extend(level[key] for key in sorted(level))
-    return out
+    full = (1 << n) - 1
+    found: list[tuple[int, ...]] = []
+
+    def walk(chosen: tuple[int, ...], cands: list[int]) -> None:
+        found.append(chosen)
+        if len(chosen) < max_edges:
+            for i, k in enumerate(cands):
+                walk(chosen + (k,), [c for c in cands[i + 1:] if c & k == k or c | k == full])
+
+    walk((), [k for k in range(1, full, 2) if 2 <= k.bit_count() <= n - 2])
+    found.sort(key=lambda key: (len(key), key))
+    return [StableTree.from_splits(n, key) for key in found]
 
 
 # ---------------------------------------------------------------------------
@@ -544,23 +520,17 @@ def edge_weight(tree: StableTree, oriented_edge: tuple[int, int], w: WeightVecto
     return b - a
 
 
-def _contracted_groups(tree: StableTree, w: WeightVector) -> list[set[int]]:
-    """Vertex groups after contracting all zero-weight edges."""
-    parent = list(range(tree.num_vertices))
+def _far_k(tree: StableTree, w: WeightVector) -> dict[tuple[int, int], int]:
+    """``k_B`` of the far side ``B`` of every directed edge ``(j, k)``.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in tree.edges:
-        if edge_weight(tree, (u, v), w) == 0:
-            parent[find(u)] = find(v)
-    groups: dict[int, set[int]] = {}
-    for j in range(tree.num_vertices):
-        groups.setdefault(find(j), set()).add(j)
-    return sorted(groups.values(), key=min)
+    ``mu(B) < 1`` iff ``k_B > -d``, and the two sides of a node sum to ``-2d``.
+    """
+    kappa = [-m.numerator * (w.d // m.denominator) for m in w.mu]  # k_i = -d * mu_i
+    out = {}
+    for v, (u, marks, _) in enumerate(tree._below[1:], 1):
+        k = sum(kappa[i] for i in range(marks.bit_length()) if marks >> i & 1)
+        out[u, v], out[v, u] = k, -2 * w.d - k
+    return out
 
 
 def principal_subcurves(
@@ -574,22 +544,21 @@ def principal_subcurves(
     as sets of original vertex indices, plus the remaining vertices.  At least
     one principal subcurve always exists.
     """
-    groups = _contracted_groups(tree, w)
+    d = w.d
+    far_k = _far_k(tree, w)
+
+    groups: dict[int, set[int]] = {}
+    for j in range(tree.num_vertices):
+        # key the group by its vertex nearest to vertex 0: climb while the
+        # node toward it has weight 0
+        top, p = j, tree._below[j][0]
+        while p >= 0 and far_k[p, top] == -d:
+            top, p = p, tree._below[p][0]
+        groups.setdefault(top, set()).add(j)
     principal: list[frozenset[int]] = []
     rest: set[int] = set()
-    for grp in groups:
-        ok = True
-        for u, v in tree.edges:
-            if u in grp and v not in grp:
-                inner, outer = u, v
-            elif v in grp and u not in grp:
-                inner, outer = v, u
-            else:
-                continue
-            if edge_weight(tree, (inner, outer), w) <= 0:
-                ok = False
-                break
-        if ok:
+    for grp in sorted(groups.values(), key=min):
+        if all(far_k[u, v] > -d for u in grp for v in tree.neighbors(u) if v not in grp):
             principal.append(frozenset(grp))
         else:
             rest |= grp
@@ -622,37 +591,23 @@ class ExponentVector:
 
 
 def exponent_vector(tree: StableTree, j: int, w: WeightVector) -> ExponentVector:
-    """Exponents ``beta_j``: ``d * mu_S`` at each node whose light side holds ``v_j``."""
-    d = w.d
+    """Exponents ``beta_j``: ``d * mu_S = d + k_I0`` at each node whose light
+    side ``I0`` holds ``v_j``.
+
+    ``I0`` is the side with the larger ``k`` (``mu(I0) <= 1``) and, on a tie,
+    the side holding marking 1, as in :class:`TwoBlockPartition`.
+    """
+    if not 0 <= j < tree.num_vertices:
+        raise StrataError(f"no vertex {j}")
+    far_k = _far_k(tree, w)
     entries: dict[tuple[int, int], int] = {}
     for u, v in tree.edges:
-        part = tree.edge_partition(u, v, w)
-        mu_s = boundary_weight(part, w)
-        val = d * mu_s
-        if val.denominator != 1:
-            raise StrataError(f"d * mu_S = {val} is not an integer")
-        # which endpoint sits on the light side?
-        light_end = u if tree.far_marks(v, u) == part.i0 else v
-        on_light = _separated_same_side(tree, j, light_end, (u, v))
-        entries[(u, v)] = int(val) if on_light else 0
+        marks, verts = tree._far(u, v)
+        ku, kv = far_k[v, u], far_k[u, v]
+        v_light = kv > ku or (kv == ku and marks & 1 == 1)
+        on_v = verts >> j & 1 == 1
+        entries[(u, v)] = w.d + max(ku, kv) if on_v == v_light else 0
     return ExponentVector.from_dict(entries)
-
-
-def _separated_same_side(tree: StableTree, j: int, anchor: int, edge: tuple[int, int]) -> bool:
-    """True when vertex ``j`` lies on the ``anchor`` side of ``edge``."""
-    u, v = edge
-    block = v if anchor == u else u
-    reached = {anchor}
-    stack = [anchor]
-    while stack:
-        cur = stack.pop()
-        for nxt in tree.neighbors(cur):
-            if (cur, nxt) in ((u, v), (v, u)):
-                continue
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    return j in reached
 
 
 def ideal_generators(tree: StableTree, w: WeightVector) -> frozenset[ExponentVector]:

@@ -80,6 +80,14 @@ class TestExitCodes:
         )
         assert code == 4 and "FAILED" in out
 
+    def test_tree_with_cycle_is_2(self, capsys):
+        # three edges on four vertices, closing the cycle 0-1-2 and leaving 3 out
+        code, _, err = run(
+            capsys, "principal", "--d", "2", "--kappa=-1,-1,-1,-1,-1,-1,-1,-1,4",
+            "--tree", "1,2;3,4;5,6;7,8,9 0-1 1-2 0-2",
+        )
+        assert code == 2 and "tree is not connected" in err
+
     @pytest.mark.parametrize("depth,code", [("-5", 2), ("-1", 2), ("0", 0)])
     def test_negative_max_codim_is_2(self, capsys, depth, code):
         got, _, err = run(
