@@ -18,19 +18,19 @@ sum to ``m_v - 3`` (and 0 otherwise).
 
 Marking sets are stored as bitmasks (bit ``i-1`` is marking ``i``).  Equal
 strata must combine, which is what keeps intermediate term counts polynomial
-in practice.  The product fold behind :func:`product_number` keys each
-stratum by its set of split masks, pairwise compatible, which determines the
-tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
-so keys are canonical with no vertex renumbering.  :func:`multiply` keeps the
-vertex form of :class:`DecoratedStratum`, renumbered into a canonical vertex
-order, and serves as the fold's oracle.
+in practice.  A :class:`DecoratedStratum` is keyed by its set of split
+masks, pairwise compatible, which determines the tree (Buneman's
+splits-equivalence theorem; Semple-Steel, *Phylogenetics*), so keys are
+canonical with no vertex renumbering and each rule above is one set
+operation on the splits.  :func:`multiply` / :func:`integrate` apply the
+rules term by term; the product fold behind :func:`product_number` runs on
+the same keys and prunes terms that cannot reach a nonzero top degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -170,129 +170,29 @@ class DivisorExpression:
 # decorated strata
 # ---------------------------------------------------------------------------
 
-# a flag is (vertex, kind, ident): kind 0 = marking leg, kind 1 = branch
-# towards the neighbouring vertex `ident`
-Flag = tuple[int, int, int]
-
 
 @dataclass(frozen=True)
 class DecoratedStratum:
-    """A stable dual tree with cotangent decorations, in canonical form."""
+    """A stable dual tree with cotangent decorations, keyed by its splits.
+
+    ``splits`` is the frozenset of the tree's split masks, each the side
+    holding marking 1 as in ``Boundary.key``.  ``dec`` is a sorted tuple of
+    ``(flag, power)`` with positive powers.  A flag is named by its far mask,
+    the markings beyond it: ``1 << (i-1)`` for the leg of marking ``i``;
+    ``full ^ K`` for the branch of split ``K`` on its marking-1 side and ``K``
+    for the one on its far side.  Compatible splits determine the tree, so the
+    key is canonical by construction, and splitting a vertex keeps every
+    flag's far mask, so a refinement only adds its split and leaves ``dec``
+    as it is.
+    """
 
     n: int
-    verts: tuple[int, ...]  # marking bitmask per vertex
-    edges: tuple[tuple[int, int], ...]
-    dec: tuple[tuple[Flag, int], ...]  # sorted, positive powers only
+    splits: frozenset[int]
+    dec: tuple[tuple[int, int], ...]
 
     @property
     def degree(self) -> int:
-        return len(self.edges) + sum(p for _, p in self.dec)
-
-    def marking_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_unmask(m)) for m in self.verts)
-
-
-class _Info:
-    """Cached structural data for one stratum."""
-
-    __slots__ = ("nbr", "far", "flags", "split_edge")
-
-    def __init__(self, s: DecoratedStratum):
-        nv = len(s.verts)
-        nbr: list[list[int]] = [[] for _ in range(nv)]
-        for u, v in s.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        self.nbr = nbr
-        far: dict[tuple[int, int], int] = {}
-
-        def far_mask(a: int, b: int) -> int:
-            # markings on the b-side of edge {a,b}
-            if (a, b) not in far:
-                m = s.verts[b]
-                for c in nbr[b]:
-                    if c != a:
-                        m |= far_mask(b, c)
-                far[(a, b)] = m
-            return far[(a, b)]
-
-        for u, v in s.edges:
-            far_mask(u, v)
-            far_mask(v, u)
-        self.far = far
-        flags: list[list[tuple[int, int, int]]] = []
-        for v in range(nv):
-            fl = [(0, i, 1 << (i - 1)) for i in _unmask(s.verts[v])]
-            fl += [(1, w, far[(v, w)]) for w in sorted(nbr[v])]
-            flags.append(fl)
-        self.flags = flags
-        full = (1 << s.n) - 1
-        self.split_edge: dict[int, tuple[int, int]] = {}
-        for u, v in s.edges:
-            m = far[(u, v)]
-            key = m if m & 1 else full ^ m
-            self.split_edge[key] = (u, v)
-
-
-# `multiply` and `integrate` revisit strata; the caches below are bounded so
-# a long-lived process does not grow without limit.
-_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _info(s: DecoratedStratum) -> _Info:
-    return _Info(s)
-
-
-def _canonical(n: int, verts: Sequence[int], edges: Iterable[tuple[int, int]],
-               dec: Mapping[Flag, int]) -> DecoratedStratum:
-    """Renumber vertices deterministically: root at the vertex holding marking
-    1, children ordered by the least marking beyond them."""
-    nv = len(verts)
-    if nv == 1:
-        dd = tuple(sorted((f, p) for f, p in dec.items() if p))
-        return DecoratedStratum(n, (verts[0],), (), dd)
-    nbr: list[list[int]] = [[] for _ in range(nv)]
-    for u, v in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    root = next(j for j in range(nv) if verts[j] & 1)
-
-    submin: dict[tuple[int, int], int] = {}
-
-    def min_beyond(parent: int, child: int) -> int:
-        key = (parent, child)
-        got = submin.get(key)
-        if got is None:
-            best = (verts[child] & -verts[child]) if verts[child] else 1 << n
-            for g in nbr[child]:
-                if g != parent:
-                    m = min_beyond(child, g)
-                    if m < best:
-                        best = m
-            submin[key] = got = best
-        return got
-
-    order: list[int] = []
-    stack: list[tuple[int, int]] = [(root, -1)]
-    while stack:
-        v, parent = stack.pop()
-        order.append(v)
-        kids = sorted((c for c in nbr[v] if c != parent),
-                      key=lambda c: min_beyond(v, c), reverse=True)
-        for c in kids:
-            stack.append((c, v))
-    perm = [0] * nv
-    for new, old in enumerate(order):
-        perm[old] = new
-    new_verts = tuple(verts[old] for old in order)
-    new_edges = tuple(sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                             for u, v in edges))
-    new_dec = []
-    for (v, kind, ident), p in dec.items():
-        if p:
-            new_dec.append(((perm[v], kind, perm[ident] if kind == 1 else ident), p))
-    return DecoratedStratum(n, new_verts, new_edges, tuple(sorted(new_dec)))
+        return len(self.splits) + sum(p for _, p in self.dec)
 
 
 @dataclass
@@ -316,13 +216,7 @@ def unit(n: int) -> ChowElement:
     """The fundamental class: one smooth vertex, no decorations."""
     if n < 3:
         raise ValueError("need n >= 3")
-    s = DecoratedStratum(n, ((1 << n) - 1,), (), ())
-    return ChowElement(n, {s: Fraction(1)})
-
-
-# ---------------------------------------------------------------------------
-# multiplication
-# ---------------------------------------------------------------------------
+    return ChowElement(n, {DecoratedStratum(n, frozenset(), ()): Fraction(1)})
 
 
 def _bumped(dec: tuple[tuple, ...], flag) -> tuple[tuple, ...]:
@@ -332,128 +226,61 @@ def _bumped(dec: tuple[tuple, ...], flag) -> tuple[tuple, ...]:
     return tuple(sorted(d.items()))
 
 
-def _bump(s: DecoratedStratum, flag: Flag) -> DecoratedStratum:
-    return DecoratedStratum(s.n, s.verts, s.edges, _bumped(s.dec, flag))
-
-
-def _psi_target(s: DecoratedStratum, i: int) -> DecoratedStratum:
-    bit = 1 << (i - 1)
-    v = next(j for j, m in enumerate(s.verts) if m & bit)
-    return _bump(s, (v, 0, i))
-
-
-def _refine(s: DecoratedStratum, v: int, moved: Sequence[tuple[int, int, int]]) -> DecoratedStratum:
-    """Split vertex ``v``: flags in ``moved`` migrate to a new vertex."""
-    nv = len(s.verts)
-    w = nv
-    moved_marks = 0
-    moved_nbrs = set()
-    for kind, ident, mmask in moved:
-        if kind == 0:
-            moved_marks |= mmask
-        else:
-            moved_nbrs.add(ident)
-    verts = list(s.verts)
-    verts[v] &= ~moved_marks
-    verts.append(moved_marks)
-    edges = []
-    for a, b in s.edges:
-        if a == v and b in moved_nbrs:
-            edges.append((w, b))
-        elif b == v and a in moved_nbrs:
-            edges.append((a, w))
-        else:
-            edges.append((a, b))
-    edges.append((v, w))
-    dec: dict[Flag, int] = {}
-    for (a, kind, ident), p in s.dec:
-        if a == v and kind == 0 and (1 << (ident - 1)) & moved_marks:
-            dec[(w, 0, ident)] = p
-        elif a == v and kind == 1 and ident in moved_nbrs:
-            dec[(w, 1, ident)] = p
-        elif kind == 1 and ident == v and a in moved_nbrs:
-            dec[(a, 1, w)] = p
-        else:
-            dec[(a, kind, ident)] = p
-    return _canonical(s.n, verts, edges, dec)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _boundary_products(s: DecoratedStratum) -> dict[int, tuple[tuple[DecoratedStratum, int], ...]]:
-    """All nonzero products of this stratum with boundary divisors.
-
-    Keyed by the split mask (side containing marking 1); each value lists
-    ``(stratum, +-1)`` output terms.  Splits not present as keys annihilate
-    the stratum.
-    """
-    info = _info(s)
-    full = (1 << s.n) - 1
-    out: dict[int, tuple[tuple[DecoratedStratum, int], ...]] = {}
-    # excess terms: the split of an existing edge
-    for key, (u, v) in info.split_edge.items():
-        out[key] = ((_bump(s, (u, 1, v)), -1), (_bump(s, (v, 1, u)), -1))
-    # refinements at each vertex
-    for v, flags in enumerate(info.flags):
-        f = len(flags)
-        if f < 4:
-            continue
-        rest = flags[1:]
-        nrest = f - 1
-        for bits in range(1, 1 << nrest):
-            size = bits.bit_count()
-            if size < 2 or size > f - 2:
-                continue
-            moved = [rest[t] for t in range(nrest) if bits >> t & 1]
-            mmask = 0
-            for _, _, fm in moved:
-                mmask |= fm
-            key = mmask if mmask & 1 else full ^ mmask
-            assert key not in out  # splits name refinements uniquely on a tree
-            out[key] = ((_refine(s, v, moved), 1),)
-    return out
+def _check_psi(n: int, i: int) -> None:
+    if not 1 <= i <= n:
+        raise ValueError(f"psi index {i} is outside 1..{n}")
 
 
 def multiply(elem: ChowElement, sym: DivisorSymbol) -> ChowElement:
     """Multiply a class by one divisor symbol; the degree rises by one."""
-    if elem.degree >= elem.n - 3:
-        raise DegreeOverflow(f"degree {elem.degree} is already top for n = {elem.n}")
+    n = elem.n
+    if elem.degree >= n - 3:
+        raise DegreeOverflow(f"degree {elem.degree} is already top for n = {n}")
+    full = (1 << n) - 1
     out: dict[DecoratedStratum, Fraction] = {}
+
+    def add(splits: frozenset[int], dec: tuple[tuple[int, int], ...], c: Fraction) -> None:
+        t = DecoratedStratum(n, splits, dec)
+        out[t] = out.get(t, 0) + c
+
     if isinstance(sym, Psi):
+        _check_psi(n, sym.i)
+        leg = 1 << (sym.i - 1)
         for s, c in elem.terms.items():
-            t = _psi_target(s, sym.i)
-            out[t] = out.get(t, Fraction(0)) + c
+            add(s.splits, _bumped(s.dec, leg), c)
     else:
-        if sym.n != elem.n:
+        if sym.n != n:
             raise ValueError("symbol and class live on different moduli spaces")
+        k = sym.key
         for s, c in elem.terms.items():
-            for t, sign in _boundary_products(s).get(sym.key, ()):
-                out[t] = out.get(t, Fraction(0)) + sign * c
-    return ChowElement(elem.n, {t: c for t, c in out.items() if c})
+            if k in s.splits:
+                # excess term at both branches of the existing edge
+                for fm in (full ^ k, k):
+                    add(s.splits, _bumped(s.dec, fm), -c)
+            elif all((k & l) in (k, l) or k | l == full for l in s.splits):
+                # compatible with every split (nested, or sides covering all
+                # markings): refine the stratum by one edge
+                add(s.splits | {k}, s.dec, c)
+            # a crossing split kills the term
+    return ChowElement(n, {t: c for t, c in out.items() if c})
 
 
 def integrate(elem: ChowElement) -> Fraction:
     """Degree of a top-dimensional class against the fundamental cycle."""
-    if elem.degree != elem.n - 3 and elem.terms:
-        raise WrongDegree(f"degree {elem.degree} != n - 3 = {elem.n - 3}")
+    n = elem.n
+    if elem.degree != n - 3 and elem.terms:
+        raise WrongDegree(f"degree {elem.degree} != n - 3 = {n - 3}")
     total = Fraction(0)
     for s, c in elem.terms.items():
-        total += c * _stratum_integral(s)
+        flags, _, decsum, denfac = _vertices(n, s.splits, s.dec)
+        val = c
+        for fl, d, den in zip(flags, decsum, denfac):
+            if d != len(fl) - 3:
+                break
+            val *= factorial(d) // den
+        else:
+            total += val
     return total
-
-
-def _stratum_integral(s: DecoratedStratum) -> int:
-    info = _info(s)
-    per_vertex = [0] * len(s.verts)
-    denom = [1] * len(s.verts)
-    for (v, _, _), p in s.dec:
-        per_vertex[v] += p
-        denom[v] *= factorial(p)
-    val = 1
-    for v, flags in enumerate(info.flags):
-        if per_vertex[v] != len(flags) - 3:
-            return 0
-        val *= factorial(len(flags) - 3) // denom[v]
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +298,7 @@ def _scaled_parts(n: int, expr: DivisorExpression) -> tuple[int, dict[int, int],
     for sym, c in expr.terms.items():
         num = int(c * den)
         if isinstance(sym, Psi):
+            _check_psi(n, sym.i)
             psis[sym.i] = psis.get(sym.i, 0) + num
         else:
             if sym.n != n:
@@ -479,14 +307,8 @@ def _scaled_parts(n: int, expr: DivisorExpression) -> tuple[int, dict[int, int],
     return den, psis, bnds
 
 
-# The fold keys a stratum by ``(splits, dec)``: the frozenset of its split
-# masks (side holding marking 1, as in ``Boundary.key``) and a sorted tuple of
-# ``(flag, power)``.  A flag is named by its far mask, the markings beyond it:
-# ``1 << (i-1)`` for the leg of marking ``i``; ``full ^ K`` for the branch of
-# split ``K`` on its marking-1 side and ``K`` for the one on its far side.
-# Compatible splits determine the tree, so keys are canonical by construction,
-# and splitting a vertex keeps every flag's far mask, so a refinement only adds
-# its split and leaves ``dec`` as it is.
+# The fold keys a stratum by the ``(splits, dec)`` fields of
+# :class:`DecoratedStratum`, without the wrapper.
 _Key = tuple[frozenset[int], tuple[tuple[int, int], ...]]
 
 
