@@ -237,16 +237,16 @@ def _expression_json(expr: DivisorExpression, sig: Signature) -> list[dict]:
 
 
 def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
-    """Print the JSON payload or, without ``--json``, the lines ``table()``
-    returns (built only then); ``--out`` always gets the JSON."""
+    """Write the JSON payload to ``--out`` first, if given, then print it or,
+    without ``--json``, the lines ``table()`` returns (built only then)."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        sys.stdout.write("\n".join(table()) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StrataError(f"cannot write --out file {args.out}: {exc.strerror}") from None
+    sys.stdout.write(text if args.json else "\n".join(table()) + "\n")
 
 
 def _fmt_blocks(blocks: list[list[int]]) -> str:
@@ -394,7 +394,8 @@ def _cmd_volume(sig: Signature, args) -> int:
         tree_ok = all(
             not in_ideal_support(t, w) for t in enumerate_stable_trees(sig, depth)
         )
-        if tree_ok != blowup_is_trivial(sig) and depth == sig.n - 3:
+        # a tree in the ideal support refutes triviality at any depth
+        if (not tree_ok or depth == sig.n - 3) and tree_ok != blowup_is_trivial(sig):
             raise StrataError("triviality criteria disagree; please report")
     res = volume(sig)
     payload = {

@@ -44,12 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
 from strata0.strata import (
     Signature,
+    _kappa_sums,
+    _oriented_splits,
     enumerate_p_hat,
-    enumerate_two_block,
     exceptional_divisor,
 )
 
@@ -76,17 +78,24 @@ class ExceptionalDivisorNontrivial(ValueError):
         super().__init__(f"nonzero exceptional coefficients: {shown}")
 
 
+def _boundary_splits(sig: Signature) -> Iterator[tuple[Boundary, int, int]]:
+    """``(Boundary, k_I0, |I0|)`` for every split ``I0|I1``, off the oriented
+    split walk of :mod:`strata0.strata`."""
+    ks = _kappa_sums(sig)
+    for i0, i1 in _oriented_splits(sig.n, ks):
+        yield Boundary(sig.n, i0 if i0 & 1 else i1), ks[i0], i0.bit_count()
+
+
 def d_mu_boundary_form(sig: Signature) -> DivisorExpression:
     """Boundary-divisor representation of the distinguished class."""
     n, d = sig.n, sig.d
     lead = Fraction(d, (n - 2) * (n - 1))
     terms = {}
-    for part in enumerate_two_block(sig):
+    for sym, k0, size in _boundary_splits(sig):
         # mu_S = 1 - mu(I0) = (d + k_I0) / d
-        mu_s = Fraction(d + sum(sig.kappa[i - 1] for i in part.i0), d)
-        c = lead * (len(part.i0) - 1) * (len(part.i1) - 1 - (n - 1) * mu_s)
+        c = lead * (size - 1) * (n - size - 1 - (n - 1) * Fraction(d + k0, d))
         if c:
-            terms[Boundary.from_partition(part)] = c
+            terms[sym] = c
     return DivisorExpression(terms)
 
 
@@ -100,11 +109,9 @@ def d_mu_psi_form(sig: Signature) -> DivisorExpression:
     for i, k in enumerate(sig.kappa, start=1):
         if k:
             terms[Psi(i)] = Fraction(k, 2)
-    for part in enumerate_two_block(sig):
-        c = Fraction(-sum(sig.kappa[i - 1] for i in part.i0), 2)
-        if c:
-            sym = Boundary.from_partition(part)
-            terms[sym] = terms.get(sym, Fraction(0)) + c
+    for sym, k0, _ in _boundary_splits(sig):
+        if k0:
+            terms[sym] = Fraction(-k0, 2)
     return DivisorExpression(terms)
 
 
@@ -150,14 +157,10 @@ def _partition_sum_self_intersection(sig: Signature) -> Fraction:
     partition is counted once) and the powers of ``d`` are applied at the
     end: ``O(3^n n)`` integer operations.
     """
-    n, d, kappa = sig.n, sig.d, sig.kappa
+    n, d = sig.n, sig.d
     size = 1 << n
-    ksum = [0] * size
-    weight = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        ksum[mask] = ksum[mask ^ low] + kappa[low.bit_length() - 1]
-        weight[mask] = max(0, d + ksum[mask]) ** (mask.bit_count() - 1)
+    ks = _kappa_sums(sig)
+    weight = [0] + [max(0, d + ks[mask]) ** (mask.bit_count() - 1) for mask in range(1, size)]
     # by_blocks[mask][m]: weighted count of the partitions of mask into m blocks
     by_blocks = [[1]]
     for mask in range(1, size):

@@ -16,13 +16,13 @@ A top-degree decorated stratum integrates to a product of one multinomial
 per vertex, ``(m_v - 3)! / prod_f a_f!`` when the decorations at each vertex
 sum to ``m_v - 3`` (and 0 otherwise).
 
-Marking sets are stored as bitmasks (bit ``i-1`` is marking ``i``).  Equal
-strata must combine, which is what keeps intermediate term counts polynomial
-in practice.  A :class:`DecoratedStratum` is keyed by its set of split
-masks, pairwise compatible, which determines the tree (Buneman's
-splits-equivalence theorem; Semple-Steel, *Phylogenetics*), so keys are
-canonical with no vertex renumbering and each rule above is one set
-operation on the splits.  :func:`multiply` / :func:`integrate` apply the
+Marking sets are bitmasks in the codec of :mod:`strata0.strata` (bit
+``i-1`` is marking ``i``).  Equal strata must combine, which is what keeps
+intermediate term counts polynomial in practice.  A :class:`DecoratedStratum`
+is keyed by its set of split masks, pairwise compatible, which determines the
+tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
+so keys are canonical with no vertex renumbering and each rule above is one
+set operation on the splits.  :func:`multiply` / :func:`integrate` apply the
 rules term by term; the product fold behind :func:`product_number` runs on
 the same keys and prunes terms that cannot reach a nonzero top degree.
 """
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from strata0.strata import TwoBlockPartition, _laminar
+from strata0.strata import TwoBlockPartition, _laminar, _marks_mask, _mask_marks
 
 __all__ = [
     "DegreeOverflow",
@@ -63,24 +63,6 @@ class WrongDegree(ValueError):
     pass
 
 
-def _mask(marks: Iterable[int]) -> int:
-    m = 0
-    for i in marks:
-        m |= 1 << (i - 1)
-    return m
-
-
-def _unmask(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # divisor symbols and expressions
 # ---------------------------------------------------------------------------
@@ -102,9 +84,9 @@ class Boundary:
 
     @staticmethod
     def of(n: int, side: Iterable[int]) -> "Boundary":
-        m = _mask(side)
+        m = _marks_mask(n, side)
         full = (1 << n) - 1
-        if m & ~full or m == 0 or m == full:
+        if m == 0 or m == full:
             raise ValueError("side must be a proper nonempty subset of 1..n")
         key = m if m & 1 else full ^ m
         if bin(key).count("1") < 2 or bin(full ^ key).count("1") < 2:
@@ -117,7 +99,7 @@ class Boundary:
 
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         full = (1 << self.n) - 1
-        return _unmask(self.key), _unmask(full ^ self.key)
+        return tuple(sorted(_mask_marks(self.key))), tuple(sorted(_mask_marks(full ^ self.key)))
 
 
 DivisorSymbol = Union[Psi, Boundary]

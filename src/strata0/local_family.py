@@ -19,7 +19,10 @@ the ratio of any two rescaled candidates is a constant of the chart data,
 
 All verification here is by exact evaluation at random rational points of the
 curve, with retry on degenerate draws: an identity of rational functions that
-holds at a generic exact sample holds identically.
+holds at a generic exact sample holds identically.  A point is carried across
+the nodes by one propagation walk, shared by the marked sections and the
+sampled points; the path between two components is read off the parent table
+of the :class:`~strata0.strata.StableTree`.
 """
 
 from __future__ import annotations
@@ -153,20 +156,7 @@ class LocalChart:
 
     def path(self, j: int, k: int) -> list[int]:
         """Vertices of the unique path from ``j`` to ``k`` (inclusive)."""
-        parent = {j: None}
-        queue = [j]
-        while queue:
-            cur = queue.pop(0)
-            if cur == k:
-                break
-            for nxt in self.tree.neighbors(cur):
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        out = [k]
-        while out[-1] != j:
-            out.append(parent[out[-1]])
-        return out[::-1]
+        return self.tree._path(j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +254,24 @@ def build_codim2_chart(
 # ---------------------------------------------------------------------------
 
 
+def _spread(chart: LocalChart, start: int, x: Coord) -> tuple[Coord, ...]:
+    """Coordinates on every component of the point at ``x`` on component
+    ``start``, pushed through the node relations by a search from ``start``;
+    raises :class:`DenominatorVanishes` where a relation is undefined."""
+    coords: dict[int, Coord] = {start: x}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for nxt in chart.tree.neighbors(cur):
+            if nxt not in coords:
+                coords[nxt] = _propagate(
+                    coords[cur], chart.node_coords[cur][nxt], chart.node_coords[nxt][cur],
+                    chart.t(cur, nxt),
+                )
+                stack.append(nxt)
+    return tuple(coords[j] for j in range(chart.tree.num_vertices))
+
+
 def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     """Full coordinate tuple of the section of marking ``i``.
 
@@ -271,28 +279,10 @@ def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     sees the point through the chain of node relations.  With all node
     parameters zero the point collapses onto node coordinates away from home.
     """
-    cached = chart._coords_cache.get(i)
-    if cached is not None:
-        return cached
-    tree = chart.tree
-    home = chart.home_vertex(i)
-    coords: dict[int, Coord] = {home: chart.mark_coords[home][i]}
-    stack = [home]
-    while stack:
-        cur = stack.pop()
-        for nxt in tree.neighbors(cur):
-            if nxt in coords:
-                continue
-            coords[nxt] = _propagate(
-                coords[cur],
-                chart.node_coords[cur][nxt],
-                chart.node_coords[nxt][cur],
-                chart.t(cur, nxt),
-            )
-            stack.append(nxt)
-    out = tuple(coords[j] for j in range(tree.num_vertices))
-    chart._coords_cache[i] = out
-    return out
+    if i not in chart._coords_cache:
+        home = chart.home_vertex(i)
+        chart._coords_cache[i] = _spread(chart, home, chart.mark_coords[home][i])
+    return chart._coords_cache[i]
 
 
 def sample_curve_point(
@@ -310,43 +300,20 @@ def sample_curve_point(
     from the base collapse to node values, so genericity can only be demanded
     on the components listed in ``check_vertices`` (default: all).
     """
-    tree = chart.tree
-    check = list(range(tree.num_vertices)) if check_vertices is None else list(check_vertices)
+    check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
     all_marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
     for _ in range(retries):
-        z: dict[int, Coord] = {base: _rand_rational(rng)}
-        stack = [base]
-        ok = True
-        while stack and ok:
-            cur = stack.pop()
-            for nxt in tree.neighbors(cur):
-                if nxt in z:
-                    continue
-                try:
-                    z[nxt] = _propagate(
-                        z[cur],
-                        chart.node_coords[cur][nxt],
-                        chart.node_coords[nxt][cur],
-                        chart.t(cur, nxt),
-                    )
-                except DenominatorVanishes:
-                    ok = False
-                    break
-                stack.append(nxt)
-        if not ok:
+        try:
+            z = _spread(chart, base, _rand_rational(rng))
+        except DenominatorVanishes:
             continue
-        for j in check:
-            if z[j] is INF:
-                ok = False
-                break
-            if any(z[j] == a[j] for a in all_marks):
-                ok = False
-                break
-            if any(z[j] == b for b in chart.node_coords[j].values()):
-                ok = False
-                break
-        if ok:
-            return tuple(z[j] for j in range(tree.num_vertices))
+        if all(
+            z[j] is not INF
+            and all(z[j] != a[j] for a in all_marks)
+            and z[j] not in chart.node_coords[j].values()
+            for j in check
+        ):
+            return z
     raise DenominatorVanishes("no valid sample point found; chart too degenerate")
 
 

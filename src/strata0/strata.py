@@ -6,20 +6,25 @@ with ``d >= 2``, ``k_i >= 1 - d`` and ``sum(kappa) == -2*d``; the derived
 weight of the i-th marked point is ``mu_i = -k_i / d``, so ``mu_i < 1`` and
 ``sum(mu) == 2`` hold automatically.
 
-The boundary index set of the blow-up (two-block splits, P-hat membership
-and the multiplicities ``m(S)``) needs no fractions: with
-``k_B = sum_{i in B} k_i``, ``mu(B) < 1`` iff ``k_B > -d`` and
-``d * (mu(B) - 1) = -k_B - d``.  Those enumerators work on integer ``k_B``
-tables over bitmasks (bit ``i-1`` is marking ``i``) and build the frozenset
-blocks only for their output.
+This module is the one split core that the other layers share:
 
-A stable tree is determined by its set of pairwise-compatible splits
-(Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each
-stored as the bitmask of the side holding marking 1.  ``canonical_key`` is
-the sorted tuple of those masks, :meth:`StableTree.from_splits` builds the
-tree back, and :func:`enumerate_stable_trees` walks the compatible sets
-directly.  Every tree fills one far-side table on construction; principal
-subcurves and exponent vectors read it and compare integer ``k_B`` sums.
+* the marking-mask codec: bit ``i-1`` of a mask is marking ``i``;
+  ``_mask_marks`` decodes a mask and ``_marks_mask`` encodes a set of
+  markings, rejecting one outside ``1..n``;
+* the oriented split walk ``_oriented_splits``: every two-block split as its
+  ``(I0, I1)`` masks over one ``_kappa_sums`` table of
+  ``k_B = sum_{i in B} k_i``.  No fractions are needed: ``mu(B) < 1`` iff
+  ``k_B > -d`` and ``d * (mu(B) - 1) = -k_B - d``, so the boundary index set,
+  P-hat membership, the multiplicities ``m(S)`` and both divisor forms read
+  integer sums and build frozenset blocks only for their output;
+* the stable tree as its set of pairwise-compatible splits (Buneman's
+  splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each stored as
+  the mask of the side holding marking 1.  ``canonical_key`` is the sorted
+  tuple of those masks, :meth:`StableTree.from_splits` builds the tree back,
+  and :func:`enumerate_stable_trees` walks the compatible sets directly.
+  Every tree fills one parent and far-side table on construction: principal
+  subcurves and exponent vectors read its far sides, and the local charts
+  read paths between components off its parents (``StableTree._path``).
 
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  A two-block partition ``{I0, I1}`` is always numbered so that
@@ -286,23 +291,36 @@ def _mask_marks(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _marks_mask(n: int, marks: Iterable[int]) -> int:
+    """The mask of a set of markings; the inverse of :func:`_mask_marks`."""
+    mask = 0
+    for i in marks:
+        if not 1 <= i <= n:
+            raise StrataError(f"marking {i} is outside 1..{n}")
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _oriented_splits(n: int, ks: list[int]) -> Iterator[tuple[int, int]]:
+    """The ``(I0, I1)`` masks of every split with both sides of size >= 2.
+
+    ``I0`` is the side with the larger ``k`` in the :func:`_kappa_sums` table
+    ``ks`` (so ``mu(I0) <= 1``) and, on a tie, the side holding marking 1.
+    """
+    full = (1 << n) - 1
+    for a in range(1, full, 2):  # the side holding marking 1
+        if 2 <= a.bit_count() <= n - 2:
+            b = full ^ a
+            yield (a, b) if ks[a] >= ks[b] else (b, a)
+
+
 def enumerate_two_block(sig: Signature) -> list[TwoBlockPartition]:
     """All boundary partitions of ``{1..n}``: both blocks of size >= 2.
 
     There are exactly ``2**(n-1) - n - 1`` of them.
     """
-    n = sig.n
-    ks = _kappa_sums(sig)
-    full = (1 << n) - 1
-    out = []
-    # the side A holding marking 1 runs over the masks with bit 0 set; the
-    # lighter side (larger k) is I0, and A stays I0 on a tie
-    for a in range(1, full, 2):
-        b = full ^ a
-        if not 2 <= a.bit_count() <= n - 2:
-            continue
-        sa, sb = _mask_marks(a), _mask_marks(b)
-        out.append(TwoBlockPartition(sa, sb) if ks[a] >= ks[b] else TwoBlockPartition(sb, sa))
+    splits = _oriented_splits(sig.n, _kappa_sums(sig))
+    out = [TwoBlockPartition(_mask_marks(a), _mask_marks(b)) for a, b in splits]
     out.sort(key=TwoBlockPartition.sort_key)
     return out
 
@@ -367,13 +385,14 @@ class StableTree:
         object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in self.edges)))
         if len(self.edges) != nv - 1:
             raise StrataError(f"a tree on {nv} vertices needs {nv - 1} edges")
-        seen: set[int] = set()
-        for marks in self.vertex_marks:
-            if marks & seen:
+        # n markings in 1..n are exactly 1..n iff the sets are disjoint
+        n = sum(len(m) for m in self.vertex_marks)
+        marks = [_marks_mask(n, m) for m in self.vertex_marks]
+        seen = 0
+        for m in marks:
+            if m & seen:
                 raise StrataError("vertex marking sets must be disjoint")
-            seen |= marks
-        if seen != set(range(1, len(seen) + 1)):
-            raise StrataError("markings must be exactly 1..n")
+            seen |= m
         adj: list[list[int]] = [[] for _ in range(nv)]
         for u, v in self.edges:
             if not (0 <= u < nv and 0 <= v < nv) or u == v:
@@ -395,7 +414,6 @@ class StableTree:
         if len(order) != nv:
             raise StrataError("tree is not connected")
         # subtree masks, children before parents
-        marks = [sum(1 << (i - 1) for i in m) for m in self.vertex_marks]
         verts = [1 << j for j in range(nv)]
         for v in reversed(order[1:]):
             marks[parent[v]] |= marks[v]
@@ -433,6 +451,18 @@ class StableTree:
         return 0 <= u < len(below) and 0 <= v < len(below) and (
             below[v][0] == u or below[u][0] == v
         )
+
+    def _path(self, j: int, k: int) -> list[int]:
+        """Vertices of the path from ``j`` to ``k`` (inclusive): ``j`` climbs
+        the parent table to vertex 0, ``k`` climbs until it meets that chain."""
+        below = self._below
+        up = [j]
+        while up[-1]:
+            up.append(below[up[-1]][0])
+        down = [k]
+        while down[-1] not in up:
+            down.append(below[down[-1]][0])
+        return up[: up.index(down[-1])] + down[::-1]
 
     def _far(self, j: int, k: int) -> tuple[int, int]:
         """Marking mask and vertex mask of the ``k``-side of the edge ``{j, k}``."""
@@ -672,11 +702,11 @@ def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
     ``r >= 2``, ``mu(I0) < 1`` and ``mu(Ij) > 1`` for ``j >= 1``.  Blocks are
     nonempty; ``I0`` comes first, heavy blocks sorted by least element.
     """
-    out = [MultiBlockPartition.from_two_block(p) for p in enumerate_two_block(sig)]
     n, d = sig.n, sig.d
     ks = _kappa_sums(sig)
     full = (1 << n) - 1
     marks = [_mask_marks(mask) for mask in range(full + 1)]
+    out = [MultiBlockPartition((marks[a], marks[b])) for a, b in _oriented_splits(n, ks)]
     for i0 in range(1, full):
         # two heavy blocks need at least 4 markings, since every mu_i < 1
         if ks[i0] <= -d or i0.bit_count() > n - 4:
@@ -749,12 +779,11 @@ class WeilDivisorData:
 def exceptional_divisor(sig: Signature) -> WeilDivisorData:
     """Weil coefficients ``(|S| - 2) * m(S)`` of the exceptional divisor.
 
-    Two-block partitions always get coefficient 0.
+    Two-block partitions get coefficient 0 with no ``m(S)`` computed.
     """
-    terms: dict[MultiBlockPartition, int] = {}
-    for part in enumerate_p_hat(sig):
-        terms[part] = (part.size - 2) * m_value(part, sig)
-    return WeilDivisorData(terms)
+    return WeilDivisorData(
+        {p: (p.size - 2) * m_value(p, sig) if p.r >= 2 else 0 for p in enumerate_p_hat(sig)}
+    )
 
 
 def vanishing_orders(part: MultiBlockPartition, sig: Signature) -> dict[int, int]:

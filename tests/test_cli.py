@@ -69,6 +69,46 @@ class TestExitCodes:
             capsys, "intersect", "--d", "2", "--kappa=-1,-1,-1,-1", "--factors", "nope"
         )
         assert code == 2
+        # a split side with a marking outside 1..n names that marking
+        for side, mark in (("0,1", 0), ("1,9", 9)):
+            code, out, err = run(
+                capsys, "intersect", "--d", "2", "--kappa=-1,-1,-1,-1", "--factors", f"D{{{side}}}"
+            )
+            assert code == 2 and out == ""
+            assert f"error: marking {mark} is outside 1..4" in err
+
+    def test_unwritable_out_is_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "boundary", "--d", "2", "--kappa=-1,-1,-1,-1", "--out", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --out file {target}")
+
+    def test_max_codim_support_tree_refutes_triviality(self, capsys, monkeypatch):
+        import strata0.cli as cli_mod
+
+        # depth 2 < n - 3, but a tree in the ideal support contradicts any
+        # claim that the blow-up is trivial
+        monkeypatch.setattr(cli_mod, "blowup_is_trivial", lambda sig: True)
+        code, out, err = run(
+            capsys, "volume", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1", "--max-codim", "2"
+        )
+        assert code == 2 and out == ""
+        assert "triviality criteria disagree" in err
+
+    def test_max_codim_below_top_skips_blowup_check(self, capsys, monkeypatch):
+        import strata0.cli as cli_mod
+
+        calls = []
+        real = cli_mod.blowup_is_trivial
+        monkeypatch.setattr(cli_mod, "blowup_is_trivial", lambda sig: calls.append(sig) or real(sig))
+        # an E-trivial signature with n - 3 = 3: only the full depth asks
+        for depth, called in (("1", 0), ("2", 0), ("3", 1)):
+            code, _, _ = run(
+                capsys, "volume", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", "--max-codim", depth
+            )
+            assert code == 0 and len(calls) == called
 
     def test_failed_verification_is_4(self, capsys, monkeypatch):
         import strata0.cli as cli_mod

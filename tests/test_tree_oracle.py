@@ -5,8 +5,8 @@ The library keys a stable tree by its set of pairwise-compatible split masks
 subcurves and exponent vectors off one far-side table with integer ``k_B``
 sums.  The oracles below are the vertex-form algorithms that did this before:
 enumeration by splitting vertices over ``itertools`` flag subsets, deduplicated
-by a canonical vertex renumbering, and per-call graph searches with
-``Fraction`` weights.
+by a canonical vertex renumbering, and per-call graph searches (far sides,
+paths between components) with ``Fraction`` weights.
 """
 
 import itertools
@@ -49,6 +49,21 @@ def oracle_far_marks(tree, j, k):
                 reached.add(nxt)
                 stack.append(nxt)
     return frozenset().union(*(tree.vertex_marks[v] for v in reached))
+
+
+def oracle_path(adj, j, k):
+    """Vertices of the path from ``j`` to ``k``, by a breadth-first search."""
+    parent = {j: None}
+    queue = [j]
+    for cur in queue:
+        for nxt in adj[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                queue.append(nxt)
+    out = [k]
+    while out[-1] != j:
+        out.append(parent[out[-1]])
+    return out[::-1]
 
 
 def oracle_splits(tree):
@@ -265,6 +280,7 @@ def test_far_side_table_matches_searches(tree):
             assert tree.has_edge(j, k) == (k in adj[j])
             if k in adj[j]:
                 assert tree.far_marks(j, k) == oracle_far_marks(tree, j, k)
+            assert tree._path(j, k) == oracle_path(adj, j, k)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
