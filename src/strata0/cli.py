@@ -124,6 +124,8 @@ def parse_tree_spec(
         for mpos, m in _split_with_positions(piece, ","):
             if not re.fullmatch(r"\d+", m):
                 raise SpecParseError(f"bad marking {m!r}", gpos + pos + mpos)
+            if int(m) in marks:
+                raise SpecParseError(f"marking {int(m)} repeated in one group", gpos + pos + mpos)
             marks.add(int(m))
         groups.append(frozenset(marks))
     edges: list[tuple[int, int]] = []
@@ -139,7 +141,10 @@ def parse_tree_spec(
             den = int(pm.group(4)) if pm.group(4) else 1
             if den == 0:
                 raise SpecParseError("zero denominator in node parameter", pos)
-            params[(u, v) if u < v else (v, u)] = Fraction(int(pm.group(3)), den)
+            key = (u, v) if u < v else (v, u)
+            if key in params:
+                raise SpecParseError(f"node parameter t[{key[0]}-{key[1]}] given twice", pos)
+            params[key] = Fraction(int(pm.group(3)), den)
             continue
         else:
             raise SpecParseError(f"expected 'j-k' or 't[j-k]=p/q', got {tok!r}", pos)
@@ -212,28 +217,26 @@ def _blocks(part: MultiBlockPartition | strata.TwoBlockPartition) -> list[list[i
     return [sorted(b) for b in part.blocks]
 
 
-def _symbol_json(sym, kappa: Sequence[int]) -> dict:
+def _symbol_json(sym, sig: Signature) -> dict:
     if isinstance(sym, Psi):
         return {"psi": sym.i}
-    # the lighter side (larger k_B, as mu(B) = -k_B/d) is I0; on a tie the
-    # side holding marking 1, which sides() lists first
-    a, b = sym.sides()
-    if sum(kappa[i - 1] for i in a) < sum(kappa[i - 1] for i in b):
+    a, b = sym.sides()  # a holds marking 1
+    k = strata._k_sum(sig, a)
+    if not strata._is_i0(k, -2 * sig.d - k, True):
         a, b = b, a
     return {"boundary": [list(a), list(b)]}
 
 
-def _expression_json(expr: DivisorExpression, sig: Signature) -> list[dict]:
+def _expression_terms(expr: DivisorExpression, sig: Signature) -> list[tuple[dict, Fraction]]:
+    """``(symbol JSON, coefficient)`` for each term, in output order."""
+
     def order(item):
         sym, _ = item
         if isinstance(sym, Psi):
             return (0, sym.i, ())
         return (1, 0, sym.sides()[0])
 
-    return [
-        {**_symbol_json(sym, sig.kappa), "coefficient": _rat(c)}
-        for sym, c in sorted(expr.items(), key=order)
-    ]
+    return [(_symbol_json(sym, sig), c) for sym, c in sorted(expr.items(), key=order)]
 
 
 def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
@@ -259,11 +262,10 @@ def _fmt_blocks(blocks: list[list[int]]) -> str:
 
 
 def _cmd_boundary(sig: Signature, args) -> int:
-    w = sig.weights()
     mus = []
     rows = []
     for part in enumerate_two_block(sig):
-        mus.append(boundary_weight(part, w))
+        mus.append(boundary_weight(part, sig))
         rows.append({"blocks": _blocks(part), "mu_s": _rat(mus[-1])})
     payload = {"command": "boundary", "d": sig.d, "kappa": list(sig.kappa), "n": sig.n,
                "count": len(rows), "partitions": rows}
@@ -326,10 +328,9 @@ def _cmd_principal(sig: Signature, args) -> int:
     tree = StableTree(groups, tuple(edges))
     if tree.n != sig.n:
         raise StrataError(f"tree carries {tree.n} markings but n = {sig.n}")
-    w = sig.weights()
-    principal, rest = principal_subcurves(tree, w)
-    betas = [exponent_vector(tree, j, w) for j in range(tree.num_vertices)]
-    gens = sorted(g.entries for g in ideal_generators(tree, w))
+    principal, rest = principal_subcurves(tree, sig)
+    betas = [exponent_vector(tree, j, sig) for j in range(tree.num_vertices)]
+    gens = sorted(g.entries for g in ideal_generators(tree, sig))
     payload = {
         "command": "principal",
         "d": sig.d,
@@ -340,8 +341,8 @@ def _cmd_principal(sig: Signature, args) -> int:
         "beta": [{"vertex": j, "exponents": [[list(e), p] for e, p in b.entries]}
                  for j, b in enumerate(betas)],
         "generators": [[[list(e), p] for e, p in g] for g in gens],
-        "fiber_projective_dim": fiber_projective_dim(tree, w),
-        "in_ideal_support": in_ideal_support(tree, w),
+        "fiber_projective_dim": fiber_projective_dim(tree, sig),
+        "in_ideal_support": in_ideal_support(tree, sig),
     }
     lines = [
         f"principal subcurves: {[sorted(g) for g in principal]}",
@@ -356,22 +357,19 @@ def _cmd_principal(sig: Signature, args) -> int:
 
 
 def _cmd_divisor(sig: Signature, args) -> int:
-    bf = d_mu_boundary_form(sig)
-    pf = d_mu_psi_form(sig)
+    bf = _expression_terms(d_mu_boundary_form(sig), sig)
+    pf = _expression_terms(d_mu_psi_form(sig), sig)
     payload = {"command": "divisor", "d": sig.d, "kappa": list(sig.kappa),
-               "boundary_form": _expression_json(bf, sig),
-               "psi_form": _expression_json(pf, sig)}
+               "boundary_form": [{**sym, "coefficient": _rat(c)} for sym, c in bf],
+               "psi_form": [{**sym, "coefficient": _rat(c)} for sym, c in pf]}
 
     def table() -> list[str]:
-        lines = ["distinguished divisor, boundary form:"]
-        for row in payload["boundary_form"]:
-            c = Fraction(int(row["coefficient"]["num"]), int(row["coefficient"]["den"]))
-            lines.append(f"  {_fmt_blocks(row['boundary']):<40} {c}")
-        lines.append("psi form:")
-        for row in payload["psi_form"]:
-            c = Fraction(int(row["coefficient"]["num"]), int(row["coefficient"]["den"]))
-            name = f"psi_{row['psi']}" if "psi" in row else _fmt_blocks(row["boundary"])
-            lines.append(f"  {name:<40} {c}")
+        lines = []
+        for title, terms in (("distinguished divisor, boundary form:", bf), ("psi form:", pf)):
+            lines.append(title)
+            for sym, c in terms:
+                name = f"psi_{sym['psi']}" if "psi" in sym else _fmt_blocks(sym["boundary"])
+                lines.append(f"  {name:<40} {c}")
         return lines
 
     _emit(payload, args, table)
@@ -390,10 +388,7 @@ def _cmd_intersect(sig: Signature, args) -> int:
 def _cmd_volume(sig: Signature, args) -> int:
     if args.max_codim is not None:
         depth = min(args.max_codim, sig.n - 3)
-        w = sig.weights()
-        tree_ok = all(
-            not in_ideal_support(t, w) for t in enumerate_stable_trees(sig, depth)
-        )
+        tree_ok = all(not in_ideal_support(t, sig) for t in enumerate_stable_trees(sig, depth))
         # a tree in the ideal support refutes triviality at any depth
         if (not tree_ok or depth == sig.n - 3) and tree_ok != blowup_is_trivial(sig):
             raise StrataError("triviality criteria disagree; please report")

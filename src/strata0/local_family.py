@@ -38,6 +38,7 @@ from strata0.strata import (
     Signature,
     StableTree,
     StrataError,
+    _k_sum,
     exponent_vector,
 )
 
@@ -349,7 +350,7 @@ def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> SectionVa
 
 def beta_monomial(chart: LocalChart, j: int) -> Fraction:
     """Value of ``t^beta_j`` at the chart's node parameters (with ``0^0 = 1``)."""
-    beta = exponent_vector(chart.tree, j, chart.sig.weights())
+    beta = exponent_vector(chart.tree, j, chart.sig)
     val = Fraction(1)
     for edge, p in beta.entries:
         val *= chart.node_params[edge] ** p
@@ -371,11 +372,8 @@ def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     tree = chart.tree
     if not tree.has_edge(j, k):
         raise NoSuchEdge(f"vertices {j} and {k} are not adjacent")
-    w = chart.sig.weights()
-    part = tree.edge_partition(j, k, w)
-    side_j = tree.far_marks(k, j)
-    j_is_heavy = side_j == part.i1
-    if not j_is_heavy:
+    part = tree.edge_partition(j, k, chart.sig)
+    if tree.far_marks(k, j) != part.i1:  # j on the light side
         return 1 / _adjacent_ratio_constant(chart, k, j)
     d = chart.sig.d
     kappa = chart.sig.kappa
@@ -512,8 +510,8 @@ def classify_codim2_case(sig: Signature, blocks: Sequence[Iterable[int]]) -> str
         raise BadBlocks("need exactly three blocks")
     i0, i1, i2 = (frozenset(b) for b in blocks)
     _check_chain_blocks(sig, i0, i1, i2)
-    nu1 = -sig.d - sum(sig.kappa[i - 1] for i in i1)
-    nu2 = -sig.d - sum(sig.kappa[i - 1] for i in i2)
+    nu1 = -sig.d - _k_sum(sig, i1)
+    nu2 = -sig.d - _k_sum(sig, i2)
     if nu1 <= 0 and nu2 <= 0:
         return "a"
     if nu1 >= 0 and nu2 >= 0:

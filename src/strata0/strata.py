@@ -1,22 +1,29 @@
-"""Signatures, weights, boundary partitions and stable dual trees in genus 0.
+"""Signatures, boundary partitions and stable dual trees in genus 0.
 
-All arithmetic is exact: weights are `fractions.Fraction`, multiplicities are
-Python integers.  The basic input everywhere is a *signature* ``(d, kappa)``
-with ``d >= 2``, ``k_i >= 1 - d`` and ``sum(kappa) == -2*d``; the derived
-weight of the i-th marked point is ``mu_i = -k_i / d``, so ``mu_i < 1`` and
-``sum(mu) == 2`` hold automatically.
+All arithmetic is exact and in integers.  The basic input everywhere is a
+*signature* ``(d, kappa)`` with ``d >= 2``, ``k_i >= 1 - d`` and
+``sum(kappa) == -2*d``; the derived weight of the i-th marked point is
+``mu_i = -k_i / d``, so ``mu_i < 1`` and ``sum(mu) == 2`` hold automatically.
+Weights only matter through integer facts about ``k_B = sum_{i in B} k_i``:
+``mu(B) < 1`` iff ``k_B > -d`` and ``d * (mu(B) - 1) = -k_B - d``.  So the
+:class:`Signature` is the one weight carrier, and ``fractions.Fraction``
+appears only in returned values: ``mu_S = (d + k_I0) / d`` and the node and
+edge weights ``-k_B / d``.
 
 This module is the one split core that the other layers share:
 
 * the marking-mask codec: bit ``i-1`` of a mask is marking ``i``;
   ``_mask_marks`` decodes a mask and ``_marks_mask`` encodes a set of
-  markings, rejecting one outside ``1..n``;
+  markings, rejecting one outside ``1..n``; ``_k_sum`` is ``k_B`` of a set
+  of markings;
+* the split orientation rule ``_is_i0``: of the two sides of a split, ``I0``
+  is the one with the larger ``k`` (so ``mu(I0) <= 1``) and, on a tie, the
+  one holding marking 1.  Every layer that orients a split asks it;
 * the oriented split walk ``_oriented_splits``: every two-block split as its
-  ``(I0, I1)`` masks over one ``_kappa_sums`` table of
-  ``k_B = sum_{i in B} k_i``.  No fractions are needed: ``mu(B) < 1`` iff
-  ``k_B > -d`` and ``d * (mu(B) - 1) = -k_B - d``, so the boundary index set,
-  P-hat membership, the multiplicities ``m(S)`` and both divisor forms read
-  integer sums and build frozenset blocks only for their output;
+  ``(I0, I1)`` masks over one ``_kappa_sums`` table of ``k_B``, so the
+  boundary index set, P-hat membership, the multiplicities ``m(S)`` and both
+  divisor forms read integer sums and build frozenset blocks only for their
+  output;
 * the stable tree as its set of pairwise-compatible splits (Buneman's
   splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each stored as
   the mask of the side holding marking 1.  ``canonical_key`` is the sorted
@@ -27,10 +34,10 @@ This module is the one split core that the other layers share:
   read paths between components off its parents (``StableTree._path``).
 
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
-indices.  A two-block partition ``{I0, I1}`` is always numbered so that
-``mu(I0) <= 1 <= mu(I1)``; when both sides have weight exactly 1 the block
-containing marking 1 is called ``I0`` (the choice only affects bookkeeping,
-never a computed invariant).
+indices.  A two-block partition ``{I0, I1}`` is always numbered by
+``_is_i0``, so ``mu(I0) <= 1 <= mu(I1)``; when both sides have weight
+exactly 1 the block containing marking 1 is ``I0`` (the choice only affects
+bookkeeping, never a computed invariant).
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ __all__ = [
     "NotInPHat",
     "TwoBlockHasNoOrders",
     "Signature",
-    "WeightVector",
     "TwoBlockPartition",
     "MultiBlockPartition",
     "StableTree",
@@ -112,32 +118,8 @@ class TwoBlockHasNoOrders(StrataError):
 
 
 # ---------------------------------------------------------------------------
-# signatures and weights
+# signatures
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Marked-point weights ``mu_i = -k_i / d`` together with the level ``d``.
-
-    ``d`` is kept so that integrality statements (``d * mu(S) in ZZ``) can be
-    checked without re-deriving the common denominator.
-    """
-
-    mu: tuple[Fraction, ...]
-    d: int
-
-    @property
-    def n(self) -> int:
-        return len(self.mu)
-
-    def of(self, i: int) -> Fraction:
-        """Weight of marking ``i`` (1-based)."""
-        return self.mu[i - 1]
-
-    def total(self, marks: Iterable[int]) -> Fraction:
-        """``mu(I) = sum_{i in I} mu_i``."""
-        return sum((self.mu[i - 1] for i in marks), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -162,9 +144,6 @@ class Signature:
     @property
     def n(self) -> int:
         return len(self.kappa)
-
-    def weights(self) -> WeightVector:
-        return WeightVector(tuple(Fraction(-k, self.d) for k in self.kappa), self.d)
 
     def relabeled(self, sigma: Sequence[int]) -> "Signature":
         """Signature after sending marking ``i`` to ``sigma[i-1]``."""
@@ -197,31 +176,39 @@ def _relabel_set(marks: Iterable[int], sigma: Sequence[int]) -> frozenset[int]:
     return frozenset(sigma[i - 1] for i in marks)
 
 
+def _k_sum(sig: Signature, marks: Iterable[int]) -> int:
+    """``k_B = sum_{i in B} k_i`` over a set ``B`` of markings."""
+    return sum(sig.kappa[i - 1] for i in marks)
+
+
+def _is_i0(k_a: int, k_b: int, a_holds_1: bool) -> bool:
+    """The split orientation rule: side ``A`` of a split ``A|B`` is ``I0``
+    iff it has the larger ``k`` (``mu(A) < mu(B)``) or, on a tie, it holds
+    marking 1."""
+    return k_a > k_b or (k_a == k_b and a_holds_1)
+
+
 @dataclass(frozen=True)
 class TwoBlockPartition:
     """An unordered partition ``{I0, I1}`` of ``{1..n}`` with both sides >= 2.
 
-    Stored in weight order: ``mu(I0) <= 1 <= mu(I1)``, ties broken by putting
-    the block containing marking 1 first.
+    Stored in weight order by :func:`_is_i0`: ``mu(I0) <= 1 <= mu(I1)``,
+    ties broken by putting the block containing marking 1 first.
     """
 
     i0: frozenset[int]
     i1: frozenset[int]
 
     @staticmethod
-    def from_blocks(a: Iterable[int], b: Iterable[int], w: WeightVector) -> "TwoBlockPartition":
+    def from_blocks(a: Iterable[int], b: Iterable[int], sig: Signature) -> "TwoBlockPartition":
         a, b = frozenset(a), frozenset(b)
-        if not a or not b or (a & b) or (a | b) != frozenset(range(1, w.n + 1)):
+        if not a or not b or (a & b) or (a | b) != frozenset(range(1, sig.n + 1)):
             raise StrataError("blocks must be disjoint, nonempty and cover 1..n")
         if min(len(a), len(b)) < 2:
             raise StrataError("both blocks must have at least 2 markings")
-        wa, wb = w.total(a), w.total(b)
-        if wa < wb:
+        if _is_i0(_k_sum(sig, a), _k_sum(sig, b), 1 in a):
             return TwoBlockPartition(a, b)
-        if wb < wa:
-            return TwoBlockPartition(b, a)
-        # balanced: the block containing marking 1 is I0
-        return TwoBlockPartition(a, b) if 1 in a else TwoBlockPartition(b, a)
+        return TwoBlockPartition(b, a)
 
     @property
     def n(self) -> int:
@@ -230,10 +217,11 @@ class TwoBlockPartition:
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.i0)), tuple(sorted(self.i1)))
 
-    def relabeled(self, sigma: Sequence[int], w: WeightVector) -> "TwoBlockPartition":
-        """Image partition under a relabeling, renumbered for the new weights."""
+    def relabeled(self, sigma: Sequence[int], sig: Signature) -> "TwoBlockPartition":
+        """Image partition under a relabeling, renumbered for the signature
+        ``sig`` of the relabeled markings."""
         return TwoBlockPartition.from_blocks(
-            _relabel_set(self.i0, sigma), _relabel_set(self.i1, sigma), w
+            _relabel_set(self.i0, sigma), _relabel_set(self.i1, sigma), sig
         )
 
 
@@ -269,11 +257,11 @@ class MultiBlockPartition:
     def sort_key(self) -> tuple:
         return (self.r, tuple(tuple(sorted(b)) for b in self.blocks))
 
-    def relabeled(self, sigma: Sequence[int], w: WeightVector) -> "MultiBlockPartition":
+    def relabeled(self, sigma: Sequence[int], sig: Signature) -> "MultiBlockPartition":
         imgs = [_relabel_set(b, sigma) for b in self.blocks]
         if self.r == 1:
             return MultiBlockPartition.from_two_block(
-                TwoBlockPartition.from_blocks(imgs[0], imgs[1], w)
+                TwoBlockPartition.from_blocks(imgs[0], imgs[1], sig)
             )
         return MultiBlockPartition.from_blocks(imgs[0], imgs[1:])
 
@@ -304,14 +292,14 @@ def _marks_mask(n: int, marks: Iterable[int]) -> int:
 def _oriented_splits(n: int, ks: list[int]) -> Iterator[tuple[int, int]]:
     """The ``(I0, I1)`` masks of every split with both sides of size >= 2.
 
-    ``I0`` is the side with the larger ``k`` in the :func:`_kappa_sums` table
-    ``ks`` (so ``mu(I0) <= 1``) and, on a tie, the side holding marking 1.
+    ``k`` is read off the :func:`_kappa_sums` table ``ks`` and the sides are
+    oriented by :func:`_is_i0`.
     """
     full = (1 << n) - 1
     for a in range(1, full, 2):  # the side holding marking 1
         if 2 <= a.bit_count() <= n - 2:
             b = full ^ a
-            yield (a, b) if ks[a] >= ks[b] else (b, a)
+            yield (a, b) if _is_i0(ks[a], ks[b], True) else (b, a)
 
 
 def enumerate_two_block(sig: Signature) -> list[TwoBlockPartition]:
@@ -325,12 +313,12 @@ def enumerate_two_block(sig: Signature) -> list[TwoBlockPartition]:
     return out
 
 
-def boundary_weight(part: TwoBlockPartition, w: WeightVector) -> Fraction:
-    """Weight ``mu_S = 1 - mu(I0) = (mu(I1) - mu(I0)) / 2`` of a boundary divisor."""
-    w0 = w.total(part.i0)
-    if w0 > 1:
-        raise NumberingViolation(f"mu(I0) = {w0} > 1; blocks are misnumbered")
-    return 1 - w0
+def boundary_weight(part: TwoBlockPartition, sig: Signature) -> Fraction:
+    """Weight ``mu_S = 1 - mu(I0) = (d + k_I0) / d`` of a boundary divisor."""
+    k0 = _k_sum(sig, part.i0)
+    if k0 < -sig.d:
+        raise NumberingViolation(f"mu(I0) = {Fraction(-k0, sig.d)} > 1; blocks are misnumbered")
+    return Fraction(sig.d + k0, sig.d)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +467,9 @@ class StableTree:
             raise NoSuchEdge(f"no edge between vertices {j} and {k}")
         return _mask_marks(self._far(j, k)[0])
 
-    def edge_partition(self, u: int, v: int, w: WeightVector) -> TwoBlockPartition:
+    def edge_partition(self, u: int, v: int, sig: Signature) -> TwoBlockPartition:
         """Two-block partition cut out by the edge ``{u, v}``."""
-        return TwoBlockPartition.from_blocks(self.far_marks(v, u), self.far_marks(u, v), w)
+        return TwoBlockPartition.from_blocks(self.far_marks(v, u), self.far_marks(u, v), sig)
 
     def canonical_key(self) -> tuple[int, ...]:
         """The sorted split masks (side holding marking 1) of the nodes; they
@@ -530,41 +518,44 @@ def enumerate_stable_trees(sig: Signature, max_edges: int) -> list[StableTree]:
 # ---------------------------------------------------------------------------
 
 
-def node_weights(tree: StableTree, edge: tuple[int, int], w: WeightVector) -> tuple[Fraction, Fraction]:
+def node_weights(
+    tree: StableTree, edge: tuple[int, int], sig: Signature
+) -> tuple[Fraction, Fraction]:
     """Weights ``(mu(y_{jj'}), mu(y_{j'j}))`` of the two branches of a node.
 
-    The weight at the branch on component ``j`` is the total weight of the
-    markings on the far side of the edge; the two values sum to 2.
+    The weight at the branch on component ``j`` is the total weight
+    ``-k_B / d`` of the markings ``B`` on the far side of the edge; the two
+    values sum to 2.
     """
     j, jp = edge
-    return w.total(tree.far_marks(j, jp)), w.total(tree.far_marks(jp, j))
+    k = _k_sum(sig, tree.far_marks(j, jp))  # the other side has -2d - k
+    return Fraction(-k, sig.d), Fraction(2 * sig.d + k, sig.d)
 
 
-def edge_weight(tree: StableTree, oriented_edge: tuple[int, int], w: WeightVector) -> Fraction:
+def edge_weight(tree: StableTree, oriented_edge: tuple[int, int], sig: Signature) -> Fraction:
     """Oriented edge weight ``mu(e_{jj'}) = mu(y_{j'j}) - mu(y_{jj'})``.
 
     Antisymmetric under orientation reversal; its absolute value is twice the
     weight of the boundary divisor the edge cuts out.
     """
-    a, b = node_weights(tree, oriented_edge, w)
+    a, b = node_weights(tree, oriented_edge, sig)
     return b - a
 
 
-def _far_k(tree: StableTree, w: WeightVector) -> dict[tuple[int, int], int]:
+def _far_k(tree: StableTree, sig: Signature) -> dict[tuple[int, int], int]:
     """``k_B`` of the far side ``B`` of every directed edge ``(j, k)``.
 
     ``mu(B) < 1`` iff ``k_B > -d``, and the two sides of a node sum to ``-2d``.
     """
-    kappa = [-m.numerator * (w.d // m.denominator) for m in w.mu]  # k_i = -d * mu_i
     out = {}
     for v, (u, marks, _) in enumerate(tree._below[1:], 1):
-        k = sum(kappa[i] for i in range(marks.bit_length()) if marks >> i & 1)
-        out[u, v], out[v, u] = k, -2 * w.d - k
+        k = _k_sum(sig, _mask_marks(marks))
+        out[u, v], out[v, u] = k, -2 * sig.d - k
     return out
 
 
 def principal_subcurves(
-    tree: StableTree, w: WeightVector
+    tree: StableTree, sig: Signature
 ) -> tuple[list[frozenset[int]], frozenset[int]]:
     """Principal subcurves of a stable curve.
 
@@ -574,8 +565,8 @@ def principal_subcurves(
     as sets of original vertex indices, plus the remaining vertices.  At least
     one principal subcurve always exists.
     """
-    d = w.d
-    far_k = _far_k(tree, w)
+    d = sig.d
+    far_k = _far_k(tree, sig)
 
     groups: dict[int, set[int]] = {}
     for j in range(tree.num_vertices):
@@ -620,49 +611,46 @@ class ExponentVector:
         return self.as_dict()[_norm_edge(*edge)]
 
 
-def exponent_vector(tree: StableTree, j: int, w: WeightVector) -> ExponentVector:
+def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
     """Exponents ``beta_j``: ``d * mu_S = d + k_I0`` at each node whose light
-    side ``I0`` holds ``v_j``.
-
-    ``I0`` is the side with the larger ``k`` (``mu(I0) <= 1``) and, on a tie,
-    the side holding marking 1, as in :class:`TwoBlockPartition`.
+    side ``I0`` holds ``v_j``, the sides of a node oriented by :func:`_is_i0`.
     """
     if not 0 <= j < tree.num_vertices:
         raise StrataError(f"no vertex {j}")
-    far_k = _far_k(tree, w)
+    far_k = _far_k(tree, sig)
     entries: dict[tuple[int, int], int] = {}
     for u, v in tree.edges:
         marks, verts = tree._far(u, v)
         ku, kv = far_k[v, u], far_k[u, v]
-        v_light = kv > ku or (kv == ku and marks & 1 == 1)
+        v_light = _is_i0(kv, ku, marks & 1 == 1)
         on_v = verts >> j & 1 == 1
-        entries[(u, v)] = w.d + max(ku, kv) if on_v == v_light else 0
+        entries[(u, v)] = sig.d + max(ku, kv) if on_v == v_light else 0
     return ExponentVector.from_dict(entries)
 
 
-def ideal_generators(tree: StableTree, w: WeightVector) -> frozenset[ExponentVector]:
+def ideal_generators(tree: StableTree, sig: Signature) -> frozenset[ExponentVector]:
     """Monomial generators of the local ideal: one exponent vector per
     principal subcurve (components of one subcurve share their vector)."""
-    principal, _ = principal_subcurves(tree, w)
+    principal, _ = principal_subcurves(tree, sig)
     gens = set()
     for grp in principal:
-        vecs = {exponent_vector(tree, j, w) for j in grp}
+        vecs = {exponent_vector(tree, j, sig) for j in grp}
         if len(vecs) != 1:
             raise StrataError("components of a principal subcurve disagree on beta")
         gens |= vecs
     return frozenset(gens)
 
 
-def in_ideal_support(tree: StableTree, w: WeightVector) -> bool:
+def in_ideal_support(tree: StableTree, sig: Signature) -> bool:
     """True when the stratum of this tree lies in the support of the ideal,
     i.e. when there are at least two principal subcurves."""
-    principal, _ = principal_subcurves(tree, w)
+    principal, _ = principal_subcurves(tree, sig)
     return len(principal) >= 2
 
 
-def fiber_projective_dim(tree: StableTree, w: WeightVector) -> int:
+def fiber_projective_dim(tree: StableTree, sig: Signature) -> int:
     """Dimension ``r0 - 1`` of the projective fiber over this stratum."""
-    principal, _ = principal_subcurves(tree, w)
+    principal, _ = principal_subcurves(tree, sig)
     return len(principal) - 1
 
 
@@ -730,7 +718,7 @@ def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> list[int]:
     if universe != set(range(1, sig.n + 1)):
         raise NotInPHat("blocks do not cover 1..n")
     d = sig.d
-    ks = [sum(sig.kappa[i - 1] for i in b) for b in part.blocks]
+    ks = [_k_sum(sig, b) for b in part.blocks]
     if part.r == 1:
         if min(len(part.blocks[0]), len(part.blocks[1])) < 2:
             raise NotInPHat("two-block partitions need both sides >= 2")

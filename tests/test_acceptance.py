@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from fraction_weights import mu
 
 from strata0.divisors import (
     ExceptionalDivisorNontrivial,
@@ -82,11 +83,10 @@ def test_01_trivial_blowup_reproduction():
         assert {frozenset(p.blocks) for p in parts} == {
             frozenset({p.i0, p.i1}) for p in two_block
         }
-        w = sig.weights()
         trees = enumerate_stable_trees(sig, 3)
         assert len(trees) > 25
         for tree in trees:
-            assert not in_ideal_support(tree, w)
+            assert not in_ideal_support(tree, sig)
 
 
 def _set_partitions(items):
@@ -105,7 +105,6 @@ def test_02_p_hat_brute_force_oracle():
     with Stopwatch("2 boundary index set vs set-partition filter", 30):
         for kappa in ([2, -1, -1, -1, -1, -1, -1], [1, 1, -1, -1, -1, -1, -1, -1]):
             sig = validate_signature(2, kappa)
-            w = sig.weights()
             oracle = set()
             for partition in _set_partitions(range(1, sig.n + 1)):
                 blocks = [frozenset(b) for b in partition]
@@ -113,8 +112,8 @@ def test_02_p_hat_brute_force_oracle():
                     if min(map(len, blocks)) >= 2:
                         oracle.add(frozenset(blocks))
                 elif len(blocks) >= 3:
-                    light = [b for b in blocks if w.total(b) < 1]
-                    heavy = [b for b in blocks if w.total(b) > 1]
+                    light = [b for b in blocks if mu(sig, b) < 1]
+                    heavy = [b for b in blocks if mu(sig, b) > 1]
                     if len(light) == 1 and len(light) + len(heavy) == len(blocks):
                         oracle.add(frozenset(blocks))
             got = {frozenset(p.blocks) for p in enumerate_p_hat(sig)}
@@ -229,11 +228,10 @@ def test_07_local_family_identities():
             for j, k in ((0, 1), (1, 0), (0, 2), (2, 0)):
                 assert verify_ratio_identity(chart, j, k, samples=20), (label, j, k)
             # exponent tables
-            w = sig.weights()
             tree = chart.tree
             nu1 = -sig.d - sum(sig.kappa[i - 1] for i in blocks[1])
             nu2 = -sig.d - sum(sig.kappa[i - 1] for i in blocks[2])
-            b = [exponent_vector(tree, j, w).as_dict() for j in range(3)]
+            b = [exponent_vector(tree, j, sig).as_dict() for j in range(3)]
             e1, e2 = (0, 1), (0, 2)
             if label == "a":
                 assert (b[0][e1], b[0][e2]) == (0, 0)
@@ -297,16 +295,15 @@ def test_09_equivariance_fuzz():
             sigma = list(range(1, sig.n + 1))
             rng.shuffle(sigma)
             rsig = sig.relabeled(sigma)
-            w, rw = sig.weights(), rsig.weights()
             for part in enumerate_two_block(sig):
-                assert boundary_weight(part, w) == boundary_weight(
-                    part.relabeled(sigma, rw), rw
+                assert boundary_weight(part, sig) == boundary_weight(
+                    part.relabeled(sigma, rsig), rsig
                 )
-            img = {p.relabeled(sigma, rw).sort_key() for p in enumerate_p_hat(sig)}
+            img = {p.relabeled(sigma, rsig).sort_key() for p in enumerate_p_hat(sig)}
             assert img == {p.sort_key() for p in enumerate_p_hat(rsig)}
             exc, rexc = exceptional_divisor(sig), exceptional_divisor(rsig)
             for part, c in exc.terms.items():
-                assert rexc.terms[part.relabeled(sigma, rw)] == c
+                assert rexc.terms[part.relabeled(sigma, rsig)] == c
             try:
                 a = volume(sig)
             except ExceptionalDivisorNontrivial:

@@ -120,6 +120,21 @@ class TestExitCodes:
         )
         assert code == 4 and "FAILED" in out
 
+    def test_repeated_marking_in_group_is_2(self, capsys):
+        code, out, err = run(
+            capsys, "principal", "--d", "2", "--kappa=-1,-1,-1,-1", "--tree", "1,1,2;3,4 0-1"
+        )
+        assert code == 2 and out == ""
+        assert "error: marking 1 repeated in one group (at position 2)" in err
+
+    def test_node_parameter_given_twice_is_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify-family", "--d", "2", "--kappa=-1,-1,-1,-1",
+            "--chart", "1,2;3,4 0-1 t[0-1]=1/3 t[1-0]=2/3",
+        )
+        assert code == 2 and out == ""
+        assert "error: node parameter t[0-1] given twice (at position 23)" in err
+
     def test_tree_with_cycle_is_2(self, capsys):
         # three edges on four vertices, closing the cycle 0-1-2 and leaving 3 out
         code, _, err = run(
@@ -219,6 +234,10 @@ class TestJson:
         assert all(t["coefficient"] == {"num": "1", "den": "3"} for t in payload["boundary_form"])
         psis = [t for t in payload["psi_form"] if "psi" in t]
         assert len(psis) == 4
+        # every split is balanced (k_B = -d), so the block holding marking 1 is I0
+        balanced = [[[1, 2], [3, 4]], [[1, 3], [2, 4]], [[1, 4], [2, 3]]]
+        assert [t["boundary"] for t in payload["boundary_form"]] == balanced
+        assert [t["boundary"] for t in payload["psi_form"] if "boundary" in t] == balanced
 
     def test_volume_max_codim_crosscheck(self, capsys):
         code, out, _ = run(

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from fraction_weights import mu
 
 import strata0.divisors as divisors_mod
 from strata0.divisors import (
@@ -44,12 +45,11 @@ class TestBoundaryForm:
         # mu_S = 0 gives d (|I0|-1)(|I1|-1) / ((n-2)(n-1))
         for sig in (SIG_QUAD4, SIG_POLE6):
             n = sig.n
-            w = sig.weights()
             bf = d_mu_boundary_form(sig)
             from strata0.strata import boundary_weight, enumerate_two_block
 
             for part in enumerate_two_block(sig):
-                if boundary_weight(part, w) == 0:
+                if boundary_weight(part, sig) == 0:
                     expect = F(sig.d * (len(part.i0) - 1) * (len(part.i1) - 1), (n - 2) * (n - 1))
                     assert bf.terms.get(Boundary.from_partition(part), 0) == expect
 
@@ -93,11 +93,11 @@ class TestPsiForm:
 def fraction_forms(sig):
     """Oracle: both forms' terms from the Fraction weights ``mu_i`` and
     ``mu_S = 1 - mu(I0)``, zero terms dropped."""
-    n, w, half_d = sig.n, sig.weights(), F(sig.d, 2)
+    n, half_d = sig.n, F(sig.d, 2)
     lead = F(sig.d, (n - 2) * (n - 1))
-    bf, pf = {}, {Psi(i): -half_d * w.of(i) for i in range(1, n + 1)}
+    bf, pf = {}, {Psi(i): -half_d * mu(sig, [i]) for i in range(1, n + 1)}
     for part in enumerate_two_block(sig):
-        mu_s = boundary_weight(part, w)
+        mu_s = boundary_weight(part, sig)
         sym = Boundary.from_partition(part)
         bf[sym] = lead * (len(part.i0) - 1) * (len(part.i1) - 1 - (n - 1) * mu_s)
         pf[sym] = half_d * (1 - mu_s)
@@ -128,8 +128,7 @@ class TestKeelInvariance:
 def trivial_on_every_stratum(sig):
     """Oracle: every stable tree, in every codimension, has a unique principal
     subcurve (no stratum lies in the support of the ideal)."""
-    w = sig.weights()
-    return not any(in_ideal_support(t, w) for t in enumerate_stable_trees(sig, sig.n - 3))
+    return not any(in_ideal_support(t, sig) for t in enumerate_stable_trees(sig, sig.n - 3))
 
 
 class TestTriviality:

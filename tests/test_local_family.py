@@ -309,12 +309,11 @@ class TestDegeneration:
         from strata0.strata import exponent_vector
 
         sig, blocks = SIG_C, BLOCKS_C
-        w = sig.weights()
         for pinched_edge, kwargs in (((0, 1), {"t1": 0}), ((0, 2), {"t2": 0})):
             chart = build_codim2_chart(sig, blocks, seed=27, **kwargs)
             hit = 0
             for j in range(3):
-                beta = exponent_vector(chart.tree, j, w).as_dict()
+                beta = exponent_vector(chart.tree, j, sig).as_dict()
                 if beta[pinched_edge] == 0:
                     rng = make_sampler(31)
                     pt = sample_curve_point(chart, rng, base=j, check_vertices=[j])

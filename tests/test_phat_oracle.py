@@ -5,6 +5,7 @@ independent oracle on random signatures: the same sets enumerated with
 import itertools
 from fractions import Fraction
 
+from fraction_weights import mu, oracle_orient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,19 +26,19 @@ from strata0.strata import (
 
 def oracle_two_block(sig):
     n = sig.n
-    w = sig.weights()
     others = list(range(2, n + 1))
     out = []
     # enumerate the side containing marking 1; sizes 2..n-2
     for size in range(1, n - 2):
         for rest in itertools.combinations(others, size):
             side = frozenset((1,) + rest)
-            out.append(TwoBlockPartition.from_blocks(side, frozenset(range(1, n + 1)) - side, w))
+            other = frozenset(range(1, n + 1)) - side
+            out.append(TwoBlockPartition(*oracle_orient(side, other, sig)))
     out.sort(key=TwoBlockPartition.sort_key)
     return out
 
 
-def oracle_heavy_block_partitions(pool, w, min_blocks):
+def oracle_heavy_block_partitions(pool, sig, min_blocks):
     """Partitions of ``pool`` into >= min_blocks blocks, each of weight > 1;
     the first remaining element anchors the next block."""
     if not pool:
@@ -48,25 +49,24 @@ def oracle_heavy_block_partitions(pool, w, min_blocks):
     for size in range(0, len(rest) + 1):
         for extra in itertools.combinations(rest, size):
             block = frozenset((first,) + extra)
-            if w.total(block) <= 1:
+            if mu(sig, block) <= 1:
                 continue
             remaining = [x for x in rest if x not in block]
-            for tail in oracle_heavy_block_partitions(remaining, w, min_blocks - 1):
+            for tail in oracle_heavy_block_partitions(remaining, sig, min_blocks - 1):
                 yield [block] + tail
 
 
 def oracle_p_hat(sig):
-    w = sig.weights()
     out = [MultiBlockPartition.from_two_block(p) for p in oracle_two_block(sig)]
     n = sig.n
     marks = list(range(1, n + 1))
     for size in range(1, n - 3):
         for i0 in itertools.combinations(marks, size):
             i0set = frozenset(i0)
-            if w.total(i0set) >= 1:
+            if mu(sig, i0set) >= 1:
                 continue
             pool = [m for m in marks if m not in i0set]
-            for heavy in oracle_heavy_block_partitions(pool, w, 2):
+            for heavy in oracle_heavy_block_partitions(pool, sig, 2):
                 if len(heavy) >= 2:
                     out.append(MultiBlockPartition.from_blocks(i0set, heavy))
     out.sort(key=MultiBlockPartition.sort_key)
@@ -75,10 +75,9 @@ def oracle_p_hat(sig):
 
 def oracle_m_value(part, sig):
     """``prod_j d * (mu(Ij) - 1)`` in Fractions."""
-    w = sig.weights()
     prod = Fraction(1)
     for b in part.blocks[1:]:
-        prod *= sig.d * (w.total(b) - 1)
+        prod *= sig.d * (mu(sig, b) - 1)
     return prod
 
 

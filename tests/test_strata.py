@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from fraction_weights import mu, mus
 
 from strata0.strata import (
     BadD,
@@ -56,15 +57,15 @@ SIG_CUBIC6 = validate_signature(3, [-1] * 6)
 
 class TestSignature:
     def test_basic_weights(self):
-        assert SIG_QUAD4.weights().mu == (F(1, 2),) * 4
+        assert mus(SIG_QUAD4) == (F(1, 2),) * 4
 
     def test_negative_weight_pole(self):
-        assert SIG_POLE6.weights().mu == (F(1, 2),) * 5 + (F(-1, 2),)
+        assert mus(SIG_POLE6) == (F(1, 2),) * 5 + (F(-1, 2),)
 
     def test_weight_sum_is_two(self):
         for sig in (SIG_QUAD4, SIG_POLE6, SIG_STAR7, SIG_CUBIC6):
-            assert sum(sig.weights().mu) == 2
-            assert all(m < 1 for m in sig.weights().mu)
+            assert sum(mus(sig)) == 2
+            assert all(m < 1 for m in mus(sig))
 
     def test_sum_mismatch(self):
         with pytest.raises(SumMismatch):
@@ -131,37 +132,30 @@ class TestTwoBlock:
         assert {frozenset({p.i0, p.i1}) for p in parts} == brute_two_block(n)
 
     def test_canonical_numbering(self):
-        w = SIG_POLE6.weights()
         for part in enumerate_two_block(SIG_POLE6):
-            assert w.total(part.i0) <= 1 <= w.total(part.i1)
+            assert mu(SIG_POLE6, part.i0) <= 1 <= mu(SIG_POLE6, part.i1)
 
     def test_tie_rule_block_of_one_first(self):
-        w = SIG_QUAD4.weights()
-        p = TwoBlockPartition.from_blocks({3, 4}, {1, 2}, w)
+        p = TwoBlockPartition.from_blocks({3, 4}, {1, 2}, SIG_QUAD4)
         assert p.i0 == frozenset({1, 2})
 
     def test_boundary_weight_examples(self):
-        w = SIG_QUAD4.weights()
         for part in enumerate_two_block(SIG_QUAD4):
-            assert boundary_weight(part, w) == 0
-        w6 = SIG_POLE6.weights()
-        p = TwoBlockPartition.from_blocks({5, 6}, {1, 2, 3, 4}, w6)
-        assert boundary_weight(p, w6) == 1
-        w36 = SIG_CUBIC6.weights()
-        p = TwoBlockPartition.from_blocks({1, 2}, {3, 4, 5, 6}, w36)
-        assert boundary_weight(p, w36) == F(1, 3)
+            assert boundary_weight(part, SIG_QUAD4) == 0
+        p = TwoBlockPartition.from_blocks({5, 6}, {1, 2, 3, 4}, SIG_POLE6)
+        assert boundary_weight(p, SIG_POLE6) == 1
+        p = TwoBlockPartition.from_blocks({1, 2}, {3, 4, 5, 6}, SIG_CUBIC6)
+        assert boundary_weight(p, SIG_CUBIC6) == F(1, 3)
 
     def test_numbering_violation(self):
-        w6 = SIG_POLE6.weights()
         bad = TwoBlockPartition(frozenset({1, 2, 3, 4}), frozenset({5, 6}))
         with pytest.raises(NumberingViolation):
-            boundary_weight(bad, w6)
+            boundary_weight(bad, SIG_POLE6)
 
     def test_weight_is_integral_multiple(self):
         for sig in (SIG_POLE6, SIG_STAR7, SIG_CUBIC6):
-            w = sig.weights()
             for part in enumerate_two_block(sig):
-                assert (sig.d * boundary_weight(part, w)).denominator == 1
+                assert (sig.d * boundary_weight(part, sig)).denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,47 +236,42 @@ TREE_36 = StableTree((frozenset({1, 2, 3}), frozenset({4, 5, 6})), ((0, 1),))
 
 class TestNodeWeights:
     def test_pole_example(self):
-        w = SIG_POLE6.weights()
-        assert node_weights(TREE_36, (0, 1), w) == (F(1, 2), F(3, 2))
+        assert node_weights(TREE_36, (0, 1), SIG_POLE6) == (F(1, 2), F(3, 2))
 
     def test_balanced_example(self):
-        w = SIG_QUAD4.weights()
         tree = StableTree((frozenset({1, 2}), frozenset({3, 4})), ((0, 1),))
-        assert node_weights(tree, (0, 1), w) == (1, 1)
+        assert node_weights(tree, (0, 1), SIG_QUAD4) == (1, 1)
 
     def test_cubic_example(self):
-        w = SIG_CUBIC6.weights()
         tree = StableTree((frozenset({1, 2}), frozenset({3, 4, 5, 6})), ((0, 1),))
-        assert node_weights(tree, (0, 1), w) == (F(4, 3), F(2, 3))
+        assert node_weights(tree, (0, 1), SIG_CUBIC6) == (F(4, 3), F(2, 3))
 
     def test_sum_two_and_balance(self):
         # every edge: branch weights sum to 2; every vertex balances to 2
         for sig in (SIG_POLE6, SIG_STAR7):
-            w = sig.weights()
             for tree in enumerate_stable_trees(sig, 3):
                 for u, v in tree.edges:
-                    a, b = node_weights(tree, (u, v), w)
+                    a, b = node_weights(tree, (u, v), sig)
                     assert a + b == 2
                 for j in range(tree.num_vertices):
-                    bal = w.total(tree.vertex_marks[j])
+                    bal = mu(sig, tree.vertex_marks[j])
                     for k in tree.neighbors(j):
-                        bal += node_weights(tree, (j, k), w)[0]
+                        bal += node_weights(tree, (j, k), sig)[0]
                     assert bal == 2
 
     def test_edge_weight_antisymmetry(self):
-        w = SIG_STAR7.weights()
+        sig = SIG_STAR7
         rng = random.Random(7)
         trees = enumerate_stable_trees(SIG_STAR7, 3)
         for tree in rng.sample(trees, 50):
             for u, v in tree.edges:
-                assert edge_weight(tree, (u, v), w) == -edge_weight(tree, (v, u), w)
-                part = tree.edge_partition(u, v, w)
-                assert abs(edge_weight(tree, (u, v), w)) == 2 * boundary_weight(part, w)
+                assert edge_weight(tree, (u, v), sig) == -edge_weight(tree, (v, u), sig)
+                part = tree.edge_partition(u, v, sig)
+                assert abs(edge_weight(tree, (u, v), sig)) == 2 * boundary_weight(part, sig)
 
     def test_pole_edge_values(self):
-        w = SIG_POLE6.weights()
-        assert edge_weight(TREE_36, (1, 0), w) == -1
-        assert edge_weight(TREE_36, (0, 1), w) == 1
+        assert edge_weight(TREE_36, (1, 0), SIG_POLE6) == -1
+        assert edge_weight(TREE_36, (0, 1), SIG_POLE6) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,48 +284,45 @@ STAR = StableTree((frozenset({1}), frozenset({2, 3, 4}), frozenset({5, 6, 7})), 
 
 class TestPrincipal:
     def test_unique_principal(self):
-        principal, rest = principal_subcurves(TREE_36, SIG_POLE6.weights())
+        principal, rest = principal_subcurves(TREE_36, SIG_POLE6)
         assert principal == [frozenset({0})]
         assert rest == frozenset({1})
 
     def test_star_two_principal(self):
-        principal, rest = principal_subcurves(STAR, SIG_STAR7.weights())
+        principal, rest = principal_subcurves(STAR, SIG_STAR7)
         assert sorted(map(sorted, principal)) == [[1], [2]]
         assert rest == frozenset({0})
 
     def test_zero_weight_contraction(self):
         tree = StableTree((frozenset({1, 2}), frozenset({3, 4})), ((0, 1),))
-        principal, rest = principal_subcurves(tree, SIG_QUAD4.weights())
+        principal, rest = principal_subcurves(tree, SIG_QUAD4)
         assert principal == [frozenset({0, 1})]
         assert rest == frozenset()
 
     def test_always_at_least_one(self):
         for sig in (SIG_POLE6, SIG_STAR7, SIG_CUBIC6):
-            w = sig.weights()
             for tree in enumerate_stable_trees(sig, 3):
-                principal, _ = principal_subcurves(tree, w)
+                principal, _ = principal_subcurves(tree, sig)
                 assert len(principal) >= 1
 
 
 class TestExponentVectors:
     def test_unique_principal_gives_zero_vector(self):
-        w = SIG_POLE6.weights()
         for tree in enumerate_stable_trees(SIG_POLE6, 3):
-            principal, _ = principal_subcurves(tree, w)
+            principal, _ = principal_subcurves(tree, SIG_POLE6)
             if len(principal) == 1:
                 j = min(principal[0])
-                assert exponent_vector(tree, j, w).is_zero()
+                assert exponent_vector(tree, j, SIG_POLE6).is_zero()
 
     def test_star_generators(self):
-        gens = ideal_generators(STAR, SIG_STAR7.weights())
+        gens = ideal_generators(STAR, SIG_STAR7)
         assert {tuple(p for _, p in g.entries) for g in gens} == {(0, 1), (1, 0)}
 
     def test_difference_supported_on_path(self):
         # beta_j - beta_k only involves nodes separating v_j from v_k
         for sig in (SIG_STAR7, SIG_POLE6):
-            w = sig.weights()
             for tree in enumerate_stable_trees(sig, 3):
-                betas = [exponent_vector(tree, j, w).as_dict() for j in range(tree.num_vertices)]
+                betas = [exponent_vector(tree, j, sig).as_dict() for j in range(tree.num_vertices)]
                 for j in range(tree.num_vertices):
                     for k in range(j + 1, tree.num_vertices):
                         for (u, v) in tree.edges:
@@ -346,25 +332,23 @@ class TestExponentVectors:
 
     def test_support_iff_no_zero_generator(self):
         for sig in (SIG_STAR7, SIG_POLE6):
-            w = sig.weights()
             for tree in enumerate_stable_trees(sig, 3):
-                gens = ideal_generators(tree, w)
-                principal, _ = principal_subcurves(tree, w)
+                gens = ideal_generators(tree, sig)
+                principal, _ = principal_subcurves(tree, sig)
                 has_zero = any(g.is_zero() for g in gens)
-                assert in_ideal_support(tree, w) == (len(principal) >= 2) == (not has_zero)
+                assert in_ideal_support(tree, sig) == (len(principal) >= 2) == (not has_zero)
 
     def test_star_exponents_match_multiplicities(self):
         # over the stratum of a multi-block partition the center carries the
         # full monomial prod t_k^{m_k} and leaf j drops its own factor
         sig = validate_signature(3, [6, -2, -2, -2, -2, -2, -2])
-        w = sig.weights()
         part = MultiBlockPartition.from_blocks({1}, [{2, 3}, {4, 5}, {6, 7}])
-        ms = [sig.d * (w.total(b) - 1) for b in part.blocks[1:]]
+        ms = [sig.d * (mu(sig, b) - 1) for b in part.blocks[1:]]
         tree = StableTree(part.blocks, ((0, 1), (0, 2), (0, 3)))
-        center = exponent_vector(tree, 0, w).as_dict()
+        center = exponent_vector(tree, 0, sig).as_dict()
         assert center == {(0, k): ms[k - 1] for k in (1, 2, 3)}
         for leaf in (1, 2, 3):
-            beta = exponent_vector(tree, leaf, w).as_dict()
+            beta = exponent_vector(tree, leaf, sig).as_dict()
             expect = {(0, k): (0 if k == leaf else ms[k - 1]) for k in (1, 2, 3)}
             assert beta == expect
 
@@ -386,10 +370,10 @@ def _separates(tree, edge, j, k):
 
 class TestFiberDim:
     def test_unique_principal_gives_point(self):
-        assert fiber_projective_dim(TREE_36, SIG_POLE6.weights()) == 0
+        assert fiber_projective_dim(TREE_36, SIG_POLE6) == 0
 
     def test_star(self):
-        assert fiber_projective_dim(STAR, SIG_STAR7.weights()) == 1
+        assert fiber_projective_dim(STAR, SIG_STAR7) == 1
 
     def test_double_center(self):
         sig = sig2(1, 1, -1, -1, -1, -1, -1, -1)
@@ -397,7 +381,7 @@ class TestFiberDim:
             (frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})),
             ((0, 1), (0, 2)),
         )
-        assert fiber_projective_dim(tree, sig.weights()) == 1
+        assert fiber_projective_dim(tree, sig) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +404,6 @@ def set_partitions(items):
 
 def brute_p_hat(sig):
     """Oracle: filter every set partition by the boundary conditions."""
-    w = sig.weights()
     out = set()
     for partition in set_partitions(range(1, sig.n + 1)):
         blocks = [frozenset(b) for b in partition]
@@ -428,8 +411,8 @@ def brute_p_hat(sig):
             if min(len(blocks[0]), len(blocks[1])) >= 2:
                 out.add(frozenset(blocks))
         elif len(blocks) >= 3:
-            light = [b for b in blocks if w.total(b) < 1]
-            heavy = [b for b in blocks if w.total(b) > 1]
+            light = [b for b in blocks if mu(sig, b) < 1]
+            heavy = [b for b in blocks if mu(sig, b) > 1]
             if len(light) == 1 and len(heavy) == len(blocks) - 1:
                 out.add(frozenset(blocks))
     return out
@@ -486,15 +469,14 @@ class TestBoundaryClassification:
     def test_multi_block_partitions_are_exactly_the_full_principal_stars(self, sig, depth):
         # one direction: the star stratum of every multi-block partition has
         # all its leaves principal, so the fiber has dimension r - 1
-        w = sig.weights()
         multi = [p for p in enumerate_p_hat(sig) if p.r >= 2]
         for part in multi:
             star = StableTree(part.blocks, tuple((0, j) for j in range(1, part.size)))
-            principal, rest = principal_subcurves(star, w)
+            principal, rest = principal_subcurves(star, sig)
             assert sorted(map(min, principal)) == list(range(1, part.size))
             assert rest == frozenset({0})
-            assert fiber_projective_dim(star, w) == part.r - 1
-            assert in_ideal_support(star, w)
+            assert fiber_projective_dim(star, sig) == part.r - 1
+            assert in_ideal_support(star, sig)
         # the converse: among all stable trees, those with as many principal
         # subcurves as edges (>= 2) are exactly the stars of those partitions
         expected = {
@@ -505,7 +487,7 @@ class TestBoundaryClassification:
         found = set()
         for tree in enumerate_stable_trees(sig, depth):
             r = len(tree.edges)
-            principal, rest = principal_subcurves(tree, w)
+            principal, rest = principal_subcurves(tree, sig)
             if r < 2 or len(principal) != r:
                 continue
             # all edges meet the single non-principal vertex
@@ -523,17 +505,15 @@ class TestMValue:
         assert m_value(part, SIG_STAR7) == 1
 
     def test_two_block_is_d_mu(self):
-        w = SIG_POLE6.weights()
         for part in enumerate_two_block(SIG_POLE6):
             mb = MultiBlockPartition.from_two_block(part)
-            assert m_value(mb, SIG_POLE6) == SIG_POLE6.d * boundary_weight(part, w)
+            assert m_value(mb, SIG_POLE6) == SIG_POLE6.d * boundary_weight(part, SIG_POLE6)
 
     def test_mixed_factors(self):
         # d=3, block weights mu - 1 = 1/3 and 2/3: m = 9 * (1/3) * (2/3) = 2
         sig = validate_signature(3, [3, -2, -2, -2, -2, -1])
         part = MultiBlockPartition.from_blocks({1}, [{2, 3}, {4, 5, 6}])
-        w = sig.weights()
-        assert {w.total(b) - 1 for b in part.blocks[1:]} == {F(1, 3), F(2, 3)}
+        assert {mu(sig, b) - 1 for b in part.blocks[1:]} == {F(1, 3), F(2, 3)}
         assert m_value(part, sig) == 2
 
     def test_not_in_p_hat(self):
@@ -543,11 +523,10 @@ class TestMValue:
 
     def test_heavy_factors_positive_integers(self):
         for sig in (SIG_STAR7, sig2(1, 1, -1, -1, -1, -1, -1, -1)):
-            w = sig.weights()
             for part in enumerate_p_hat(sig):
                 if part.r >= 2:
                     for b in part.blocks[1:]:
-                        mj = sig.d * (w.total(b) - 1)
+                        mj = sig.d * (mu(sig, b) - 1)
                         assert mj.denominator == 1 and mj > 0
 
 
@@ -664,7 +643,7 @@ class TestVanishingOrders:
     @pytest.mark.parametrize("ms", [(1, 1), (2, 3), (2, 3, 4), (4, 4, 4)])
     def test_examples(self, ms):
         sig, part = signature_with_m(ms)
-        assert [sig.d * (sig.weights().total(b) - 1) for b in part.blocks[1:]] == list(ms)
+        assert [sig.d * (mu(sig, b) - 1) for b in part.blocks[1:]] == list(ms)
         orders = vanishing_orders(part, sig)
         total = 1
         for m in ms:
@@ -717,16 +696,15 @@ class TestEquivariance:
             sigma = list(range(1, sig.n + 1))
             rng.shuffle(sigma)
             rsig = sig.relabeled(sigma)
-            w, rw = sig.weights(), rsig.weights()
             # boundary weights transform covariantly
             for part in enumerate_two_block(sig):
-                rpart = part.relabeled(sigma, rw)
-                assert boundary_weight(part, w) == boundary_weight(rpart, rw)
+                rpart = part.relabeled(sigma, rsig)
+                assert boundary_weight(part, sig) == boundary_weight(rpart, rsig)
             # the blow-up boundary set maps onto the relabeled one
-            img = {p.relabeled(sigma, rw).sort_key() for p in enumerate_p_hat(sig)}
+            img = {p.relabeled(sigma, rsig).sort_key() for p in enumerate_p_hat(sig)}
             assert img == {p.sort_key() for p in enumerate_p_hat(rsig)}
             # exceptional coefficients follow the relabeling
             exc = exceptional_divisor(sig)
             rexc = exceptional_divisor(rsig)
             for part, c in exc.terms.items():
-                assert rexc.terms[part.relabeled(sigma, rw)] == c
+                assert rexc.terms[part.relabeled(sigma, rsig)] == c

@@ -12,6 +12,7 @@ paths between components) with ``Fraction`` weights.
 import itertools
 
 import pytest
+from fraction_weights import mu, oracle_orient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +156,7 @@ def oracle_enumerate(n, max_edges):
     return levels
 
 
-def oracle_principal_subcurves(tree, w):
+def oracle_principal_subcurves(tree, sig):
     """Union-find over zero-weight edges, then a ``Fraction`` test per leaving edge."""
     parent = list(range(tree.num_vertices))
 
@@ -165,10 +166,10 @@ def oracle_principal_subcurves(tree, w):
         return x
 
     def lighter_beyond(inner, outer):
-        return w.total(oracle_far_marks(tree, inner, outer)) < 1
+        return mu(sig, oracle_far_marks(tree, inner, outer)) < 1
 
     for u, v in tree.edges:
-        if w.total(oracle_far_marks(tree, u, v)) == 1:
+        if mu(sig, oracle_far_marks(tree, u, v)) == 1:
             parent[find(u)] = find(v)
     groups = {}
     for j in range(tree.num_vertices):
@@ -183,14 +184,14 @@ def oracle_principal_subcurves(tree, w):
     return principal, frozenset(rest)
 
 
-def oracle_exponent_vector(tree, j, w):
+def oracle_exponent_vector(tree, j, sig):
     """``d * mu_S`` from :func:`boundary_weight` at each node whose light side
     (``I0`` of :class:`TwoBlockPartition`) holds vertex ``j``."""
     out = {}
     adj = oracle_adj(tree)
     for u, v in tree.edges:
-        part = TwoBlockPartition.from_blocks(
-            oracle_far_marks(tree, v, u), oracle_far_marks(tree, u, v), w
+        part = TwoBlockPartition(
+            *oracle_orient(oracle_far_marks(tree, v, u), oracle_far_marks(tree, u, v), sig)
         )
         light_end = u if oracle_far_marks(tree, v, u) == part.i0 else v
         # vertices on the light end's side of the edge
@@ -201,7 +202,7 @@ def oracle_exponent_vector(tree, j, w):
                 if {cur, nxt} != {u, v} and nxt not in reached:
                     reached.add(nxt)
                     stack.append(nxt)
-        val = w.d * boundary_weight(part, w)
+        val = sig.d * boundary_weight(part, sig)
         assert val.denominator == 1
         out[(u, v)] = int(val) if j in reached else 0
     return tuple(sorted(out.items()))
@@ -339,17 +340,16 @@ TIE_SIGNATURES = [
 ]
 
 
-def assert_matches_oracle(tree, w):
-    assert principal_subcurves(tree, w) == oracle_principal_subcurves(tree, w)
+def assert_matches_oracle(tree, sig):
+    assert principal_subcurves(tree, sig) == oracle_principal_subcurves(tree, sig)
     for j in range(tree.num_vertices):
-        assert exponent_vector(tree, j, w).entries == oracle_exponent_vector(tree, j, w)
+        assert exponent_vector(tree, j, sig).entries == oracle_exponent_vector(tree, j, sig)
 
 
 @pytest.mark.parametrize("sig", TIE_SIGNATURES, ids=lambda s: f"d{s.d}n{s.n}")
 def test_principal_and_exponents_match_oracle(sig):
-    w = sig.weights()
     for tree in enumerate_stable_trees(sig, min(3, sig.n - 3)):
-        assert_matches_oracle(tree, w)
+        assert_matches_oracle(tree, sig)
 
 
 @st.composite
@@ -369,10 +369,10 @@ def signed_trees(draw):
 @given(signed_trees())
 def test_principal_and_exponents_match_oracle_in_any_numbering(case):
     sig, tree = case
-    assert_matches_oracle(tree, sig.weights())
+    assert_matches_oracle(tree, sig)
 
 
 def test_exponent_vector_rejects_missing_vertex():
     tree = StableTree((frozenset({1, 2, 3}), frozenset({4, 5, 6})), ((0, 1),))
     with pytest.raises(StrataError):
-        exponent_vector(tree, 2, TIE_SIGNATURES[1].weights())
+        exponent_vector(tree, 2, TIE_SIGNATURES[1])
