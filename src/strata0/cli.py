@@ -10,7 +10,10 @@ first.  Identical invocations produce byte-identical output.
 Tree and chart specs share a mini-format: the first token lists the vertex
 marking groups joined by ``;`` (``1,2;3,4;5,6``; an empty group is allowed),
 the following tokens are edges ``j-k`` between 0-based vertex indices, and a
-chart may pin node parameters with ``t[j-k]=p/q``.  Example:
+chart may pin node parameters with ``t[j-k]=p/q``.  A marking list, in a
+vertex group or in a ``D{...}`` factor of ``intersect``, takes digits only
+and rejects an empty entry or a repeated marking, naming its position.
+Example:
 
     strata0 principal --d 2 --kappa=2,-1,-1,-1,-1,-1,-1 --tree "1;2,3,4;5,6,7 0-1 0-2"
     strata0 verify-family --d 2 --kappa=1,1,-1,-1,-1,-1,-1,-1 \\
@@ -87,6 +90,37 @@ _EDGE_RE = re.compile(r"^(\d+)-(\d+)$")
 _PARAM_RE = re.compile(r"^t\[(\d+)-(\d+)\]=(-?\d+)(?:/(-?\d+))?$")
 
 
+def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
+    """Split on ``sep`` outside braces, with the offset of each piece (the
+    sides of ``D{...}`` keep their commas)."""
+    out = []
+    depth = 0
+    start = 0
+    for idx, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            out.append((start, text[start:idx]))
+            start = idx + 1
+    out.append((start, text[start:]))
+    return out
+
+
+def _marking_list(text: str, pos: int) -> frozenset[int]:
+    """The markings of a comma-separated list found at offset ``pos``: digits
+    only, with no empty entry and no repeat."""
+    marks: set[int] = set()
+    for mpos, m in _split_with_positions(text, ","):
+        if not re.fullmatch(r"\d+", m):
+            raise SpecParseError(f"bad marking {m!r}", pos + mpos)
+        if int(m) in marks:
+            raise SpecParseError(f"marking {int(m)} repeated in one group", pos + mpos)
+        marks.add(int(m))
+    return frozenset(marks)
+
+
 def parse_kappa(text: str) -> list[int]:
     out = []
     for pos, piece in _split_with_positions(text, ","):
@@ -94,15 +128,6 @@ def parse_kappa(text: str) -> list[int]:
         if not re.fullmatch(r"-?\d+", piece):
             raise SpecParseError(f"bad integer {piece!r} in kappa", pos)
         out.append(int(piece))
-    return out
-
-
-def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
-    out = []
-    start = 0
-    for piece in text.split(sep):
-        out.append((start, piece))
-        start += len(piece) + len(sep)
     return out
 
 
@@ -114,22 +139,12 @@ def parse_tree_spec(
     if not tokens:
         raise SpecParseError("empty tree spec", 0)
     gpos, gtok = tokens[0]
-    groups: list[frozenset[int]] = []
-    for pos, piece in _split_with_positions(gtok, ";"):
-        piece = piece.strip()
-        if not piece:
-            groups.append(frozenset())
-            continue
-        marks = set()
-        for mpos, m in _split_with_positions(piece, ","):
-            if not re.fullmatch(r"\d+", m):
-                raise SpecParseError(f"bad marking {m!r}", gpos + pos + mpos)
-            if int(m) in marks:
-                raise SpecParseError(f"marking {int(m)} repeated in one group", gpos + pos + mpos)
-            marks.add(int(m))
-        groups.append(frozenset(marks))
+    groups = tuple(
+        _marking_list(piece, gpos + pos) if piece else frozenset()
+        for pos, piece in _split_with_positions(gtok, ";")
+    )
     edges: list[tuple[int, int]] = []
-    params: dict[tuple[int, int], Fraction] = {}
+    params: dict[tuple[int, int], tuple[int, Fraction]] = {}  # key -> (position, value)
     nv = len(groups)
     for pos, tok in tokens[1:]:
         em = _EDGE_RE.match(tok)
@@ -144,60 +159,43 @@ def parse_tree_spec(
             key = (u, v) if u < v else (v, u)
             if key in params:
                 raise SpecParseError(f"node parameter t[{key[0]}-{key[1]}] given twice", pos)
-            params[key] = Fraction(int(pm.group(3)), den)
+            params[key] = (pos, Fraction(int(pm.group(3)), den))
             continue
         else:
             raise SpecParseError(f"expected 'j-k' or 't[j-k]=p/q', got {tok!r}", pos)
         if u == v or not (0 <= u < nv and 0 <= v < nv):
             raise SpecParseError(f"edge {tok!r} references a missing vertex", pos)
         edges.append((u, v) if u < v else (v, u))
-    for (u, v) in params:
+    for (u, v), (pos, _) in params.items():
         if (u, v) not in edges:
-            raise SpecParseError(f"parameter for non-edge {u}-{v}", 0)
-    return tuple(groups), edges, params
+            raise SpecParseError(f"parameter for non-edge {u}-{v}", pos)
+    return groups, edges, {key: t for key, (_, t) in params.items()}
 
 
-_FACTOR_RE = re.compile(r"^(psi_(\d+)|D\{([\d,]+)\}|Dmu|Dmu_psi)$")
-
-
-def _split_factor_list(text: str) -> list[tuple[int, str]]:
-    """Split on commas outside braces (sides of ``D{...}`` keep their commas)."""
-    out = []
-    depth = 0
-    start = 0
-    for idx, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            out.append((start, text[start:idx]))
-            start = idx + 1
-    out.append((start, text[start:]))
-    return out
+_FACTOR_RE = re.compile(r"\s*(psi_(\d+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")
 
 
 def parse_factors(text: str, sig: Signature) -> list[DivisorExpression]:
     """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``, ``Dmu_psi``."""
     out = []
     forms: dict[str, DivisorExpression] = {}  # each form of D_mu is built at most once
-    for pos, piece in _split_factor_list(text):
-        piece = piece.strip()
-        m = _FACTOR_RE.match(piece)
+    for pos, piece in _split_with_positions(text, ","):
+        m = _FACTOR_RE.fullmatch(piece)
         if not m:
-            raise SpecParseError(f"bad factor {piece!r}", pos)
+            raise SpecParseError(f"bad factor {piece.strip()!r}", pos)
+        name = m.group(1)
         if m.group(2):
             i = int(m.group(2))
             if not 1 <= i <= sig.n:
                 raise SpecParseError(f"psi index {i} out of range", pos)
             out.append(DivisorExpression({Psi(i): Fraction(1)}))
-        elif m.group(3):
-            side = {int(x) for x in m.group(3).split(",") if x}
+        elif m.group(3) is not None:
+            side = _marking_list(m.group(3), pos + m.start(3))
             out.append(DivisorExpression({Boundary.of(sig.n, side): Fraction(1)}))
         else:
-            if piece not in forms:
-                forms[piece] = (d_mu_boundary_form if piece == "Dmu" else d_mu_psi_form)(sig)
-            out.append(forms[piece])
+            if name not in forms:
+                forms[name] = (d_mu_boundary_form if name == "Dmu" else d_mu_psi_form)(sig)
+            out.append(forms[name])
     return out
 
 
@@ -260,15 +258,16 @@ def _fmt_blocks(blocks: list[list[int]]) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# (exit code, payload without the command/d/kappa header, table lines on demand)
+_Answer = tuple[int, dict, Callable[[], list[str]]]
 
-def _cmd_boundary(sig: Signature, args) -> int:
+
+def _cmd_boundary(sig: Signature, args) -> _Answer:
     mus = []
     rows = []
     for part in enumerate_two_block(sig):
         mus.append(boundary_weight(part, sig))
         rows.append({"blocks": _blocks(part), "mu_s": _rat(mus[-1])})
-    payload = {"command": "boundary", "d": sig.d, "kappa": list(sig.kappa), "n": sig.n,
-               "count": len(rows), "partitions": rows}
 
     def table() -> list[str]:
         lines = [f"boundary divisors of the base (n = {sig.n}): {len(rows)}"]
@@ -276,16 +275,13 @@ def _cmd_boundary(sig: Signature, args) -> int:
             lines.append(f"  {_fmt_blocks(row['blocks']):<40} mu_S = {mu}")
         return lines
 
-    _emit(payload, args, table)
-    return EXIT_OK
+    return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": rows}, table
 
 
-def _cmd_phat(sig: Signature, args) -> int:
+def _cmd_phat(sig: Signature, args) -> _Answer:
     rows = []
     for part in enumerate_p_hat(sig):
         rows.append({"blocks": _blocks(part), "r": part.r, "m": m_value(part, sig)})
-    payload = {"command": "phat", "d": sig.d, "kappa": list(sig.kappa), "n": sig.n,
-               "count": len(rows), "partitions": rows}
 
     def table() -> list[str]:
         lines = [f"boundary divisors of the blow-up: {len(rows)}"]
@@ -293,22 +289,18 @@ def _cmd_phat(sig: Signature, args) -> int:
             lines.append(f"  r={row['r']}  {_fmt_blocks(row['blocks']):<40} m = {row['m']}")
         return lines
 
-    _emit(payload, args, table)
-    return EXIT_OK
+    return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": rows}, table
 
 
-def _cmd_exceptional(sig: Signature, args) -> int:
+def _cmd_exceptional(sig: Signature, args) -> _Answer:
     exc = exceptional_divisor(sig)
     rows = []
-    for part in sorted(exc.terms, key=MultiBlockPartition.sort_key):
-        coeff = exc.terms[part]
+    for part, coeff in exc.terms.items():
         orders = None
         if part.r >= 2:
             od = vanishing_orders(part, sig)
             orders = [od[j] for j in range(1, part.r + 1)]
         rows.append({"blocks": _blocks(part), "coefficient": coeff, "orders": orders})
-    payload = {"command": "exceptional", "d": sig.d, "kappa": list(sig.kappa),
-               "n": sig.n, "trivial": exc.is_zero(), "terms": rows}
 
     def table() -> list[str]:
         lines = [f"exceptional Weil divisor ({'zero' if exc.is_zero() else 'nonzero'}):"]
@@ -317,11 +309,10 @@ def _cmd_exceptional(sig: Signature, args) -> int:
             lines.append(f"  {_fmt_blocks(row['blocks']):<40} coeff = {row['coefficient']}{extra}")
         return lines
 
-    _emit(payload, args, table)
-    return EXIT_OK
+    return EXIT_OK, {"n": sig.n, "trivial": exc.is_zero(), "terms": rows}, table
 
 
-def _cmd_principal(sig: Signature, args) -> int:
+def _cmd_principal(sig: Signature, args) -> _Answer:
     groups, edges, params = parse_tree_spec(args.tree)
     if params:
         raise SpecParseError("node parameters belong to charts, not trees", 0)
@@ -331,10 +322,7 @@ def _cmd_principal(sig: Signature, args) -> int:
     principal, rest = principal_subcurves(tree, sig)
     betas = [exponent_vector(tree, j, sig) for j in range(tree.num_vertices)]
     gens = sorted(g.entries for g in ideal_generators(tree, sig))
-    payload = {
-        "command": "principal",
-        "d": sig.d,
-        "kappa": list(sig.kappa),
+    body = {
         "tree": {"vertices": [sorted(m) for m in groups], "edges": [list(e) for e in tree.edges]},
         "principal_subcurves": [sorted(g) for g in principal],
         "non_principal_vertices": sorted(rest),
@@ -347,21 +335,19 @@ def _cmd_principal(sig: Signature, args) -> int:
     lines = [
         f"principal subcurves: {[sorted(g) for g in principal]}",
         f"non-principal vertices: {sorted(rest)}",
-        f"in ideal support: {payload['in_ideal_support']}",
-        f"fiber projective dimension: {payload['fiber_projective_dim']}",
+        f"in ideal support: {body['in_ideal_support']}",
+        f"fiber projective dimension: {body['fiber_projective_dim']}",
     ]
     for j, b in enumerate(betas):
         lines.append(f"  beta_{j} = {dict(b.entries)}")
-    _emit(payload, args, lambda: lines)
-    return EXIT_OK
+    return EXIT_OK, body, lambda: lines
 
 
-def _cmd_divisor(sig: Signature, args) -> int:
+def _cmd_divisor(sig: Signature, args) -> _Answer:
     bf = _expression_terms(d_mu_boundary_form(sig), sig)
     pf = _expression_terms(d_mu_psi_form(sig), sig)
-    payload = {"command": "divisor", "d": sig.d, "kappa": list(sig.kappa),
-               "boundary_form": [{**sym, "coefficient": _rat(c)} for sym, c in bf],
-               "psi_form": [{**sym, "coefficient": _rat(c)} for sym, c in pf]}
+    body = {"boundary_form": [{**sym, "coefficient": _rat(c)} for sym, c in bf],
+            "psi_form": [{**sym, "coefficient": _rat(c)} for sym, c in pf]}
 
     def table() -> list[str]:
         lines = []
@@ -372,31 +358,27 @@ def _cmd_divisor(sig: Signature, args) -> int:
                 lines.append(f"  {name:<40} {c}")
         return lines
 
-    _emit(payload, args, table)
-    return EXIT_OK
+    return EXIT_OK, body, table
 
 
-def _cmd_intersect(sig: Signature, args) -> int:
+def _cmd_intersect(sig: Signature, args) -> _Answer:
     factors = parse_factors(args.factors, sig)
     value = product_number(sig.n, factors)
-    payload = {"command": "intersect", "d": sig.d, "kappa": list(sig.kappa),
-               "factors": args.factors, "value": _rat(value)}
-    _emit(payload, args, lambda: [f"product = {value}"])
-    return EXIT_OK
+    body = {"factors": args.factors, "value": _rat(value)}
+    return EXIT_OK, body, lambda: [f"product = {value}"]
 
 
-def _cmd_volume(sig: Signature, args) -> int:
+def _cmd_volume(sig: Signature, args) -> _Answer:
     if args.max_codim is not None:
+        if args.max_codim < 0:
+            raise StrataError("--max-codim must be >= 0")
         depth = min(args.max_codim, sig.n - 3)
         tree_ok = all(not in_ideal_support(t, sig) for t in enumerate_stable_trees(sig, depth))
         # a tree in the ideal support refutes triviality at any depth
         if (not tree_ok or depth == sig.n - 3) and tree_ok != blowup_is_trivial(sig):
             raise StrataError("triviality criteria disagree; please report")
     res = volume(sig)
-    payload = {
-        "command": "volume",
-        "d": sig.d,
-        "kappa": list(sig.kappa),
+    body = {
         "coefficient": _rat(res.coefficient),
         "pi_power": res.pi_power,
         "intersection_number": _rat(res.intersection_number),
@@ -410,11 +392,12 @@ def _cmd_volume(sig: Signature, args) -> int:
         f"volume = {res.coefficient} * pi^{res.pi_power}",
         f"       = {res.signed_decimal()}  (|.| = {res.abs_decimal()})",
     ] + [f"note: {wng}" for wng in res.warnings]
-    _emit(payload, args, lambda: lines)
-    return EXIT_OK
+    return EXIT_OK, body, lambda: lines
 
 
-def _cmd_verify_family(sig: Signature, args) -> int:
+def _cmd_verify_family(sig: Signature, args) -> _Answer:
+    if args.samples < 1:
+        raise StrataError("--samples must be >= 1")
     groups, edges, params = parse_tree_spec(args.chart)
     tree = StableTree(groups, tuple(edges))
     if tree.n != sig.n:
@@ -444,10 +427,7 @@ def _cmd_verify_family(sig: Signature, args) -> int:
             continue
         pairs.append({"j": u, "k": v, "ok": ok})
         all_ok = all_ok and ok
-    payload = {
-        "command": "verify-family",
-        "d": sig.d,
-        "kappa": list(sig.kappa),
+    body = {
         "chart": args.chart,
         "seed": seed,
         "samples": args.samples,
@@ -459,8 +439,7 @@ def _cmd_verify_family(sig: Signature, args) -> int:
     for p in pairs:
         lines.append(f"  sections at vertices {p['j']},{p['k']}: {'ok' if p['ok'] else 'FAILED'}")
     lines.append("family verification " + ("passed" if all_ok else "FAILED"))
-    _emit(payload, args, lambda: lines)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return (EXIT_OK if all_ok else EXIT_VERIFY_FAILED), body, lambda: lines
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +526,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         sig = validate_signature(args.d, parse_kappa(args.kappa))
-        if getattr(args, "samples", 1) < 1:
-            raise StrataError("--samples must be >= 1")
-        if getattr(args, "max_codim", None) is not None and args.max_codim < 0:
-            raise StrataError("--max-codim must be >= 0")
-        return args.func(sig, args)
+        code, body, table = args.func(sig, args)
+        _emit({"command": args.command, "d": sig.d, "kappa": list(sig.kappa), **body}, args, table)
+        return code
     except ExceptionalDivisorNontrivial as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXCEPTIONAL

@@ -51,7 +51,6 @@ from strata0.strata import (
     Signature,
     _kappa_sums,
     _oriented_splits,
-    enumerate_p_hat,
     exceptional_divisor,
 )
 
@@ -119,11 +118,31 @@ def blowup_is_trivial(sig: Signature) -> bool:
     """True when the blow-up changes nothing: the boundary index set has no
     multi-block element, so the exceptional Weil coefficients all vanish.
 
-    Equivalently every stable tree, in every codimension, has a unique
-    principal subcurve; the tests keep that stratum-by-stratum criterion as
-    the oracle.
+    Decided from ``kappa`` alone: with ``neg`` the sum of the negative
+    entries, the signature is E-nontrivial iff some subset of the negative
+    entries has a sum ``s`` with ``neg + d < s < -d``, i.e. iff the negative
+    entries split into two groups each with sum ``< -d``.
+
+    * A multi-block element ``{I0, I1, .., Ir}`` (``r >= 2``) has two
+      disjoint heavy blocks ``I1``, ``I2`` (``k < -d``).  Dropping the
+      entries ``>= 0`` from a block keeps it heavy, so the negative entries
+      of ``I1`` sum to some ``s < -d``, and the other negative entries, which
+      include those of ``I2``, sum to ``neg - s < -d``.
+    * Conversely, if the negative entries split into ``B`` and ``C`` with
+      ``k_B, k_C < -d``, the rest ``A`` has ``k_A = -2d - k_B - k_C > 0 > -d``
+      (so ``A`` is nonempty), and ``{A, B, C}`` is in the boundary index set.
+
+    Every negative entry lies in ``[1-d, -1]``, so the subset sums take at
+    most ``n(d-1)+1`` values.  The tests keep the scan of
+    :func:`~strata0.strata.enumerate_p_hat` and the stratum-by-stratum
+    criterion (every stable tree has a unique principal subcurve) as oracles.
     """
-    return all(p.r == 1 for p in enumerate_p_hat(sig))
+    neg = [k for k in sig.kappa if k < 0]
+    total = sum(neg)
+    sums = {0}
+    for k in neg:
+        sums |= {s + k for s in sums}
+    return not any(total + sig.d < s < -sig.d for s in sums)
 
 
 @dataclass
@@ -198,10 +217,8 @@ def volume(sig: Signature) -> VolumeResult:
     otherwise (see the module docstring).
     """
     n = sig.n
-    exc = exceptional_divisor(sig)
-    nonzero = exc.nonzero()
-    if nonzero:
-        raise ExceptionalDivisorNontrivial(nonzero)
+    if not blowup_is_trivial(sig):
+        raise ExceptionalDivisorNontrivial(exceptional_divisor(sig).nonzero())
     warnings = []
     divisible = [i for i, k in enumerate(sig.kappa, start=1) if k % sig.d == 0]
     if divisible:

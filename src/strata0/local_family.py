@@ -206,7 +206,6 @@ def build_chart(
         used: set[Fraction] = set()
         ncoords: dict[int, Fraction] = {}
         mcoords: dict[int, Coord] = {}
-        slots: list[Coord] = []
         if pin:
             node_pins = [Fraction(0), Fraction(1)][: len(nbrs)]
             for w, val in zip(nbrs, node_pins):

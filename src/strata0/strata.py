@@ -767,7 +767,8 @@ class WeilDivisorData:
 def exceptional_divisor(sig: Signature) -> WeilDivisorData:
     """Weil coefficients ``(|S| - 2) * m(S)`` of the exceptional divisor.
 
-    Two-block partitions get coefficient 0 with no ``m(S)`` computed.
+    The terms come in :func:`enumerate_p_hat` order.  Two-block partitions
+    get coefficient 0 with no ``m(S)`` computed.
     """
     return WeilDivisorData(
         {p: (p.size - 2) * m_value(p, sig) if p.r >= 2 else 0 for p in enumerate_p_hat(sig)}

@@ -1,8 +1,12 @@
 """The command-line surface: exit codes, JSON stability, spec parsing."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strata0.cli import SpecParseError, main, parse_kappa, parse_tree_spec
 
@@ -127,6 +131,28 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "error: marking 1 repeated in one group (at position 2)" in err
 
+    @pytest.mark.parametrize(
+        "factors,message",
+        [("D{1,2,2}", "marking 2 repeated in one group (at position 6)"),
+         ("D{1,,2}", "bad marking '' (at position 4)"),
+         ("D{,1,2}", "bad marking '' (at position 2)"),
+         ("D{1,2,}", "bad marking '' (at position 6)")],
+    )
+    def test_bad_factor_side_is_2(self, capsys, factors, message):
+        code, out, err = run(
+            capsys, "intersect", "--d", "2", "--kappa=-1,-1,-1,-1", "--factors", factors
+        )
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
+
+    def test_parameter_for_non_edge_names_its_position(self, capsys):
+        code, out, err = run(
+            capsys, "verify-family", "--d", "2", "--kappa=-1,-1,-1,-1",
+            "--chart", "1,2;3,4 0-1 t[0-2]=1",
+        )
+        assert code == 2 and out == ""
+        assert "error: parameter for non-edge 0-2 (at position 12)" in err
+
     def test_node_parameter_given_twice_is_2(self, capsys):
         code, out, err = run(
             capsys, "verify-family", "--d", "2", "--kappa=-1,-1,-1,-1",
@@ -245,3 +271,90 @@ class TestJson:
             "--max-codim", "3", "--json",
         )
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the spec parsers
+# ---------------------------------------------------------------------------
+
+_SPEC_CHARS = "0123456789,;{}-=t[]/ Dmups_"
+_KAPPA_BY_N = {4: "-1,-1,-1,-1", 5: "-1,-1,-1,-1,0", 6: "-1,-1,-1,-1,-1,1"}
+_junk = st.text(_SPEC_CHARS, max_size=12)
+# a marking list with entries out of range, repeated or empty
+_marks = st.lists(st.one_of(st.integers(0, 7).map(str), st.just(""), _junk), max_size=4).map(",".join)
+
+
+@st.composite
+def _tree_spec(draw, n):
+    edge = st.tuples(st.integers(0, 4), st.integers(0, 4)).map("{0[0]}-{0[1]}".format)
+    param = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3), st.integers(-1, 3))
+    param = param.map("t[{0[0]}-{0[1]}]={0[2]}/{0[3]}".format)
+    if draw(st.booleans()):
+        # markings 1..n cut into groups, joined by a random tree on them
+        perm = [str(i) for i in draw(st.permutations(range(1, n + 1)))]
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+        groups = [",".join(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        tokens = [f"{draw(st.integers(0, v - 1))}-{v}" for v in range(1, len(groups))]
+    else:
+        groups = draw(st.lists(_marks, min_size=1, max_size=4))
+        tokens = []
+    tokens += draw(st.lists(st.one_of(edge, param, _junk), max_size=3))
+    return " ".join([";".join(groups)] + tokens)
+
+
+@st.composite
+def _kappa(draw, top):
+    """A signature with at most ``top`` entries, valid or one entry off."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(2 * d // (d - 1), top))
+    kappa = [1 - d] * n
+    spare = n * (d - 1) - 2 * d  # raise entries from 1 - d until they sum to -2d
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=spare, max_size=spare)):
+        kappa[i] += 1
+    kappa[0] += draw(st.sampled_from([0, 0, -1, 1]))
+    return d, kappa
+
+
+@st.composite
+def _fuzz_argv(draw):
+    n = draw(st.integers(4, 6))
+    kappa = _KAPPA_BY_N[n]
+    kind = draw(st.sampled_from(["kappa", "tree", "chart", "factors"]))
+    if kind == "kappa":
+        cmd = draw(st.sampled_from(["boundary", "phat", "exceptional", "divisor", "volume"]))
+        top = 6 if cmd == "volume" else 8  # keeps the fold small
+        if draw(st.booleans()):
+            d, entries = draw(_kappa(top))
+            entries = [str(k) for k in entries]
+        else:
+            d = draw(st.integers(1, 3))
+            entries = draw(st.lists(st.one_of(st.integers(-3, 4).map(str), _junk), max_size=top))
+        return [cmd, "--d", str(d), "--kappa=" + ",".join(entries)]
+    if kind == "factors":
+        side = st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)
+        factor = st.one_of(
+            st.integers(0, 7).map("psi_{}".format),
+            side.map(lambda s: "D{" + ",".join(map(str, s)) + "}"),
+            _marks.map("D{{{}}}".format),
+            st.sampled_from(["Dmu", "Dmu_psi"]),
+            _junk,
+        )
+        factors = st.lists(factor, min_size=n - 3, max_size=n - 3)
+        text = draw(st.one_of(factors.map(",".join), st.lists(factor, max_size=4).map(",".join), _junk))
+        return ["intersect", "--d", "2", f"--kappa={kappa}", f"--factors={text}"]
+    text = draw(st.one_of(_tree_spec(n), _junk))
+    if kind == "tree":
+        return ["principal", "--d", "2", f"--kappa={kappa}", f"--tree={text}"]
+    return ["verify-family", "--d", "2", f"--kappa={kappa}", f"--chart={text}", "--samples", "1"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_fuzz_argv())
+def test_fuzzed_specs_end_in_a_known_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code)

@@ -18,6 +18,7 @@ from strata0.divisors import (
 from strata0.intersection import Boundary, DivisorExpression, Psi, keel_relation, product_number
 from strata0.strata import (
     boundary_weight,
+    enumerate_p_hat,
     enumerate_stable_trees,
     enumerate_two_block,
     in_ideal_support,
@@ -131,7 +132,25 @@ def trivial_on_every_stratum(sig):
     return not any(in_ideal_support(t, sig) for t in enumerate_stable_trees(sig, sig.n - 3))
 
 
+def p_hat_is_trivial(sig):
+    """Oracle: the boundary index set has no multi-block element."""
+    return all(p.r == 1 for p in enumerate_p_hat(sig))
+
+
 class TestTriviality:
+    def test_kappa_criterion_matches_p_hat_scan(self):
+        # every signature with n = 4..8 and d = 2..5, up to relabeling
+        count = 0
+        for n in range(4, 9):
+            for d in range(2, 6):
+                top = -2 * d - (n - 1) * (1 - d)
+                for kappa in itertools.combinations_with_replacement(range(1 - d, top + 1), n):
+                    if sum(kappa) == -2 * d:
+                        sig = validate_signature(d, kappa)
+                        assert blowup_is_trivial(sig) is p_hat_is_trivial(sig), (d, kappa)
+                        count += 1
+        assert count == 1427
+
     @pytest.mark.parametrize(
         "sig,expected",
         [(SIG_POLE6, True), (SIG_STAR7, False), (SIG_QUAD4, True), (SIG_CUBIC6, True)],

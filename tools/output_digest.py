@@ -9,9 +9,13 @@ contents of the ``--out`` file.  An uncaught exception is recorded as its
 type and message, so a traceback changes the digest too.
 
 Output is byte-identical across two commits iff the count and digest agree.
-Run it in a checkout of each and compare the lines it prints:
+``--rev COMMIT`` compares this checkout with a commit in one command: it
+exports that commit's ``src/`` with ``git archive`` into a temporary
+directory, digests it and this checkout's ``src/`` in two child processes
+against this checkout's ``bench/`` queries, prints both results and
+``identical`` or ``DIFFERENT``, and exits 1 when they differ:
 
-    python tools/output_digest.py --seeds 1 2 3
+    python tools/output_digest.py --seeds 1 2 3 --rev HEAD~1
 """
 
 from __future__ import annotations
@@ -22,22 +26,19 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-
-import queries  # noqa: E402
-import strata0.cli  # noqa: E402
 
 
-def run(argv: list[str]) -> tuple[object, str, str]:
+def run(main, argv: list[str]) -> tuple[object, str, str]:
     """Exit code (or the uncaught exception), stdout and stderr of one call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code: object = strata0.cli.main(argv)
+            code: object = main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
@@ -45,7 +46,14 @@ def run(argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(seeds: list[int]) -> tuple[int, str]:
+def digest(seeds: list[int], src: str) -> tuple[int, str]:
+    """Run count and sha256 of the package under ``src`` on the queries."""
+    sys.path[:0] = [src, os.path.join(ROOT, "bench")]
+    import queries
+    import strata0.cli
+
+    if not strata0.cli.__file__.startswith(os.path.abspath(src) + os.sep):
+        sys.exit(f"strata0 was imported from {strata0.cli.__file__}, not from {src}")
     answers = queries.load_answers()
     h = hashlib.sha256()
     count = 0
@@ -59,7 +67,7 @@ def digest(seeds: list[int]) -> tuple[int, str]:
                     for shown, actual in ((argv, argv), (table[:-1] + ["OUT"], table)):
                         if os.path.exists(path):
                             os.remove(path)
-                        code, out, err = run(actual)
+                        code, out, err = run(strata0.cli.main, actual)
                         written = None
                         if os.path.exists(path):
                             with open(path) as fh:
@@ -70,11 +78,46 @@ def digest(seeds: list[int]) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def compare(seeds: list[int], rev: str) -> bool:
+    """Digest ``rev``'s ``src/`` and this checkout's, each in a child
+    process; print both and the verdict, and return whether they agree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+            capture_output=True, check=True,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = ((rev, os.path.join(tmp, "src")), ("checkout", os.path.join(ROOT, "src")))
+        children = [
+            subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--src", src,
+                 "--seeds", *map(str, seeds)],
+                stdout=subprocess.PIPE, text=True,
+            )
+            for _, src in sides
+        ]
+        results = []
+        for (name, _), child in zip(sides, children):
+            out, _ = child.communicate()
+            if child.returncode != 0:
+                sys.exit(f"digest of {name} failed (exit {child.returncode})")
+            results.append(out.split())
+            print(f"{name}: {' '.join(results[-1])}")
+    same = results[0] == results[1]
+    print("identical" if same else "DIFFERENT")
+    return same
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--rev", help="compare this checkout with the src/ of this commit")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="digest the package under this directory (default: src/)")
     args = parser.parse_args()
-    count, hexdigest = digest(args.seeds)
+    if args.rev:
+        sys.exit(0 if compare(args.seeds, args.rev) else 1)
+    count, hexdigest = digest(args.seeds, args.src)
     print(f"runs {count}")
     print(f"sha256 {hexdigest}")
 
