@@ -132,9 +132,10 @@ def parse_kappa(text: str) -> list[int]:
 
 
 def parse_tree_spec(
-    text: str,
+    text: str, chart: bool = True
 ) -> tuple[tuple[frozenset[int], ...], list[tuple[int, int]], dict[tuple[int, int], Fraction]]:
-    """Parse a tree/chart spec into (marking groups, edges, node parameters)."""
+    """Parse a tree/chart spec into (marking groups, edges, node parameters).
+    A tree spec (``chart`` false) rejects its first node parameter."""
     tokens = [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
     if not tokens:
         raise SpecParseError("empty tree spec", 0)
@@ -152,6 +153,8 @@ def parse_tree_spec(
         if em:
             u, v = int(em.group(1)), int(em.group(2))
         elif pm:
+            if not chart:
+                raise SpecParseError("node parameters belong to charts, not trees", pos)
             u, v = int(pm.group(1)), int(pm.group(2))
             den = int(pm.group(4)) if pm.group(4) else 1
             if den == 0:
@@ -172,12 +175,28 @@ def parse_tree_spec(
     return groups, edges, {key: t for key, (_, t) in params.items()}
 
 
+def _read_tree(
+    text: str, sig: Signature, chart: bool
+) -> tuple[StableTree, dict[tuple[int, int], Fraction]]:
+    """The stable tree of a tree/chart spec, checked to carry ``n`` markings,
+    and its node parameters."""
+    groups, edges, params = parse_tree_spec(text, chart)
+    tree = StableTree(groups, tuple(edges))
+    if tree.n != sig.n:
+        what = "chart" if chart else "tree"
+        raise StrataError(f"{what} carries {tree.n} markings but n = {sig.n}")
+    return tree, params
+
+
 _FACTOR_RE = re.compile(r"\s*(psi_(\d+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")
 
 
 def parse_factors(text: str, sig: Signature) -> list[DivisorExpression]:
-    """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``, ``Dmu_psi``."""
-    out = []
+    """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``, ``Dmu_psi``.
+    A blank list is the empty product."""
+    out: list[DivisorExpression] = []
+    if not text.strip():
+        return out
     forms: dict[str, DivisorExpression] = {}  # each form of D_mu is built at most once
     for pos, piece in _split_with_positions(text, ","):
         m = _FACTOR_RE.fullmatch(piece)
@@ -209,9 +228,7 @@ def _rat(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _blocks(part: MultiBlockPartition | strata.TwoBlockPartition) -> list[list[int]]:
-    if isinstance(part, strata.TwoBlockPartition):
-        return [sorted(part.i0), sorted(part.i1)]
+def _blocks(part: MultiBlockPartition) -> list[list[int]]:
     return [sorted(b) for b in part.blocks]
 
 
@@ -313,17 +330,13 @@ def _cmd_exceptional(sig: Signature, args) -> _Answer:
 
 
 def _cmd_principal(sig: Signature, args) -> _Answer:
-    groups, edges, params = parse_tree_spec(args.tree)
-    if params:
-        raise SpecParseError("node parameters belong to charts, not trees", 0)
-    tree = StableTree(groups, tuple(edges))
-    if tree.n != sig.n:
-        raise StrataError(f"tree carries {tree.n} markings but n = {sig.n}")
+    tree, _ = _read_tree(args.tree, sig, chart=False)
     principal, rest = principal_subcurves(tree, sig)
     betas = [exponent_vector(tree, j, sig) for j in range(tree.num_vertices)]
     gens = sorted(g.entries for g in ideal_generators(tree, sig))
     body = {
-        "tree": {"vertices": [sorted(m) for m in groups], "edges": [list(e) for e in tree.edges]},
+        "tree": {"vertices": [sorted(m) for m in tree.vertex_marks],
+                 "edges": [list(e) for e in tree.edges]},
         "principal_subcurves": [sorted(g) for g in principal],
         "non_principal_vertices": sorted(rest),
         "beta": [{"vertex": j, "exponents": [[list(e), p] for e, p in b.entries]}
@@ -398,10 +411,7 @@ def _cmd_volume(sig: Signature, args) -> _Answer:
 def _cmd_verify_family(sig: Signature, args) -> _Answer:
     if args.samples < 1:
         raise StrataError("--samples must be >= 1")
-    groups, edges, params = parse_tree_spec(args.chart)
-    tree = StableTree(groups, tuple(edges))
-    if tree.n != sig.n:
-        raise StrataError(f"chart carries {tree.n} markings but n = {sig.n}")
+    tree, params = _read_tree(args.chart, sig, chart=True)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     chart = build_chart(sig, tree, params or None, seed=seed)
     if any(t == 0 for t in chart.node_params.values()):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from strata0.strata import TwoBlockPartition, _laminar, _marks_mask, _mask_marks
+from strata0.strata import _laminar, _marks_mask, _mask_marks
 
 __all__ = [
     "DegreeOverflow",
@@ -92,10 +92,6 @@ class Boundary:
         if bin(key).count("1") < 2 or bin(full ^ key).count("1") < 2:
             raise ValueError("both sides of a boundary split need >= 2 markings")
         return Boundary(n, key)
-
-    @staticmethod
-    def from_partition(part: TwoBlockPartition) -> "Boundary":
-        return Boundary.of(part.n, part.i0)
 
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         full = (1 << self.n) - 1

@@ -371,8 +371,8 @@ def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     tree = chart.tree
     if not tree.has_edge(j, k):
         raise NoSuchEdge(f"vertices {j} and {k} are not adjacent")
-    part = tree.edge_partition(j, k, chart.sig)
-    if tree.far_marks(k, j) != part.i1:  # j on the light side
+    _, heavy = tree.edge_partition(j, k, chart.sig).blocks
+    if tree.far_marks(k, j) != heavy:  # j on the light side
         return 1 / _adjacent_ratio_constant(chart, k, j)
     d = chart.sig.d
     kappa = chart.sig.kappa
@@ -387,7 +387,7 @@ def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
         if a_j is INF or a_k is INF:
             continue
         ksum += kappa[i - 1]
-        if i in part.i1:
+        if i in heavy:
             base = a_j - b_jk
             if base == 0:
                 raise DenominatorVanishes(f"a_({j},{i}) hits the node coordinate")

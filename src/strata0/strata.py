@@ -34,10 +34,12 @@ This module is the one split core that the other layers share:
   read paths between components off its parents (``StableTree._path``).
 
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
-indices.  A two-block partition ``{I0, I1}`` is always numbered by
-``_is_i0``, so ``mu(I0) <= 1 <= mu(I1)``; when both sides have weight
-exactly 1 the block containing marking 1 is ``I0`` (the choice only affects
-bookkeeping, never a computed invariant).
+indices.  Every boundary index is a :class:`MultiBlockPartition`: a
+two-block partition ``{I0, I1}``, a boundary divisor ``D_S`` of the base, is
+the element of P-hat with ``r = 1``.  It is always numbered by ``_is_i0``,
+so ``mu(I0) <= 1 <= mu(I1)``; when both sides have weight exactly 1 the
+block containing marking 1 is ``I0`` (the choice only affects bookkeeping,
+never a computed invariant).
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "NotInPHat",
     "TwoBlockHasNoOrders",
     "Signature",
-    "TwoBlockPartition",
     "MultiBlockPartition",
     "StableTree",
     "ExponentVector",
@@ -189,43 +190,6 @@ def _is_i0(k_a: int, k_b: int, a_holds_1: bool) -> bool:
 
 
 @dataclass(frozen=True)
-class TwoBlockPartition:
-    """An unordered partition ``{I0, I1}`` of ``{1..n}`` with both sides >= 2.
-
-    Stored in weight order by :func:`_is_i0`: ``mu(I0) <= 1 <= mu(I1)``,
-    ties broken by putting the block containing marking 1 first.
-    """
-
-    i0: frozenset[int]
-    i1: frozenset[int]
-
-    @staticmethod
-    def from_blocks(a: Iterable[int], b: Iterable[int], sig: Signature) -> "TwoBlockPartition":
-        a, b = frozenset(a), frozenset(b)
-        if not a or not b or (a & b) or (a | b) != frozenset(range(1, sig.n + 1)):
-            raise StrataError("blocks must be disjoint, nonempty and cover 1..n")
-        if min(len(a), len(b)) < 2:
-            raise StrataError("both blocks must have at least 2 markings")
-        if _is_i0(_k_sum(sig, a), _k_sum(sig, b), 1 in a):
-            return TwoBlockPartition(a, b)
-        return TwoBlockPartition(b, a)
-
-    @property
-    def n(self) -> int:
-        return len(self.i0) + len(self.i1)
-
-    def sort_key(self) -> tuple:
-        return (tuple(sorted(self.i0)), tuple(sorted(self.i1)))
-
-    def relabeled(self, sigma: Sequence[int], sig: Signature) -> "TwoBlockPartition":
-        """Image partition under a relabeling, renumbered for the signature
-        ``sig`` of the relabeled markings."""
-        return TwoBlockPartition.from_blocks(
-            _relabel_set(self.i0, sigma), _relabel_set(self.i1, sigma), sig
-        )
-
-
-@dataclass(frozen=True)
 class MultiBlockPartition:
     """An ordered partition ``{I0, I1, ..., Ir}`` of ``{1..n}``, ``r >= 1``.
 
@@ -242,8 +206,13 @@ class MultiBlockPartition:
         return MultiBlockPartition((frozenset(i0),) + tuple(hs))
 
     @staticmethod
-    def from_two_block(part: TwoBlockPartition) -> "MultiBlockPartition":
-        return MultiBlockPartition((part.i0, part.i1))
+    def from_split(a: Iterable[int], b: Iterable[int], sig: Signature) -> "MultiBlockPartition":
+        """The two-block partition ``{a, b}``, its sides numbered by :func:`_is_i0`."""
+        a, b = frozenset(a), frozenset(b)
+        _check_blocks((a, b), sig.n)  # before k_B reads a marking outside 1..n
+        if _is_i0(_k_sum(sig, a), _k_sum(sig, b), 1 in a):
+            return MultiBlockPartition((a, b))
+        return MultiBlockPartition((b, a))
 
     @property
     def r(self) -> int:
@@ -258,12 +227,30 @@ class MultiBlockPartition:
         return (self.r, tuple(tuple(sorted(b)) for b in self.blocks))
 
     def relabeled(self, sigma: Sequence[int], sig: Signature) -> "MultiBlockPartition":
+        """Image partition under a relabeling, renumbered for the signature
+        ``sig`` of the relabeled markings."""
         imgs = [_relabel_set(b, sigma) for b in self.blocks]
         if self.r == 1:
-            return MultiBlockPartition.from_two_block(
-                TwoBlockPartition.from_blocks(imgs[0], imgs[1], sig)
-            )
+            return MultiBlockPartition.from_split(*imgs, sig)
         return MultiBlockPartition.from_blocks(imgs[0], imgs[1:])
+
+
+def _check_blocks(blocks: Sequence[frozenset[int]], n: int) -> None:
+    """Raise :class:`NotInPHat` unless ``blocks`` are at least two nonempty,
+    pairwise disjoint sets covering ``1..n``, both of size >= 2 when two."""
+    universe: set[int] = set()
+    for b in blocks:
+        if not b:
+            raise NotInPHat("empty block")
+        if b & universe:
+            raise NotInPHat("blocks overlap")
+        universe |= b
+    if universe != set(range(1, n + 1)):
+        raise NotInPHat("blocks do not cover 1..n")
+    if len(blocks) < 2:
+        raise NotInPHat("need at least two blocks")
+    if len(blocks) == 2 and min(len(blocks[0]), len(blocks[1])) < 2:
+        raise NotInPHat("two-block partitions need both sides >= 2")
 
 
 def _kappa_sums(sig: Signature) -> list[int]:
@@ -302,20 +289,32 @@ def _oriented_splits(n: int, ks: list[int]) -> Iterator[tuple[int, int]]:
             yield (a, b) if _is_i0(ks[a], ks[b], True) else (b, a)
 
 
-def enumerate_two_block(sig: Signature) -> list[TwoBlockPartition]:
-    """All boundary partitions of ``{1..n}``: both blocks of size >= 2.
-
-    There are exactly ``2**(n-1) - n - 1`` of them.
-    """
-    splits = _oriented_splits(sig.n, _kappa_sums(sig))
-    out = [TwoBlockPartition(_mask_marks(a), _mask_marks(b)) for a, b in splits]
-    out.sort(key=TwoBlockPartition.sort_key)
+def _two_block(n: int, ks: list[int], marks: list[frozenset[int]]) -> list[MultiBlockPartition]:
+    """The ``r = 1`` elements of P-hat in :meth:`MultiBlockPartition.sort_key`
+    order, from the :func:`_kappa_sums` table ``ks`` and the table ``marks``
+    of every mask's markings."""
+    out = [MultiBlockPartition((marks[a], marks[b])) for a, b in _oriented_splits(n, ks)]
+    out.sort(key=lambda p: sorted(p.blocks[0]))  # I0 determines the split
     return out
 
 
-def boundary_weight(part: TwoBlockPartition, sig: Signature) -> Fraction:
-    """Weight ``mu_S = 1 - mu(I0) = (d + k_I0) / d`` of a boundary divisor."""
-    k0 = _k_sum(sig, part.i0)
+def enumerate_two_block(sig: Signature) -> list[MultiBlockPartition]:
+    """All boundary partitions of ``{1..n}``: the ``r = 1`` elements of P-hat,
+    both blocks of size >= 2 and numbered by :func:`_is_i0`.
+
+    There are exactly ``2**(n-1) - n - 1`` of them, and they are the first
+    elements of :func:`enumerate_p_hat`, in the same order.
+    """
+    n = sig.n
+    return _two_block(n, _kappa_sums(sig), [_mask_marks(m) for m in range(1 << n)])
+
+
+def boundary_weight(part: MultiBlockPartition, sig: Signature) -> Fraction:
+    """Weight ``mu_S = 1 - mu(I0) = (d + k_I0) / d`` of a boundary divisor,
+    a two-block partition (``r = 1``)."""
+    if part.r != 1:
+        raise StrataError(f"a boundary divisor of the base has 2 blocks, not {part.size}")
+    k0 = _k_sum(sig, part.blocks[0])
     if k0 < -sig.d:
         raise NumberingViolation(f"mu(I0) = {Fraction(-k0, sig.d)} > 1; blocks are misnumbered")
     return Fraction(sig.d + k0, sig.d)
@@ -467,9 +466,9 @@ class StableTree:
             raise NoSuchEdge(f"no edge between vertices {j} and {k}")
         return _mask_marks(self._far(j, k)[0])
 
-    def edge_partition(self, u: int, v: int, sig: Signature) -> TwoBlockPartition:
-        """Two-block partition cut out by the edge ``{u, v}``."""
-        return TwoBlockPartition.from_blocks(self.far_marks(v, u), self.far_marks(u, v), sig)
+    def edge_partition(self, u: int, v: int, sig: Signature) -> MultiBlockPartition:
+        """Two-block partition (``r = 1``) cut out by the edge ``{u, v}``."""
+        return MultiBlockPartition.from_split(self.far_marks(v, u), self.far_marks(u, v), sig)
 
     def canonical_key(self) -> tuple[int, ...]:
         """The sorted split masks (side holding marking 1) of the nodes; they
@@ -686,52 +685,42 @@ def _heavy_partitions(rest: int, ks: list[int], d: int) -> Iterator[list[int]]:
 def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
     """Partitions indexing the boundary divisors of the blow-up.
 
-    All two-block boundary partitions, plus every ``{I0, I1, .., Ir}`` with
-    ``r >= 2``, ``mu(I0) < 1`` and ``mu(Ij) > 1`` for ``j >= 1``.  Blocks are
-    nonempty; ``I0`` comes first, heavy blocks sorted by least element.
+    The ``r = 1`` elements, exactly :func:`enumerate_two_block`, then every
+    ``{I0, I1, .., Ir}`` with ``r >= 2``, ``mu(I0) < 1`` and ``mu(Ij) > 1``
+    for ``j >= 1``.  Blocks are nonempty; ``I0`` comes first, heavy blocks
+    sorted by least element.
     """
     n, d = sig.n, sig.d
     ks = _kappa_sums(sig)
     full = (1 << n) - 1
     marks = [_mask_marks(mask) for mask in range(full + 1)]
-    out = [MultiBlockPartition((marks[a], marks[b])) for a, b in _oriented_splits(n, ks)]
+    multi = []
     for i0 in range(1, full):
         # two heavy blocks need at least 4 markings, since every mu_i < 1
         if ks[i0] <= -d or i0.bit_count() > n - 4:
             continue
         for heavy in _heavy_partitions(full ^ i0, ks, d):
             if len(heavy) >= 2:
-                out.append(MultiBlockPartition(tuple(marks[mask] for mask in [i0] + heavy)))
-    out.sort(key=MultiBlockPartition.sort_key)
-    return out
+                multi.append(MultiBlockPartition(tuple(marks[mask] for mask in [i0] + heavy)))
+    # r sorts first, so the r = 1 elements lead
+    multi.sort(key=MultiBlockPartition.sort_key)
+    return _two_block(n, ks, marks) + multi
 
 
 def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> list[int]:
     """Check membership in the boundary index set; return each block's ``k_B``."""
-    universe: set[int] = set()
-    for b in part.blocks:
-        if not b:
-            raise NotInPHat("empty block")
-        if b & universe:
-            raise NotInPHat("blocks overlap")
-        universe |= b
-    if universe != set(range(1, sig.n + 1)):
-        raise NotInPHat("blocks do not cover 1..n")
+    _check_blocks(part.blocks, sig.n)
     d = sig.d
     ks = [_k_sum(sig, b) for b in part.blocks]
     if part.r == 1:
-        if min(len(part.blocks[0]), len(part.blocks[1])) < 2:
-            raise NotInPHat("two-block partitions need both sides >= 2")
         if ks[0] < -d:
             raise NotInPHat("I0 must be the light block")
-    elif part.r >= 2:
+    else:
         if ks[0] <= -d:
             raise NotInPHat("mu(I0) must be < 1")
         for k in ks[1:]:
             if k >= -d:
                 raise NotInPHat("every heavy block needs mu > 1")
-    else:
-        raise NotInPHat("need at least two blocks")
     return ks
 
 

@@ -81,7 +81,7 @@ def test_01_trivial_blowup_reproduction():
         assert len(parts) == 25 == len(two_block)
         assert all(p.r == 1 for p in parts)
         assert {frozenset(p.blocks) for p in parts} == {
-            frozenset({p.i0, p.i1}) for p in two_block
+            frozenset({p.blocks[0], p.blocks[1]}) for p in two_block
         }
         trees = enumerate_stable_trees(sig, 3)
         assert len(trees) > 25

@@ -161,6 +161,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "error: node parameter t[0-1] given twice (at position 23)" in err
 
+    def test_node_parameter_in_tree_names_its_position(self, capsys):
+        code, out, err = run(
+            capsys, "principal", "--d", "2", "--kappa=-1,-1,-1,-1", "--tree", "1,2;3,4 0-1 t[0-1]=1"
+        )
+        assert code == 2 and out == ""
+        assert "error: node parameters belong to charts, not trees (at position 12)" in err
+
+    def test_blank_factors_above_n3_is_2(self, capsys):
+        for factors in ("", " "):
+            code, out, err = run(
+                capsys, "intersect", "--d", "2", "--kappa=-1,-1,-1,-1", "--factors", factors
+            )
+            assert code == 2 and out == ""
+            assert "error: need exactly n - 3 = 1 factors, got 0" in err
+
     def test_tree_with_cycle_is_2(self, capsys):
         # three edges on four vertices, closing the cycle 0-1-2 and leaving 3 out
         code, _, err = run(
@@ -252,6 +267,14 @@ class TestJson:
         )
         payload = json.loads(out)
         assert payload["value"] == {"num": "3", "den": "1"}
+
+    def test_intersect_empty_product_at_n3(self, capsys):
+        # M_{0,3} is a point: the empty product integrates to 1
+        argv = ("intersect", "--d", "3", "--kappa=-2,-2,-2", "--factors", "")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == {"num": "1", "den": "1"}
+        assert run(capsys, *argv) == (0, "product = 1\n", "")
 
     def test_divisor_payload(self, capsys):
         code, out, _ = run(capsys, "divisor", "--d", "2", "--kappa=-1,-1,-1,-1", "--json")

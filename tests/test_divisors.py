@@ -51,8 +51,9 @@ class TestBoundaryForm:
 
             for part in enumerate_two_block(sig):
                 if boundary_weight(part, sig) == 0:
-                    expect = F(sig.d * (len(part.i0) - 1) * (len(part.i1) - 1), (n - 2) * (n - 1))
-                    assert bf.terms.get(Boundary.from_partition(part), 0) == expect
+                    i0, i1 = part.blocks
+                    expect = F(sig.d * (len(i0) - 1) * (len(i1) - 1), (n - 2) * (n - 1))
+                    assert bf.terms.get(Boundary.of(n, part.blocks[0]), 0) == expect
 
 
 class TestPsiForm:
@@ -99,8 +100,8 @@ def fraction_forms(sig):
     bf, pf = {}, {Psi(i): -half_d * mu(sig, [i]) for i in range(1, n + 1)}
     for part in enumerate_two_block(sig):
         mu_s = boundary_weight(part, sig)
-        sym = Boundary.from_partition(part)
-        bf[sym] = lead * (len(part.i0) - 1) * (len(part.i1) - 1 - (n - 1) * mu_s)
+        sym = Boundary.of(n, part.blocks[0])
+        bf[sym] = lead * (len(part.blocks[0]) - 1) * (len(part.blocks[1]) - 1 - (n - 1) * mu_s)
         pf[sym] = half_d * (1 - mu_s)
     return ({s: c for s, c in bf.items() if c}, {s: c for s, c in pf.items() if c})
 

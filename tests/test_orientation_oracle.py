@@ -2,9 +2,10 @@
 
 Every layer that orients a split ``I0|I1`` asks one rule in ``strata``: the
 side with the larger ``k`` is ``I0`` and, on a tie, the side holding marking
-1.  The oracle is the ``Fraction`` rule ``TwoBlockPartition.from_blocks``
-used before: the lighter block is ``I0`` and, when both weigh 1, the block
-holding marking 1.  Half of the random signatures are drawn with a split of
+1.  The oracle is the ``Fraction`` rule that numbered two-block partitions
+before: the lighter block is ``I0`` and, when both weigh 1, the block
+holding marking 1.  ``MultiBlockPartition.from_split`` is checked with its
+two sides in either order.  Half of the random signatures are drawn with a split of
 ``k_B = -d``, so the tie branch is exercised.
 """
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from strata0.cli import main
 from strata0.strata import (
     StableTree,
-    TwoBlockPartition,
+    MultiBlockPartition,
     _kappa_sums,
     _mask_marks,
     _oriented_splits,
@@ -101,14 +102,14 @@ def divisor_json(sig):
 def test_every_orientation_matches_oracle(case):
     sig, tree = case
     n = sig.n
-    # the oriented split walk, and from_blocks in either order
+    # the oriented split walk, and from_split in either order
     seen = 0
     for a, b in _oriented_splits(n, _kappa_sums(sig)):
         i0, i1 = _mask_marks(a), _mask_marks(b)
         assert (i0, i1) == oracle_orient(i0, i1, sig)
         for x, y in ((i0, i1), (i1, i0)):
-            part = TwoBlockPartition.from_blocks(x, y, sig)
-            assert (part.i0, part.i1) == (i0, i1)
+            part = MultiBlockPartition.from_split(x, y, sig)
+            assert (part.blocks[0], part.blocks[1]) == (i0, i1)
         seen += 1
     assert seen == 2 ** (n - 1) - n - 1
     # edge_partition, and the light side in exponent_vector: beta_j is
@@ -119,7 +120,7 @@ def test_every_orientation_matches_oracle(case):
         i0, i1 = oracle_orient(side_u, side_v, sig)
         for x, y in ((u, v), (v, u)):
             part = tree.edge_partition(x, y, sig)
-            assert (part.i0, part.i1) == (i0, i1)
+            assert (part.blocks[0], part.blocks[1]) == (i0, i1)
         light = vertices_beyond(tree, v, u) if i0 == side_u else vertices_beyond(tree, u, v)
         d_mu_s = sig.d * (1 - mu(sig, i0))
         for j, beta in enumerate(betas):

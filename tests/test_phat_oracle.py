@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from strata0.strata import (
     MultiBlockPartition,
-    TwoBlockPartition,
     enumerate_p_hat,
     enumerate_two_block,
     m_value,
@@ -33,8 +32,8 @@ def oracle_two_block(sig):
         for rest in itertools.combinations(others, size):
             side = frozenset((1,) + rest)
             other = frozenset(range(1, n + 1)) - side
-            out.append(TwoBlockPartition(*oracle_orient(side, other, sig)))
-    out.sort(key=TwoBlockPartition.sort_key)
+            out.append(MultiBlockPartition(oracle_orient(side, other, sig)))
+    out.sort(key=MultiBlockPartition.sort_key)
     return out
 
 
@@ -57,7 +56,7 @@ def oracle_heavy_block_partitions(pool, sig, min_blocks):
 
 
 def oracle_p_hat(sig):
-    out = [MultiBlockPartition.from_two_block(p) for p in oracle_two_block(sig)]
+    out = oracle_two_block(sig)
     n = sig.n
     marks = list(range(1, n + 1))
     for size in range(1, n - 3):

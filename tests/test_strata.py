@@ -20,7 +20,6 @@ from strata0.strata import (
     SumMismatch,
     TooFewMarks,
     TwoBlockHasNoOrders,
-    TwoBlockPartition,
     boundary_weight,
     bundle_rank,
     edge_weight,
@@ -129,26 +128,26 @@ class TestTwoBlock:
         sig = sig2(*k)
         parts = enumerate_two_block(sig)
         assert len(parts) == count == 2 ** (n - 1) - n - 1
-        assert {frozenset({p.i0, p.i1}) for p in parts} == brute_two_block(n)
+        assert {frozenset({p.blocks[0], p.blocks[1]}) for p in parts} == brute_two_block(n)
 
     def test_canonical_numbering(self):
         for part in enumerate_two_block(SIG_POLE6):
-            assert mu(SIG_POLE6, part.i0) <= 1 <= mu(SIG_POLE6, part.i1)
+            assert mu(SIG_POLE6, part.blocks[0]) <= 1 <= mu(SIG_POLE6, part.blocks[1])
 
     def test_tie_rule_block_of_one_first(self):
-        p = TwoBlockPartition.from_blocks({3, 4}, {1, 2}, SIG_QUAD4)
-        assert p.i0 == frozenset({1, 2})
+        p = MultiBlockPartition.from_split({3, 4}, {1, 2}, SIG_QUAD4)
+        assert p.blocks[0] == frozenset({1, 2})
 
     def test_boundary_weight_examples(self):
         for part in enumerate_two_block(SIG_QUAD4):
             assert boundary_weight(part, SIG_QUAD4) == 0
-        p = TwoBlockPartition.from_blocks({5, 6}, {1, 2, 3, 4}, SIG_POLE6)
+        p = MultiBlockPartition.from_split({5, 6}, {1, 2, 3, 4}, SIG_POLE6)
         assert boundary_weight(p, SIG_POLE6) == 1
-        p = TwoBlockPartition.from_blocks({1, 2}, {3, 4, 5, 6}, SIG_CUBIC6)
+        p = MultiBlockPartition.from_split({1, 2}, {3, 4, 5, 6}, SIG_CUBIC6)
         assert boundary_weight(p, SIG_CUBIC6) == F(1, 3)
 
     def test_numbering_violation(self):
-        bad = TwoBlockPartition(frozenset({1, 2, 3, 4}), frozenset({5, 6}))
+        bad = MultiBlockPartition((frozenset({1, 2, 3, 4}), frozenset({5, 6})))
         with pytest.raises(NumberingViolation):
             boundary_weight(bad, SIG_POLE6)
 
@@ -156,6 +155,36 @@ class TestTwoBlock:
         for sig in (SIG_POLE6, SIG_STAR7, SIG_CUBIC6):
             for part in enumerate_two_block(sig):
                 assert (sig.d * boundary_weight(part, sig)).denominator == 1
+
+    def test_boundary_weight_needs_two_blocks(self):
+        part = MultiBlockPartition.from_blocks({1}, [{2, 3, 4}, {5, 6, 7}])
+        with pytest.raises(StrataError, match="2 blocks"):
+            boundary_weight(part, SIG_STAR7)
+
+    def test_from_split_checks_cover_before_weights(self):
+        # a marking 0 must not read kappa[-1]
+        with pytest.raises(NotInPHat, match="cover"):
+            MultiBlockPartition.from_split({0, 1}, {2, 3, 4}, SIG_QUAD4)
+        with pytest.raises(NotInPHat, match="both sides"):
+            MultiBlockPartition.from_split({1}, {2, 3, 4}, SIG_QUAD4)
+
+    def test_p_hat_starts_with_two_block(self):
+        # every signature with n = 4..8 and d = 2..4, up to relabeling: the
+        # r = 1 elements of P-hat are the two-block partitions, equal objects
+        # in the same order, and every later element has r >= 2
+        count = 0
+        for n in range(4, 9):
+            for d in range(2, 5):
+                top = -2 * d - (n - 1) * (1 - d)
+                for kappa in itertools.combinations_with_replacement(range(1 - d, top + 1), n):
+                    if sum(kappa) == -2 * d:
+                        sig = validate_signature(d, kappa)
+                        two = enumerate_two_block(sig)
+                        phat = enumerate_p_hat(sig)
+                        assert phat[: len(two)] == two, (d, kappa)
+                        assert all(p.r >= 2 for p in phat[len(two):]), (d, kappa)
+                        count += 1
+        assert count == 412
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +535,7 @@ class TestMValue:
 
     def test_two_block_is_d_mu(self):
         for part in enumerate_two_block(SIG_POLE6):
-            mb = MultiBlockPartition.from_two_block(part)
-            assert m_value(mb, SIG_POLE6) == SIG_POLE6.d * boundary_weight(part, SIG_POLE6)
+            assert m_value(part, SIG_POLE6) == SIG_POLE6.d * boundary_weight(part, SIG_POLE6)
 
     def test_mixed_factors(self):
         # d=3, block weights mu - 1 = 1/3 and 2/3: m = 9 * (1/3) * (2/3) = 2
@@ -547,14 +575,15 @@ class TestWeightExactlyOne:
         parts = enumerate_two_block(sig)
         balanced = 0
         for part in parts:
-            k0, k1 = k_sum(sig, part.i0), k_sum(sig, part.i1)
+            k0, k1 = k_sum(sig, part.blocks[0]), k_sum(sig, part.blocks[1])
             assert k0 >= k1
             if k0 == k1:
                 balanced += 1
-                assert 1 in part.i0
+                assert 1 in part.blocks[0]
         assert balanced == 6
-        split = {frozenset({p.i0, p.i1}): p for p in parts}
-        assert split[frozenset({frozenset({2, 3}), frozenset({1, 4, 5, 6})})].i0 == {1, 4, 5, 6}
+        split = {frozenset({p.blocks[0], p.blocks[1]}): p for p in parts}
+        part = split[frozenset({frozenset({2, 3}), frozenset({1, 4, 5, 6})})]
+        assert part.blocks[0] == {1, 4, 5, 6}
 
     def test_p_hat_excludes_weight_one_blocks(self):
         d = SIG_FLAT7.d
@@ -668,7 +697,7 @@ class TestVanishingOrders:
             assert lhs == (r - 1) * m_value(part, sig)
 
     def test_two_block_has_no_orders(self):
-        part = MultiBlockPartition.from_two_block(enumerate_two_block(SIG_POLE6)[0])
+        part = enumerate_two_block(SIG_POLE6)[0]
         with pytest.raises(TwoBlockHasNoOrders):
             vanishing_orders(part, SIG_POLE6)
 

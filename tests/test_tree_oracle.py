@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from strata0.strata import (
     StableTree,
     StrataError,
-    TwoBlockPartition,
+    MultiBlockPartition,
     boundary_weight,
     enumerate_stable_trees,
     exponent_vector,
@@ -186,14 +186,14 @@ def oracle_principal_subcurves(tree, sig):
 
 def oracle_exponent_vector(tree, j, sig):
     """``d * mu_S`` from :func:`boundary_weight` at each node whose light side
-    (``I0`` of :class:`TwoBlockPartition`) holds vertex ``j``."""
+    (``I0`` of the ``r = 1`` :class:`MultiBlockPartition`) holds vertex ``j``."""
     out = {}
     adj = oracle_adj(tree)
     for u, v in tree.edges:
-        part = TwoBlockPartition(
-            *oracle_orient(oracle_far_marks(tree, v, u), oracle_far_marks(tree, u, v), sig)
+        part = MultiBlockPartition(
+            oracle_orient(oracle_far_marks(tree, v, u), oracle_far_marks(tree, u, v), sig)
         )
-        light_end = u if oracle_far_marks(tree, v, u) == part.i0 else v
+        light_end = u if oracle_far_marks(tree, v, u) == part.blocks[0] else v
         # vertices on the light end's side of the edge
         reached, stack = {light_end}, [light_end]
         while stack:
