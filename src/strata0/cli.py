@@ -21,6 +21,10 @@ Example:
 
 Exit codes: 0 success, 2 invalid input, 3 when the volume is requested but the
 exceptional divisor is nontrivial, 4 when a family verification fails.
+
+The subcommands are rows of one table, ``_COMMANDS`` (name, handler, help,
+epilog, own options), over the options ``_COMMON`` to all; one loop builds
+the only parser from it at import, and :func:`main` parses every call with it.
 """
 
 from __future__ import annotations
@@ -470,70 +474,50 @@ _FACTOR_HELP = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="strata0",
-        description="Exact boundary combinatorics, intersection numbers and "
-        "volumes for genus-0 strata of d-differentials.",
-        epilog=_TREE_HELP + "  " + _FACTOR_HELP,
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+_COMMON = (
+    ("--d", dict(type=int, required=True, help="level d >= 2")),
+    ("--kappa", dict(required=True, help="comma-separated zero/pole orders summing to -2d")),
+    ("--json", dict(action="store_true", help="emit JSON instead of a table")),
+    ("--out", dict(help="also write the JSON to a file")),
+)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d", type=int, required=True, help="level d >= 2")
-        p.add_argument("--kappa", type=str, required=True,
-                       help="comma-separated zero/pole orders summing to -2d")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-        p.add_argument("--out", type=str, default=None, help="also write the JSON to a file")
+# (name, handler, help, epilog, options after _COMMON)
+_COMMANDS = (
+    ("boundary", _cmd_boundary, "list the boundary partitions with their weights", None, ()),
+    ("phat", _cmd_phat, "list the boundary partitions of the blow-up with m(S)", None, ()),
+    ("exceptional", _cmd_exceptional, "exceptional Weil coefficients and vanishing orders",
+     None, ()),
+    ("principal", _cmd_principal, "principal subcurves and ideal data of one tree", _TREE_HELP,
+     (("--tree", dict(required=True, help="tree spec (see below)")),)),
+    ("divisor", _cmd_divisor, "the distinguished divisor in both representations", None, ()),
+    ("intersect", _cmd_intersect, "top intersection number of n-3 factors", _FACTOR_HELP,
+     (("--factors", dict(required=True,
+                         help="comma-separated factors: psi_i, D{...}, Dmu, Dmu_psi")),)),
+    ("volume", _cmd_volume, "volume of the projectivized stratum", None,
+     (("--max-codim", dict(
+         type=int, help="also cross-check triviality on all trees up to this codimension")),)),
+    ("verify-family", _cmd_verify_family, "verify the local family section identities", _TREE_HELP,
+     (("--chart", dict(required=True, help="chart spec (see below)")),
+      ("--samples", dict(type=int, default=20, help="sample points per identity")),
+      ("--seed", dict(type=int, help="sampling seed (default fixed)")))),
+)
 
-    p = sub.add_parser("boundary", help="list the boundary partitions with their weights")
-    common(p)
-    p.set_defaults(func=_cmd_boundary)
-
-    p = sub.add_parser("phat", help="list the boundary partitions of the blow-up with m(S)")
-    common(p)
-    p.set_defaults(func=_cmd_phat)
-
-    p = sub.add_parser("exceptional", help="exceptional Weil coefficients and vanishing orders")
-    common(p)
-    p.set_defaults(func=_cmd_exceptional)
-
-    p = sub.add_parser("principal", help="principal subcurves and ideal data of one tree",
-                       epilog=_TREE_HELP)
-    common(p)
-    p.add_argument("--tree", type=str, required=True, help="tree spec (see below)")
-    p.set_defaults(func=_cmd_principal)
-
-    p = sub.add_parser("divisor", help="the distinguished divisor in both representations")
-    common(p)
-    p.set_defaults(func=_cmd_divisor)
-
-    p = sub.add_parser("intersect", help="top intersection number of n-3 factors",
-                       epilog=_FACTOR_HELP)
-    common(p)
-    p.add_argument("--factors", type=str, required=True,
-                   help="comma-separated factors: psi_i, D{...}, Dmu, Dmu_psi")
-    p.set_defaults(func=_cmd_intersect)
-
-    p = sub.add_parser("volume", help="volume of the projectivized stratum")
-    common(p)
-    p.add_argument("--max-codim", type=int, default=None,
-                   help="also cross-check triviality on all trees up to this codimension")
-    p.set_defaults(func=_cmd_volume)
-
-    p = sub.add_parser("verify-family", help="verify the local family section identities",
-                       epilog=_TREE_HELP)
-    common(p)
-    p.add_argument("--chart", type=str, required=True, help="chart spec (see below)")
-    p.add_argument("--samples", type=int, default=20, help="sample points per identity")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed (default fixed)")
-    p.set_defaults(func=_cmd_verify_family)
-    return top
+_PARSER = argparse.ArgumentParser(
+    prog="strata0",
+    description="Exact boundary combinatorics, intersection numbers and "
+    "volumes for genus-0 strata of d-differentials.",
+    epilog=_TREE_HELP + "  " + _FACTOR_HELP,
+)
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
+for _name, _handler, _help, _epilog, _extra in _COMMANDS:
+    _sub = _SUBPARSERS.add_parser(_name, help=_help, epilog=_epilog)
+    for _flag, _kwargs in _COMMON + _extra:
+        _sub.add_argument(_flag, **_kwargs)
+    _sub.set_defaults(func=_handler)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         sig = validate_signature(args.d, parse_kappa(args.kappa))
         code, body, table = args.func(sig, args)
@@ -542,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ExceptionalDivisorNontrivial as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXCEPTIONAL
-    except (StrataError, SpecParseError, ValueError) as exc:
+    except ValueError as exc:  # StrataError and SpecParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (PoleHit, DenominatorVanishes) as exc:

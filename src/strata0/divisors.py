@@ -50,8 +50,8 @@ from strata0.intersection import Boundary, DivisorExpression, Psi, product_numbe
 from strata0.strata import (
     Signature,
     _kappa_sums,
+    _leading_exceptional_terms,
     _oriented_splits,
-    exceptional_divisor,
 )
 
 __all__ = [
@@ -66,7 +66,11 @@ __all__ = [
 
 class ExceptionalDivisorNontrivial(ValueError):
     """The exceptional divisor carries a nonzero Weil coefficient, so the top
-    self-intersection lives on the blow-up and is not computed here."""
+    self-intersection lives on the blow-up and is not computed here.
+
+    ``terms`` holds the nonzero coefficients the message shows, the first
+    three in :func:`~strata0.strata.enumerate_p_hat` order, not all of them.
+    """
 
     def __init__(self, terms):
         self.terms = terms
@@ -218,7 +222,7 @@ def volume(sig: Signature) -> VolumeResult:
     """
     n = sig.n
     if not blowup_is_trivial(sig):
-        raise ExceptionalDivisorNontrivial(exceptional_divisor(sig).nonzero())
+        raise ExceptionalDivisorNontrivial(_leading_exceptional_terms(sig))
     warnings = []
     divisible = [i for i, k in enumerate(sig.kappa, start=1) if k % sig.d == 0]
     if divisible:

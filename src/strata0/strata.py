@@ -314,6 +314,7 @@ def boundary_weight(part: MultiBlockPartition, sig: Signature) -> Fraction:
     a two-block partition (``r = 1``)."""
     if part.r != 1:
         raise StrataError(f"a boundary divisor of the base has 2 blocks, not {part.size}")
+    _check_blocks(part.blocks, sig.n)  # before k_B reads a marking outside 1..n
     k0 = _k_sum(sig, part.blocks[0])
     if k0 < -sig.d:
         raise NumberingViolation(f"mu(I0) = {Fraction(-k0, sig.d)} > 1; blocks are misnumbered")
@@ -764,9 +765,83 @@ def exceptional_divisor(sig: Signature) -> WeilDivisorData:
     )
 
 
+def _window_subsets(
+    prefix: tuple[int, ...], k: int, pool: Sequence[int], sig: Signature, lo: int, hi: int
+) -> Iterator[tuple[int, ...]]:
+    """``prefix`` (with ``k_B = k``) extended by markings of the ascending
+    ``pool``, whenever ``lo <= k_B <= hi``, in lexicographic order: a DFS
+    that adds markings in increasing order and cuts a branch whose reachable
+    sums miss the window."""
+    ks = [sig.kappa[i - 1] for i in pool]
+    neg, pos = [0] * (len(ks) + 1), [0] * (len(ks) + 1)
+    for i in range(len(ks) - 1, -1, -1):
+        neg[i] = neg[i + 1] + min(ks[i], 0)
+        pos[i] = pos[i + 1] + max(ks[i], 0)
+
+    def walk(prefix: tuple[int, ...], k: int, start: int) -> Iterator[tuple[int, ...]]:
+        if k + neg[start] > hi or k + pos[start] < lo:
+            return
+        if lo <= k <= hi:
+            yield prefix
+        for i in range(start, len(ks)):
+            yield from walk(prefix + (pool[i],), k + ks[i], i + 1)
+
+    return walk(prefix, k, 0)
+
+
+def _heavy_splits(rest: tuple[int, ...], r: int, sig: Signature) -> Iterator[list[tuple[int, ...]]]:
+    """Partitions of the ascending markings ``rest`` into ``r`` blocks with
+    ``k_B < -d``, in the order of their sorted block tuples."""
+    d, k_rest = sig.d, _k_sum(sig, rest)
+    if r == 1:
+        if k_rest < -d:
+            yield [rest]
+        return
+    # the first block holds rest[0]; the others need k <= -(r-1)(d+1) between them
+    lo = k_rest + (r - 1) * (d + 1)
+    for block in _window_subsets(rest[:1], sig.kappa[rest[0] - 1], rest[1:], sig, lo, -d - 1):
+        others = tuple(i for i in rest if i not in block)
+        for tail in _heavy_splits(others, r - 1, sig):
+            yield [block] + tail
+
+
+def _leading_exceptional_terms(sig: Signature) -> dict[MultiBlockPartition, int]:
+    """The first three terms of ``exceptional_divisor(sig).nonzero()``, the
+    ones a refused volume shows, without building P-hat.
+
+    An ``r >= 2`` element has coefficient ``(r-1) m(S) >= 1`` and an ``r = 1``
+    element has 0, so these are the first ``r >= 2`` elements in
+    :meth:`MultiBlockPartition.sort_key` order: by ``r``, then ``sorted(I0)``,
+    then the heavy block tuples.  ``r`` heavy blocks need ``k_I0 >= r(d+1) - 2d``.
+    """
+    n, d = sig.n, sig.d
+    markings = tuple(range(1, n + 1))
+    top = sum(k for k in sig.kappa if k > 0)
+    out: dict[MultiBlockPartition, int] = {}
+    for r in range(2, (n - 1) // 2 + 1):  # a light I0 and r heavy blocks of >= 2 markings
+        for i0 in _window_subsets((), 0, markings, sig, r * (d + 1) - 2 * d, top):
+            rest = tuple(i for i in markings if i not in i0)
+            for heavy in _heavy_splits(rest, r, sig):
+                part = MultiBlockPartition(tuple(frozenset(b) for b in [i0] + heavy))
+                out[part] = (r - 1) * m_value(part, sig)
+                if len(out) == 3:
+                    return out
+    return out
+
+
 def vanishing_orders(part: MultiBlockPartition, sig: Signature) -> dict[int, int]:
     """Vanishing order of each node coordinate ``t_j`` along the divisor of a
-    multi-block partition: ``order(t_j) = prod_i m_i / m_j``."""
+    multi-block partition: ``order(t_j) = prod_i m_i / m_j``.
+
+    The local model of the blow-up agrees with these orders.  Let ``T_S`` be
+    the star tree with ``I0`` at the center and the heavy blocks as leaves,
+    and ``w`` these orders.  Every generator ``g`` of
+    :func:`ideal_generators` on ``T_S`` has
+    ``sum_j w_j g[(0, j)] == (|S| - 2) * m(S)``, the Weil coefficient of
+    :func:`exceptional_divisor`; ``T_S`` lies in the ideal's support, and
+    ``(n - 3 - r) + fiber_projective_dim(T_S) == n - 4``, so ``E_S`` is a
+    divisor.
+    """
     if part.r == 1:
         _check_in_p_hat(part, sig)
         raise TwoBlockHasNoOrders("two-block divisors carry no node orders")

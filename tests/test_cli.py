@@ -1,8 +1,13 @@
 """The command-line surface: exit codes, JSON stability, spec parsing."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_child(*argv, **kwargs):
+    """``(exit code, stdout, stderr)`` of the CLI in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-m", "strata0.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": _SRC}, **kwargs,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestSpecParsers:
@@ -294,6 +311,60 @@ class TestJson:
             "--max-codim", "3", "--json",
         )
         assert code == 0
+
+
+class TestOneParser:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        run(capsys, "boundary", "--d", "2", "--kappa=-1,-1,-1,-1")
+        run(capsys, "volume", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", "--max-codim", "2")
+        run(capsys, "intersect", "--d", "3", "--kappa=-1,-1,-1,-1,-2", "--factors", "Dmu,Dmu")
+        run(capsys, "volume", "--d", "2", "--kappa=-1,-1,-1")
+        with pytest.raises(SystemExit):
+            run(capsys, "volume", "--d", "2")
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (("volume", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", "--max-codim", "2"),
+             ("volume", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1")),
+            (("verify-family", "--d", "2", "--kappa=1,1,-1,-1,-1,-1,-1,-1",
+              "--chart", "1,2;3,4,5;6,7,8 0-1 0-2", "--samples", "2", "--seed", "7"),
+             ("verify-family", "--d", "2", "--kappa=1,1,-1,-1,-1,-1,-1,-1",
+              "--chart", "1,2;3,4,5;6,7,8 0-1 0-2", "--samples", "2")),
+        ],
+        ids=["max-codim", "seed"],
+    )
+    def test_options_do_not_carry_over(self, capsys, first, second):
+        # the second call answers as it does in a fresh process
+        fresh = run_child(*second, "--json")
+        run(capsys, *first, "--json")
+        assert run(capsys, *second, "--json") == fresh
+
+
+def test_large_refusal_exits_3_in_bounded_memory():
+    # n = 16 and E-nontrivial: the exit-3 message needs three terms, not P-hat
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code, out, err = run_child(
+        "volume", "--d", "2", "--kappa=5,5" + ",-1" * 14, preexec_fn=limit, timeout=10
+    )
+    assert (code, out) == (3, ""), err
+    assert err == (
+        "error: nonzero exceptional coefficients: "
+        "{1 | 2,3,4,5,6,7,8,9,10 | 11,12,13,14,15,16} -> 4, "
+        "{1 | 2,3,4,5,6,7,8,9,10,11 | 12,13,14,15,16} -> 6, "
+        "{1 | 2,3,4,5,6,7,8,9,10,11,12 | 13,14,15,16} -> 6\n"
+    )
 
 
 # ---------------------------------------------------------------------------

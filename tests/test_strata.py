@@ -26,6 +26,7 @@ from strata0.strata import (
     enumerate_p_hat,
     enumerate_stable_trees,
     enumerate_two_block,
+    _leading_exceptional_terms,
     exceptional_divisor,
     exponent_vector,
     fiber_projective_dim,
@@ -160,6 +161,13 @@ class TestTwoBlock:
         part = MultiBlockPartition.from_blocks({1}, [{2, 3, 4}, {5, 6, 7}])
         with pytest.raises(StrataError, match="2 blocks"):
             boundary_weight(part, SIG_STAR7)
+
+    def test_boundary_weight_checks_cover(self):
+        # a marking 0 must not read kappa[-1], and overlapping blocks must not pass
+        for blocks in (({0, 1}, {2, 3, 4, 5}), ({1, 2}, {2, 3, 4, 5, 6})):
+            part = MultiBlockPartition(tuple(map(frozenset, blocks)))
+            with pytest.raises(NotInPHat):
+                boundary_weight(part, SIG_POLE6)
 
     def test_from_split_checks_cover_before_weights(self):
         # a marking 0 must not read kappa[-1]
@@ -645,6 +653,25 @@ class TestExceptional:
             for c in exceptional_divisor(sig).terms.values():
                 assert c >= 0
 
+    def test_leading_terms_match_full_divisor(self):
+        # every E-nontrivial signature with n = 5..8 and d = 2..4, relabeled:
+        # the lazy walk gives the first three nonzero terms, in order
+        rng = random.Random(5)
+        count = 0
+        for n in range(5, 9):
+            for d in range(2, 5):
+                top = -2 * d - (n - 1) * (1 - d)
+                for kappa in itertools.combinations_with_replacement(range(1 - d, top + 1), n):
+                    if sum(kappa) != -2 * d:
+                        continue
+                    kappa = list(kappa)
+                    rng.shuffle(kappa)
+                    sig = validate_signature(d, kappa)
+                    full = list(exceptional_divisor(sig).nonzero().items())
+                    assert list(_leading_exceptional_terms(sig).items()) == full[:3], (d, kappa)
+                    count += bool(full)
+        assert count == 300
+
 
 def staircase_order(ms, j):
     """Oracle: the colength of (t_j) in the truncated monomial ring, counted
@@ -700,6 +727,29 @@ class TestVanishingOrders:
         part = enumerate_two_block(SIG_POLE6)[0]
         with pytest.raises(TwoBlockHasNoOrders):
             vanishing_orders(part, SIG_POLE6)
+
+    def test_local_model_gives_the_weil_coefficients(self):
+        # the star stratum T_S of every r >= 2 element: each generator of the
+        # local ideal, weighted by the vanishing orders, gives the global Weil
+        # coefficient (|S| - 2) m(S), and E_S is a divisor over T_S
+        signatures = parts = 0
+        for n in range(5, 8):
+            for d in range(2, 6):
+                for kappa in itertools.combinations_with_replacement(range(1 - d, 2 * d + 1), n):
+                    if sum(kappa) != -2 * d:
+                        continue
+                    sig = validate_signature(d, kappa)
+                    multi = [(p, c) for p, c in exceptional_divisor(sig).terms.items() if p.r >= 2]
+                    signatures += bool(multi)
+                    for part, coeff in multi:
+                        star = StableTree(part.blocks, tuple((0, j) for j in range(1, part.size)))
+                        w = vanishing_orders(part, sig)
+                        for g in ideal_generators(star, sig):
+                            assert sum(w[j] * g[(0, j)] for j in w) == coeff, (sig, part)
+                        assert in_ideal_support(star, sig)
+                        assert (n - 3 - part.r) + fiber_projective_dim(star, sig) == n - 4
+                        parts += 1
+        assert (signatures, parts) == (366, 10159)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ issue ``--json``) and once as a table, with ``--json`` dropped and ``--out``
 pointing to a temporary file.  The digest covers, per run, the argv (with the
 temporary path replaced by ``OUT``), the exit code, stdout, stderr and the
 contents of the ``--out`` file.  An uncaught exception is recorded as its
-type and message, so a traceback changes the digest too.
+type and message, so a traceback changes the digest too.  The parser's own
+output is digested as well, once per run of the tool: the top-level
+``--help``, each subcommand's ``--help`` and a few usage errors (see
+``PARSER_ARGV``), formatted for an 80-column terminal.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -31,6 +34,19 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+COMMANDS = ("boundary", "phat", "exceptional", "principal", "divisor", "intersect", "volume",
+            "verify-family")
+PARSER_ARGV = [
+    ["--help"],
+    *([cmd, "--help"] for cmd in COMMANDS),
+    [],  # no command
+    ["nope", "--d", "2", "--kappa=-1,-1,-1,-1"],  # unknown command
+    ["volume", "--d", "2"],  # missing --kappa
+    ["volume", "--d", "2", "--kappa=-1,-1,-1,-1", "--max-codim", "x"],  # not an integer
+    ["boundary", "--d", "2", "--kappa=-1,-1,-1,-1", "--bogus"],  # unknown flag
+    ["principal", "--d", "2", "--kappa=-1,-1,-1,-1"],  # missing --tree
+]
 
 
 def run(main, argv: list[str]) -> tuple[object, str, str]:
@@ -75,6 +91,11 @@ def digest(seeds: list[int], src: str) -> tuple[int, str]:
                         record = [shown, code, out, err, written]
                         h.update(json.dumps(record).encode() + b"\n")
                         count += 1
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    for argv in PARSER_ARGV:
+        code, out, err = run(strata0.cli.main, argv)
+        h.update(json.dumps([argv, code, out, err, None]).encode() + b"\n")
+        count += 1
     return count, h.hexdigest()
 
 
