@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -60,18 +61,14 @@ from strata0.strata import (
     StableTree,
     StrataError,
     boundary_weight,
-    enumerate_p_hat,
     enumerate_stable_trees,
     enumerate_two_block,
-    exceptional_divisor,
     exponent_vector,
     fiber_projective_dim,
     ideal_generators,
     in_ideal_support,
-    m_value,
     principal_subcurves,
     validate_signature,
-    vanishing_orders,
 )
 
 EXIT_OK = 0
@@ -301,8 +298,8 @@ def _cmd_boundary(sig: Signature, args) -> _Answer:
 
 def _cmd_phat(sig: Signature, args) -> _Answer:
     rows = []
-    for part in enumerate_p_hat(sig):
-        rows.append({"blocks": _blocks(part), "r": part.r, "m": m_value(part, sig)})
+    for part, ms in strata._p_hat_parts(sig):
+        rows.append({"blocks": _blocks(part), "r": part.r, "m": math.prod(ms)})
 
     def table() -> list[str]:
         lines = [f"boundary divisors of the blow-up: {len(rows)}"]
@@ -314,23 +311,23 @@ def _cmd_phat(sig: Signature, args) -> _Answer:
 
 
 def _cmd_exceptional(sig: Signature, args) -> _Answer:
-    exc = exceptional_divisor(sig)
+    # coefficient (|S| - 2) m(S) and, for r >= 2, the node orders m(S) / m_j
     rows = []
-    for part, coeff in exc.terms.items():
-        orders = None
-        if part.r >= 2:
-            od = vanishing_orders(part, sig)
-            orders = [od[j] for j in range(1, part.r + 1)]
+    for part, ms in strata._p_hat_parts(sig):
+        m = math.prod(ms)
+        orders = [m // f for f in ms] if part.r >= 2 else None
+        coeff = (part.size - 2) * m
         rows.append({"blocks": _blocks(part), "coefficient": coeff, "orders": orders})
+    trivial = not any(row["coefficient"] for row in rows)
 
     def table() -> list[str]:
-        lines = [f"exceptional Weil divisor ({'zero' if exc.is_zero() else 'nonzero'}):"]
+        lines = [f"exceptional Weil divisor ({'zero' if trivial else 'nonzero'}):"]
         for row in rows:
             extra = f"  orders = {row['orders']}" if row["orders"] else ""
             lines.append(f"  {_fmt_blocks(row['blocks']):<40} coeff = {row['coefficient']}{extra}")
         return lines
 
-    return EXIT_OK, {"n": sig.n, "trivial": exc.is_zero(), "terms": rows}, table
+    return EXIT_OK, {"n": sig.n, "trivial": trivial, "terms": rows}, table
 
 
 def _cmd_principal(sig: Signature, args) -> _Answer:

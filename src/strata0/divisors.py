@@ -47,12 +47,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
-from strata0.strata import (
-    Signature,
-    _kappa_sums,
-    _leading_exceptional_terms,
-    _oriented_splits,
-)
+from strata0.strata import Signature, _kappa_sums, _leading_exceptional_terms, _p_hat_walk
 
 __all__ = [
     "ExceptionalDivisorNontrivial",
@@ -82,11 +77,11 @@ class ExceptionalDivisorNontrivial(ValueError):
 
 
 def _boundary_splits(sig: Signature) -> Iterator[tuple[Boundary, int, int]]:
-    """``(Boundary, k_I0, |I0|)`` for every split ``I0|I1``, off the oriented
-    split walk of :mod:`strata0.strata`."""
-    ks = _kappa_sums(sig)
-    for i0, i1 in _oriented_splits(sig.n, ks):
-        yield Boundary(sig.n, i0 if i0 & 1 else i1), ks[i0], i0.bit_count()
+    """``(Boundary, k_I0, |I0|)`` for every split ``I0|I1``: the ``r = 1``
+    part of the boundary index set walk of :mod:`strata0.strata`, whose one
+    factor is ``d + k_I0``."""
+    for (i0, i1), (m,) in _p_hat_walk(sig, r_max=1):
+        yield Boundary(sig.n, i0 if i0 & 1 else i1), m - sig.d, i0.bit_count()
 
 
 def d_mu_boundary_form(sig: Signature) -> DivisorExpression:

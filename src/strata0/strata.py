@@ -19,11 +19,12 @@ This module is the one split core that the other layers share:
 * the split orientation rule ``_is_i0``: of the two sides of a split, ``I0``
   is the one with the larger ``k`` (so ``mu(I0) <= 1``) and, on a tie, the
   one holding marking 1.  Every layer that orients a split asks it;
-* the oriented split walk ``_oriented_splits``: every two-block split as its
-  ``(I0, I1)`` masks over one ``_kappa_sums`` table of ``k_B``, so the
-  boundary index set, P-hat membership, the multiplicities ``m(S)`` and both
-  divisor forms read integer sums and build frozenset blocks only for their
-  output;
+* the boundary index set walk ``_p_hat_walk``: every element of P-hat as
+  its block masks, in :meth:`MultiBlockPartition.sort_key` order, with its
+  factors ``m_j`` carried along.  One depth-first submask walk carries
+  ``k_B`` and builds no ``2^n`` table; the two-block splits, P-hat, the
+  exceptional coefficients, the refused volume's leading terms and both
+  divisor forms read it, and frozenset blocks are built only for output;
 * the stable tree as its set of pairwise-compatible splits (Buneman's
   splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each stored as
   the mask of the side holding marking 1.  ``canonical_key`` is the sorted
@@ -44,6 +45,8 @@ never a computed invariant).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -276,28 +279,6 @@ def _marks_mask(n: int, marks: Iterable[int]) -> int:
     return mask
 
 
-def _oriented_splits(n: int, ks: list[int]) -> Iterator[tuple[int, int]]:
-    """The ``(I0, I1)`` masks of every split with both sides of size >= 2.
-
-    ``k`` is read off the :func:`_kappa_sums` table ``ks`` and the sides are
-    oriented by :func:`_is_i0`.
-    """
-    full = (1 << n) - 1
-    for a in range(1, full, 2):  # the side holding marking 1
-        if 2 <= a.bit_count() <= n - 2:
-            b = full ^ a
-            yield (a, b) if _is_i0(ks[a], ks[b], True) else (b, a)
-
-
-def _two_block(n: int, ks: list[int], marks: list[frozenset[int]]) -> list[MultiBlockPartition]:
-    """The ``r = 1`` elements of P-hat in :meth:`MultiBlockPartition.sort_key`
-    order, from the :func:`_kappa_sums` table ``ks`` and the table ``marks``
-    of every mask's markings."""
-    out = [MultiBlockPartition((marks[a], marks[b])) for a, b in _oriented_splits(n, ks)]
-    out.sort(key=lambda p: sorted(p.blocks[0]))  # I0 determines the split
-    return out
-
-
 def enumerate_two_block(sig: Signature) -> list[MultiBlockPartition]:
     """All boundary partitions of ``{1..n}``: the ``r = 1`` elements of P-hat,
     both blocks of size >= 2 and numbered by :func:`_is_i0`.
@@ -305,8 +286,7 @@ def enumerate_two_block(sig: Signature) -> list[MultiBlockPartition]:
     There are exactly ``2**(n-1) - n - 1`` of them, and they are the first
     elements of :func:`enumerate_p_hat`, in the same order.
     """
-    n = sig.n
-    return _two_block(n, _kappa_sums(sig), [_mask_marks(m) for m in range(1 << n)])
+    return [part for part, _ in _p_hat_parts(sig, r_max=1)]
 
 
 def boundary_weight(part: MultiBlockPartition, sig: Signature) -> Fraction:
@@ -497,6 +477,8 @@ def enumerate_stable_trees(sig: Signature, max_edges: int) -> list[StableTree]:
     :meth:`StableTree.from_splits`, sorted by edge count then canonical key.
     """
     n = sig.n
+    if max_edges < 0:
+        raise StrataError(f"max_edges = {max_edges} is negative")
     if max_edges > n - 3:
         raise StrataError(f"max_edges = {max_edges} exceeds n - 3 = {n - 3}")
     full = (1 << n) - 1
@@ -659,28 +641,96 @@ def fiber_projective_dim(tree: StableTree, sig: Signature) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _heavy_partitions(rest: int, ks: list[int], d: int) -> Iterator[list[int]]:
-    """Partitions of the mask ``rest`` into blocks with ``k_B < -d`` (``mu > 1``).
+def _p_hat_walk(
+    sig: Signature, r_min: int = 1, r_max: int | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every element of P-hat with ``r_min <= r <= r_max`` (all of them by
+    default), as its block masks ``(I0, I1, .., Ir)`` and its factors
+    ``(m_1, .., m_r)``, ``m_j = d * (mu(Ij) - 1) = -k_Ij - d``; for ``r = 1``
+    the one factor is ``d + k_I0 = d * mu_S``.
 
-    Each block holds the lowest unplaced bit, so blocks come out sorted by
-    least element.  A union of such blocks has ``k < -d`` too, so a
-    remainder with ``k >= -d`` is dropped at once.
+    Blocks are walked as submasks in lexicographic order of their sorted
+    markings, so the elements come in :meth:`MultiBlockPartition.sort_key`
+    order:
+
+    * ``r = 1``: every ``I0`` with ``k_I0 >= -d`` and both sides of size
+      >= 2, oriented by :func:`_is_i0`;
+    * ``r >= 2``: every ``I0`` with ``k_I0 >= r(d+1) - 2d``, which leaves
+      room for ``r`` heavy blocks (``k <= -d-1``), then each split of its
+      complement into ``r`` heavy blocks.  Each block holds the lowest
+      marking not yet placed, so the blocks come out sorted by least
+      element, and leaves ``k <= -d-1`` for each block after it.
     """
-    low = rest & -rest
-    others = rest ^ low
-    sub = others
-    while True:
-        block = low | sub
-        if ks[block] < -d:
-            tail = others ^ sub
-            if not tail:
-                yield [block]
-            elif ks[tail] < -d:
-                for blocks in _heavy_partitions(tail, ks, d):
-                    yield [block] + blocks
-        if not sub:
+    n, d, kappa = sig.n, sig.d, sig.kappa
+    full = (1 << n) - 1
+    top = sum(k for k in kappa if k > 0)
+
+    def window(pool: list[int], mask: int, k: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """``(mask | B, k + k_B)`` for every set ``B`` of the ascending
+        0-based markings ``pool`` with ``lo <= k + k_B <= hi``, in
+        lexicographic order: a depth-first walk that adds markings in
+        increasing order and cuts every branch that cannot reach the window."""
+        ks = [kappa[i] for i in pool]
+        bits = [1 << i for i in pool]
+        # a branch that adds pool[i] next can still reach the window iff its
+        # k is in [k_lo[i], k_hi[i]], by the sums of the entries after pool[i]
+        k_lo, k_hi = [0] * len(ks), [0] * len(ks)
+        neg = pos = 0
+        for i in range(len(ks) - 1, -1, -1):
+            k_lo[i], k_hi[i] = lo - pos, hi - neg
+            neg += min(ks[i], 0)
+            pos += max(ks[i], 0)
+        if not lo - pos <= k <= hi - neg:
             return
-        sub = (sub - 1) & others
+        stack = [(mask, k, 0)]
+        while stack:
+            mask, k, start = stack.pop()
+            if lo <= k <= hi:
+                yield mask, k
+            for i in range(len(ks) - 1, start - 1, -1):
+                c = k + ks[i]
+                if k_lo[i] <= c <= k_hi[i]:
+                    stack.append((mask | bits[i], c, i + 1))
+
+    def heavy(rest: int, k_rest: int, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The splits of the mask ``rest`` into ``r`` heavy blocks, with their factors."""
+        if r == 1:
+            yield (rest,), (-k_rest - d,)
+            return
+        low = rest & -rest
+        i = low.bit_length() - 1
+        pool = [j for j in range(i + 1, n) if rest >> j & 1]
+        for block, k in window(pool, low, kappa[i], k_rest + (r - 1) * (d + 1), -d - 1):
+            for blocks, ms in heavy(rest ^ block, k_rest - k, r - 1):
+                yield (block,) + blocks, (-k - d,) + ms
+
+    markings = list(range(n))
+    if r_min == 1:
+        for i0, k in window(markings, 0, 0, -d, top):
+            if 2 <= i0.bit_count() <= n - 2 and _is_i0(k, -2 * d - k, i0 & 1 == 1):
+                yield (i0, full ^ i0), (d + k,)
+    # a light I0 and r heavy blocks of >= 2 markings each, since every mu_i < 1
+    r_top = (n - 1) // 2 if r_max is None else r_max
+    for r in range(max(r_min, 2), r_top + 1):
+        for i0, k in window(markings, 0, 0, r * (d + 1) - 2 * d, top):
+            for blocks, ms in heavy(full ^ i0, -2 * d - k, r):
+                yield (i0,) + blocks, ms
+
+
+def _p_hat_parts(
+    sig: Signature, r_min: int = 1, r_max: int | None = None
+) -> Iterator[tuple[MultiBlockPartition, tuple[int, ...]]]:
+    """:func:`_p_hat_walk` with each element as a :class:`MultiBlockPartition`;
+    equal blocks share one frozenset, through a mask dict kept for the call."""
+    marks: dict[int, frozenset[int]] = {}
+    for masks, ms in _p_hat_walk(sig, r_min, r_max):
+        blocks = []
+        for mask in masks:
+            block = marks.get(mask)
+            if block is None:
+                block = marks[mask] = _mask_marks(mask)
+            blocks.append(block)
+        yield MultiBlockPartition(tuple(blocks)), ms
 
 
 def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
@@ -688,24 +738,10 @@ def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
 
     The ``r = 1`` elements, exactly :func:`enumerate_two_block`, then every
     ``{I0, I1, .., Ir}`` with ``r >= 2``, ``mu(I0) < 1`` and ``mu(Ij) > 1``
-    for ``j >= 1``.  Blocks are nonempty; ``I0`` comes first, heavy blocks
-    sorted by least element.
+    for ``j >= 1``, in :meth:`MultiBlockPartition.sort_key` order.  Blocks
+    are nonempty; ``I0`` comes first, heavy blocks sorted by least element.
     """
-    n, d = sig.n, sig.d
-    ks = _kappa_sums(sig)
-    full = (1 << n) - 1
-    marks = [_mask_marks(mask) for mask in range(full + 1)]
-    multi = []
-    for i0 in range(1, full):
-        # two heavy blocks need at least 4 markings, since every mu_i < 1
-        if ks[i0] <= -d or i0.bit_count() > n - 4:
-            continue
-        for heavy in _heavy_partitions(full ^ i0, ks, d):
-            if len(heavy) >= 2:
-                multi.append(MultiBlockPartition(tuple(marks[mask] for mask in [i0] + heavy)))
-    # r sorts first, so the r = 1 elements lead
-    multi.sort(key=MultiBlockPartition.sort_key)
-    return _two_block(n, ks, marks) + multi
+    return [part for part, _ in _p_hat_parts(sig)]
 
 
 def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> list[int]:
@@ -757,52 +793,10 @@ class WeilDivisorData:
 def exceptional_divisor(sig: Signature) -> WeilDivisorData:
     """Weil coefficients ``(|S| - 2) * m(S)`` of the exceptional divisor.
 
-    The terms come in :func:`enumerate_p_hat` order.  Two-block partitions
-    get coefficient 0 with no ``m(S)`` computed.
+    The terms come in :func:`enumerate_p_hat` order, each ``m(S)`` the
+    product of the factors the walk carries; two-block partitions get 0.
     """
-    return WeilDivisorData(
-        {p: (p.size - 2) * m_value(p, sig) if p.r >= 2 else 0 for p in enumerate_p_hat(sig)}
-    )
-
-
-def _window_subsets(
-    prefix: tuple[int, ...], k: int, pool: Sequence[int], sig: Signature, lo: int, hi: int
-) -> Iterator[tuple[int, ...]]:
-    """``prefix`` (with ``k_B = k``) extended by markings of the ascending
-    ``pool``, whenever ``lo <= k_B <= hi``, in lexicographic order: a DFS
-    that adds markings in increasing order and cuts a branch whose reachable
-    sums miss the window."""
-    ks = [sig.kappa[i - 1] for i in pool]
-    neg, pos = [0] * (len(ks) + 1), [0] * (len(ks) + 1)
-    for i in range(len(ks) - 1, -1, -1):
-        neg[i] = neg[i + 1] + min(ks[i], 0)
-        pos[i] = pos[i + 1] + max(ks[i], 0)
-
-    def walk(prefix: tuple[int, ...], k: int, start: int) -> Iterator[tuple[int, ...]]:
-        if k + neg[start] > hi or k + pos[start] < lo:
-            return
-        if lo <= k <= hi:
-            yield prefix
-        for i in range(start, len(ks)):
-            yield from walk(prefix + (pool[i],), k + ks[i], i + 1)
-
-    return walk(prefix, k, 0)
-
-
-def _heavy_splits(rest: tuple[int, ...], r: int, sig: Signature) -> Iterator[list[tuple[int, ...]]]:
-    """Partitions of the ascending markings ``rest`` into ``r`` blocks with
-    ``k_B < -d``, in the order of their sorted block tuples."""
-    d, k_rest = sig.d, _k_sum(sig, rest)
-    if r == 1:
-        if k_rest < -d:
-            yield [rest]
-        return
-    # the first block holds rest[0]; the others need k <= -(r-1)(d+1) between them
-    lo = k_rest + (r - 1) * (d + 1)
-    for block in _window_subsets(rest[:1], sig.kappa[rest[0] - 1], rest[1:], sig, lo, -d - 1):
-        others = tuple(i for i in rest if i not in block)
-        for tail in _heavy_splits(others, r - 1, sig):
-            yield [block] + tail
+    return WeilDivisorData({p: (p.size - 2) * math.prod(ms) for p, ms in _p_hat_parts(sig)})
 
 
 def _leading_exceptional_terms(sig: Signature) -> dict[MultiBlockPartition, int]:
@@ -810,23 +804,11 @@ def _leading_exceptional_terms(sig: Signature) -> dict[MultiBlockPartition, int]
     ones a refused volume shows, without building P-hat.
 
     An ``r >= 2`` element has coefficient ``(r-1) m(S) >= 1`` and an ``r = 1``
-    element has 0, so these are the first ``r >= 2`` elements in
-    :meth:`MultiBlockPartition.sort_key` order: by ``r``, then ``sorted(I0)``,
-    then the heavy block tuples.  ``r`` heavy blocks need ``k_I0 >= r(d+1) - 2d``.
+    element has 0, so these are the first three ``r >= 2`` elements of the
+    walk, which stops there.
     """
-    n, d = sig.n, sig.d
-    markings = tuple(range(1, n + 1))
-    top = sum(k for k in sig.kappa if k > 0)
-    out: dict[MultiBlockPartition, int] = {}
-    for r in range(2, (n - 1) // 2 + 1):  # a light I0 and r heavy blocks of >= 2 markings
-        for i0 in _window_subsets((), 0, markings, sig, r * (d + 1) - 2 * d, top):
-            rest = tuple(i for i in markings if i not in i0)
-            for heavy in _heavy_splits(rest, r, sig):
-                part = MultiBlockPartition(tuple(frozenset(b) for b in [i0] + heavy))
-                out[part] = (r - 1) * m_value(part, sig)
-                if len(out) == 3:
-                    return out
-    return out
+    walk = itertools.islice(_p_hat_parts(sig, r_min=2), 3)
+    return {p: (p.size - 2) * math.prod(ms) for p, ms in walk}
 
 
 def vanishing_orders(part: MultiBlockPartition, sig: Signature) -> dict[int, int]:

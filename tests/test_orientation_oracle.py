@@ -23,7 +23,7 @@ from strata0.strata import (
     MultiBlockPartition,
     _kappa_sums,
     _mask_marks,
-    _oriented_splits,
+    _p_hat_walk,
     exponent_vector,
     validate_signature,
 )
@@ -104,7 +104,7 @@ def test_every_orientation_matches_oracle(case):
     n = sig.n
     # the oriented split walk, and from_split in either order
     seen = 0
-    for a, b in _oriented_splits(n, _kappa_sums(sig)):
+    for (a, b), _ in _p_hat_walk(sig, r_max=1):
         i0, i1 = _mask_marks(a), _mask_marks(b)
         assert (i0, i1) == oracle_orient(i0, i1, sig)
         for x, y in ((i0, i1), (i1, i0)):

@@ -2,7 +2,9 @@
 independent oracle on random signatures: the same sets enumerated with
 ``Fraction`` weights over ``itertools`` subsets."""
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 from fraction_weights import mu, oracle_orient
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 
 from strata0.strata import (
     MultiBlockPartition,
+    _p_hat_parts,
     enumerate_p_hat,
     enumerate_two_block,
     m_value,
     validate_signature,
+    vanishing_orders,
 )
 
 
@@ -37,25 +41,30 @@ def oracle_two_block(sig):
     return out
 
 
-def oracle_heavy_block_partitions(pool, sig, min_blocks):
-    """Partitions of ``pool`` into >= min_blocks blocks, each of weight > 1;
-    the first remaining element anchors the next block."""
-    if not pool:
-        if min_blocks <= 0:
-            yield []
-        return
-    first, rest = pool[0], pool[1:]
-    for size in range(0, len(rest) + 1):
-        for extra in itertools.combinations(rest, size):
-            block = frozenset((first,) + extra)
-            if mu(sig, block) <= 1:
-                continue
-            remaining = [x for x in rest if x not in block]
-            for tail in oracle_heavy_block_partitions(remaining, sig, min_blocks - 1):
-                yield [block] + tail
-
-
 def oracle_p_hat(sig):
+    """P-hat in ``sort_key`` order.  The heavy blocks of each light ``I0`` are
+    every partition of the rest into blocks of weight > 1, each block
+    anchored at the first remaining element; partitions and weight tests are
+    kept per pool and per block for the one signature."""
+
+    @functools.cache
+    def heavy(block):
+        return mu(sig, block) > 1
+
+    @functools.cache
+    def heavy_block_partitions(pool):
+        if not pool:
+            return [[]]
+        first, rest = pool[0], pool[1:]
+        out = []
+        for size in range(0, len(rest) + 1):
+            for extra in itertools.combinations(rest, size):
+                block = frozenset((first,) + extra)
+                if heavy(block):
+                    remaining = tuple(x for x in rest if x not in block)
+                    out += [[block] + tail for tail in heavy_block_partitions(remaining)]
+        return out
+
     out = oracle_two_block(sig)
     n = sig.n
     marks = list(range(1, n + 1))
@@ -64,10 +73,10 @@ def oracle_p_hat(sig):
             i0set = frozenset(i0)
             if mu(sig, i0set) >= 1:
                 continue
-            pool = [m for m in marks if m not in i0set]
-            for heavy in oracle_heavy_block_partitions(pool, sig, 2):
-                if len(heavy) >= 2:
-                    out.append(MultiBlockPartition.from_blocks(i0set, heavy))
+            pool = tuple(m for m in marks if m not in i0set)
+            for heavy_blocks in heavy_block_partitions(pool):
+                if len(heavy_blocks) >= 2:
+                    out.append(MultiBlockPartition.from_blocks(i0set, heavy_blocks))
     out.sort(key=MultiBlockPartition.sort_key)
     return out
 
@@ -108,5 +117,12 @@ def test_enumerators_match_oracle(sig):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(signatures())
 def test_m_value_matches_fraction_product(sig):
-    for part in oracle_p_hat(sig):
-        assert m_value(part, sig) == oracle_m_value(part, sig)
+    for part, (walked, ms) in zip(oracle_p_hat(sig), _p_hat_parts(sig), strict=True):
+        m = oracle_m_value(part, sig)
+        assert m_value(part, sig) == m
+        # the factors the walk carries: the phat m column and, for r >= 2,
+        # the exceptional orders m(S) / m_j
+        assert walked == part and math.prod(ms) == m
+        if part.r >= 2:
+            orders = {j: math.prod(ms) // f for j, f in enumerate(ms, 1)}
+            assert orders == vanishing_orders(part, sig)

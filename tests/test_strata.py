@@ -6,6 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 from fraction_weights import mu, mus
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_phat_oracle import oracle_m_value, oracle_p_hat
 
 from strata0.strata import (
     BadD,
@@ -218,6 +221,12 @@ class TestStableTree:
         assert len(enumerate_stable_trees(sig5, 1)) == 1 + 10
         # 15 two-edge chains on 5 markings: split sizes (2,1,2)
         assert len(enumerate_stable_trees(sig5, 2)) == 1 + 10 + 15
+
+    @pytest.mark.parametrize("max_edges", [-1, -5, 4])
+    def test_enumeration_rejects_edge_bound_out_of_range(self, max_edges):
+        # SIG_POLE6 has n - 3 = 3
+        with pytest.raises(StrataError):
+            enumerate_stable_trees(SIG_POLE6, max_edges)
 
     def test_enumeration_no_duplicates(self):
         trees = enumerate_stable_trees(SIG_POLE6, 3)
@@ -655,7 +664,8 @@ class TestExceptional:
 
     def test_leading_terms_match_full_divisor(self):
         # every E-nontrivial signature with n = 5..8 and d = 2..4, relabeled:
-        # the lazy walk gives the first three nonzero terms, in order
+        # the lazy walk gives the first three nonzero terms, in order, of the
+        # Fraction oracle's exceptional divisor
         rng = random.Random(5)
         count = 0
         for n in range(5, 9):
@@ -667,9 +677,11 @@ class TestExceptional:
                     kappa = list(kappa)
                     rng.shuffle(kappa)
                     sig = validate_signature(d, kappa)
-                    full = list(exceptional_divisor(sig).nonzero().items())
-                    assert list(_leading_exceptional_terms(sig).items()) == full[:3], (d, kappa)
-                    count += bool(full)
+                    # an r = 1 element has coefficient 0 * m(S)
+                    multi = itertools.islice((p for p in oracle_p_hat(sig) if p.r >= 2), 3)
+                    lead = [(p, (p.size - 2) * oracle_m_value(p, sig)) for p in multi]
+                    assert list(_leading_exceptional_terms(sig).items()) == lead, (d, kappa)
+                    count += bool(lead)
         assert count == 300
 
 
@@ -693,6 +705,18 @@ def signature_with_m(ms):
     sig = validate_signature(2, kappa)
     part = MultiBlockPartition.from_blocks({1}, blocks)
     return sig, part
+
+
+def check_local_model(part, coeff, sig):
+    """The star stratum ``T_S`` of an r >= 2 element: each generator of the
+    local ideal, weighted by the vanishing orders, gives the global Weil
+    coefficient ``coeff``, and ``E_S`` is a divisor over ``T_S``."""
+    star = StableTree(part.blocks, tuple((0, j) for j in range(1, part.size)))
+    w = vanishing_orders(part, sig)
+    for g in ideal_generators(star, sig):
+        assert sum(w[j] * g[(0, j)] for j in w) == coeff, (sig, part)
+    assert in_ideal_support(star, sig)
+    assert (sig.n - 3 - part.r) + fiber_projective_dim(star, sig) == sig.n - 4
 
 
 class TestVanishingOrders:
@@ -729,9 +753,7 @@ class TestVanishingOrders:
             vanishing_orders(part, SIG_POLE6)
 
     def test_local_model_gives_the_weil_coefficients(self):
-        # the star stratum T_S of every r >= 2 element: each generator of the
-        # local ideal, weighted by the vanishing orders, gives the global Weil
-        # coefficient (|S| - 2) m(S), and E_S is a divisor over T_S
+        # every r >= 2 element with n = 5..7, d = 2..5 and entries <= 2d
         signatures = parts = 0
         for n in range(5, 8):
             for d in range(2, 6):
@@ -742,14 +764,25 @@ class TestVanishingOrders:
                     multi = [(p, c) for p, c in exceptional_divisor(sig).terms.items() if p.r >= 2]
                     signatures += bool(multi)
                     for part, coeff in multi:
-                        star = StableTree(part.blocks, tuple((0, j) for j in range(1, part.size)))
-                        w = vanishing_orders(part, sig)
-                        for g in ideal_generators(star, sig):
-                            assert sum(w[j] * g[(0, j)] for j in w) == coeff, (sig, part)
-                        assert in_ideal_support(star, sig)
-                        assert (n - 3 - part.r) + fiber_projective_dim(star, sig) == n - 4
+                        check_local_model(part, coeff, sig)
                         parts += 1
         assert (signatures, parts) == (366, 10159)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_local_model_at_n8_relabeled(self, data):
+        # E-nontrivial n = 8 signatures, drawn sorted and then relabeled by a
+        # random permutation
+        d = data.draw(st.integers(2, 5))
+        excess = 8 * (d - 1) - 2 * d
+        units = data.draw(st.lists(st.integers(0, 7), min_size=excess, max_size=excess))
+        kappa = [1 - d + units.count(i) for i in range(8)]
+        sigma = data.draw(st.permutations(range(1, 9)))
+        sig = validate_signature(d, sorted(kappa)).relabeled(sigma)
+        multi = [(p, c) for p, c in exceptional_divisor(sig).terms.items() if p.r >= 2]
+        assume(multi)
+        for part, coeff in multi:
+            check_local_model(part, coeff, sig)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@ issue ``--json``) and once as a table, with ``--json`` dropped and ``--out``
 pointing to a temporary file.  The digest covers, per run, the argv (with the
 temporary path replaced by ``OUT``), the exit code, stdout, stderr and the
 contents of the ``--out`` file.  An uncaught exception is recorded as its
-type and message, so a traceback changes the digest too.  The parser's own
-output is digested as well, once per run of the tool: the top-level
-``--help``, each subcommand's ``--help`` and a few usage errors (see
-``PARSER_ARGV``), formatted for an 80-column terminal.
+type and message, so a traceback changes the digest too.  Two fixed lists
+are digested as well, once per run of the tool: the parser's own output
+(``PARSER_ARGV``: the top-level ``--help``, each subcommand's ``--help`` and
+a few usage errors, formatted for an 80-column terminal), and the
+``PROBE_ARGV`` queries on signatures larger than the benchmark's (n <= 11):
+``boundary``, ``phat``, ``exceptional`` and ``divisor`` at n = 12, whose
+boundary index set has 22,226 elements, and the refused ``volume`` at
+n = 16.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -46,6 +50,11 @@ PARSER_ARGV = [
     ["volume", "--d", "2", "--kappa=-1,-1,-1,-1", "--max-codim", "x"],  # not an integer
     ["boundary", "--d", "2", "--kappa=-1,-1,-1,-1", "--bogus"],  # unknown flag
     ["principal", "--d", "2", "--kappa=-1,-1,-1,-1"],  # missing --tree
+]
+_N12 = ["--d", "2", "--kappa=" + ",".join(map(str, [3, 3] + [-1] * 10))]
+PROBE_ARGV = [
+    *([cmd, *_N12, "--json"] for cmd in ("boundary", "phat", "exceptional", "divisor")),
+    ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5, 5] + [-1] * 14))],  # exit 3
 ]
 
 
@@ -92,7 +101,7 @@ def digest(seeds: list[int], src: str) -> tuple[int, str]:
                         h.update(json.dumps(record).encode() + b"\n")
                         count += 1
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
-    for argv in PARSER_ARGV:
+    for argv in PARSER_ARGV + PROBE_ARGV:
         code, out, err = run(strata0.cli.main, argv)
         h.update(json.dumps([argv, code, out, err, None]).encode() + b"\n")
         count += 1
