@@ -60,9 +60,6 @@ from strata0.strata import (
     Signature,
     StableTree,
     StrataError,
-    boundary_weight,
-    enumerate_stable_trees,
-    enumerate_two_block,
     exponent_vector,
     fiber_projective_dim,
     ideal_generators,
@@ -233,32 +230,29 @@ def _blocks(part: MultiBlockPartition) -> list[list[int]]:
     return [sorted(b) for b in part.blocks]
 
 
-def _symbol_json(sym, sig: Signature) -> dict:
-    if isinstance(sym, Psi):
-        return {"psi": sym.i}
-    a, b = sym.sides()  # a holds marking 1
-    k = strata._k_sum(sig, a)
-    if not strata._is_i0(k, -2 * sig.d - k, True):
-        a, b = b, a
-    return {"boundary": [list(a), list(b)]}
-
-
 def _expression_terms(expr: DivisorExpression, sig: Signature) -> list[tuple[dict, Fraction]]:
-    """``(symbol JSON, coefficient)`` for each term, in output order."""
-
-    def order(item):
-        sym, _ = item
+    """``(symbol JSON, coefficient)`` for each term, in output order: psi
+    classes by index, then splits by their side holding marking 1.  A split
+    is written ``I0`` first, by one :func:`strata._is_i0` call on that side."""
+    terms = []
+    for sym, c in expr.items():
         if isinstance(sym, Psi):
-            return (0, sym.i, ())
-        return (1, 0, sym.sides()[0])
-
-    return [(_symbol_json(sym, sig), c) for sym, c in sorted(expr.items(), key=order)]
+            terms.append(((0, sym.i), {"psi": sym.i}, c))
+            continue
+        a, b = sym.sides()  # a holds marking 1
+        k = strata._k_sum(sig, a)
+        sides = (a, b) if strata._is_i0(k, -2 * sig.d - k, True) else (b, a)
+        terms.append(((1, a), {"boundary": [list(side) for side in sides]}, c))
+    terms.sort(key=lambda term: term[0])
+    return [(sym, c) for _, sym, c in terms]
 
 
 def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
     """Write the JSON payload to ``--out`` first, if given, then print it or,
-    without ``--json``, the lines ``table()`` returns (built only then)."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    without ``--json``, the lines ``table()`` returns (built only then).
+    The payload is encoded only when ``--json`` or ``--out`` asks for it."""
+    if args.json or args.out:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -281,10 +275,11 @@ _Answer = tuple[int, dict, Callable[[], list[str]]]
 
 
 def _cmd_boundary(sig: Signature, args) -> _Answer:
+    # the walk's one factor for r = 1 is d + k_I0 = d * mu_S
     mus = []
     rows = []
-    for part in enumerate_two_block(sig):
-        mus.append(boundary_weight(part, sig))
+    for part, (m,) in strata._p_hat_parts(sig, r_max=1):
+        mus.append(Fraction(m, sig.d))
         rows.append({"blocks": _blocks(part), "mu_s": _rat(mus[-1])})
 
     def table() -> list[str]:
@@ -387,7 +382,10 @@ def _cmd_volume(sig: Signature, args) -> _Answer:
         if args.max_codim < 0:
             raise StrataError("--max-codim must be >= 0")
         depth = min(args.max_codim, sig.n - 3)
-        tree_ok = all(not in_ideal_support(t, sig) for t in enumerate_stable_trees(sig, depth))
+        # trees are built one at a time, in walk order, up to the first one
+        # in the ideal support
+        trees = (StableTree.from_splits(sig.n, key) for key in strata._split_keys(sig.n, depth))
+        tree_ok = not any(in_ideal_support(t, sig) for t in trees)
         # a tree in the ideal support refutes triviality at any depth
         if (not tree_ok or depth == sig.n - 3) and tree_ok != blowup_is_trivial(sig):
             raise StrataError("triviality criteria disagree; please report")

@@ -30,7 +30,9 @@ Two engines compute the top self-intersection ``D_mu^(n-3)``:
       D_mu^(n-3) = (-d)^(n-3) / (n-2) * sum_P (-1)^(|P|+1) (|P|-3)!
                                          * prod_{B in P} max(0, 1-mu_B)^(|B|-1),
 
-  over set partitions ``P`` of the markings with ``|P| >= 3``;
+  over set partitions ``P`` of the markings with ``|P| >= 3``.  It is the
+  one computation in the package with a table over all ``2^n`` marking
+  masks, and it fills the ``k_B`` column of that table itself;
 * for every other signature, the intersection fold of
   :func:`strata0.intersection.product_number` on the boundary form.
 
@@ -47,7 +49,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
-from strata0.strata import Signature, _kappa_sums, _leading_exceptional_terms, _p_hat_walk
+from strata0.strata import Signature, _leading_exceptional_terms, _p_hat_walk
 
 __all__ = [
     "ExceptionalDivisorNontrivial",
@@ -173,17 +175,18 @@ def _partition_sum_self_intersection(sig: Signature) -> Fraction:
     power ``d^(m-n)``, so the sum is accumulated per block count over a subset
     DP (each block holds the lowest marking still unplaced, so every
     partition is counted once) and the powers of ``d`` are applied at the
-    end: ``O(3^n n)`` integer operations.
+    end: ``O(3^n n)`` integer operations.  One pass over the masks in
+    increasing order fills ``k_B``, the weight and the counts of each mask.
     """
     n, d = sig.n, sig.d
-    size = 1 << n
-    ks = _kappa_sums(sig)
-    weight = [0] + [max(0, d + ks[mask]) ** (mask.bit_count() - 1) for mask in range(1, size)]
-    # by_blocks[mask][m]: weighted count of the partitions of mask into m blocks
-    by_blocks = [[1]]
-    for mask in range(1, size):
+    # k_B by a lowest-bit DP (bit i-1 is marking i); by_blocks[mask][m]:
+    # weighted count of the partitions of mask into m blocks
+    ks, weight, by_blocks = [0], [0], [[1]]
+    for mask in range(1, 1 << n):
         low = mask & -mask
         rest = mask ^ low
+        ks.append(ks[rest] + sig.kappa[low.bit_length() - 1])
+        weight.append(max(0, d + ks[mask]) ** (mask.bit_count() - 1))
         acc = [0] * (mask.bit_count() + 1)
         sub = rest
         while True:

@@ -21,15 +21,19 @@ This module is the one split core that the other layers share:
   one holding marking 1.  Every layer that orients a split asks it;
 * the boundary index set walk ``_p_hat_walk``: every element of P-hat as
   its block masks, in :meth:`MultiBlockPartition.sort_key` order, with its
-  factors ``m_j`` carried along.  One depth-first submask walk carries
-  ``k_B`` and builds no ``2^n`` table; the two-block splits, P-hat, the
-  exceptional coefficients, the refused volume's leading terms and both
-  divisor forms read it, and frozenset blocks are built only for output;
+  factors ``m_j`` carried along (for ``r = 1`` the one factor ``d * mu_S``).
+  One depth-first submask walk carries ``k_B``; the two-block splits and
+  their weights, P-hat, the exceptional coefficients, the refused volume's
+  leading terms and both divisor forms read it, and frozenset blocks are
+  built only for output.  A partition given from outside the walk has one
+  checked path, ``_m_factors``, which ``m_value`` and ``vanishing_orders``
+  read.  No function here builds a table over all ``2^n`` masks;
 * the stable tree as its set of pairwise-compatible splits (Buneman's
   splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each stored as
   the mask of the side holding marking 1.  ``canonical_key`` is the sorted
   tuple of those masks, :meth:`StableTree.from_splits` builds the tree back,
-  and :func:`enumerate_stable_trees` walks the compatible sets directly.
+  and ``_split_keys`` walks the compatible sets directly and lazily;
+  :func:`enumerate_stable_trees` sorts what it yields.
   Every tree fills one parent and far-side table on construction: principal
   subcurves and exponent vectors read its far sides, and the local charts
   read paths between components off its parents (``StableTree._path``).
@@ -256,15 +260,6 @@ def _check_blocks(blocks: Sequence[frozenset[int]], n: int) -> None:
         raise NotInPHat("two-block partitions need both sides >= 2")
 
 
-def _kappa_sums(sig: Signature) -> list[int]:
-    """``k_B`` for every mask ``B`` (bit ``i-1`` is marking ``i``), by a lowest-bit DP."""
-    ks = [0] * (1 << sig.n)
-    for mask in range(1, len(ks)):
-        low = mask & -mask
-        ks[mask] = ks[mask ^ low] + sig.kappa[low.bit_length() - 1]
-    return ks
-
-
 def _mask_marks(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -481,18 +476,25 @@ def enumerate_stable_trees(sig: Signature, max_edges: int) -> list[StableTree]:
         raise StrataError(f"max_edges = {max_edges} is negative")
     if max_edges > n - 3:
         raise StrataError(f"max_edges = {max_edges} exceeds n - 3 = {n - 3}")
-    full = (1 << n) - 1
-    found: list[tuple[int, ...]] = []
+    found = sorted(_split_keys(n, max_edges), key=lambda key: (len(key), key))
+    return [StableTree.from_splits(n, key) for key in found]
 
-    def walk(chosen: tuple[int, ...], cands: list[int]) -> None:
-        found.append(chosen)
+
+def _split_keys(n: int, max_edges: int) -> Iterator[tuple[int, ...]]:
+    """The canonical key of every stable tree with at most ``max_edges``
+    edges, depth first: a set of splits before its extensions, each adding
+    one larger compatible split.  Lazy, so a caller that stops early has
+    held only the candidate lists along one path of the walk."""
+    full = (1 << n) - 1
+
+    def walk(chosen: tuple[int, ...], cands: list[int]) -> Iterator[tuple[int, ...]]:
+        yield chosen
         if len(chosen) < max_edges:
             for i, k in enumerate(cands):
-                walk(chosen + (k,), [c for c in cands[i + 1:] if c & k == k or c | k == full])
+                compatible = [c for c in cands[i + 1:] if c & k == k or c | k == full]
+                yield from walk(chosen + (k,), compatible)
 
-    walk((), [k for k in range(1, full, 2) if 2 <= k.bit_count() <= n - 2])
-    found.sort(key=lambda key: (len(key), key))
-    return [StableTree.from_splits(n, key) for key in found]
+    return walk((), [k for k in range(1, full, 2) if 2 <= k.bit_count() <= n - 2])
 
 
 # ---------------------------------------------------------------------------
@@ -744,26 +746,23 @@ def enumerate_p_hat(sig: Signature) -> list[MultiBlockPartition]:
     return [part for part, _ in _p_hat_parts(sig)]
 
 
-def _check_in_p_hat(part: MultiBlockPartition, sig: Signature) -> list[int]:
-    """Check membership in the boundary index set; return each block's ``k_B``."""
+def _m_factors(part: MultiBlockPartition, sig: Signature) -> list[int]:
+    """The factors ``m_j = d * (mu(Ij) - 1) = -k_Ij - d`` over the heavy
+    blocks of a partition given from outside the walk, after checking that
+    it is in the boundary index set (raising :class:`NotInPHat` if not).
+    For ``r = 1`` the one factor is ``d + k_I0 = d * mu_S``."""
     _check_blocks(part.blocks, sig.n)
     d = sig.d
-    ks = [_k_sum(sig, b) for b in part.blocks]
+    k0, *heavy = (_k_sum(sig, b) for b in part.blocks)
     if part.r == 1:
-        if ks[0] < -d:
+        if k0 < -d:
             raise NotInPHat("I0 must be the light block")
     else:
-        if ks[0] <= -d:
+        if k0 <= -d:
             raise NotInPHat("mu(I0) must be < 1")
-        for k in ks[1:]:
-            if k >= -d:
-                raise NotInPHat("every heavy block needs mu > 1")
-    return ks
-
-
-def _m_factors(part: MultiBlockPartition, sig: Signature) -> list[int]:
-    """The factors ``m_j = d * (mu(Ij) - 1) = -k_Ij - d`` over the heavy blocks."""
-    return [-k - sig.d for k in _check_in_p_hat(part, sig)[1:]]
+        if any(k >= -d for k in heavy):
+            raise NotInPHat("every heavy block needs mu > 1")
+    return [-k - d for k in heavy]
 
 
 def m_value(part: MultiBlockPartition, sig: Signature) -> int:
@@ -771,10 +770,7 @@ def m_value(part: MultiBlockPartition, sig: Signature) -> int:
 
     For a two-block partition this is the single factor ``d * mu_S``.
     """
-    prod = 1
-    for f in _m_factors(part, sig):
-        prod *= f
-    return prod
+    return math.prod(_m_factors(part, sig))
 
 
 @dataclass
@@ -824,11 +820,8 @@ def vanishing_orders(part: MultiBlockPartition, sig: Signature) -> dict[int, int
     ``(n - 3 - r) + fiber_projective_dim(T_S) == n - 4``, so ``E_S`` is a
     divisor.
     """
-    if part.r == 1:
-        _check_in_p_hat(part, sig)
-        raise TwoBlockHasNoOrders("two-block divisors carry no node orders")
     factors = _m_factors(part, sig)
-    total = 1
-    for f in factors:
-        total *= f
-    return {j: total // factors[j - 1] for j in range(1, part.r + 1)}
+    if part.r == 1:
+        raise TwoBlockHasNoOrders("two-block divisors carry no node orders")
+    total = math.prod(factors)
+    return {j: total // f for j, f in enumerate(factors, 1)}

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata0.cli import SpecParseError, main, parse_kappa, parse_tree_spec
+from strata0.strata import boundary_weight, enumerate_two_block, validate_signature
 
 
 def run(capsys, *argv):
@@ -226,11 +227,39 @@ class TestExitCodes:
 
 class TestJson:
     def test_boundary_round_trip(self, capsys):
-        code, out, _ = run(capsys, "boundary", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["count"] == 25
-        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+        # the second signature has d = 3 and two splits with k_B = -d on both sides
+        for d, kappa, count in ((2, "-1,-1,-1,-1,-1,1", 25), (3, "-1,-2,-1,-2", 3)):
+            code, out, _ = run(capsys, "boundary", "--d", str(d), f"--kappa={kappa}", "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["count"] == count
+            assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+            # every row against the checked reference: the numbered two-block
+            # partitions and the Fraction weight of each
+            sig = validate_signature(d, parse_kappa(kappa))
+            want = []
+            for part in enumerate_two_block(sig):
+                mu_s = boundary_weight(part, sig)
+                want.append(([sorted(b) for b in part.blocks],
+                             {"num": str(mu_s.numerator), "den": str(mu_s.denominator)}))
+            assert [(row["blocks"], row["mu_s"]) for row in payload["partitions"]] == want
+
+    def test_table_run_encodes_json_only_for_out(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        dumps = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        argv = ("phat", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1")
+        code, table, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (0, 0)
+        out = tmp_path / "phat.json"
+        assert run(capsys, *argv, "--out", str(out)) == (0, table, "")
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["command"] == "phat"
 
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "phat", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1", "--json")
@@ -351,20 +380,26 @@ class TestOneParser:
 
 
 def test_large_refusal_exits_3_in_bounded_memory():
-    # n = 16 and E-nontrivial: the exit-3 message needs three terms, not P-hat
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    code, out, err = run_child(
-        "volume", "--d", "2", "--kappa=5,5" + ",-1" * 14, preexec_fn=limit, timeout=10
-    )
-    assert (code, out) == (3, ""), err
-    assert err == (
-        "error: nonzero exceptional coefficients: "
-        "{1 | 2,3,4,5,6,7,8,9,10 | 11,12,13,14,15,16} -> 4, "
-        "{1 | 2,3,4,5,6,7,8,9,10,11 | 12,13,14,15,16} -> 6, "
-        "{1 | 2,3,4,5,6,7,8,9,10,11,12 | 13,14,15,16} -> 6\n"
-    )
+    cases = [
+        # n = 16 and E-nontrivial: the exit-3 message needs three terms, not P-hat
+        (("--kappa=5,5" + ",-1" * 14,),
+         "{1 | 2,3,4,5,6,7,8,9,10 | 11,12,13,14,15,16} -> 4, "
+         "{1 | 2,3,4,5,6,7,8,9,10,11 | 12,13,14,15,16} -> 6, "
+         "{1 | 2,3,4,5,6,7,8,9,10,11,12 | 13,14,15,16} -> 6"),
+        # n = 10: the --max-codim cross-check stops at the first tree in the
+        # ideal support instead of building every tree up to depth 7 first
+        (("--kappa=5" + ",-1" * 9, "--max-codim", "7"),
+         "{1 | 2,3,4 | 5,6,7,8,9,10} -> 4, "
+         "{1 | 2,3,4,5 | 6,7,8,9,10} -> 6, "
+         "{1 | 2,3,4,5,6 | 7,8,9,10} -> 6"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_child("volume", "--d", "2", *argv, preexec_fn=limit, timeout=10)
+        assert (code, out) == (3, ""), err
+        assert err == f"error: nonzero exceptional coefficients: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from strata0.cli import main
 from strata0.strata import (
     StableTree,
     MultiBlockPartition,
-    _kappa_sums,
     _mask_marks,
     _p_hat_walk,
     exponent_vector,
@@ -59,10 +58,9 @@ def signed_trees(draw):
     sig = draw(signatures())
     n = sig.n
     full = (1 << n) - 1
-    ks = _kappa_sums(sig)
-    # split masks of the side holding marking 1
+    # split masks of the side holding marking 1; a tie has weight 1 on both sides
     cands = [a for a in range(1, full, 2) if 2 <= a.bit_count() <= n - 2]
-    ties = [a for a in cands if ks[a] == -sig.d]
+    ties = [a for a in cands if mu(sig, _mask_marks(a)) == 1]
     picks = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=n - 3))
     if ties:
         picks.insert(0, draw(st.sampled_from(ties)))
