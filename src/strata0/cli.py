@@ -11,8 +11,8 @@ Tree and chart specs share a mini-format: the first token lists the vertex
 marking groups joined by ``;`` (``1,2;3,4;5,6``; an empty group is allowed),
 the following tokens are edges ``j-k`` between 0-based vertex indices, and a
 chart may pin node parameters with ``t[j-k]=p/q``.  A marking list, in a
-vertex group or in a ``D{...}`` factor of ``intersect``, takes digits only
-and rejects an empty entry or a repeated marking, naming its position.
+vertex group or in a ``D{...}`` factor of ``intersect``, takes ASCII digits
+only and rejects an empty entry or a repeated marking, naming its position.
 Example:
 
     strata0 principal --d 2 --kappa=2,-1,-1,-1,-1,-1,-1 --tree "1;2,3,4;5,6,7 0-1 0-2"
@@ -84,8 +84,8 @@ class SpecParseError(ValueError):
 # spec parsing
 # ---------------------------------------------------------------------------
 
-_EDGE_RE = re.compile(r"^(\d+)-(\d+)$")
-_PARAM_RE = re.compile(r"^t\[(\d+)-(\d+)\]=(-?\d+)(?:/(-?\d+))?$")
+_EDGE_RE = re.compile(r"^([0-9]+)-([0-9]+)$")
+_PARAM_RE = re.compile(r"^t\[([0-9]+)-([0-9]+)\]=(-?[0-9]+)(?:/(-?[0-9]+))?$")
 
 
 def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
@@ -107,11 +107,11 @@ def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
 
 
 def _marking_list(text: str, pos: int) -> frozenset[int]:
-    """The markings of a comma-separated list found at offset ``pos``: digits
-    only, with no empty entry and no repeat."""
+    """The markings of a comma-separated list found at offset ``pos``: ASCII
+    digits only, with no empty entry and no repeat."""
     marks: set[int] = set()
     for mpos, m in _split_with_positions(text, ","):
-        if not re.fullmatch(r"\d+", m):
+        if not re.fullmatch(r"[0-9]+", m):
             raise SpecParseError(f"bad marking {m!r}", pos + mpos)
         if int(m) in marks:
             raise SpecParseError(f"marking {int(m)} repeated in one group", pos + mpos)
@@ -123,7 +123,7 @@ def parse_kappa(text: str) -> list[int]:
     out = []
     for pos, piece in _split_with_positions(text, ","):
         piece = piece.strip()
-        if not re.fullmatch(r"-?\d+", piece):
+        if not re.fullmatch(r"-?[0-9]+", piece):
             raise SpecParseError(f"bad integer {piece!r} in kappa", pos)
         out.append(int(piece))
     return out
@@ -186,7 +186,7 @@ def _read_tree(
     return tree, params
 
 
-_FACTOR_RE = re.compile(r"\s*(psi_(\d+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")
+_FACTOR_RE = re.compile(r"\s*(psi_([0-9]+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")
 
 
 def parse_factors(text: str, sig: Signature) -> list[DivisorExpression]:
@@ -382,10 +382,7 @@ def _cmd_volume(sig: Signature, args) -> _Answer:
         if args.max_codim < 0:
             raise StrataError("--max-codim must be >= 0")
         depth = min(args.max_codim, sig.n - 3)
-        # trees are built one at a time, in walk order, up to the first one
-        # in the ideal support
-        trees = (StableTree.from_splits(sig.n, key) for key in strata._split_keys(sig.n, depth))
-        tree_ok = not any(in_ideal_support(t, sig) for t in trees)
+        tree_ok = not strata._any_tree_in_support(sig, depth)
         # a tree in the ideal support refutes triviality at any depth
         if (not tree_ok or depth == sig.n - 3) and tree_ok != blowup_is_trivial(sig):
             raise StrataError("triviality criteria disagree; please report")

@@ -14,8 +14,8 @@ This module is the one split core that the other layers share:
 
 * the marking-mask codec: bit ``i-1`` of a mask is marking ``i``;
   ``_mask_marks`` decodes a mask and ``_marks_mask`` encodes a set of
-  markings, rejecting one outside ``1..n``; ``_k_sum`` is ``k_B`` of a set
-  of markings;
+  markings, rejecting one outside ``1..n``; ``_k_sum`` and ``_mask_k`` are
+  ``k_B`` of a set of markings and of a mask;
 * the split orientation rule ``_is_i0``: of the two sides of a split, ``I0``
   is the one with the larger ``k`` (so ``mu(I0) <= 1``) and, on a tie, the
   one holding marking 1.  Every layer that orients a split asks it;
@@ -34,9 +34,13 @@ This module is the one split core that the other layers share:
   tuple of those masks, :meth:`StableTree.from_splits` builds the tree back,
   and ``_split_keys`` walks the compatible sets directly and lazily;
   :func:`enumerate_stable_trees` sorts what it yields.
-  Every tree fills one parent and far-side table on construction: principal
-  subcurves and exponent vectors read its far sides, and the local charts
-  read paths between components off its parents (``StableTree._path``).
+  Every tree fills one parent and far-side table on construction; the local
+  charts read paths off its parents (``StableTree._path``), and principal
+  subcurves are one pass over its rows, or over a ``_laminar`` table with
+  no tree built: the node above ``v`` has weight 0 iff ``k_v = -d`` (``k_B``
+  of the subtree under ``v``), and any other node rules out the group above
+  it iff ``k_v < -d``, else the one below, since only one side of a node can
+  be heavy.
 
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  Every boundary index is a :class:`MultiBlockPartition`: a
@@ -155,6 +159,7 @@ class Signature:
 
     def relabeled(self, sigma: Sequence[int]) -> "Signature":
         """Signature after sending marking ``i`` to ``sigma[i-1]``."""
+        _check_permutation(sigma, self.n)
         new = [0] * self.n
         for i, k in enumerate(self.kappa, start=1):
             new[sigma[i - 1] - 1] = k
@@ -180,6 +185,12 @@ def bundle_rank(sig: Signature) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_permutation(sigma: Sequence[int], n: int) -> None:
+    """Raise :class:`StrataError` unless ``sigma`` is a permutation of ``1..n``."""
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise StrataError(f"sigma = {list(sigma)} is not a permutation of 1..{n}")
+
+
 def _relabel_set(marks: Iterable[int], sigma: Sequence[int]) -> frozenset[int]:
     return frozenset(sigma[i - 1] for i in marks)
 
@@ -187,6 +198,11 @@ def _relabel_set(marks: Iterable[int], sigma: Sequence[int]) -> frozenset[int]:
 def _k_sum(sig: Signature, marks: Iterable[int]) -> int:
     """``k_B = sum_{i in B} k_i`` over a set ``B`` of markings."""
     return sum(sig.kappa[i - 1] for i in marks)
+
+
+def _mask_k(sig: Signature, mask: int) -> int:
+    """``k_B`` over the markings ``B`` of a mask."""
+    return sum(k for i, k in enumerate(sig.kappa) if mask >> i & 1)
 
 
 def _is_i0(k_a: int, k_b: int, a_holds_1: bool) -> bool:
@@ -236,6 +252,7 @@ class MultiBlockPartition:
     def relabeled(self, sigma: Sequence[int], sig: Signature) -> "MultiBlockPartition":
         """Image partition under a relabeling, renumbered for the signature
         ``sig`` of the relabeled markings."""
+        _check_permutation(sigma, sig.n)
         imgs = [_relabel_set(b, sigma) for b in self.blocks]
         if self.r == 1:
             return MultiBlockPartition.from_split(*imgs, sig)
@@ -336,7 +353,7 @@ class StableTree:
     ``|marks| + degree >= 3`` at every vertex.  Construction fills one
     far-side table: rooted at vertex 0, ``_below[j]`` is the parent of ``j``
     and the marking mask and vertex mask of the subtree under ``j``, so either
-    side of every edge is one lookup (see :meth:`_far`).
+    side of every edge is one lookup (see :meth:`far_marks`).
     """
 
     vertex_marks: tuple[frozenset[int], ...]
@@ -427,20 +444,12 @@ class StableTree:
             down.append(below[down[-1]][0])
         return up[: up.index(down[-1])] + down[::-1]
 
-    def _far(self, j: int, k: int) -> tuple[int, int]:
-        """Marking mask and vertex mask of the ``k``-side of the edge ``{j, k}``."""
-        parent, marks, verts = self._below[k]
-        if parent == j:
-            return marks, verts
-        _, all_marks, all_verts = self._below[0]
-        _, marks, verts = self._below[j]
-        return all_marks ^ marks, all_verts ^ verts
-
     def far_marks(self, j: int, k: int) -> frozenset[int]:
         """Markings on the ``k``-side of the edge ``{j, k}``."""
         if not self.has_edge(j, k):
             raise NoSuchEdge(f"no edge between vertices {j} and {k}")
-        return _mask_marks(self._far(j, k)[0])
+        parent, marks, _ = self._below[k]
+        return _mask_marks(marks if parent == j else self._below[0][1] ^ self._below[j][1])
 
     def edge_partition(self, u: int, v: int, sig: Signature) -> MultiBlockPartition:
         """Two-block partition (``r = 1``) cut out by the edge ``{u, v}``."""
@@ -456,6 +465,7 @@ class StableTree:
         return StableTree.from_splits(self.n, self.canonical_key())
 
     def relabeled(self, sigma: Sequence[int]) -> "StableTree":
+        _check_permutation(sigma, self.n)
         return StableTree(
             tuple(_relabel_set(m, sigma) for m in self.vertex_marks), self.edges
         )
@@ -526,16 +536,27 @@ def edge_weight(tree: StableTree, oriented_edge: tuple[int, int], sig: Signature
     return b - a
 
 
-def _far_k(tree: StableTree, sig: Signature) -> dict[tuple[int, int], int]:
-    """``k_B`` of the far side ``B`` of every directed edge ``(j, k)``.
-
-    ``mu(B) < 1`` iff ``k_B > -d``, and the two sides of a node sum to ``-2d``.
-    """
-    out = {}
-    for v, (u, marks, _) in enumerate(tree._below[1:], 1):
-        k = _k_sum(sig, _mask_marks(marks))
-        out[u, v], out[v, u] = k, -2 * sig.d - k
-    return out
+def _principal(
+    sig: Signature, parent: Sequence[int], marks: Sequence[int]
+) -> tuple[list[frozenset[int]], frozenset[int]]:
+    """:func:`principal_subcurves` on a table rooted at vertex 0: ``parent[v]``
+    is the neighbor of ``v`` toward the root (-1 at the root) and ``marks[v]``
+    the marking mask of the subtree under ``v``."""
+    d = sig.d
+    ks = [_mask_k(sig, m) for m in marks]
+    # each group is keyed by its vertex nearest the root: climb weight-0
+    # nodes, jumping to the top already found for a vertex on the way
+    top = list(range(len(parent)))
+    for v in range(len(top)):
+        while parent[top[v]] >= 0 and ks[top[v]] == -d:
+            top[v] = top[parent[top[v]]]
+    ruled_out = {top[parent[v]] if ks[v] < -d else top[v]
+                 for v in range(len(top)) if parent[v] >= 0 and ks[v] != -d}
+    groups: dict[int, list[int]] = {}  # in order of least vertex
+    for v, t in enumerate(top):
+        groups.setdefault(t, []).append(v)
+    principal = [frozenset(g) for t, g in groups.items() if t not in ruled_out]
+    return principal, frozenset(v for v, t in enumerate(top) if t in ruled_out)
 
 
 def principal_subcurves(
@@ -546,28 +567,17 @@ def principal_subcurves(
     Zero-weight nodes are contracted first; a contracted component is
     principal when every edge leaving it points towards strictly lighter
     total weight (``mu`` of the far side < 1).  Returns the principal groups
-    as sets of original vertex indices, plus the remaining vertices.  At least
-    one principal subcurve always exists.
-    """
-    d = sig.d
-    far_k = _far_k(tree, sig)
+    as sets of original vertex indices, sorted by least vertex, plus the
+    remaining vertices.  At least one principal subcurve always exists.
 
-    groups: dict[int, set[int]] = {}
-    for j in range(tree.num_vertices):
-        # key the group by its vertex nearest to vertex 0: climb while the
-        # node toward it has weight 0
-        top, p = j, tree._below[j][0]
-        while p >= 0 and far_k[p, top] == -d:
-            top, p = p, tree._below[p][0]
-        groups.setdefault(top, set()).add(j)
-    principal: list[frozenset[int]] = []
-    rest: set[int] = set()
-    for grp in sorted(groups.values(), key=min):
-        if all(far_k[u, v] > -d for u in grp for v in tree.neighbors(u) if v not in grp):
-            principal.append(frozenset(grp))
-        else:
-            rest |= grp
-    return principal, frozenset(rest)
+    One pass over the parent table decides this.  With ``k_v`` the ``k_B``
+    of the subtree under ``v``, the node above ``v`` has weight 0 iff
+    ``k_v = -d``; any other node rules out one of its groups, the upper one
+    iff ``k_v < -d``, else the lower one: the two sides of a node have ``k``
+    summing to ``-2d``, so only one can be heavy (``k < -d``).
+    """
+    parent, marks, _ = zip(*tree._below)
+    return _principal(sig, parent, marks)
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +611,13 @@ def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
     """
     if not 0 <= j < tree.num_vertices:
         raise StrataError(f"no vertex {j}")
-    far_k = _far_k(tree, sig)
+    d = sig.d
     entries: dict[tuple[int, int], int] = {}
-    for u, v in tree.edges:
-        marks, verts = tree._far(u, v)
-        ku, kv = far_k[v, u], far_k[u, v]
-        v_light = _is_i0(kv, ku, marks & 1 == 1)
+    for v, (u, marks, verts) in enumerate(tree._below[1:], 1):
+        k = _mask_k(sig, marks)  # the side under v
+        v_light = _is_i0(k, -2 * d - k, marks & 1 == 1)
         on_v = verts >> j & 1 == 1
-        entries[(u, v)] = sig.d + max(ku, kv) if on_v == v_light else 0
+        entries[_norm_edge(u, v)] = d + max(k, -2 * d - k) if on_v == v_light else 0
     return ExponentVector.from_dict(entries)
 
 
@@ -630,6 +639,16 @@ def in_ideal_support(tree: StableTree, sig: Signature) -> bool:
     i.e. when there are at least two principal subcurves."""
     principal, _ = principal_subcurves(tree, sig)
     return len(principal) >= 2
+
+
+def _any_tree_in_support(sig: Signature, max_edges: int) -> bool:
+    """Whether some stable tree with at most ``max_edges`` nodes lies in the
+    ideal support.  Each key of :func:`_split_keys` is tested on its
+    :func:`_laminar` table, with no :class:`StableTree` built, and the walk
+    stops at the first tree in the support."""
+    full = (1 << sig.n) - 1
+    tables = (_laminar(sig.n, key) for key in _split_keys(sig.n, max_edges))
+    return any(len(_principal(sig, parent, [full, *fars])[0]) >= 2 for fars, parent, _ in tables)
 
 
 def fiber_projective_dim(tree: StableTree, sig: Signature) -> int:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata0.cli import SpecParseError, main, parse_kappa, parse_tree_spec
-from strata0.strata import boundary_weight, enumerate_two_block, validate_signature
+from strata0.strata import StableTree, boundary_weight, enumerate_two_block, validate_signature
 
 
 def run(capsys, *argv):
@@ -98,6 +98,25 @@ class TestExitCodes:
             )
             assert code == 2 and out == ""
             assert f"error: marking {mark} is outside 1..4" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("phat", "--d", "2", "--kappa=\u0663,-1,-1,-1,-1,-1,-1,-1"),
+             "bad integer '\u0663' in kappa (at position 0)"),
+            (("intersect", "--d", "2", "--kappa=-1,-1,-1,-1", "--factors", "psi_\u0661"),
+             "bad factor 'psi_\u0661' (at position 0)"),
+            (("principal", "--d", "2", "--kappa=-1,-1,-1,-1", "--tree", "1,2;3,\u0664 0-1"),
+             "bad marking '\u0664' (at position 6)"),
+            (("principal", "--d", "2", "--kappa=-1,-1,-1,-1", "--tree", "1,2;3,4 0-\u0661"),
+             "expected 'j-k' or 't[j-k]=p/q', got '0-\u0661' (at position 8)"),
+        ],
+        ids=["kappa", "psi", "group", "edge"],
+    )
+    def test_non_ascii_digits_are_2(self, capsys, argv, message):
+        # Arabic-Indic digits match \d and int() reads them; the grammar is 0-9
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unwritable_out_is_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -340,6 +359,21 @@ class TestJson:
             "--max-codim", "3", "--json",
         )
         assert code == 0
+
+    def test_volume_max_codim_builds_no_tree(self, capsys, monkeypatch):
+        built = []
+        init = StableTree.__post_init__
+
+        def counting(self):
+            built.append(1)
+            init(self)
+
+        monkeypatch.setattr(StableTree, "__post_init__", counting)
+        # n = 7 and E-trivial, so the walk visits all 2752 trees up to depth 4
+        code, _, _ = run(
+            capsys, "volume", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0", "--max-codim", "4"
+        )
+        assert (code, len(built)) == (0, 0)
 
 
 class TestOneParser:

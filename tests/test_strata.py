@@ -820,3 +820,15 @@ class TestEquivariance:
             rexc = exceptional_divisor(rsig)
             for part, c in exc.terms.items():
                 assert rexc.terms[part.relabeled(sigma, rsig)] == c
+
+    @pytest.mark.parametrize("sigma", [[1, 1, 3, 4], [1, 2, 3], [1, 2, 3, 4, 5], [0, 1, 2, 3],
+                                       [2, 3, 4, 5]])
+    def test_relabeling_needs_a_permutation(self, sigma):
+        # a repeat used to map two markings to one slot, a short or
+        # out-of-range sigma to raise IndexError
+        sig = validate_signature(3, [0, -2, -2, -2])
+        part = MultiBlockPartition.from_split({1, 2}, {3, 4}, sig)
+        tree = StableTree((frozenset({1, 2}), frozenset({3, 4})), ((0, 1),))
+        for relabel in (sig.relabeled, lambda s: part.relabeled(s, sig), tree.relabeled):
+            with pytest.raises(StrataError, match="is not a permutation of 1..4"):
+                relabel(sigma)

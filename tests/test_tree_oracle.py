@@ -16,10 +16,15 @@ from fraction_weights import mu, oracle_orient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strata0.divisors import blowup_is_trivial
 from strata0.strata import (
     StableTree,
     StrataError,
     MultiBlockPartition,
+    _any_tree_in_support,
+    _laminar,
+    _principal,
+    _split_keys,
     boundary_weight,
     enumerate_stable_trees,
     exponent_vector,
@@ -350,6 +355,31 @@ def assert_matches_oracle(tree, sig):
 def test_principal_and_exponents_match_oracle(sig):
     for tree in enumerate_stable_trees(sig, min(3, sig.n - 3)):
         assert_matches_oracle(tree, sig)
+
+
+# E-nontrivial signatures: some stable tree has two principal subcurves
+E_NONTRIVIAL = [
+    validate_signature(3, [2, -2, -2, -2, -2]),
+    validate_signature(3, [4, -2, -2, -2, -2, -2]),
+    validate_signature(3, [6, -2, -2, -2, -2, -2, -2]),
+    validate_signature(4, [3, -3, -3, -3, -1, -1]),
+]
+
+
+@pytest.mark.parametrize("sig", TIE_SIGNATURES + E_NONTRIVIAL, ids=lambda s: f"d{s.d}n{s.n}")
+def test_principal_on_split_walk_tables_matches_trees(sig):
+    # every split set, read off its laminar table as the --max-codim walk
+    # does; StableTree.from_splits numbers vertices by the same table
+    n, full = sig.n, (1 << sig.n) - 1
+    in_support = False
+    for key in _split_keys(n, n - 3):
+        fars, parent, _ = _laminar(n, key)
+        tree = StableTree.from_splits(n, key)
+        got = _principal(sig, parent, [full, *fars])
+        assert got == principal_subcurves(tree, sig) == oracle_principal_subcurves(tree, sig)
+        in_support = in_support or len(got[0]) >= 2
+    assert _any_tree_in_support(sig, n - 3) == in_support == (not blowup_is_trivial(sig))
+    assert in_support or sig not in E_NONTRIVIAL
 
 
 @st.composite

@@ -13,7 +13,10 @@ a few usage errors, formatted for an 80-column terminal), and the
 ``PROBE_ARGV`` queries on signatures larger than the benchmark's (n <= 11):
 ``boundary``, ``phat``, ``exceptional`` and ``divisor`` at n = 12, whose
 boundary index set has 22,226 elements, and the refused ``volume`` at
-n = 16.
+n = 16.  Two more probe the ``volume --max-codim`` tree walk beyond the
+benchmark's n = 7: the full walk of an E-trivial n = 8 signature (39,208
+trees) and the refusal at n = 10 that stops at the first tree in the ideal
+support.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -55,6 +58,8 @@ _N12 = ["--d", "2", "--kappa=" + ",".join(map(str, [3, 3] + [-1] * 10))]
 PROBE_ARGV = [
     *([cmd, *_N12, "--json"] for cmd in ("boundary", "phat", "exceptional", "divisor")),
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5, 5] + [-1] * 14))],  # exit 3
+    ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0", "--max-codim", "5"],
+    ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5] + [-1] * 9)), "--max-codim", "7"],
 ]
 
 
