@@ -13,6 +13,7 @@ the following tokens are edges ``j-k`` between 0-based vertex indices, and a
 chart may pin node parameters with ``t[j-k]=p/q``.  A marking list, in a
 vertex group or in a ``D{...}`` factor of ``intersect``, takes ASCII digits
 only and rejects an empty entry or a repeated marking, naming its position.
+``--kappa`` and the integer options take ASCII digits only as well.
 Example:
 
     strata0 principal --d 2 --kappa=2,-1,-1,-1,-1,-1,-1 --tree "1;2,3,4;5,6,7 0-1 0-2"
@@ -119,13 +120,26 @@ def _marking_list(text: str, pos: int) -> frozenset[int]:
     return frozenset(marks)
 
 
+def _ascii_int(text: str) -> int:
+    """A signed integer in ASCII digits; ``int()`` also reads other Unicode
+    decimal digits, and spaces, ``+`` and ``_``."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+# argparse names the type in its usage error: "invalid int value: 'x'"
+_ascii_int.__name__ = "int"
+
+
 def parse_kappa(text: str) -> list[int]:
     out = []
     for pos, piece in _split_with_positions(text, ","):
         piece = piece.strip()
-        if not re.fullmatch(r"-?[0-9]+", piece):
-            raise SpecParseError(f"bad integer {piece!r} in kappa", pos)
-        out.append(int(piece))
+        try:
+            out.append(_ascii_int(piece))
+        except ValueError:
+            raise SpecParseError(f"bad integer {piece!r} in kappa", pos) from None
     return out
 
 
@@ -467,7 +481,7 @@ _FACTOR_HELP = (
 
 
 _COMMON = (
-    ("--d", dict(type=int, required=True, help="level d >= 2")),
+    ("--d", dict(type=_ascii_int, required=True, help="level d >= 2")),
     ("--kappa", dict(required=True, help="comma-separated zero/pole orders summing to -2d")),
     ("--json", dict(action="store_true", help="emit JSON instead of a table")),
     ("--out", dict(help="also write the JSON to a file")),
@@ -486,12 +500,12 @@ _COMMANDS = (
      (("--factors", dict(required=True,
                          help="comma-separated factors: psi_i, D{...}, Dmu, Dmu_psi")),)),
     ("volume", _cmd_volume, "volume of the projectivized stratum", None,
-     (("--max-codim", dict(
-         type=int, help="also cross-check triviality on all trees up to this codimension")),)),
+     (("--max-codim", dict(type=_ascii_int, help="also cross-check triviality on all trees "
+                                                  "up to this codimension")),)),
     ("verify-family", _cmd_verify_family, "verify the local family section identities", _TREE_HELP,
      (("--chart", dict(required=True, help="chart spec (see below)")),
-      ("--samples", dict(type=int, default=20, help="sample points per identity")),
-      ("--seed", dict(type=int, help="sampling seed (default fixed)")))),
+      ("--samples", dict(type=_ascii_int, default=20, help="sample points per identity")),
+      ("--seed", dict(type=_ascii_int, help="sampling seed (default fixed)")))),
 )
 
 _PARSER = argparse.ArgumentParser(

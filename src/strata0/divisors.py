@@ -36,9 +36,12 @@ Two engines compute the top self-intersection ``D_mu^(n-3)``:
 * for every other signature, the intersection fold of
   :func:`strata0.intersection.product_number` on the boundary form.
 
-The same identity matched the fold on every recorded E-trivial signature
-with some ``k_i >= 0`` as well, but the theorem does not cover those, so they
-stay on the fold.  The fold remains the oracle for the closed form in tests.
+The same identity matched the fold on signatures with some ``k_i >= 0`` as
+well: on all 78 E-trivial signatures with n = 4..7, d = 2..4 and entries in
+``[1-d, 2d]`` (66 of them with some ``k_i >= 0``), on all 222 recorded
+benchmark volumes (184 such) and on nonzero such signatures at n = 8.  That
+is a checked identity, not a cited theorem, so those signatures stay on the
+fold.  The fold remains the oracle for the closed form in tests.
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ sum to ``m_v - 3`` (and 0 otherwise).
 
 Marking sets are bitmasks in the codec of :mod:`strata0.strata` (bit
 ``i-1`` is marking ``i``).  Equal strata must combine, which is what keeps
-intermediate term counts polynomial in practice.  A :class:`DecoratedStratum`
-is keyed by its set of split masks, pairwise compatible, which determines the
+intermediate term counts polynomial in practice.  A decorated stratum is
+keyed by its set of split masks, pairwise compatible, which determines the
 tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
 so keys are canonical with no vertex renumbering and each rule above is one
-set operation on the splits.  :func:`multiply` / :func:`integrate` apply the
-rules term by term; the product fold behind :func:`product_number` runs on
-the same keys and prunes terms that cannot reach a nonzero top degree.
+set operation on the splits.  The product fold behind :func:`product_number`
+is the one engine here: it runs on these keys and prunes terms that cannot
+reach a nonzero top degree.  The tests keep the term-by-term calculus on the
+same keys (``multiply`` / ``integrate``) as its oracle.
 """
 
 from __future__ import annotations
@@ -38,25 +39,15 @@ from typing import Iterable, Mapping, Sequence, Union
 from strata0.strata import _laminar, _marks_mask, _mask_marks
 
 __all__ = [
-    "DegreeOverflow",
     "WrongDegree",
     "Psi",
     "Boundary",
     "DivisorSymbol",
     "DivisorExpression",
-    "DecoratedStratum",
-    "ChowElement",
-    "unit",
-    "multiply",
-    "integrate",
     "product_number",
     "keel_relation",
     "psi_boundary_expression",
 ]
-
-
-class DegreeOverflow(ValueError):
-    pass
 
 
 class WrongDegree(ValueError):
@@ -144,59 +135,6 @@ class DivisorExpression:
         return self.terms.items()
 
 
-# ---------------------------------------------------------------------------
-# decorated strata
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecoratedStratum:
-    """A stable dual tree with cotangent decorations, keyed by its splits.
-
-    ``splits`` is the frozenset of the tree's split masks, each the side
-    holding marking 1 as in ``Boundary.key``.  ``dec`` is a sorted tuple of
-    ``(flag, power)`` with positive powers.  A flag is named by its far mask,
-    the markings beyond it: ``1 << (i-1)`` for the leg of marking ``i``;
-    ``full ^ K`` for the branch of split ``K`` on its marking-1 side and ``K``
-    for the one on its far side.  Compatible splits determine the tree, so the
-    key is canonical by construction, and splitting a vertex keeps every
-    flag's far mask, so a refinement only adds its split and leaves ``dec``
-    as it is.
-    """
-
-    n: int
-    splits: frozenset[int]
-    dec: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.splits) + sum(p for _, p in self.dec)
-
-
-@dataclass
-class ChowElement:
-    """Q-linear combination of decorated strata of one common degree."""
-
-    n: int
-    terms: dict[DecoratedStratum, Fraction]
-
-    @property
-    def degree(self) -> int:
-        for s in self.terms:
-            return s.degree
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChowElement) and self.n == other.n and self.terms == other.terms
-
-
-def unit(n: int) -> ChowElement:
-    """The fundamental class: one smooth vertex, no decorations."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    return ChowElement(n, {DecoratedStratum(n, frozenset(), ()): Fraction(1)})
-
-
 def _bumped(dec: tuple[tuple, ...], flag) -> tuple[tuple, ...]:
     """A sorted decoration tuple with the power at ``flag`` raised by one."""
     d = dict(dec)
@@ -207,58 +145,6 @@ def _bumped(dec: tuple[tuple, ...], flag) -> tuple[tuple, ...]:
 def _check_psi(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"psi index {i} is outside 1..{n}")
-
-
-def multiply(elem: ChowElement, sym: DivisorSymbol) -> ChowElement:
-    """Multiply a class by one divisor symbol; the degree rises by one."""
-    n = elem.n
-    if elem.degree >= n - 3:
-        raise DegreeOverflow(f"degree {elem.degree} is already top for n = {n}")
-    full = (1 << n) - 1
-    out: dict[DecoratedStratum, Fraction] = {}
-
-    def add(splits: frozenset[int], dec: tuple[tuple[int, int], ...], c: Fraction) -> None:
-        t = DecoratedStratum(n, splits, dec)
-        out[t] = out.get(t, 0) + c
-
-    if isinstance(sym, Psi):
-        _check_psi(n, sym.i)
-        leg = 1 << (sym.i - 1)
-        for s, c in elem.terms.items():
-            add(s.splits, _bumped(s.dec, leg), c)
-    else:
-        if sym.n != n:
-            raise ValueError("symbol and class live on different moduli spaces")
-        k = sym.key
-        for s, c in elem.terms.items():
-            if k in s.splits:
-                # excess term at both branches of the existing edge
-                for fm in (full ^ k, k):
-                    add(s.splits, _bumped(s.dec, fm), -c)
-            elif all((k & l) in (k, l) or k | l == full for l in s.splits):
-                # compatible with every split (nested, or sides covering all
-                # markings): refine the stratum by one edge
-                add(s.splits | {k}, s.dec, c)
-            # a crossing split kills the term
-    return ChowElement(n, {t: c for t, c in out.items() if c})
-
-
-def integrate(elem: ChowElement) -> Fraction:
-    """Degree of a top-dimensional class against the fundamental cycle."""
-    n = elem.n
-    if elem.degree != n - 3 and elem.terms:
-        raise WrongDegree(f"degree {elem.degree} != n - 3 = {n - 3}")
-    total = Fraction(0)
-    for s, c in elem.terms.items():
-        flags, _, decsum, denfac = _vertices(n, s.splits, s.dec)
-        val = c
-        for fl, d, den in zip(flags, decsum, denfac):
-            if d != len(fl) - 3:
-                break
-            val *= factorial(d) // den
-        else:
-            total += val
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +171,15 @@ def _scaled_parts(n: int, expr: DivisorExpression) -> tuple[int, dict[int, int],
     return den, psis, bnds
 
 
-# The fold keys a stratum by the ``(splits, dec)`` fields of
-# :class:`DecoratedStratum`, without the wrapper.
+# The fold keys a decorated stratum by ``(splits, dec)``.  ``splits`` is the
+# frozenset of the tree's split masks, each the side holding marking 1 as in
+# ``Boundary.key``.  ``dec`` is a sorted tuple of ``(flag, power)`` with
+# positive powers.  A flag is named by its far mask, the markings beyond it:
+# ``1 << (i-1)`` for the leg of marking ``i``; ``full ^ K`` for the branch of
+# split ``K`` on its marking-1 side and ``K`` for the one on its far side.
+# Compatible splits determine the tree, so the key is canonical by
+# construction, and splitting a vertex keeps every flag's far mask, so a
+# refinement only adds its split and leaves ``dec`` as it is.
 _Key = tuple[frozenset[int], tuple[tuple[int, int], ...]]
 
 

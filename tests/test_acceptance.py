@@ -12,6 +12,7 @@ from math import factorial
 
 import pytest
 from fraction_weights import mu
+from term_calculus import integrate, multiply, unit
 
 from strata0.divisors import (
     ExceptionalDivisorNontrivial,
@@ -23,11 +24,8 @@ from strata0.intersection import (
     Boundary,
     DivisorExpression,
     Psi,
-    integrate,
     keel_relation,
-    multiply,
     product_number,
-    unit,
 )
 from strata0.local_family import (
     beta_monomial,

@@ -118,6 +118,27 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (("boundary", "--d", "\u0662", "--kappa=-1,-1,-1,-1"), "--d"),
+            (("volume", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", "--max-codim", "\u0663"),
+             "--max-codim"),
+            (("verify-family", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", "1,2;3,4 0-1",
+              "--samples", "\u0662"), "--samples"),
+            (("verify-family", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", "1,2;3,4 0-1",
+              "--seed", "\u0667"), "--seed"),
+        ],
+        ids=["d", "max-codim", "samples", "seed"],
+    )
+    def test_non_ascii_integer_options_are_2(self, capsys, argv, value):
+        # int() reads any Unicode decimal digit; the options take 0-9 only
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        bad = argv[argv.index(value) + 1]
+        assert f"error: argument {value}: invalid int value: '{bad}'\n" in capsys.readouterr().err
+
     def test_unwritable_out_is_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(

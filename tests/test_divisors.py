@@ -6,10 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 from fraction_weights import mu
+from term_calculus import integrate, multiply, unit
 
 import strata0.divisors as divisors_mod
 from strata0.divisors import (
     ExceptionalDivisorNontrivial,
+    _partition_sum_self_intersection,
     blowup_is_trivial,
     d_mu_boundary_form,
     d_mu_psi_form,
@@ -199,8 +201,6 @@ class TestVolume:
     def test_cubic6_against_naive_trilinear_expansion(self):
         # expand the cube over all symbol triples through the incremental
         # multiply path; agrees with the folded product
-        from strata0.intersection import integrate, multiply, unit
-
         bf = d_mu_boundary_form(SIG_CUBIC6)
         syms = list(bf.terms.items())
         total = F(0)
@@ -274,8 +274,21 @@ def _count_fold_calls(monkeypatch):
     return calls
 
 
+def _grid(n):
+    """Every signature with ``d = 2..4`` and entries in ``[1-d, 2d]``, up to
+    relabeling."""
+    for d in range(2, 5):
+        for kappa in itertools.combinations_with_replacement(range(1 - d, 2 * d + 1), n):
+            if sum(kappa) == -2 * d:
+                yield validate_signature(d, list(kappa))
+
+
 class TestPartitionSumEngine:
-    """McMullen's partition sum against the fold, which stays its oracle."""
+    """McMullen's partition sum against the fold, which stays its oracle.
+
+    Where some ``k_i >= 0`` the identity is checked here, not cited, and
+    ``volume`` stays on the fold.
+    """
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_matches_fold_on_every_covered_signature(self, n, monkeypatch):
@@ -287,6 +300,37 @@ class TestPartitionSumEngine:
                 assert volume(sig).intersection_number == fold, sig.kappa
                 checked += 1
         assert checked and not calls
+
+    @pytest.mark.parametrize(
+        "n,trivial,nontrivial", [(4, 8, 0), (5, 15, 4), (6, 25, 23), (7, 30, 74)]
+    )
+    def test_matches_fold_on_the_whole_grid(self, n, trivial, nontrivial):
+        # 78 E-trivial signatures in all, 66 with some k_i >= 0; on the 101
+        # E-nontrivial ones the sum and the fold mostly differ, so volume
+        # must refuse them
+        seen = {True: 0, False: 0}
+        for sig in _grid(n):
+            e_trivial = blowup_is_trivial(sig)
+            seen[e_trivial] += 1
+            if e_trivial:
+                fold = product_number(n, [d_mu_boundary_form(sig)] * (n - 3))
+                assert _partition_sum_self_intersection(sig) == fold, (sig.d, sig.kappa)
+                assert volume(sig).intersection_number == fold, (sig.d, sig.kappa)
+            else:
+                with pytest.raises(ExceptionalDivisorNontrivial):
+                    volume(sig)
+        assert seen == {True: trivial, False: nontrivial}
+
+    @pytest.mark.parametrize(
+        "d,kappa,value",
+        [(3, [1] + [-1] * 7, -40), (5, [1, -3, -2, -2, -1, -1, -1, -1], -91)],
+    )
+    def test_mixed_n8_matches_fold(self, d, kappa, value, monkeypatch):
+        sig = validate_signature(d, kappa)
+        assert _partition_sum_self_intersection(sig) == value
+        calls = _count_fold_calls(monkeypatch)
+        assert volume(sig).intersection_number == value
+        assert calls == [8]
 
     def test_n9_value(self, monkeypatch):
         calls = _count_fold_calls(monkeypatch)

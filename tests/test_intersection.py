@@ -10,20 +10,17 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from term_calculus import DegreeOverflow, integrate, multiply, unit
 
 from strata0.divisors import d_mu_boundary_form, d_mu_psi_form
 from strata0.intersection import (
     Boundary,
-    DegreeOverflow,
     DivisorExpression,
     Psi,
     WrongDegree,
-    integrate,
     keel_relation,
-    multiply,
     product_number,
     psi_boundary_expression,
-    unit,
 )
 from strata0.strata import validate_signature
 
@@ -272,8 +269,6 @@ class TestPsiBoundaryExpression:
             assert product_number(n, [e1, other]) == product_number(n, [e2, other])
 
     def test_n6_agreement_degree_two_pairings(self):
-        from strata0.intersection import integrate, multiply, unit
-
         n = 6
         e = psi_boundary_expression(n, 2, 5, 6)
         syms = all_symbols(n)

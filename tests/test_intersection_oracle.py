@@ -1,7 +1,8 @@
 """The split-set stratum calculus against the vertex form it replaced.
 
-The library keys a decorated stratum by its set of split masks and names each
-flag by its far mask, so ``multiply`` is one set operation per rule.  The
+The term-by-term calculus of ``term_calculus.py`` keys a decorated stratum by
+its set of split masks and names each flag by its far mask, as the library's
+fold does, so ``multiply`` is one set operation per rule.  The
 oracle below is the vertex-numbered calculus that did this before: explicit
 vertices and edges, renumbered into a canonical vertex order after every
 refinement, with boundary products found by walking flag subsets at every
@@ -21,17 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from term_calculus import DecoratedStratum, integrate, multiply, unit
 
-from strata0.intersection import (
-    Boundary,
-    DecoratedStratum,
-    DivisorExpression,
-    Psi,
-    integrate,
-    multiply,
-    product_number,
-    unit,
-)
+from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
 
 # ---------------------------------------------------------------------------
 # oracle: the vertex form

@@ -16,7 +16,9 @@ boundary index set has 22,226 elements, and the refused ``volume`` at
 n = 16.  Two more probe the ``volume --max-codim`` tree walk beyond the
 benchmark's n = 7: the full walk of an E-trivial n = 8 signature (39,208
 trees) and the refusal at n = 10 that stops at the first tree in the ideal
-support.
+support.  The last is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
+(the walk's signature has volume 0), so a change of engine for such
+signatures shows in the digest.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -60,6 +62,7 @@ PROBE_ARGV = [
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5, 5] + [-1] * 14))],  # exit 3
     ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0", "--max-codim", "5"],
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5] + [-1] * 9)), "--max-codim", "7"],
+    ["volume", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1"],
 ]
 
 
