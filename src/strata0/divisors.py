@@ -47,6 +47,7 @@ fold.  The fold remains the oracle for the closed form in tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -164,10 +165,55 @@ class VolumeResult:
     warnings: list[str] = field(default_factory=list)
 
     def signed_decimal(self, digits: int = 12) -> str:
-        return f"{float(self.coefficient) * math.pi ** self.pi_power:.{digits}g}"
+        return _pi_multiple_decimal(self.coefficient, self.pi_power, digits)
 
     def abs_decimal(self, digits: int = 12) -> str:
-        return f"{abs(float(self.coefficient)) * math.pi ** self.pi_power:.{digits}g}"
+        return _pi_multiple_decimal(abs(self.coefficient), self.pi_power, digits)
+
+
+def _pi_multiple_decimal(x: Fraction, p: int, digits: int) -> str:
+    """``x * pi**p`` to ``digits`` significant digits in ``%g`` style.
+
+    Where ``float(x)`` and the float product are normal floats this is the
+    float product.  Elsewhere ``float(x)`` has lost precision, or the product
+    underflows or overflows, so the digits come from the exact ``x`` times the
+    double nearest pi.
+    """
+    try:
+        c = float(x)
+        v = c * math.pi ** p
+    except OverflowError:
+        c = v = math.inf
+    tiny = sys.float_info.min
+    if tiny <= abs(c) and tiny <= abs(v) < math.inf:
+        return f"{v:.{digits}g}"
+    return _format_g(x * Fraction(math.pi) ** p, digits)
+
+
+def _format_g(v: Fraction, digits: int) -> str:
+    """``format(v, f".{digits}g")`` for an exact rational: ``digits``
+    significant digits rounded half-even, as float formatting rounds the
+    exact value of a double, with its choice of notation and its trimming."""
+    if not v:
+        return "0"
+    sign = "-" if v < 0 else ""
+    v, prec = abs(v), max(digits, 1)
+    # floor(log10 v): an estimate off by at most one, then corrected
+    exp = math.floor((v.numerator.bit_length() - v.denominator.bit_length()) * math.log10(2))
+    while v >= Fraction(10) ** (exp + 1):
+        exp += 1
+    while v < Fraction(10) ** exp:
+        exp -= 1
+    m = round(v / Fraction(10) ** (exp - prec + 1))
+    if m == 10**prec:
+        m, exp = m // 10, exp + 1
+    s = str(m)
+    if -4 <= exp < prec:
+        head, tail = (s[: exp + 1], s[exp + 1 :]) if exp >= 0 else ("0", "0" * (-exp - 1) + s)
+        tail = tail.rstrip("0")
+        return sign + head + ("." + tail if tail else "")
+    tail = s[1:].rstrip("0")
+    return f"{sign}{s[0]}{'.' + tail if tail else ''}e{exp:+03d}"
 
 
 def _partition_sum_self_intersection(sig: Signature) -> Fraction:

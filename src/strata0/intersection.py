@@ -3,14 +3,15 @@ the moduli space of stable n-pointed genus-0 curves.
 
 Classes are held as Q-linear combinations of *decorated boundary strata*: a
 stable dual tree together with a power of the cotangent class at each flag
-(a marking leg or an edge branch).  Multiplying by a divisor symbol applies
-the classical genus-0 rules:
+(a marking leg or an edge branch).  Restricted to a stratum, a divisor
+expression is a weight per flag plus the splits that refine a vertex, by the
+classical genus-0 rules:
 
-* a boundary divisor whose split crosses the stratum kills the term;
+* a psi class raises the decoration at its leg;
 * a boundary divisor equal to the split of an existing edge contributes the
-  excess term ``-(psi' + psi'')`` at the two branches of that node;
-* otherwise the divisor refines a unique vertex by one new edge;
-* a psi class raises the decoration at its leg.
+  excess term ``-(psi' + psi'')``, raising either branch of that node;
+* a boundary divisor whose split crosses the stratum kills the term;
+* otherwise the divisor refines a unique vertex by one new edge.
 
 A top-degree decorated stratum integrates to a product of one multinomial
 per vertex, ``(m_v - 3)! / prod_f a_f!`` when the decorations at each vertex
@@ -187,10 +188,10 @@ def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
     """Vertex data of a split-set stratum, in the vertex numbering of
     :func:`strata0.strata._laminar`.
 
-    Returns ``(flags, where, decsum, denfac)``: the far mask of each flag per
+    Returns ``(flags, decsum, denfac)``: the far mask of each flag per
     vertex, with first the flag toward marking 1 (so no other flag's far mask
-    holds marking 1); the vertex of each flag; and per vertex the decoration
-    sum and the product of ``p!`` over its decorations.
+    holds marking 1); and per vertex the decoration sum and the product of
+    ``p!`` over its decorations.
     """
     full = (1 << n) - 1
     fars, parent, own = _laminar(n, splits)
@@ -211,25 +212,60 @@ def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
     for fm, p in dec:
         decsum[where[fm]] += p
         denfac[where[fm]] *= factorial(p)
-    return flags, where, decsum, denfac
+    return flags, decsum, denfac
 
 
-def _subsets(fl, powers, fact):
-    """Far mask, decoration sum and factorial denominator of every subset of
-    the flags ``fl[1:]`` (bit ``t`` is ``fl[t+1]``), by a lowest-bit DP."""
-    rest = fl[1:]
-    pw = [powers.get(fm, 0) for fm in rest]
-    far = [0] * (1 << len(rest))
-    dsum = [0] * len(far)
-    den = [1] * len(far)
-    for bits in range(1, len(far)):
-        low = bits & -bits
-        i = low.bit_length() - 1
-        prev = bits ^ low
-        far[bits] = far[prev] | rest[i]
-        dsum[bits] = dsum[prev] + pw[i]
-        den[bits] = den[prev] * fact[pw[i]]
-    return far, dsum, den
+def _flag_weights(full: int, psis: dict[int, int], bnds: dict[int, int]) -> dict[int, int]:
+    """A factor's weight per flag: ``psi_i`` at the leg of marking ``i``, and
+    ``-q_K`` at both branches of an edge ``K``.  Each raises the decoration at
+    its flag by one, so psi and excess terms are one move; no far mask names
+    both a leg and a branch."""
+    weights = {1 << (i - 1): q for i, q in psis.items()}
+    for k, q in bnds.items():
+        weights[full ^ k] = weights[k] = -q
+    return weights
+
+
+def _moves(full, fl, dv, powers, weights, bnds, fact):
+    """The terms one factor adds at a vertex with flags ``fl`` (far masks,
+    the flag toward marking 1 first) and decoration sum ``dv``.
+
+    Returns ``(raises, refinements)``: ``(q, fm)`` for each flag whose
+    decoration the factor raises with weight ``q``, and ``(q, split, size,
+    den)`` for each factor term ``q * D_split`` that moves ``size`` flags of
+    ``fl[1:]``, whose decorations have factorial product ``den``, to a new
+    vertex.  A refinement is kept only if both halves, of ``size + 1`` and
+    ``f - size + 1`` flags, keep slack ``>= 0``.  Both lists are empty at a
+    vertex with no slack (``dv > f - 4``): decorations never shrink and
+    splitting a vertex only lowers the total slack, so such terms integrate to
+    zero inside a top-degree product.  The moved subsets come from a
+    lowest-bit DP (bit ``t`` is ``fl[t+1]``).
+    """
+    f = len(fl)
+    if dv > f - 4:
+        return (), ()
+    raises = [(weights[fm], fm) for fm in fl if fm in weights]
+    refinements = []
+    if bnds:
+        rest = fl[1:]
+        pw = [powers.get(fm, 0) for fm in rest]
+        far = [0] * (1 << len(rest))
+        dsum = [0] * len(far)
+        den = [1] * len(far)
+        for bits in range(1, len(far)):
+            low = bits & -bits
+            i = low.bit_length() - 1
+            prev = bits ^ low
+            far[bits] = far[prev] | rest[i]
+            dm = dsum[bits] = dsum[prev] + pw[i]
+            den[bits] = den[prev] * fact[pw[i]]
+            size = bits.bit_count()
+            if dm <= size - 2 and dv - dm <= f - size - 2:
+                split = full ^ far[bits]
+                q = bnds.get(split)
+                if q:
+                    refinements.append((q, split, size, den[bits]))
+    return raises, refinements
 
 
 def _fold_step(
@@ -238,49 +274,24 @@ def _fold_step(
     psis: dict[int, int],
     bnds: dict[int, int],
 ) -> dict[_Key, int]:
-    """One multiplication step; only terms whose every vertex keeps
-    ``decorations <= #flags - 3`` are kept (decorations never shrink and
-    splitting a vertex only lowers the total slack, so the others integrate
-    to zero inside a top-degree product)."""
+    """One multiplication step: each stratum takes the factor's
+    :func:`_moves` at every vertex as new keys, a raise as a bumped ``dec``
+    and a refinement as one more split."""
     full = (1 << n) - 1
     fact = [factorial(i) for i in range(n + 1)]
+    weights = _flag_weights(full, psis, bnds)
     nxt: dict[_Key, int] = {}
     get = nxt.get
     for (splits, dec), c in state.items():
-        flags, where, decsum, _ = _vertices(n, splits, dec)
-        if bnds:
-            # excess terms at both branches of an existing edge
-            for k in splits:
-                q = bnds.get(k)
-                if q:
-                    for fm in (full ^ k, k):
-                        v = where[fm]
-                        if decsum[v] + 1 <= len(flags[v]) - 3:
-                            t = (splits, _bumped(dec, fm))
-                            nxt[t] = get(t, 0) - c * q
-            # refinements: move the flags of `bits` off vertex v to a new vertex
-            powers = dict(dec)
-            for v, fl in enumerate(flags):
-                f = len(fl)
-                if f < 4:
-                    continue
-                dv = decsum[v]
-                far, dsum, _ = _subsets(fl, powers, fact)
-                for bits in range(1, len(far)):
-                    dm = dsum[bits]
-                    size = bits.bit_count()
-                    # halves of size+1 and f-size+1 flags keep their slack
-                    if dm <= size - 2 and dv - dm <= f - size - 2:
-                        key = full ^ far[bits]
-                        q = bnds.get(key)
-                        if q:
-                            t = (splits | {key}, dec)
-                            nxt[t] = get(t, 0) + c * q
-        for i, q in psis.items():
-            fm = 1 << (i - 1)
-            v = where[fm]
-            if decsum[v] + 1 <= len(flags[v]) - 3:
+        flags, decsum, _ = _vertices(n, splits, dec)
+        powers = dict(dec)
+        for fl, dv in zip(flags, decsum):
+            raises, refinements = _moves(full, fl, dv, powers, weights, bnds, fact)
+            for q, fm in raises:
                 t = (splits, _bumped(dec, fm))
+                nxt[t] = get(t, 0) + c * q
+            for q, split, _, _ in refinements:
+                t = (splits | {split}, dec)
                 nxt[t] = get(t, 0) + c * q
     return {t: c for t, c in nxt.items() if c}
 
@@ -293,26 +304,32 @@ def _pair_final(
 ) -> int:
     """Pair a degree ``n - 4`` state with the last factor.
 
-    At this depth every live stratum has exactly one vertex with one unit of
-    slack; only symbols acting there contribute, and each contribution is a
-    product of per-vertex multinomials evaluated in place (no new strata).
-    A stratum with any other slack profile raises ``RuntimeError``.
+    Restricted to a stratum, a factor is a weight per flag plus the splits
+    that refine a vertex; :func:`_moves` lists both, as it does for
+    :func:`_fold_step`.  At this depth every live stratum has exactly one
+    vertex with one unit of slack, and only the moves there contribute.  Each
+    is a product of per-vertex multinomials evaluated in place (no new
+    strata).  A refinement there moves ``size`` flags holding ``dm``
+    decorations; ``_moves`` keeps it when ``dm <= size - 2`` and
+    ``dv - dm <= f - size - 2``, and as the two add up to ``dv <= f - 4 =
+    dv``, both hold with equality: both halves reach top degree.  At a vertex
+    of slack 0 nothing passes.  A stratum with any other slack profile raises
+    ``RuntimeError``.
     """
     full = (1 << n) - 1
     fact = [factorial(i) for i in range(n + 1)]
+    weights = _flag_weights(full, psis, bnds)
     total = 0
     for (splits, dec), c in state.items():
-        flags, where, decsum, denfac = _vertices(n, splits, dec)
+        flags, decsum, denfac = _vertices(n, splits, dec)
         deficit = [len(fl) - 3 - d for fl, d in zip(flags, decsum)]
-        star = next((v for v, d in enumerate(deficit) if d), None)
-        if star is None or deficit[star] != 1 or any(
-            d != 0 for v, d in enumerate(deficit) if v != star
-        ):
+        if min(deficit) < 0 or sum(deficit) != 1:
             # total slack is 1 and the fold keeps every vertex's slack >= 0
             raise RuntimeError(
                 f"internal error: stratum with vertex slacks {deficit} reached "
                 "the final pairing; please report"
             )
+        star = deficit.index(1)
         base = 1
         for v, fl in enumerate(flags):
             if v != star:
@@ -321,32 +338,12 @@ def _pair_final(
         f = len(fl)
         den_all = denfac[star]
         powers = dict(dec)
+        raises, refinements = _moves(full, fl, decsum[star], powers, weights, bnds, fact)
         acc = 0
-        if bnds:
-            # excess at edges meeting the slack vertex
-            for k in splits:
-                q = bnds.get(k)
-                if q:
-                    for fm in (full ^ k, k):
-                        if where[fm] == star:
-                            acc -= q * (fact[f - 3] // (den_all * (powers.get(fm, 0) + 1)))
-            # refinements at the slack vertex
-            if f >= 4:
-                dv = decsum[star]
-                far, dsum, den = _subsets(fl, powers, fact)
-                for bits in range(1, len(far)):
-                    dm = dsum[bits]
-                    size = bits.bit_count()
-                    if dm != size - 2 or dv - dm != f - size - 2:
-                        continue
-                    q = bnds.get(full ^ far[bits])
-                    if q:
-                        dn = den[bits]
-                        acc += q * (fact[size - 2] // dn) * (fact[f - size - 2] // (den_all // dn))
-        for i, q in psis.items():
-            fm = 1 << (i - 1)
-            if where[fm] == star:
-                acc += q * (fact[f - 3] // (den_all * (powers.get(fm, 0) + 1)))
+        for q, fm in raises:
+            acc += q * (fact[f - 3] // (den_all * (powers.get(fm, 0) + 1)))
+        for q, _, size, dn in refinements:
+            acc += q * (fact[size - 2] // dn) * (fact[f - size - 2] // (den_all // dn))
         total += c * base * acc
     return total
 

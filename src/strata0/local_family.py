@@ -38,6 +38,7 @@ from strata0.strata import (
     Signature,
     StableTree,
     StrataError,
+    _check_vertices,
     _k_sum,
     exponent_vector,
 )
@@ -301,6 +302,7 @@ def sample_curve_point(
     on the components listed in ``check_vertices`` (default: all).
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
+    _check_vertices(chart.tree, base, *check)
     all_marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
     for _ in range(retries):
         try:
@@ -332,6 +334,7 @@ def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> SectionVa
     sample coordinate equal to some ``a_{ji}`` is a pole or zero of the
     product and raises :class:`PoleHit`.
     """
+    _check_vertices(chart.tree, j)
     z = point[j]
     if z is INF:
         raise PoleHit("sample point at infinity; use a finite draw")
@@ -407,6 +410,7 @@ def ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     For adjacent components this is the closed form; in general the constants
     compose along the path between the components.
     """
+    _check_vertices(chart.tree, j, k)
     if j == k:
         return Fraction(1)
     path = chart.path(j, k)
@@ -438,6 +442,7 @@ def section_in_frame(
 ) -> Fraction:
     """Value of the rescaled section ``t^{beta_j} Phi_j`` in the frame of
     component ``frame`` at a sample point."""
+    _check_vertices(chart.tree, frame)
     phi = evaluate_phi(chart, j, point).value
     jac = _frame_jacobian(chart, j, frame, point)
     return beta_monomial(chart, j) * phi * jac ** chart.sig.d
@@ -457,6 +462,7 @@ def verify_ratio_identity(
     makes one generic sample already decisive; several guard against a
     degenerate draw.
     """
+    _check_vertices(chart.tree, j, k)
     if samples < 1:
         raise ValueError("need at least one sample")
     if any(t == 0 for t in chart.node_params.values()):

@@ -605,12 +605,17 @@ class ExponentVector:
         return self.as_dict()[_norm_edge(*edge)]
 
 
+def _check_vertices(tree: StableTree, *vertices: int) -> None:
+    for j in vertices:
+        if not 0 <= j < tree.num_vertices:
+            raise StrataError(f"no vertex {j}")
+
+
 def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
     """Exponents ``beta_j``: ``d * mu_S = d + k_I0`` at each node whose light
     side ``I0`` holds ``v_j``, the sides of a node oriented by :func:`_is_i0`.
     """
-    if not 0 <= j < tree.num_vertices:
-        raise StrataError(f"no vertex {j}")
+    _check_vertices(tree, j)
     d = sig.d
     entries: dict[tuple[int, int], int] = {}
     for v, (u, marks, verts) in enumerate(tree._below[1:], 1):

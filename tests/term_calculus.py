@@ -102,7 +102,7 @@ def integrate(elem: ChowElement) -> Fraction:
         raise WrongDegree(f"degree {elem.degree} != n - 3 = {n - 3}")
     total = Fraction(0)
     for s, c in elem.terms.items():
-        flags, _, decsum, denfac = _vertices(n, s.splits, s.dec)
+        flags, decsum, denfac = _vertices(n, s.splits, s.dec)
         val = c
         for fl, d, den in zip(flags, decsum, denfac):
             if d != len(fl) - 3:

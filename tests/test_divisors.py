@@ -1,16 +1,22 @@
 """The distinguished divisor, blow-up triviality, and volumes."""
 
 import itertools
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 from fraction_weights import mu
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from term_calculus import integrate, multiply, unit
 
 import strata0.divisors as divisors_mod
 from strata0.divisors import (
     ExceptionalDivisorNontrivial,
+    VolumeResult,
+    _format_g,
     _partition_sum_self_intersection,
     blowup_is_trivial,
     d_mu_boundary_form,
@@ -281,6 +287,58 @@ def _grid(n):
         for kappa in itertools.combinations_with_replacement(range(1 - d, 2 * d + 1), n):
             if sum(kappa) == -2 * d:
                 yield validate_signature(d, list(kappa))
+
+
+class TestVolumeDecimals:
+    @staticmethod
+    def result(c):
+        return VolumeResult(F(c), 3, F(0), True)
+
+    def test_representable_value_keeps_the_float_string(self):
+        # the float product's string, byte for byte
+        res = self.result(F(-2, 3))
+        assert (res.signed_decimal(), res.abs_decimal()) == ("-20.6708511202", "20.6708511202")
+
+    @pytest.mark.parametrize(
+        "coefficient, signed, absolute",
+        [
+            # float(coefficient) underflows to 0 (the float product printed 0)
+            (F(1, 10**400), "3.10062766803e-399", "3.10062766803e-399"),
+            # the product underflows (it printed -0 and 0)
+            (F(-1, 10**330), "-3.10062766803e-329", "3.10062766803e-329"),
+            # float(coefficient) overflows (it raised OverflowError)
+            (F(10**400), "3.10062766803e+401", "3.10062766803e+401"),
+        ],
+    )
+    def test_outside_the_float_range(self, coefficient, signed, absolute):
+        res = self.result(coefficient)
+        assert (res.signed_decimal(), res.abs_decimal()) == (signed, absolute)
+
+    @pytest.mark.parametrize(
+        "coefficient, pi_power", [(F(1, 10**400), 700), (F(-3, 7), 1000), (F(10**5000), 3)]
+    )
+    def test_far_outside_matches_decimal_arithmetic(self, coefficient, pi_power):
+        # pi ** p overflows a float, or a numerator is past the int-to-str
+        # digit limit; the reference is 60-digit decimal arithmetic on the
+        # same double nearest pi
+        with localcontext() as ctx:
+            ctx.prec = 60
+            num, den = Decimal(coefficient.numerator), Decimal(coefficient.denominator)
+            ref = num / den * Decimal(math.pi) ** pi_power
+        res = VolumeResult(coefficient, pi_power, F(0), True)
+        assert res.signed_decimal() == format(ref, ".12g")
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool), st.integers(0, 20))
+    def test_exact_rendering_matches_float_formatting(self, x, digits):
+        # a double's exact value, rendered exactly, is what %g prints for it
+        assert _format_g(F(x), digits) == f"{x:.{digits}g}"
+
+    def test_exact_rendering_ties_and_edges(self):
+        for x in (0.5, 2.5, 0.125, 1e-4, 1e-5, 999999999999.5, 5e-324, 1.7976931348623157e308):
+            for digits in range(18):
+                assert _format_g(F(x), digits) == f"{x:.{digits}g}"
+        assert _format_g(F(0), 12) == "0"
 
 
 class TestPartitionSumEngine:

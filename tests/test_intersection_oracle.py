@@ -22,9 +22,17 @@ from typing import Iterable, Mapping, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from term_calculus import DecoratedStratum, integrate, multiply, unit
+from term_calculus import ChowElement, DecoratedStratum, integrate, multiply, unit
 
-from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
+from strata0.intersection import (
+    Boundary,
+    DivisorExpression,
+    Psi,
+    _fold_step,
+    _pair_final,
+    _scaled_parts,
+    product_number,
+)
 
 # ---------------------------------------------------------------------------
 # oracle: the vertex form
@@ -346,6 +354,24 @@ def expression_products(draw):
 def test_fold_matches_multiply_integrate(case):
     n, factors = case
     assert product_number(n, factors) == expand_product(n, factors)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expression_products())
+def test_final_pairing_matches_last_fold_step(case):
+    # the last factor's moves, evaluated in place by _pair_final, integrate
+    # to what _fold_step makes of the same factor as new strata; each factor
+    # takes a turn as the last one
+    n, factors = case
+    parts = [_scaled_parts(n, expr) for expr in factors]
+    for last in range(len(parts)):
+        state = {(frozenset(), ()): 1}
+        for _, psis, bnds in parts[:last] + parts[last + 1 :]:
+            state = _fold_step(n, state, psis, bnds)
+        _, psis, bnds = parts[last]
+        top = _fold_step(n, state, psis, bnds)
+        elem = ChowElement(n, {DecoratedStratum(n, s, dec): c for (s, dec), c in top.items()})
+        assert _pair_final(n, state, psis, bnds) == integrate(elem)
 
 
 def test_matches_multiply_chain():

@@ -302,6 +302,36 @@ class TestVerifyRatioIdentity:
         assert verify_ratio_identity(chart, 0, 3, samples=3)
 
 
+class TestVertexIndices:
+    # every vertex argument goes through the check of exponent_vector: an
+    # index outside the tree is a StrataError, not an IndexError, a KeyError
+    # or the value at another vertex
+    CALLS = {
+        "ratio_constant j": lambda c, pt, v: ratio_constant(c, v, 0),
+        "ratio_constant k": lambda c, pt, v: ratio_constant(c, 0, v),
+        "ratio_constant j == k": lambda c, pt, v: ratio_constant(c, v, v),
+        "verify_ratio_identity j": lambda c, pt, v: verify_ratio_identity(c, v, 0, samples=1),
+        "verify_ratio_identity k": lambda c, pt, v: verify_ratio_identity(c, 0, v, samples=1),
+        "sample_curve_point base": lambda c, pt, v: sample_curve_point(c, make_sampler(1), v),
+        "sample_curve_point check_vertices": lambda c, pt, v: sample_curve_point(
+            c, make_sampler(1), check_vertices=[0, v]
+        ),
+        "section_in_frame j": lambda c, pt, v: section_in_frame(c, v, pt, 0),
+        "section_in_frame frame": lambda c, pt, v: section_in_frame(c, 0, pt, v),
+        "evaluate_phi j": lambda c, pt, v: evaluate_phi(c, v, pt),
+        "beta_monomial j": lambda c, pt, v: beta_monomial(c, v),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_outside_the_tree(self, call, bad):
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=8)
+        assert chart.tree.num_vertices == 3
+        pt = sample_curve_point(chart, make_sampler(12))
+        with pytest.raises(StrataError, match=f"^no vertex {bad}$"):
+            self.CALLS[call](chart, pt, bad)
+
+
 class TestDegeneration:
     def test_single_node_pinched_slice(self):
         # with one parameter set to zero, the rescaled section of a component

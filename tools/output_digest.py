@@ -18,7 +18,9 @@ benchmark's n = 7: the full walk of an E-trivial n = 8 signature (39,208
 trees) and the refusal at n = 10 that stops at the first tree in the ideal
 support.  The last is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
 (the walk's signature has volume 0), so a change of engine for such
-signatures shows in the digest.
+signatures shows in the digest.  Two ``intersect`` queries on the same n = 8
+signature take the final pairing of the fold past the benchmark's n = 7,
+one with psi factors and one whose ``D{1,5}`` factor adds excess terms.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -63,6 +65,8 @@ PROBE_ARGV = [
     ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0", "--max-codim", "5"],
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5] + [-1] * 9)), "--max-codim", "7"],
     ["volume", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1"],
+    *(["intersect", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1", "--factors", f]
+      for f in ("Dmu_psi,Dmu_psi,Dmu,psi_1,psi_2", "Dmu,Dmu_psi,D{1,5},psi_2,psi_3")),
 ]
 
 
