@@ -440,7 +440,7 @@ def _cmd_verify_family(sig: Signature, args) -> _Answer:
     all_ok = True
     for u, v in tree.edges:
         try:
-            ok = verify_ratio_identity(chart, u, v, samples=args.samples, seed=seed)
+            ok = verify_ratio_identity(chart, u, v, samples=args.samples)
         except (PoleHit, DenominatorVanishes) as exc:
             pairs.append({"j": u, "k": v, "ok": False, "error": str(exc)})
             all_ok = False

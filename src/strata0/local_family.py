@@ -33,8 +33,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from strata0.strata import (
-    ExponentVector,
-    NoSuchEdge,
     Signature,
     StableTree,
     StrataError,
@@ -362,35 +360,30 @@ def beta_monomial(chart: LocalChart, j: int) -> Fraction:
 def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     """Closed form of ``f_{jk}`` for adjacent components.
 
-    With ``j`` on the heavy side of the node and ``k`` on the light side,
+    With ``J`` the markings on the ``j`` side of the node,
 
         f_{jk} = (-1)^(d + sum_F k_i)
-                 * prod_{i in F, heavy} (a_{ji} - b_{jk})^{k_i}
-                 / prod_{i in F, light} (a_{ki} - b_{kj})^{k_i},
+                 * prod_{i in F, in J} (a_{ji} - b_{jk})^{k_i}
+                 / prod_{i in F, not in J} (a_{ki} - b_{kj})^{k_i},
 
-    where F drops the markings at infinity in either chart.  For ``j`` on the
-    light side the reciprocal applies.
+    where F drops the markings at infinity in either chart.  Swapping ``j``
+    and ``k`` inverts the quotient and keeps the sign, so this one form
+    serves both orders, with no orientation of the node.
     """
-    tree = chart.tree
-    if not tree.has_edge(j, k):
-        raise NoSuchEdge(f"vertices {j} and {k} are not adjacent")
-    _, heavy = tree.edge_partition(j, k, chart.sig).blocks
-    if tree.far_marks(k, j) != heavy:  # j on the light side
-        return 1 / _adjacent_ratio_constant(chart, k, j)
-    d = chart.sig.d
+    on_j = chart.tree.far_marks(k, j)  # NoSuchEdge unless adjacent
     kappa = chart.sig.kappa
     b_jk = chart.node_coords[j][k]
     b_kj = chart.node_coords[k][j]
     num = Fraction(1)
     den = Fraction(1)
-    ksum = d
+    ksum = chart.sig.d
     for i in range(1, chart.sig.n + 1):
         a_j = marked_point_coords(chart, i)[j]
         a_k = marked_point_coords(chart, i)[k]
         if a_j is INF or a_k is INF:
             continue
         ksum += kappa[i - 1]
-        if i in heavy:
+        if i in on_j:
             base = a_j - b_jk
             if base == 0:
                 raise DenominatorVanishes(f"a_({j},{i}) hits the node coordinate")
@@ -448,19 +441,16 @@ def section_in_frame(
     return beta_monomial(chart, j) * phi * jac ** chart.sig.d
 
 
-def verify_ratio_identity(
-    chart: LocalChart,
-    j: int,
-    k: int,
-    samples: int = 20,
-    seed: int | None = None,
-) -> bool:
+def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) -> bool:
     """Exact check of ``t^{beta_j} Phi_j = f_{jk} t^{beta_k} Phi_k``.
 
-    Evaluates both sides at ``samples`` random rational curve points (all node
-    parameters must be nonzero so the fiber is smooth).  Exact arithmetic
-    makes one generic sample already decisive; several guard against a
-    degenerate draw.
+    Evaluates both sides at ``samples`` random rational curve points drawn
+    from the chart's seed (all node parameters must be nonzero so the fiber
+    is smooth).  Exact arithmetic makes one generic sample already decisive;
+    several guard against a degenerate draw.  :func:`sample_curve_point`
+    retries degenerate draws itself and returns only points generic on every
+    component, where neither side can hit a pole; when it gives up, its
+    :class:`DenominatorVanishes` propagates.
     """
     _check_vertices(chart.tree, j, k)
     if samples < 1:
@@ -469,23 +459,12 @@ def verify_ratio_identity(
         raise DenominatorVanishes("ratio verification needs a smooth fiber (t != 0)")
     if j == k:
         return True
-    rng = make_sampler(chart.seed if seed is None else seed)
+    rng = make_sampler(chart.seed)
     f = ratio_constant(chart, j, k)
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 100 * samples:
-            raise DenominatorVanishes("sampling kept hitting degenerate points")
-        try:
-            point = sample_curve_point(chart, rng)
-            lhs = section_in_frame(chart, j, point, k)
-            rhs = f * section_in_frame(chart, k, point, k)
-        except (PoleHit, DenominatorVanishes):
-            continue
-        if lhs != rhs:
+    for _ in range(samples):
+        point = sample_curve_point(chart, rng)
+        if section_in_frame(chart, j, point, k) != f * section_in_frame(chart, k, point, k):
             return False
-        done += 1
     return True
 
 

@@ -18,7 +18,7 @@ This module is the one split core that the other layers share:
   ``k_B`` of a set of markings and of a mask;
 * the split orientation rule ``_is_i0``: of the two sides of a split, ``I0``
   is the one with the larger ``k`` (so ``mu(I0) <= 1``) and, on a tie, the
-  one holding marking 1.  Every layer that orients a split asks it;
+  one holding marking 1.  Only the numbering of a partition's blocks asks it;
 * the boundary index set walk ``_p_hat_walk``: every element of P-hat as
   its block masks, in :meth:`MultiBlockPartition.sort_key` order, with its
   factors ``m_j`` carried along (for ``r = 1`` the one factor ``d * mu_S``).
@@ -46,9 +46,8 @@ Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  Every boundary index is a :class:`MultiBlockPartition`: a
 two-block partition ``{I0, I1}``, a boundary divisor ``D_S`` of the base, is
 the element of P-hat with ``r = 1``.  It is always numbered by ``_is_i0``,
-so ``mu(I0) <= 1 <= mu(I1)``; when both sides have weight exactly 1 the
-block containing marking 1 is ``I0`` (the choice only affects bookkeeping,
-never a computed invariant).
+so ``mu(I0) <= 1 <= mu(I1)``; the tie-break by marking 1 only affects
+bookkeeping, never a computed invariant.
 """
 
 from __future__ import annotations
@@ -423,6 +422,7 @@ class StableTree:
         return len(self.vertex_marks)
 
     def neighbors(self, j: int) -> list[int]:
+        _check_vertices(self, j)
         below = self._below
         return [k for k in range(len(below)) if below[k][0] == j or below[j][0] == k]
 
@@ -435,6 +435,7 @@ class StableTree:
     def _path(self, j: int, k: int) -> list[int]:
         """Vertices of the path from ``j`` to ``k`` (inclusive): ``j`` climbs
         the parent table to vertex 0, ``k`` climbs until it meets that chain."""
+        _check_vertices(self, j, k)
         below = self._below
         up = [j]
         while up[-1]:
@@ -612,17 +613,16 @@ def _check_vertices(tree: StableTree, *vertices: int) -> None:
 
 
 def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
-    """Exponents ``beta_j``: ``d * mu_S = d + k_I0`` at each node whose light
-    side ``I0`` holds ``v_j``, the sides of a node oriented by :func:`_is_i0`.
-    """
+    """Exponents ``beta_j``: ``max(0, d + k_B)`` at each node, ``B`` its side
+    holding ``v_j``.  That is ``d * mu_S = d + k_I0`` if ``B`` is the light
+    side ``I0``, else 0, with no orientation: the sides' ``k`` sum to ``-2d``,
+    so ``B`` is ``I0`` if ``k_B > -d`` and the other side if ``k_B < -d``; on
+    a tie ``k_B = -d`` both give 0, so the tie-break by marking 1 never matters."""
     _check_vertices(tree, j)
-    d = sig.d
     entries: dict[tuple[int, int], int] = {}
     for v, (u, marks, verts) in enumerate(tree._below[1:], 1):
-        k = _mask_k(sig, marks)  # the side under v
-        v_light = _is_i0(k, -2 * d - k, marks & 1 == 1)
-        on_v = verts >> j & 1 == 1
-        entries[_norm_edge(u, v)] = d + max(k, -2 * d - k) if on_v == v_light else 0
+        k = _mask_k(sig, marks)  # the side under v; the other side has -2d - k
+        entries[_norm_edge(u, v)] = max(0, sig.d + k if verts >> j & 1 else -sig.d - k)
     return ExponentVector.from_dict(entries)
 
 

@@ -5,7 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_orientation_oracle import signed_trees
 
+from strata0 import local_family
 from strata0.local_family import (
     INF,
     BadBlocks,
@@ -264,6 +268,22 @@ class TestVerifyRatioIdentity:
         chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=21)
         assert verify_ratio_identity(chart, 2, 2, samples=1)
 
+    def test_one_sampling_loop(self, monkeypatch):
+        # every draw lands on the pinned node coordinate 0 of the base
+        # component: the sampler's own 100 retries are the only ones, and its
+        # error propagates
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=21)
+        draws = []
+
+        def pinned(rng):
+            draws.append(rng)
+            return F(0)
+
+        monkeypatch.setattr(local_family, "_rand_rational", pinned)
+        with pytest.raises(DenominatorVanishes, match="no valid sample point found"):
+            verify_ratio_identity(chart, 0, 1, samples=1)
+        assert len(draws) == 100
+
     def test_smooth_fiber_required(self):
         chart = build_codim2_chart(SIG_C, BLOCKS_C, t1=0, seed=21)
         with pytest.raises(DenominatorVanishes):
@@ -302,6 +322,19 @@ class TestVerifyRatioIdentity:
         assert verify_ratio_identity(chart, 0, 3, samples=3)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed_trees(), st.integers(0, 2 ** 16))
+def test_ratio_identity_on_every_edge(case, seed):
+    # random trees with tie nodes and renumbered vertices: the one closed
+    # form of f_jk holds in both orders of every edge and is reciprocal
+    sig, tree = case
+    chart = build_chart(sig, tree, seed=seed)
+    for u, v in tree.edges:
+        for j, k in ((u, v), (v, u)):
+            assert verify_ratio_identity(chart, j, k, samples=2), (j, k)
+        assert ratio_constant(chart, u, v) * ratio_constant(chart, v, u) == 1
+
+
 class TestVertexIndices:
     # every vertex argument goes through the check of exponent_vector: an
     # index outside the tree is a StrataError, not an IndexError, a KeyError
@@ -320,6 +353,9 @@ class TestVertexIndices:
         "section_in_frame frame": lambda c, pt, v: section_in_frame(c, 0, pt, v),
         "evaluate_phi j": lambda c, pt, v: evaluate_phi(c, v, pt),
         "beta_monomial j": lambda c, pt, v: beta_monomial(c, v),
+        "neighbors": lambda c, pt, v: c.tree.neighbors(v),
+        "path j": lambda c, pt, v: c.path(v, 0),
+        "path k": lambda c, pt, v: c.path(0, v),
     }
 
     @pytest.mark.parametrize("bad", [-1, 3])

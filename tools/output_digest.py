@@ -21,6 +21,10 @@ support.  The last is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
 signatures shows in the digest.  Two ``intersect`` queries on the same n = 8
 signature take the final pairing of the fold past the benchmark's n = 7,
 one with psi factors and one whose ``D{1,5}`` factor adds excess terms.
+Three ``verify-family`` charts go past the benchmark's codimension-2 chains
+centred at vertex 0: a 4-component chain at n = 12, a tie node (``k_B = -d``
+on both sides) with marking 1 off vertex 0, and a star centred at vertex 1
+with one node parameter given.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -67,6 +71,12 @@ PROBE_ARGV = [
     ["volume", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1"],
     *(["intersect", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1", "--factors", f]
       for f in ("Dmu_psi,Dmu_psi,Dmu,psi_1,psi_2", "Dmu,Dmu_psi,D{1,5},psi_2,psi_3")),
+    *(["verify-family", "--json", "--d", "2", f"--kappa={kappa}", "--chart", chart]
+      for kappa, chart in (
+          ("1,1,-1,-1,-1,-1,-1,-1,-1,-1,1,1", "1,2;3,4,5;6,7;8,9,10,11,12 0-1 1-2 2-3"),
+          ("-1,-1,-1,-1", "3,4;1,2 0-1"),
+          ("2,-1,-1,-1,-1,-1,-1", "5,6;1;2,3;4,7 1-0 1-2 1-3 t[1-2]=2/5"),
+      )),
 ]
 
 
