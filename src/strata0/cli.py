@@ -44,9 +44,16 @@ from strata0.divisors import (
     blowup_is_trivial,
     d_mu_boundary_form,
     d_mu_psi_form,
+    form_psi_number,
     volume,
 )
-from strata0.intersection import Boundary, DivisorExpression, Psi, product_number
+from strata0.intersection import (
+    Boundary,
+    DivisorExpression,
+    Psi,
+    _check_factor_count,
+    product_number,
+)
 from strata0.local_family import (
     DEFAULT_SEED,
     INF,
@@ -203,30 +210,27 @@ def _read_tree(
 _FACTOR_RE = re.compile(r"\s*(psi_([0-9]+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")
 
 
-def parse_factors(text: str, sig: Signature) -> list[DivisorExpression]:
-    """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``, ``Dmu_psi``.
-    A blank list is the empty product."""
-    out: list[DivisorExpression] = []
+def parse_factors(text: str, sig: Signature) -> list[Psi | Boundary | str]:
+    """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``,
+    ``Dmu_psi``, as a :class:`Psi`, a :class:`Boundary` or the name of a form
+    of ``D_mu``.  A blank list is the empty product."""
+    out: list[Psi | Boundary | str] = []
     if not text.strip():
         return out
-    forms: dict[str, DivisorExpression] = {}  # each form of D_mu is built at most once
     for pos, piece in _split_with_positions(text, ","):
         m = _FACTOR_RE.fullmatch(piece)
         if not m:
             raise SpecParseError(f"bad factor {piece.strip()!r}", pos)
-        name = m.group(1)
         if m.group(2):
             i = int(m.group(2))
             if not 1 <= i <= sig.n:
                 raise SpecParseError(f"psi index {i} out of range", pos)
-            out.append(DivisorExpression({Psi(i): Fraction(1)}))
+            out.append(Psi(i))
         elif m.group(3) is not None:
             side = _marking_list(m.group(3), pos + m.start(3))
-            out.append(DivisorExpression({Boundary.of(sig.n, side): Fraction(1)}))
+            out.append(Boundary.of(sig.n, side))
         else:
-            if name not in forms:
-                forms[name] = (d_mu_boundary_form if name == "Dmu" else d_mu_psi_form)(sig)
-            out.append(forms[name])
+            out.append(m.group(1))
     return out
 
 
@@ -386,7 +390,26 @@ def _cmd_divisor(sig: Signature, args) -> _Answer:
 
 def _cmd_intersect(sig: Signature, args) -> _Answer:
     factors = parse_factors(args.factors, sig)
-    value = product_number(sig.n, factors)
+    _check_factor_count(sig.n, len(factors))
+    if any(isinstance(f, Boundary) for f in factors):
+        forms: dict[str, DivisorExpression] = {}  # each form of D_mu is built at most once
+        exprs = []
+        for f in factors:
+            if isinstance(f, str):
+                if f not in forms:
+                    forms[f] = (d_mu_boundary_form if f == "Dmu" else d_mu_psi_form)(sig)
+                exprs.append(forms[f])
+            else:
+                exprs.append(DivisorExpression({f: Fraction(1)}))
+        value = product_number(sig.n, exprs)
+    else:
+        # psi classes and forms of D_mu only: the forms are linearly
+        # equivalent, so the product is W(kappa, b) whatever their mix
+        b = [0] * sig.n
+        for f in factors:
+            if isinstance(f, Psi):
+                b[f.i - 1] += 1
+        value = form_psi_number(sig, b)
     body = {"factors": args.factors, "value": _rat(value)}
     return EXIT_OK, body, lambda: [f"product = {value}"]
 

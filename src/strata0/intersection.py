@@ -24,9 +24,13 @@ keyed by its set of split masks, pairwise compatible, which determines the
 tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
 so keys are canonical with no vertex renumbering and each rule above is one
 set operation on the splits.  The product fold behind :func:`product_number`
-is the one engine here: it runs on these keys and prunes terms that cannot
-reach a nonzero top degree.  The tests keep the term-by-term calculus on the
-same keys (``multiply`` / ``integrate``) as its oracle.
+runs on these keys and prunes terms that cannot reach a nonzero top degree.
+It answers public :func:`product_number` on arbitrary expressions and the
+``intersect`` lists with a ``D{...}`` factor.  A list of forms of ``D_mu``
+and psi classes only goes to the restriction recursion
+:func:`strata0.divisors.form_psi_number` instead, and the fold is that
+recursion's oracle in the tests.  The tests keep the term-by-term calculus
+on the same keys (``multiply`` / ``integrate``) as the fold's own oracle.
 """
 
 from __future__ import annotations
@@ -348,6 +352,13 @@ def _pair_final(
     return total
 
 
+def _check_factor_count(n: int, count: int) -> None:
+    """Raise :class:`WrongDegree` unless ``count`` divisor factors make a
+    top-degree product on ``M_{0,n}``."""
+    if count != n - 3:
+        raise WrongDegree(f"need exactly n - 3 = {n - 3} factors, got {count}")
+
+
 def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
     """Intersection number of ``n - 3`` divisor expressions.
 
@@ -356,8 +367,7 @@ def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
     folded first so that crossing splits annihilate terms early; the last
     factor is paired directly without materialising the top-degree layer.
     """
-    if len(factors) != n - 3:
-        raise WrongDegree(f"need exactly n - 3 = {n - 3} factors, got {len(factors)}")
+    _check_factor_count(n, len(factors))
     if n == 3:
         return Fraction(1)
     parts = [_scaled_parts(n, f) for f in factors]

@@ -226,6 +226,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "error: node parameters belong to charts, not trees (at position 12)" in err
 
+    @pytest.mark.parametrize(
+        "factors,message",
+        [("Dmu,psi_2", "need exactly n - 3 = 3 factors, got 2"),
+         ("Dmu,Dmu_psi,psi_2,Dmu", "need exactly n - 3 = 3 factors, got 4"),
+         ("Dmu,Dmu_psi,psi_7", "psi index 7 out of range (at position 12)"),
+         # the count is checked only once the whole list has parsed
+         ("Dmu,psi_0", "psi index 0 out of range (at position 4)")],
+    )
+    def test_form_only_list_errors_are_2(self, capsys, factors, message):
+        code, out, err = run(
+            capsys, "intersect", "--d", "3", "--kappa=-1,-1,-1,-1,-1,-1", "--factors", factors
+        )
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
+
     def test_blank_factors_above_n3_is_2(self, capsys):
         for factors in ("", " "):
             code, out, err = run(

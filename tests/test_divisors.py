@@ -1,5 +1,7 @@
 """The distinguished divisor, blow-up triviality, and volumes."""
 
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -21,9 +23,18 @@ from strata0.divisors import (
     blowup_is_trivial,
     d_mu_boundary_form,
     d_mu_psi_form,
+    form_psi_number,
     volume,
 )
-from strata0.intersection import Boundary, DivisorExpression, Psi, keel_relation, product_number
+from strata0.cli import main
+from strata0.intersection import (
+    Boundary,
+    DivisorExpression,
+    Psi,
+    WrongDegree,
+    keel_relation,
+    product_number,
+)
 from strata0.strata import (
     boundary_weight,
     enumerate_p_hat,
@@ -408,3 +419,103 @@ class TestPartitionSumEngine:
         calls = _count_fold_calls(monkeypatch)
         assert volume(sig).intersection_number == fold
         assert calls == [sig.n]
+
+
+def _form_psi_factors(sig, b, rng):
+    """The factors of ``D^a prod psi^b``: a seeded form of ``D_mu`` for each
+    ``D``, then the psi classes."""
+    a = sig.n - 3 - sum(b)
+    factors = [rng.choice((d_mu_boundary_form, d_mu_psi_form))(sig) for _ in range(a)]
+    return factors + [DivisorExpression({Psi(i): 1}) for i, p in enumerate(b, 1) for _ in range(p)]
+
+
+@st.composite
+def _form_psi_case(draw):
+    """A signature with ``n = 4..8``, ``d = 2..4`` and psi exponents of
+    total degree at most ``n - 3``."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 8))
+    kappa = [1 - d] * n
+    spare = n * (d - 1) - 2 * d  # raise entries from 1 - d until they sum to -2d
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=spare, max_size=spare)):
+        kappa[i] += 1
+    b = [0] * n
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n - 3)):
+        b[i] += 1
+    return validate_signature(d, kappa), b
+
+
+class TestFormPsiNumber:
+    """``W``, the restriction recursion behind ``intersect`` on lists of
+    ``Dmu``, ``Dmu_psi`` and ``psi_i``, against the fold and McMullen's sum."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_matches_fold_on_the_whole_grid(self, n):
+        rng = random.Random(f"form-psi:{n}")
+        for sig in _grid(n):
+            fold = product_number(n, [d_mu_boundary_form(sig)] * (n - 3))
+            assert form_psi_number(sig, [0] * n) == fold, (sig.d, sig.kappa)
+            b = [0] * n
+            for _ in range(rng.randrange(n - 2)):
+                b[rng.randrange(n)] += 1
+            fold = product_number(n, _form_psi_factors(sig, b, rng))
+            assert form_psi_number(sig, b) == fold, (sig.d, sig.kappa, b)
+
+    @pytest.mark.parametrize(
+        "d,kappa,b,value",
+        [(2, [-1, -1, -1, -1], [0] * 4, 1),
+         (2, [1, -1, -1, -1, -1, -1], [0] * 6, None),
+         (3, [2, 1, -1, -2, -2, -1, -1, -2], [0, 0, 1, 0, 0, 0, 0, 0], 102)],
+    )
+    def test_tie_split_counts_once(self, d, kappa, b, value):
+        # every split of the n = 4 signature is a tie k_A = k_B = -d, and
+        # counting both orientations would double its value
+        sig = validate_signature(d, kappa)
+        assert any(k0 == -d and divisors_mod._split_coefficient(sig.n, d, k0, size)
+                   for _, k0, size in divisors_mod._boundary_splits(sig))
+        if value is None:
+            value = product_number(sig.n, _form_psi_factors(sig, b, random.Random(0)))
+        assert form_psi_number(sig, b) == value
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_matches_partition_sum_beyond_the_fold(self, n):
+        checked = 0
+        for d in range(5, 9):
+            for sig in _covered_e_trivial(n, d):
+                assert form_psi_number(sig, [0] * n) == _partition_sum_self_intersection(sig), sig
+                checked += 1
+        assert checked > 10
+
+    def test_rejects_bad_exponents(self):
+        with pytest.raises(ValueError, match="need 4 psi exponents"):
+            form_psi_number(SIG_QUAD4, [0, 0, 0])
+        with pytest.raises(ValueError, match="need 4 psi exponents"):
+            form_psi_number(SIG_QUAD4, [1, -1, 0, 0])
+        with pytest.raises(WrongDegree, match="sum to 2 > n - 3 = 1"):
+            form_psi_number(SIG_QUAD4, [1, 1, 0, 0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_form_psi_case(), st.data())
+    def test_invariant_under_relabeling(self, case, data):
+        sig, b = case
+        sigma = data.draw(st.permutations(range(1, sig.n + 1)))
+        moved = [0] * sig.n
+        for i, p in enumerate(b):
+            moved[sigma[i] - 1] = p
+        assert form_psi_number(sig.relabeled(sigma), moved) == form_psi_number(sig, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_form_psi_case(), st.data())
+    def test_cli_answer_ignores_factor_order(self, case, data):
+        sig, b = case
+        names = data.draw(st.lists(st.sampled_from(["Dmu", "Dmu_psi"]),
+                                   min_size=sig.n - 3 - sum(b), max_size=sig.n - 3 - sum(b)))
+        names += [f"psi_{i}" for i, p in enumerate(b, 1) for _ in range(p)]
+        value = form_psi_number(sig, b)
+        for order in (names, data.draw(st.permutations(names))):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["intersect", "--d", str(sig.d),
+                             "--kappa=" + ",".join(map(str, sig.kappa)),
+                             "--factors", ",".join(order)])
+            assert (code, out.getvalue()) == (0, f"product = {value}\n")
