@@ -239,9 +239,46 @@ def parse_factors(text: str, sig: Signature) -> list[Psi | Boundary | str]:
 # ---------------------------------------------------------------------------
 
 
-def _rat(x: Fraction) -> dict:
-    x = Fraction(x)
+def _rat(x: int | Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    values whose dict keys are strings.  The standard library skips its C
+    encoder once ``indent`` is set, and its pure-Python one was most of a
+    ``blowup`` query; this writes dicts (keys sorted), lists and tuples
+    itself, a list of plain ints in one join, and leaves floats and any
+    other leaf to ``json.dumps``.  ``indent`` is the newline and indent
+    of the current level."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
 
 
 def _blocks(part: MultiBlockPartition) -> list[list[int]]:
@@ -268,9 +305,10 @@ def _expression_terms(expr: DivisorExpression, sig: Signature) -> list[tuple[dic
 def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
     """Write the JSON payload to ``--out`` first, if given, then print it or,
     without ``--json``, the lines ``table()`` returns (built only then).
-    The payload is encoded only when ``--json`` or ``--out`` asks for it."""
+    The payload is encoded only when ``--json`` or ``--out`` asks for it,
+    by :func:`_json`, whose tests check it against ``json.dumps``."""
     if args.json or args.out:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:

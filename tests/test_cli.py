@@ -10,9 +10,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strata0 import cli
 from strata0.cli import SpecParseError, main, parse_kappa, parse_tree_spec
 from strata0.strata import StableTree, boundary_weight, enumerate_two_block, validate_signature
 
@@ -280,6 +281,17 @@ class TestExitCodes:
         assert ("degenerate chart" in err) == (code == 2)
 
 
+_json_text = st.text() | st.sampled_from(["", "\"", "\\", "\x00\x7f", "\u00a0\u2028", "\ud800"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70) | st.floats()
+    | _json_text,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.dictionaries(_json_text, inner)),
+    max_leaves=30,
+)
+
+
 class TestJson:
     def test_boundary_round_trip(self, capsys):
         # the second signature has d = 3 and two splits with k_B = -d on both sides
@@ -301,20 +313,29 @@ class TestJson:
 
     def test_table_run_encodes_json_only_for_out(self, capsys, monkeypatch, tmp_path):
         calls = []
-        dumps = json.dumps
+        encode = cli._json
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return dumps(*args, **kwargs)
+        def counting(value, indent="\n"):
+            calls.append(indent)
+            return encode(value, indent)
 
-        monkeypatch.setattr(json, "dumps", counting)
+        monkeypatch.setattr(cli, "_json", counting)
         argv = ("phat", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1")
         code, table, _ = run(capsys, *argv)
         assert (code, len(calls)) == (0, 0)
         out = tmp_path / "phat.json"
         assert run(capsys, *argv, "--out", str(out)) == (0, table, "")
-        assert len(calls) == 1
+        # one payload encoded: its nested values recurse at a deeper indent
+        assert calls.count("\n") == 1
         assert json.loads(out.read_text())["command"] == "phat"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_json_values)
+    @example({"e": {}, "l": [], "t": (), "n": None, "f": [float("nan"), float("inf"), -0.0]})
+    @example([1, True, 0, False, -(2**100)])
+    @example(["\"q\" \\ \t\x00\x1f \u00e9 \u2003 \U0001f600", {"\u00e9\n": "\\"}])
+    def test_emitter_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "phat", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1", "--json")

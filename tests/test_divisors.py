@@ -519,3 +519,65 @@ class TestFormPsiNumber:
                              "--kappa=" + ",".join(map(str, sig.kappa)),
                              "--factors", ",".join(order)])
             assert (code, out.getvalue()) == (0, f"product = {value}\n")
+
+
+@st.composite
+def _zero_entry_case(draw, spare_degree):
+    """A signature ``kappa`` with ``m = 3..9`` entries and ``d = 2..4``, so
+    that ``kappa + [0]`` has up to ``n = 10``, and psi exponents ``b`` on
+    ``kappa`` of total degree at most ``m - 3 + spare_degree``."""
+    d = draw(st.integers(2, 4))
+    m = draw(st.integers(4 if d == 2 else 3, 9))  # m (d - 1) >= 2d
+    kappa = [1 - d] * m
+    spare = m * (d - 1) - 2 * d  # raise entries from 1 - d until they sum to -2d
+    for i in draw(st.lists(st.integers(0, m - 1), min_size=spare, max_size=spare)):
+        kappa[i] += 1
+    b = [0] * m
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m - 3 + spare_degree)):
+        b[i] += 1
+    return validate_signature(d, kappa), b
+
+
+class TestZeroEntry:
+    """A zero entry ``k_i = 0``: then ``D_mu`` is the pullback of ``D_mu'``
+    along the map forgetting marking ``i``, with ``kappa'`` ``kappa`` without
+    ``k_i``.  That map pulls ``psi_j`` back to ``psi_j - D_{ij}`` and ``D_T``
+    to ``D_T + D_{T+i}``; the psi form's coefficient on ``D_{ij}`` is
+    ``-½ k_j`` on both sides, since ``k_j > -d`` makes ``{j}`` the ``I0``
+    side, and every other coefficient matches term by term.  So ``W`` obeys
+    three closed forms, each checked here against :func:`form_psi_number`
+    as an oracle independent of the fold: ``D_mu^(n-3) = 0``, and the
+    genus-0 string and dilaton equations (J. Kock, *Notes on psi classes*,
+    2001), past the sizes the fold reaches."""
+
+    @pytest.mark.parametrize("n,trivial,nontrivial", [(4, 2, 0), (5, 8, 0), (6, 15, 4),
+                                                      (7, 25, 23)])
+    def test_top_power_vanishes(self, n, trivial, nontrivial):
+        # 50 E-trivial grid signatures have a zero entry, so volume 0; the
+        # pullback argument needs no triviality, so the other 27 vanish too
+        seen = {True: 0, False: 0}
+        for sig in _grid(n):
+            if 0 in sig.kappa:
+                assert form_psi_number(sig, [0] * n) == 0, (sig.d, sig.kappa)
+                seen[blowup_is_trivial(sig)] += 1
+        assert seen == {True: trivial, False: nontrivial}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_zero_entry_case(spare_degree=1))
+    def test_string_equation(self, case):
+        # W(kappa + [0], b + [0]) = sum over j with b_j > 0 of W(kappa, b - e_j)
+        sig, b = case
+        grown = validate_signature(sig.d, [*sig.kappa, 0])
+        want = 0
+        for j, p in enumerate(b):
+            if p:
+                want += form_psi_number(sig, [q - (i == j) for i, q in enumerate(b)])
+        assert form_psi_number(grown, [*b, 0]) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_zero_entry_case(spare_degree=0))
+    def test_dilaton_equation(self, case):
+        # W(kappa + [0], b + [1]) = (n - 3) W(kappa, b), n = len(kappa) + 1
+        sig, b = case
+        grown = validate_signature(sig.d, [*sig.kappa, 0])
+        assert form_psi_number(grown, [*b, 1]) == (sig.n - 2) * form_psi_number(sig, b)

@@ -29,7 +29,10 @@ a mix of both forms with ``psi_3``, and a pure psi monomial.
 Three ``verify-family`` charts go past the benchmark's codimension-2 chains
 centred at vertex 0: a 4-component chain at n = 12, a tie node (``k_B = -d``
 on both sides) with marking 1 off vertex 0, and a star centred at vertex 1
-with one node parameter given.
+with one node parameter given.  The last two echo user text with escaped
+characters into the payload: an ``intersect`` factor list with a tab,
+U+00A0 and U+2003 after its commas, and a ``verify-family`` chart with
+U+00A0 before its edge.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -84,6 +87,10 @@ PROBE_ARGV = [
           ("-1,-1,-1,-1", "3,4;1,2 0-1"),
           ("2,-1,-1,-1,-1,-1,-1", "5,6;1;2,3;4,7 1-0 1-2 1-3 t[1-2]=2/5"),
       )),
+    # user text is echoed into the payload, and its whitespace may be Unicode
+    ["intersect", "--json", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1",
+     "--factors", "Dmu,\t\u00a0psi_1,\u2003D{1,2}"],
+    ["verify-family", "--json", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", "3,4;1,2\u00a00-1"],
 ]
 
 
