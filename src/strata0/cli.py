@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 from strata0 import strata
 from strata0.divisors import (
     ExceptionalDivisorNontrivial,
+    _form_terms,
     blowup_is_trivial,
     d_mu_boundary_form,
     d_mu_psi_form,
@@ -64,7 +65,6 @@ from strata0.local_family import (
     verify_ratio_identity,
 )
 from strata0.strata import (
-    MultiBlockPartition,
     Signature,
     StableTree,
     StrataError,
@@ -281,35 +281,14 @@ def _json(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _blocks(part: MultiBlockPartition) -> list[list[int]]:
-    return [sorted(b) for b in part.blocks]
-
-
-def _expression_terms(expr: DivisorExpression, sig: Signature) -> list[tuple[dict, Fraction]]:
-    """``(symbol JSON, coefficient)`` for each term, in output order: psi
-    classes by index, then splits by their side holding marking 1.  A split
-    is written ``I0`` first, by one :func:`strata._is_i0` call on that side."""
-    terms = []
-    for sym, c in expr.items():
-        if isinstance(sym, Psi):
-            terms.append(((0, sym.i), {"psi": sym.i}, c))
-            continue
-        a, b = sym.sides()  # a holds marking 1
-        k = strata._k_sum(sig, a)
-        sides = (a, b) if strata._is_i0(k, -2 * sig.d - k, True) else (b, a)
-        terms.append(((1, a), {"boundary": [list(side) for side in sides]}, c))
-    terms.sort(key=lambda term: term[0])
-    return [(sym, c) for _, sym, c in terms]
-
-
 def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
     """Write the JSON payload to ``--out`` first, if given, then print it or,
     without ``--json``, the lines ``table()`` returns (built only then).
     The payload is encoded only when ``--json`` or ``--out`` asks for it,
     by :func:`_json`, whose tests check it against ``json.dumps``."""
-    if args.json or args.out:
+    if args.json or args.out is not None:
         text = _json(payload) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -318,7 +297,7 @@ def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
     sys.stdout.write(text if args.json else "\n".join(table()) + "\n")
 
 
-def _fmt_blocks(blocks: list[list[int]]) -> str:
+def _fmt_blocks(blocks: Sequence[Sequence[int]]) -> str:
     return " | ".join(",".join(map(str, b)) for b in blocks)
 
 
@@ -334,9 +313,9 @@ def _cmd_boundary(sig: Signature, args) -> _Answer:
     # the walk's one factor for r = 1 is d + k_I0 = d * mu_S
     mus = []
     rows = []
-    for part, (m,) in strata._p_hat_parts(sig, r_max=1):
+    for masks, (m,) in strata._p_hat_walk(sig, r_max=1):
         mus.append(Fraction(m, sig.d))
-        rows.append({"blocks": _blocks(part), "mu_s": _rat(mus[-1])})
+        rows.append({"blocks": [strata._mask_marks(b) for b in masks], "mu_s": _rat(mus[-1])})
 
     def table() -> list[str]:
         lines = [f"boundary divisors of the base (n = {sig.n}): {len(rows)}"]
@@ -349,8 +328,9 @@ def _cmd_boundary(sig: Signature, args) -> _Answer:
 
 def _cmd_phat(sig: Signature, args) -> _Answer:
     rows = []
-    for part, ms in strata._p_hat_parts(sig):
-        rows.append({"blocks": _blocks(part), "r": part.r, "m": math.prod(ms)})
+    for masks, ms in strata._p_hat_walk(sig):
+        blocks = [strata._mask_marks(b) for b in masks]
+        rows.append({"blocks": blocks, "r": len(ms), "m": math.prod(ms)})
 
     def table() -> list[str]:
         lines = [f"boundary divisors of the blow-up: {len(rows)}"]
@@ -362,13 +342,13 @@ def _cmd_phat(sig: Signature, args) -> _Answer:
 
 
 def _cmd_exceptional(sig: Signature, args) -> _Answer:
-    # coefficient (|S| - 2) m(S) and, for r >= 2, the node orders m(S) / m_j
+    # coefficient (|S| - 2) m(S) = (r - 1) m(S) and, for r >= 2, the node orders m(S) / m_j
     rows = []
-    for part, ms in strata._p_hat_parts(sig):
+    for masks, ms in strata._p_hat_walk(sig):
         m = math.prod(ms)
-        orders = [m // f for f in ms] if part.r >= 2 else None
-        coeff = (part.size - 2) * m
-        rows.append({"blocks": _blocks(part), "coefficient": coeff, "orders": orders})
+        orders = [m // f for f in ms] if len(ms) >= 2 else None
+        blocks = [strata._mask_marks(b) for b in masks]
+        rows.append({"blocks": blocks, "coefficient": (len(ms) - 1) * m, "orders": orders})
     trivial = not any(row["coefficient"] for row in rows)
 
     def table() -> list[str]:
@@ -409,8 +389,19 @@ def _cmd_principal(sig: Signature, args) -> _Answer:
 
 
 def _cmd_divisor(sig: Signature, args) -> _Answer:
-    bf = _expression_terms(d_mu_boundary_form(sig), sig)
-    pf = _expression_terms(d_mu_psi_form(sig), sig)
+    # psi classes by index, then splits by their side holding marking 1,
+    # each written I0 first as the walk oriented it
+    terms = []
+    for key, b, p in _form_terms(sig):
+        if type(key) is int:
+            order, sym = (0, key), {"psi": key}
+        else:
+            i0, i1 = map(strata._mask_marks, key)
+            order, sym = (1, i0 if key[0] & 1 else i1), {"boundary": [i0, i1]}
+        terms.append((order, sym, b, p))
+    terms.sort(key=lambda term: term[0])
+    bf = [(sym, b) for _, sym, b, _ in terms if b]
+    pf = [(sym, p) for _, sym, _, p in terms if p]
     body = {"boundary_form": [{**sym, "coefficient": _rat(c)} for sym, c in bf],
             "psi_form": [{**sym, "coefficient": _rat(c)} for sym, c in pf]}
 

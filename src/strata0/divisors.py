@@ -10,6 +10,9 @@ or, equivalently up to linear equivalence, with psi classes,
 
     (d/2) (sum_i -mu_i psi_i + sum_S (1 - mu_S) D_S).
 
+One walk of the splits, :func:`_form_terms`, gives every term of both; the
+``divisor`` command prints both forms from one pass over it.
+
 When the exceptional divisor of the blow-up has vanishing Weil coefficients
 the top self-intersection can be computed downstairs, and the volume of the
 projectivized stratum is the rational multiple
@@ -96,14 +99,6 @@ class ExceptionalDivisorNontrivial(ValueError):
         super().__init__(f"nonzero exceptional coefficients: {shown}")
 
 
-def _boundary_splits(sig: Signature) -> Iterator[tuple[Boundary, int, int]]:
-    """``(Boundary, k_I0, |I0|)`` for every split ``I0|I1``: the ``r = 1``
-    part of the boundary index set walk of :mod:`strata0.strata`, whose one
-    factor is ``d + k_I0``."""
-    for (i0, i1), (m,) in _p_hat_walk(sig, r_max=1):
-        yield Boundary(sig.n, i0 if i0 & 1 else i1), m - sig.d, i0.bit_count()
-
-
 def _split_coefficient(n: int, d: int, k0: int, size: int) -> int:
     """``(n-2)(n-1)`` times the coefficient ``c_S`` of ``D_S`` in the
     boundary form, for the split whose side ``I0`` has ``size`` markings and
@@ -115,32 +110,42 @@ def _split_coefficient(n: int, d: int, k0: int, size: int) -> int:
     return (size - 1) * (d * (n - size - 1) - (n - 1) * (d + k0))
 
 
-def d_mu_boundary_form(sig: Signature) -> DivisorExpression:
-    """Boundary-divisor representation of the distinguished class."""
+def _form_terms(
+    sig: Signature,
+) -> Iterator[tuple[int | tuple[int, int], Fraction | int, Fraction | int]]:
+    """Each symbol of ``D_mu`` with its coefficients in the boundary form and
+    in the psi form, from one walk of the splits: marking ``i`` (``psi_i``)
+    with ``(0, k_i / 2)``, then each split as its masks ``(I0, I1)``, in the
+    walk's order and orientation, with ``(c_S, -k_I0 / 2)``.  A zero
+    coefficient is the integer 0, not a ``Fraction``.
+
+    The psi form's ``-(d/2) mu_i`` and ``(d/2)(1 - mu_S)`` are ``k_i / 2``
+    and ``-k_I0 / 2``, as ``mu_i = -k_i / d`` and ``mu_S = (d + k_I0) / d``.
+    """
     n, d = sig.n, sig.d
     scale = (n - 2) * (n - 1)
-    terms = {}
-    for sym, k0, size in _boundary_splits(sig):
-        c = _split_coefficient(n, d, k0, size)
-        if c:
-            terms[sym] = Fraction(c, scale)
-    return DivisorExpression(terms)
+    for i, k in enumerate(sig.kappa, start=1):
+        yield i, 0, Fraction(k, 2) if k else 0
+    for masks, (m,) in _p_hat_walk(sig, r_max=1):  # m = d + k_I0
+        c = _split_coefficient(n, d, m - d, masks[0].bit_count())
+        yield masks, Fraction(c, scale) if c else 0, Fraction(d - m, 2) if m != d else 0
+
+
+def _symbol(n: int, key: int | tuple[int, int]) -> Psi | Boundary:
+    """The divisor symbol of a :func:`_form_terms` key."""
+    if type(key) is int:
+        return Psi(key)
+    return Boundary(n, key[0] if key[0] & 1 else key[1])
+
+
+def d_mu_boundary_form(sig: Signature) -> DivisorExpression:
+    """Boundary-divisor representation of the distinguished class."""
+    return DivisorExpression({_symbol(sig.n, key): c for key, c, _ in _form_terms(sig) if c})
 
 
 def d_mu_psi_form(sig: Signature) -> DivisorExpression:
-    """Psi-and-boundary representation, linearly equivalent to the boundary form.
-
-    With ``mu_i = -k_i / d`` the coefficients ``-(d/2) mu_i`` and
-    ``(d/2)(1 - mu_S)`` are ``k_i / 2`` and ``-k_I0 / 2``.
-    """
-    terms: dict = {}
-    for i, k in enumerate(sig.kappa, start=1):
-        if k:
-            terms[Psi(i)] = Fraction(k, 2)
-    for sym, k0, _ in _boundary_splits(sig):
-        if k0:
-            terms[sym] = Fraction(-k0, 2)
-    return DivisorExpression(terms)
+    """Psi-and-boundary representation, linearly equivalent to the boundary form."""
+    return DivisorExpression({_symbol(sig.n, key): c for key, _, c in _form_terms(sig) if c})
 
 
 def form_psi_number(sig: Signature, psi_exponents: Sequence[int]) -> Fraction:

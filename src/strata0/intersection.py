@@ -91,7 +91,7 @@ class Boundary:
 
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         full = (1 << self.n) - 1
-        return tuple(sorted(_mask_marks(self.key))), tuple(sorted(_mask_marks(full ^ self.key)))
+        return _mask_marks(self.key), _mask_marks(full ^ self.key)
 
 
 DivisorSymbol = Union[Psi, Boundary]

@@ -47,7 +47,6 @@ __all__ = [
     "BadBlocks",
     "INF",
     "LocalChart",
-    "SectionValue",
     "DEFAULT_SEED",
     "make_sampler",
     "build_chart",
@@ -90,6 +89,7 @@ Coord = Fraction | _Infinity
 DEFAULT_SEED = 20237
 
 _BOUND = 10 ** 6
+_SAMPLE_DRAWS = 100  # draws sample_curve_point makes before it gives up
 
 
 def make_sampler(seed: int | None = None) -> random.Random:
@@ -288,21 +288,21 @@ def sample_curve_point(
     chart: LocalChart,
     rng: random.Random,
     base: int = 0,
-    retries: int = 100,
     check_vertices: Iterable[int] | None = None,
 ) -> tuple[Coord, ...]:
     """A random rational point of the fiber, satisfying every node equation.
 
     The base coordinate is drawn at random and pushed through the node
     relations; draws landing on a special point (a pole of some ``Phi_j`` or a
-    node) are rejected and retried.  On a pinched fiber the coordinates away
-    from the base collapse to node values, so genericity can only be demanded
-    on the components listed in ``check_vertices`` (default: all).
+    node) are rejected and retried, up to ``_SAMPLE_DRAWS`` draws in all.  On
+    a pinched fiber the coordinates away from the base collapse to node
+    values, so genericity can only be demanded on the components listed in
+    ``check_vertices`` (default: all).
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
     _check_vertices(chart.tree, base, *check)
     all_marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
-    for _ in range(retries):
+    for _ in range(_SAMPLE_DRAWS):
         try:
             z = _spread(chart, base, _rand_rational(rng))
         except DenominatorVanishes:
@@ -317,16 +317,9 @@ def sample_curve_point(
     raise DenominatorVanishes("no valid sample point found; chart too degenerate")
 
 
-@dataclass(frozen=True)
-class SectionValue:
-    """Coefficient of ``(dz_j)^d`` of a candidate differential at a point."""
-
-    value: Fraction
-    vertex: int
-
-
-def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> SectionValue:
-    """Evaluate ``Phi_j`` at a curve point, in the ``j``-th coordinate frame.
+def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> Fraction:
+    """Evaluate ``Phi_j`` at a curve point, in the ``j``-th coordinate frame:
+    the coefficient of ``(dz_j)^d`` of the candidate differential there.
 
     Factors with the marked point at infinity in this chart are omitted; a
     sample coordinate equal to some ``a_{ji}`` is a pole or zero of the
@@ -345,7 +338,7 @@ def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> SectionVa
         if base == 0:
             raise PoleHit(f"sample coordinate equals a_({j},{i})")
         val *= base ** chart.sig.kappa[i - 1]
-    return SectionValue(val, j)
+    return val
 
 
 def beta_monomial(chart: LocalChart, j: int) -> Fraction:
@@ -436,7 +429,7 @@ def section_in_frame(
     """Value of the rescaled section ``t^{beta_j} Phi_j`` in the frame of
     component ``frame`` at a sample point."""
     _check_vertices(chart.tree, frame)
-    phi = evaluate_phi(chart, j, point).value
+    phi = evaluate_phi(chart, j, point)
     jac = _frame_jacobian(chart, j, frame, point)
     return beta_monomial(chart, j) * phi * jac ** chart.sig.d
 

@@ -13,21 +13,24 @@ edge weights ``-k_B / d``.
 This module is the one split core that the other layers share:
 
 * the marking-mask codec: bit ``i-1`` of a mask is marking ``i``;
-  ``_mask_marks`` decodes a mask and ``_marks_mask`` encodes a set of
-  markings, rejecting one outside ``1..n``; ``_k_sum`` and ``_mask_k`` are
-  ``k_B`` of a set of markings and of a mask;
+  ``_mask_marks`` decodes a mask (markings in increasing order) and
+  ``_marks_mask`` encodes a set of markings, rejecting one outside
+  ``1..n``; ``_k_sum`` and ``_mask_k`` are ``k_B`` of a set of markings and
+  of a mask;
 * the split orientation rule ``_is_i0``: of the two sides of a split, ``I0``
   is the one with the larger ``k`` (so ``mu(I0) <= 1``) and, on a tie, the
   one holding marking 1.  Only the numbering of a partition's blocks asks it;
 * the boundary index set walk ``_p_hat_walk``: every element of P-hat as
   its block masks, in :meth:`MultiBlockPartition.sort_key` order, with its
   factors ``m_j`` carried along (for ``r = 1`` the one factor ``d * mu_S``).
-  One depth-first submask walk carries ``k_B``; the two-block splits and
-  their weights, P-hat, the exceptional coefficients, the refused volume's
-  leading terms and both divisor forms read it, and frozenset blocks are
-  built only for output.  A partition given from outside the walk has one
-  checked path, ``_m_factors``, which ``m_value`` and ``vanishing_orders``
-  read.  No function here builds a table over all ``2^n`` masks;
+  One depth-first submask walk carries ``k_B``.  The public enumerators
+  and the refused volume's leading terms read it through ``_p_hat_parts``,
+  which builds frozenset blocks; both divisor forms read it in one pass;
+  the ``boundary``, ``phat``, ``exceptional`` and ``divisor`` commands
+  print its masks, as it oriented them, through ``_mask_marks``.  A
+  partition given from outside the walk has one checked path,
+  ``_m_factors``, which ``m_value`` and ``vanishing_orders`` read.  No
+  function here builds a table over all ``2^n`` masks;
 * the stable tree as its set of pairwise-compatible splits (Buneman's
   splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each stored as
   the mask of the side holding marking 1.  ``canonical_key`` is the sorted
@@ -276,8 +279,14 @@ def _check_blocks(blocks: Sequence[frozenset[int]], n: int) -> None:
         raise NotInPHat("two-block partitions need both sides >= 2")
 
 
-def _mask_marks(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def _mask_marks(mask: int) -> tuple[int, ...]:
+    """The markings of a mask, in increasing order, one lowest bit at a time."""
+    marks = []
+    while mask:
+        low = mask & -mask
+        marks.append(low.bit_length())
+        mask ^= low
+    return tuple(marks)
 
 
 def _marks_mask(n: int, marks: Iterable[int]) -> int:
@@ -406,9 +415,8 @@ class StableTree:
         Vertex 0 holds marking 1; the numbering depends only on the set."""
         key = tuple(sorted(splits))
         _, parent, own = _laminar(n, key)
-        tree = StableTree(
-            tuple(_mask_marks(m) for m in own), tuple((parent[j], j) for j in range(1, len(own)))
-        )
+        marks = tuple(frozenset(_mask_marks(m)) for m in own)
+        tree = StableTree(marks, tuple((parent[j], j) for j in range(1, len(own))))
         if tree.canonical_key() != key:
             raise StrataError("splits must be distinct, pairwise compatible and hold marking 1")
         return tree
@@ -450,7 +458,8 @@ class StableTree:
         if not self.has_edge(j, k):
             raise NoSuchEdge(f"no edge between vertices {j} and {k}")
         parent, marks, _ = self._below[k]
-        return _mask_marks(marks if parent == j else self._below[0][1] ^ self._below[j][1])
+        far = marks if parent == j else self._below[0][1] ^ self._below[j][1]
+        return frozenset(_mask_marks(far))
 
     def edge_partition(self, u: int, v: int, sig: Signature) -> MultiBlockPartition:
         """Two-block partition (``r = 1``) cut out by the edge ``{u, v}``."""
@@ -754,7 +763,7 @@ def _p_hat_parts(
         for mask in masks:
             block = marks.get(mask)
             if block is None:
-                block = marks[mask] = _mask_marks(mask)
+                block = marks[mask] = frozenset(_mask_marks(mask))
             blocks.append(block)
         yield MultiBlockPartition(tuple(blocks)), ms
 

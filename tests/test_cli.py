@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,18 @@ from hypothesis import strategies as st
 
 from strata0 import cli
 from strata0.cli import SpecParseError, main, parse_kappa, parse_tree_spec
-from strata0.strata import StableTree, boundary_weight, enumerate_two_block, validate_signature
+from strata0.divisors import d_mu_boundary_form, d_mu_psi_form
+from strata0.intersection import Boundary, Psi
+from strata0.strata import (
+    StableTree,
+    boundary_weight,
+    enumerate_p_hat,
+    enumerate_two_block,
+    exceptional_divisor,
+    m_value,
+    validate_signature,
+    vanishing_orders,
+)
 
 
 def run(capsys, *argv):
@@ -141,12 +153,14 @@ class TestExitCodes:
         assert f"error: argument {value}: invalid int value: '{bad}'\n" in capsys.readouterr().err
 
     def test_unwritable_out_is_2(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "x.json"
-        code, out, err = run(
-            capsys, "boundary", "--d", "2", "--kappa=-1,-1,-1,-1", "--out", str(target)
-        )
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: cannot write --out file {target}")
+        # an empty path (an unset shell variable) is refused, not ignored
+        for target in (str(tmp_path / "missing" / "x.json"), ""):
+            for extra in ((), ("--json",)):
+                code, out, err = run(
+                    capsys, "boundary", "--d", "2", "--kappa=-1,-1,-1,-1", "--out", target, *extra
+                )
+                assert code == 2 and out == ""
+                assert err.startswith(f"error: cannot write --out file {target}")
 
     def test_max_codim_support_tree_refutes_triviality(self, capsys, monkeypatch):
         import strata0.cli as cli_mod
@@ -292,24 +306,104 @@ _json_values = st.recursive(
 )
 
 
+def _spread(draw, size, total, floor):
+    """``size`` integers ``>= floor`` summing to ``total``, one unit at a time."""
+    vals = [floor] * size
+    excess = total - size * floor
+    for i in draw(st.lists(st.integers(0, size - 1), min_size=excess, max_size=excess)):
+        vals[i] += 1
+    return vals
+
+
+@st.composite
+def _p_hat_signatures(draw):
+    """Signatures with n = 4..8 and d = 2..4, some with zero entries and
+    some with a tie split ``k_A = k_B = -d``."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 8))
+    zeros = draw(st.integers(0, min(2, n - 4)))
+    free = n - zeros
+    if draw(st.booleans()):
+        s = draw(st.integers(2, free - 2))
+        kappa = _spread(draw, s, -d, 1 - d) + _spread(draw, free - s, -d, 1 - d)
+    else:
+        kappa = _spread(draw, free, -2 * d, 1 - d)
+    return validate_signature(d, draw(st.permutations(kappa + [0] * zeros)))
+
+
 class TestJson:
-    def test_boundary_round_trip(self, capsys):
-        # the second signature has d = 3 and two splits with k_B = -d on both sides
-        for d, kappa, count in ((2, "-1,-1,-1,-1,-1,1", 25), (3, "-1,-2,-1,-2", 3)):
-            code, out, _ = run(capsys, "boundary", "--d", str(d), f"--kappa={kappa}", "--json")
-            assert code == 0
-            payload = json.loads(out)
-            assert payload["count"] == count
-            assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
-            # every row against the checked reference: the numbered two-block
-            # partitions and the Fraction weight of each
-            sig = validate_signature(d, parse_kappa(kappa))
-            want = []
-            for part in enumerate_two_block(sig):
-                mu_s = boundary_weight(part, sig)
-                want.append(([sorted(b) for b in part.blocks],
-                             {"num": str(mu_s.numerator), "den": str(mu_s.denominator)}))
-            assert [(row["blocks"], row["mu_s"]) for row in payload["partitions"]] == want
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_p_hat_signatures())
+    @example(validate_signature(2, [-1, -1, -1, -1, -1, 1]))
+    @example(validate_signature(3, [-1, -2, -1, -2]))  # two splits with k_B = -d on both sides
+    @example(validate_signature(3, [0, 1, -1, -2, -2, -1, -1]))
+    @example(validate_signature(2, [2, -1, -1, -1, -1, -1, -1]))  # E-nontrivial
+    @example(validate_signature(3, [2, 1, -1, -2, -2, -1, -1, -2]))  # E-nontrivial, with ties
+    def test_boundary_round_trip(self, sig):
+        # the P-hat commands print from the walk's masks; every row must
+        # equal the library's partitions and its checked values
+        def payload(command):
+            out = io.StringIO()
+            kappa = ",".join(map(str, sig.kappa))
+            with contextlib.redirect_stdout(out):
+                assert main([command, "--d", str(sig.d), f"--kappa={kappa}", "--json"]) == 0
+            text = out.getvalue()
+            assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+            return json.loads(text)
+
+        def blocks(part):
+            return [sorted(b) for b in part.blocks]
+
+        def rat(x):
+            return {"num": str(x.numerator), "den": str(x.denominator)}
+
+        got = payload("boundary")
+        rows = got["partitions"]
+        assert got["count"] == len(rows) == 2 ** (sig.n - 1) - sig.n - 1
+        assert [(row["blocks"], row["mu_s"]) for row in rows] == [
+            (blocks(p), rat(boundary_weight(p, sig))) for p in enumerate_two_block(sig)]
+        got = payload("phat")
+        rows = got["partitions"]
+        assert got["count"] == len(rows)
+        assert [(row["blocks"], row["r"], row["m"]) for row in rows] == [
+            (blocks(p), p.r, m_value(p, sig)) for p in enumerate_p_hat(sig)]
+        got = payload("exceptional")
+        want = exceptional_divisor(sig)
+        assert got["trivial"] == want.is_zero()
+        assert [(row["blocks"], row["coefficient"], row["orders"]) for row in got["terms"]] == [
+            (blocks(p), c, list(vanishing_orders(p, sig).values()) if p.r >= 2 else None)
+            for p, c in want.terms.items()]
+        got = payload("divisor")
+        for form, expr in (("boundary_form", d_mu_boundary_form(sig)),
+                           ("psi_form", d_mu_psi_form(sig))):
+            # psi classes by index, then splits by their side holding marking 1
+            order = [(0, [t["psi"]]) if "psi" in t
+                     else (1, next(b for b in t["boundary"] if 1 in b)) for t in got[form]]
+            assert order == sorted(order)
+            terms = {}
+            for term in got[form]:
+                sym = Psi(term["psi"]) if "psi" in term else Boundary.of(sig.n, term["boundary"][0])
+                c = term["coefficient"]
+                terms[sym] = Fraction(int(c["num"]), int(c["den"]))
+            assert terms == expr.terms
+
+    def test_divisor_walks_the_splits_once(self, capsys, monkeypatch):
+        # both forms of D_mu are printed from one walk of the two-block splits
+        import strata0
+
+        walks = []
+        walk = strata0.strata._p_hat_walk
+
+        def counting(*args, **kwargs):
+            walks.append(args)
+            return walk(*args, **kwargs)
+
+        for mod in (strata0.strata, strata0.divisors, strata0.cli):
+            for name, val in list(vars(mod).items()):
+                if val is walk:
+                    monkeypatch.setattr(mod, name, counting)
+        code, _, _ = run(capsys, "divisor", "--d", "3", "--kappa=0,1,-1,-2,-2,-1,-1", "--json")
+        assert (code, len(walks)) == (0, 1)
 
     def test_table_run_encodes_json_only_for_out(self, capsys, monkeypatch, tmp_path):
         calls = []

@@ -36,6 +36,7 @@ from strata0.intersection import (
     product_number,
 )
 from strata0.strata import (
+    _p_hat_walk,
     boundary_weight,
     enumerate_p_hat,
     enumerate_stable_trees,
@@ -471,8 +472,9 @@ class TestFormPsiNumber:
         # every split of the n = 4 signature is a tie k_A = k_B = -d, and
         # counting both orientations would double its value
         sig = validate_signature(d, kappa)
+        splits = ((m - d, i0.bit_count()) for (i0, _), (m,) in _p_hat_walk(sig, r_max=1))
         assert any(k0 == -d and divisors_mod._split_coefficient(sig.n, d, k0, size)
-                   for _, k0, size in divisors_mod._boundary_splits(sig))
+                   for k0, size in splits)
         if value is None:
             value = product_number(sig.n, _form_psi_factors(sig, b, random.Random(0)))
         assert form_psi_number(sig, b) == value

@@ -103,7 +103,7 @@ def test_every_orientation_matches_oracle(case):
     # the oriented split walk, and from_split in either order
     seen = 0
     for (a, b), _ in _p_hat_walk(sig, r_max=1):
-        i0, i1 = _mask_marks(a), _mask_marks(b)
+        i0, i1 = frozenset(_mask_marks(a)), frozenset(_mask_marks(b))
         assert (i0, i1) == oracle_orient(i0, i1, sig)
         for x, y in ((i0, i1), (i1, i0)):
             part = MultiBlockPartition.from_split(x, y, sig)

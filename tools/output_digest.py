@@ -29,10 +29,13 @@ a mix of both forms with ``psi_3``, and a pure psi monomial.
 Three ``verify-family`` charts go past the benchmark's codimension-2 chains
 centred at vertex 0: a 4-component chain at n = 12, a tie node (``k_B = -d``
 on both sides) with marking 1 off vertex 0, and a star centred at vertex 1
-with one node parameter given.  The last two echo user text with escaped
+with one node parameter given.  Two more echo user text with escaped
 characters into the payload: an ``intersect`` factor list with a tab,
 U+00A0 and U+2003 after its commas, and a ``verify-family`` chart with
-U+00A0 before its edge.
+U+00A0 before its edge.  The last ``divisor`` probe, on the E-trivial
+``--d 3 --kappa=0,1,-1,-2,-2,-1,-1`` (n = 7), meets every term the two forms
+drop: ``psi_1`` (``k_1 = 0``), 12 splits with ``c_S = 0``, 6 with
+``k_I0 = 0``, and 14 tie splits (``k_A = k_B = -d``).
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -91,6 +94,8 @@ PROBE_ARGV = [
     ["intersect", "--json", "--d", "2", "--kappa=-1,-1,-1,-1,-1,1",
      "--factors", "Dmu,\t\u00a0psi_1,\u2003D{1,2}"],
     ["verify-family", "--json", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", "3,4;1,2\u00a00-1"],
+    # every zero filter of the two divisor forms: a zero entry, c_S = 0, k_I0 = 0
+    ["divisor", "--json", "--d", "3", "--kappa=0,1,-1,-2,-2,-1,-1"],
 ]
 
 
