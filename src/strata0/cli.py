@@ -43,18 +43,10 @@ from strata0.divisors import (
     ExceptionalDivisorNontrivial,
     _form_terms,
     blowup_is_trivial,
-    d_mu_boundary_form,
-    d_mu_psi_form,
     form_psi_number,
     volume,
 )
-from strata0.intersection import (
-    Boundary,
-    DivisorExpression,
-    Psi,
-    _check_factor_count,
-    product_number,
-)
+from strata0.intersection import Boundary, Psi, _check_factor_count
 from strata0.local_family import (
     DEFAULT_SEED,
     INF,
@@ -400,8 +392,9 @@ def _cmd_divisor(sig: Signature, args) -> _Answer:
             order, sym = (1, i0 if key[0] & 1 else i1), {"boundary": [i0, i1]}
         terms.append((order, sym, b, p))
     terms.sort(key=lambda term: term[0])
-    bf = [(sym, b) for _, sym, b, _ in terms if b]
-    pf = [(sym, p) for _, sym, _, p in terms if p]
+    scale = (sig.n - 2) * (sig.n - 1)
+    bf = [(sym, Fraction(b, scale)) for _, sym, b, _ in terms if b]
+    pf = [(sym, Fraction(p, 2)) for _, sym, _, p in terms if p]
     body = {"boundary_form": [{**sym, "coefficient": _rat(c)} for sym, c in bf],
             "psi_form": [{**sym, "coefficient": _rat(c)} for sym, c in pf]}
 
@@ -420,25 +413,13 @@ def _cmd_divisor(sig: Signature, args) -> _Answer:
 def _cmd_intersect(sig: Signature, args) -> _Answer:
     factors = parse_factors(args.factors, sig)
     _check_factor_count(sig.n, len(factors))
-    if any(isinstance(f, Boundary) for f in factors):
-        forms: dict[str, DivisorExpression] = {}  # each form of D_mu is built at most once
-        exprs = []
-        for f in factors:
-            if isinstance(f, str):
-                if f not in forms:
-                    forms[f] = (d_mu_boundary_form if f == "Dmu" else d_mu_psi_form)(sig)
-                exprs.append(forms[f])
-            else:
-                exprs.append(DivisorExpression({f: Fraction(1)}))
-        value = product_number(sig.n, exprs)
-    else:
-        # psi classes and forms of D_mu only: the forms are linearly
-        # equivalent, so the product is W(kappa, b) whatever their mix
-        b = [0] * sig.n
-        for f in factors:
-            if isinstance(f, Psi):
-                b[f.i - 1] += 1
-        value = form_psi_number(sig, b)
+    # the forms of D_mu are linearly equivalent, so the product is
+    # W(kappa, b) times the D{...} factors whatever the mix of forms
+    b = [0] * sig.n
+    for f in factors:
+        if isinstance(f, Psi):
+            b[f.i - 1] += 1
+    value = form_psi_number(sig, b, [f for f in factors if isinstance(f, Boundary)])
     body = {"factors": args.factors, "value": _rat(value)}
     return EXIT_OK, body, lambda: [f"product = {value}"]
 

@@ -22,13 +22,13 @@ projectivized stratum is the rational multiple
 of ``pi^(n-2)``.  The sign of this normalization is reported verbatim along
 with its absolute value; no sign convention is imposed on the result.
 
-Two engines compute the top self-intersection ``D_mu^(n-3)``:
+Three engines compute intersection numbers here:
 
-* when every ``k_i < 0`` (so ``0 < mu_i < 1``), McMullen's sum over set
-  partitions of the cone-metric volume of M_{0,n} (C. McMullen, *The
-  Gauss-Bonnet theorem for cone manifolds and volumes of moduli spaces*,
-  Amer. J. Math. 2017), which Koziarz-Nguyen (arXiv:1601.03046) identify
-  with ``D_mu^(n-3)``:
+* McMullen's sum over set partitions of the cone-metric volume of M_{0,n}
+  (C. McMullen, *The Gauss-Bonnet theorem for cone manifolds and volumes of
+  moduli spaces*, Amer. J. Math. 2017), which Koziarz-Nguyen
+  (arXiv:1601.03046) identify with ``D_mu^(n-3)`` when every ``k_i < 0``
+  (so ``0 < mu_i < 1``); ``volume`` uses it on those signatures:
 
       D_mu^(n-3) = (-d)^(n-3) / (n-2) * sum_P (-1)^(|P|+1) (|P|-3)!
                                          * prod_{B in P} max(0, 1-mu_B)^(|B|-1),
@@ -36,27 +36,25 @@ Two engines compute the top self-intersection ``D_mu^(n-3)``:
   over set partitions ``P`` of the markings with ``|P| >= 3``.  It is the
   one computation in the package with a table over all ``2^n`` marking
   masks, and it fills the ``k_B`` column of that table itself;
-* for every other signature, the intersection fold of
-  :func:`strata0.intersection.product_number` on the boundary form.
+* the intersection fold of :func:`strata0.intersection.product_number` on
+  the boundary form, for ``volume`` on every other signature;
+* :func:`form_psi_number`, for ``intersect``: every product of forms of
+  ``D_mu``, psi classes and boundary divisors ``D_T``, for every
+  signature, E-nontrivial ones included.  It restricts the product to one
+  ``D_S = M_{0,|A|+1} x M_{0,|B|+1}`` at a time, where ``D_mu`` restricts
+  to the ``D_mu`` of the two smaller signatures plus ``(d + k_A) psi`` at
+  the node (Keel's genus-0 rules; the derivation is in its docstring), and
+  builds no decorated strata.  It is not a ``volume`` engine: its memo
+  grows with the distinct entries of ``kappa``, and on ``d = 30,
+  kappa = (-1, .., -9, -15)`` (n = 10) it takes seconds where McMullen's
+  sum takes milliseconds.
 
-The same identity matched the fold on signatures with some ``k_i >= 0`` as
-well: on all 78 E-trivial signatures with n = 4..7, d = 2..4 and entries in
-``[1-d, 2d]`` (66 of them with some ``k_i >= 0``), on all 222 recorded
+McMullen's identity matched the fold on signatures with some ``k_i >= 0``
+as well: on all 78 E-trivial signatures with n = 4..7, d = 2..4 and entries
+in ``[1-d, 2d]`` (66 of them with some ``k_i >= 0``), on all 222 recorded
 benchmark volumes (184 such) and on nonzero such signatures at n = 8.  That
 is a checked identity, not a cited theorem, so those signatures stay on the
-fold.  The fold remains the oracle for the closed form in tests.
-
-Products of forms of ``D_mu`` and psi classes, ``∫ D_mu^a prod psi_i^(b_i)``,
-have a recursion of their own that builds no decorated strata:
-:func:`form_psi_number` restricts one factor to each boundary divisor
-``D_S = M_{0,|A|+1} x M_{0,|B|+1}``, where ``D_mu`` restricts to the
-``D_mu`` of the two smaller signatures plus ``(d + k_A) psi`` at the node
-(Keel's genus-0 rules; the derivation is in its docstring).  It serves
-``intersect`` on such lists for every signature, E-nontrivial ones
-included, and the fold is its oracle in the tests.  It is not a
-``volume`` engine: its memo grows with the distinct entries of ``kappa``,
-and on ``d = 30, kappa = (-1, .., -9, -15)`` (n = 10) it takes seconds where
-McMullen's sum takes milliseconds.
+fold.  The fold is the oracle of both other engines in the tests.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from strata0.intersection import Boundary, DivisorExpression, Psi, WrongDegree, product_number
 from strata0.strata import Signature, _leading_exceptional_terms, _p_hat_walk
@@ -110,25 +108,20 @@ def _split_coefficient(n: int, d: int, k0: int, size: int) -> int:
     return (size - 1) * (d * (n - size - 1) - (n - 1) * (d + k0))
 
 
-def _form_terms(
-    sig: Signature,
-) -> Iterator[tuple[int | tuple[int, int], Fraction | int, Fraction | int]]:
-    """Each symbol of ``D_mu`` with its coefficients in the boundary form and
-    in the psi form, from one walk of the splits: marking ``i`` (``psi_i``)
-    with ``(0, k_i / 2)``, then each split as its masks ``(I0, I1)``, in the
-    walk's order and orientation, with ``(c_S, -k_I0 / 2)``.  A zero
-    coefficient is the integer 0, not a ``Fraction``.
+def _form_terms(sig: Signature) -> Iterator[tuple[int | tuple[int, int], int, int]]:
+    """Each symbol of ``D_mu`` with the integer numerators of its
+    coefficients, over ``(n-2)(n-1)`` in the boundary form and over 2 in the
+    psi form, from one walk of the splits: marking ``i`` (``psi_i``) with
+    ``(0, k_i)``, then each split as its masks ``(I0, I1)``, in the walk's
+    order and orientation, with ``(c_S (n-2)(n-1), -k_I0)``.
 
     The psi form's ``-(d/2) mu_i`` and ``(d/2)(1 - mu_S)`` are ``k_i / 2``
     and ``-k_I0 / 2``, as ``mu_i = -k_i / d`` and ``mu_S = (d + k_I0) / d``.
     """
-    n, d = sig.n, sig.d
-    scale = (n - 2) * (n - 1)
     for i, k in enumerate(sig.kappa, start=1):
-        yield i, 0, Fraction(k, 2) if k else 0
+        yield i, 0, k
     for masks, (m,) in _p_hat_walk(sig, r_max=1):  # m = d + k_I0
-        c = _split_coefficient(n, d, m - d, masks[0].bit_count())
-        yield masks, Fraction(c, scale) if c else 0, Fraction(d - m, 2) if m != d else 0
+        yield masks, _split_coefficient(sig.n, sig.d, m - sig.d, masks[0].bit_count()), sig.d - m
 
 
 def _symbol(n: int, key: int | tuple[int, int]) -> Psi | Boundary:
@@ -140,18 +133,36 @@ def _symbol(n: int, key: int | tuple[int, int]) -> Psi | Boundary:
 
 def d_mu_boundary_form(sig: Signature) -> DivisorExpression:
     """Boundary-divisor representation of the distinguished class."""
-    return DivisorExpression({_symbol(sig.n, key): c for key, c, _ in _form_terms(sig) if c})
+    scale = (sig.n - 2) * (sig.n - 1)
+    return DivisorExpression({_symbol(sig.n, key): Fraction(c, scale)
+                              for key, c, _ in _form_terms(sig) if c})
 
 
 def d_mu_psi_form(sig: Signature) -> DivisorExpression:
     """Psi-and-boundary representation, linearly equivalent to the boundary form."""
-    return DivisorExpression({_symbol(sig.n, key): c for key, _, c in _form_terms(sig) if c})
+    return DivisorExpression({_symbol(sig.n, key): Fraction(c, 2) for key, _, c in _form_terms(sig) if c})
 
 
-def form_psi_number(sig: Signature, psi_exponents: Sequence[int]) -> Fraction:
-    """``W(kappa, b) = ∫ D(kappa)^a prod_i psi_i^(b_i)`` over ``M_{0,n}``,
-    with ``a = n - 3 - sum(b)`` and ``D(kappa)`` the distinguished class
-    (either form: they are linearly equivalent).
+def _node_terms(a: int, j: int, low: int, x: int, high: Callable[[int], int]) -> int:
+    """``C(a, j) low sum_{i=0..j} C(j, i) x^i high(i)``: ``(2 D)^a`` on a
+    boundary divisor, ``2 D = 2 D_A + x psi_p' + 2 D_B``, with ``j`` factors
+    on the A side, ``low`` the B side's number and ``high(i)`` the A side's
+    with ``psi_p'^i`` (see :func:`form_psi_number`)."""
+    if not low:
+        return 0
+    acc = high(0)
+    for i in range(1, j + 1 if x else 1):
+        acc += math.comb(j, i) * x**i * high(i)
+    return math.comb(a, j) * low * acc
+
+
+def form_psi_number(
+    sig: Signature, psi_exponents: Sequence[int], boundaries: Sequence[Boundary] = ()
+) -> Fraction:
+    """``W(kappa, b) = ∫ D(kappa)^a prod_i psi_i^(b_i) prod_T D_T`` over
+    ``M_{0,n}``, with ``D_T`` for each of ``boundaries`` (repeats allowed),
+    ``a = n - 3 - sum(b) - len(boundaries)`` and ``D(kappa)`` the
+    distinguished class (either form: they are linearly equivalent).
 
     For any integer tuple ``kappa`` with sum ``-2d`` write ``D(kappa)`` for
     the psi form ``½ sum_i k_i psi_i - ½ sum_S k_I0 D_S``, ``I0`` the side
@@ -159,21 +170,29 @@ def form_psi_number(sig: Signature, psi_exponents: Sequence[int]) -> Fraction:
     boundary form ``sum_S c_S D_S`` (:func:`_split_coefficient`), since each
     ``psi_i`` is an average of boundary divisors, for any such tuple, not
     only for signatures.  The recursion, by Keel's genus-0 rules
-    (Trans. AMS 330, 1992):
+    (Trans. AMS 330, 1992), restricts the product to one boundary divisor
+    ``D_S = M_{0,|A|+1} x M_{0,|B|+1}`` for ``S = A|B``, ``A = I0``, with
+    new markings ``p`` on the B side (weight ``k_A``) and ``p'`` on the A
+    side (weight ``k_B``).  There ``psi_i`` restricts to its own side, a
+    compatible ``D_U`` to the side that holds it (re-indexed with the node
+    marking), a crossing ``D_U`` to 0, and ``D_S|_{D_S} = -psi_p - psi_p'``.
+    So the psi form restricts to ``D(kappa_B + [k_A])`` on the B side and
+    to ``D(kappa_A + [k_B]) + (d + k_A) psi_p'`` on the A side, because
+    ``½ k_A - ½ k_B = d + k_A``.  Expanding ``(X_A + X_B)^a``, only the
+    degree split that fills both sides survives (:func:`_node_terms`).
 
-    * ``a = 0``: ``W = (n-3)! / prod_i b_i!``.
-    * ``a >= 1``: take one factor in the boundary form,
-      ``D^a psi^b = sum_S c_S D_S (D|_{D_S})^(a-1) psi^b``, and
-      ``D_S = M_{0,|A|+1} x M_{0,|B|+1}`` for ``S = A|B``, ``A = I0``, with
-      new markings ``p`` on the B side (weight ``k_A``) and ``p'`` on the A
-      side (weight ``k_B``).  There ``psi_i`` restricts to its own side, a
-      compatible ``D_T`` to the side it lives on with the same two ``k``
-      sums, a crossing ``D_T`` to 0, and ``D_S|_{D_S} = -psi_p - psi_p'``.
-      So the psi form restricts to ``D(kappa_B + [k_A])`` on the B side and
-      to ``D(kappa_A + [k_B]) + (d + k_A) psi_p'`` on the A side, because
-      ``½ k_A - ½ k_B = d + k_A``.  Expanding ``(X_A + X_B)^(a-1)``, only the
-      degree split that fills both factors survives: ``j = |A| - 2 - b_A``
-      on A and ``a - 1 - j = |B| - 2 - b_B`` on B, so
+    * With a ``D_T`` left, restrict to the first.  The product is 0 if
+      another ``D_U`` crosses ``T``.  Otherwise the ``r`` further copies of
+      ``D_T`` give ``(-1)^r sum_s C(r, s) psi_p^s psi_p'^(r-s)``, and with
+      ``j`` the number of ``D`` factors that fills the A side,
+
+          W = (-1)^r sum_s C(r, s) C(a, j) W_B(psi_p^s)
+                  * sum_{i=0..j} C(j, i) (d + k_A)^i W_A(psi_p'^(r-s+i)).
+
+    * With none, ``a = 0`` gives ``W = (n-3)! / prod_i b_i!``.
+    * With none and ``a >= 1``, take one factor in the boundary form,
+      ``D^a psi^b = sum_S c_S D_S (D|_{D_S})^(a-1) psi^b``: with
+      ``j = |A| - 2 - b_A`` and ``a - 1 - j = |B| - 2 - b_B``,
 
           W = sum_S c_S C(a-1, j) W(kappa_B + [k_A], b_B + [0])
                   * sum_{i=0..j} C(j, i) (d + k_A)^i W(kappa_A + [k_B], b_A + [i])
@@ -188,17 +207,21 @@ def form_psi_number(sig: Signature, psi_exponents: Sequence[int]) -> Fraction:
     works with ``U = 2^a W``, the number of the integral class
     ``2 D(kappa)``, which is an integer: ``c_S (n-2)(n-1)`` is an integer,
     each term gains the factor ``2^(1+i)``, and the sum over splits is
-    divided by ``(n-2)(n-1)`` exactly once per state.  A split is a
-    sub-multiset of the ``(k_i, b_i)``, counted with binomial weights, and
-    a memo local to the call is keyed by the sorted multiset.
+    divided by ``(n-2)(n-1)`` exactly once per state.  With no ``D_T`` a
+    split is a sub-multiset of the ``(k_i, b_i)``, counted with binomial
+    weights, and a memo local to the call is keyed by the sorted multiset;
+    with some, the markings keep their places and the ``D_T`` are masks.
     """
     n, d = sig.n, sig.d
     b = tuple(psi_exponents)
     if len(b) != n or any(p < 0 for p in b):
         raise ValueError(f"need {n} psi exponents >= 0, got {list(b)}")
-    top = n - 3 - sum(b)
+    if any(t.n != n for t in boundaries):
+        raise ValueError("boundary symbol for the wrong n")
+    top = n - 3 - sum(b) - len(boundaries)
     if top < 0:
-        raise WrongDegree(f"psi exponents sum to {sum(b)} > n - 3 = {n - 3}")
+        raise WrongDegree(
+            f"psi exponents and boundary factors sum to {n - 3 - top} > n - 3 = {n - 3}")
     memo: dict[tuple[tuple[int, int], ...], int] = {}
 
     def scaled(state: tuple[tuple[int, int], ...]) -> int:
@@ -230,20 +253,51 @@ def form_psi_number(sig: Signature, psi_exponents: Sequence[int]) -> Fraction:
             c = _split_coefficient(m, d, k_a, size)
             if not c:
                 continue
-            low = scaled(tuple(sorted(side_b + ((k_a, 0),))))
-            if not low:
-                continue
-            x = 2 * (d + k_a)
-            high = 0
-            for i in range(j + 1 if x else 1):
-                high += math.comb(j, i) * x**i * scaled(tuple(sorted(side_a + ((k_b, i),))))
+            term = _node_terms(a - 1, j, scaled(tuple(sorted(side_b + ((k_a, 0),)))), 2 * (d + k_a),
+                               lambda i: scaled(tuple(sorted(side_a + ((k_b, i),)))))
             # a tie is met in both orientations: count it half
-            total += (1 if k_a == k_b else 2) * weight * c * math.comb(a - 1, j) * low * high
+            total += (1 if k_a == k_b else 2) * weight * c * term
         out = total // ((m - 2) * (m - 1))
         memo[state] = out
         return out
 
-    return Fraction(scaled(tuple(sorted(zip(sig.kappa, b)))), 2**top)
+    def restricted(ks: tuple[int, ...], bs: tuple[int, ...], bnds: tuple[int, ...]) -> int:
+        # U of the product with D_U for each mask U over the places of ks
+        if not bnds:
+            return scaled(tuple(sorted(zip(ks, bs))))
+        m, t = len(ks), bnds[0]
+        full = (1 << m) - 1
+        k_t = sum(k for i, k in enumerate(ks) if t >> i & 1)
+        big = t if k_t >= -d else full ^ t  # the side A = I0
+        k_a = max(k_t, -2 * d - k_t)
+        held: tuple[list[int], list[int]] = ([], [])  # the other D_U on A and on B
+        r = 0  # further copies of D_T
+        for u in bnds[1:]:
+            if u in (t, full ^ t):
+                r += 1
+                continue
+            x = next((x for x in (u, full ^ u) if x & big in (0, x)), None)
+            if x is None:
+                return 0  # D_U crosses D_T
+            held[0 if x & big else 1].append(x)
+        sides = []
+        for half, us, k_node in ((big, held[0], -2 * d - k_a), (full ^ big, held[1], k_a)):
+            places = [i for i in range(m) if half >> i & 1]
+            sides.append((tuple(ks[i] for i in places) + (k_node,),
+                          tuple(bs[i] for i in places),
+                          tuple(sum(1 << q for q, i in enumerate(places) if x >> i & 1) for x in us)))
+        (ks_a, bs_a, us_a), (ks_b, bs_b, us_b) = sides
+        a = m - 3 - sum(bs) - len(bnds)
+        total = 0
+        for s in range(r + 1):  # psi_p^s on the B side, psi_p'^(r-s) on the A side
+            j = len(ks_a) - 3 - sum(bs_a) - len(us_a) - (r - s)
+            if 0 <= j <= a:
+                low = restricted(ks_b, bs_b + (s,), us_b)
+                total += (-1) ** r * math.comb(r, s) * _node_terms(
+                    a, j, low, 2 * (d + k_a), lambda i: restricted(ks_a, bs_a + (r - s + i,), us_a))
+        return total
+
+    return Fraction(restricted(sig.kappa, b, tuple(t.key for t in boundaries)), 2**top)
 
 
 def blowup_is_trivial(sig: Signature) -> bool:

@@ -25,12 +25,12 @@ tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
 so keys are canonical with no vertex renumbering and each rule above is one
 set operation on the splits.  The product fold behind :func:`product_number`
 runs on these keys and prunes terms that cannot reach a nonzero top degree.
-It answers public :func:`product_number` on arbitrary expressions and the
-``intersect`` lists with a ``D{...}`` factor.  A list of forms of ``D_mu``
-and psi classes only goes to the restriction recursion
-:func:`strata0.divisors.form_psi_number` instead, and the fold is that
-recursion's oracle in the tests.  The tests keep the term-by-term calculus
-on the same keys (``multiply`` / ``integrate``) as the fold's own oracle.
+It answers only public :func:`product_number` on arbitrary expressions
+and ``volume`` on signatures with some ``k_i >= 0``; every ``intersect``
+list goes to the restriction recursion
+:func:`strata0.divisors.form_psi_number`, and the fold is that recursion's
+oracle in the tests.  The tests keep the term-by-term calculus on the same
+keys (``multiply`` / ``integrate``) as the fold's own oracle.
 """
 
 from __future__ import annotations

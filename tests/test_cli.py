@@ -295,6 +295,56 @@ class TestExitCodes:
         assert ("degenerate chart" in err) == (code == 2)
 
 
+class TestIntersectOneEngine:
+    """``intersect`` answers every factor list, ``D{...}`` factors included,
+    by the restriction recursion ``form_psi_number``, never by the fold."""
+
+    @pytest.fixture
+    def no_fold(self, monkeypatch):
+        import strata0.intersection
+
+        fold = strata0.intersection.product_number
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("intersect reached the fold")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "strata0":
+                for attr, val in list(vars(mod).items()):
+                    if val is fold:
+                        monkeypatch.setattr(mod, attr, refuse)
+
+    @pytest.mark.parametrize(
+        "kappa,factors,value",
+        [("2,-1,-2,-1,-2,-2", "D{2,4},Dmu,Dmu", "1"),
+         ("2,-1,-2,-1,-2,-2", "D{1,2},D{1,3},Dmu", "0"),  # a crossing pair
+         ("2,-1,-2,-1,-2,-2", "D{1,2},D{1,2},Dmu", "-1"),
+         ("2,-1,-2,-1,-2,-2", "D{1,2},D{3,4,5,6},Dmu_psi", "-1"),  # one split, both sides
+         ("2,-1,-2,-1,-2,-2", "D{1,2,3},D{1,2,3},D{4,5,6}", "2"),
+         ("4,-1,-1,-2,-2,-2,-2", "D{1,2},Dmu,Dmu,Dmu", "21"),
+         ("4,-1,-1,-2,-2,-2,-2", "D{2,3,4},D{5,6},Dmu,Dmu_psi", "-4"),
+         ("4,-1,-1,-2,-2,-2,-2", "D{4,5},D{4,5},D{4,5},Dmu", "-1"),
+         ("4,-1,-1,-2,-2,-2,-2", "D{1,2,3},D{4,5,6,7},psi_5,Dmu_psi", "2")],
+    )
+    def test_boundary_lists_never_reach_the_fold(self, capsys, no_fold, kappa, factors, value):
+        got = run(capsys, "intersect", "--d", "3", f"--kappa={kappa}", "--factors", factors)
+        assert got == (0, f"product = {value}\n", "")
+
+    @pytest.mark.parametrize(
+        "factors,message",
+        [("D{1,2},Dmu", "need exactly n - 3 = 3 factors, got 2"),
+         ("D{1,2},Dmu,psi_7", "psi index 7 out of range (at position 11)"),
+         ("D{},Dmu,Dmu", "bad marking '' (at position 2)"),
+         ("Dmu,D{3},Dmu", "both sides of a boundary split need >= 2 markings"),
+         ("D{1,2,3,4,5,6},Dmu,Dmu", "side must be a proper nonempty subset of 1..n"),
+         ("D{1,2,2},Dmu,Dmu", "marking 2 repeated in one group (at position 6)"),
+         ("D{1,7},Dmu,Dmu", "marking 7 is outside 1..6")],
+    )
+    def test_boundary_list_errors_are_2(self, capsys, no_fold, factors, message):
+        got = run(capsys, "intersect", "--d", "3", "--kappa=2,-1,-2,-1,-2,-2", "--factors", factors)
+        assert got == (2, "", f"error: {message}\n")
+
+
 _json_text = st.text() | st.sampled_from(["", "\"", "\\", "\x00\x7f", "\u00a0\u2028", "\ud800"])
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70) | st.floats()

@@ -446,9 +446,72 @@ def _form_psi_case(draw):
     return validate_signature(d, kappa), b
 
 
+def _crosses(x, y, n):
+    """Whether the splits with sides ``x`` and ``y`` of ``1..n`` cross."""
+    return all((x & y, x - y, y - x, set(range(1, n + 1)) - x - y))
+
+
+# each pattern of D{...} sides with the number of sides it needs
+_D_PATTERNS = {"cross": 2, "square": 2, "cube": 3, "both sides": 2, "tie": 1, "free": 1}
+
+
+def _d_factor_case(sig, rng, pattern):
+    """A seeded top-degree list on ``sig`` with 1..n-3 ``D{...}`` sides
+    shaped by ``pattern`` (a crossing pair, ``D{S}^2``, ``D{S}^3``, one split
+    written by both of its sides, a tie split ``k_P = k_Q = -d``, or free
+    draws; free when ``sig`` has no room or no tie for it) and the rest
+    ``Dmu``, ``Dmu_psi`` and ``psi_i``: returns the pattern drawn, the
+    sides, the psi exponents and the fold's factors, in a shuffled order."""
+    n, d = sig.n, sig.d
+    full = set(range(1, n + 1))
+    splits = [set(c) for size in range(2, n - 1) for c in itertools.combinations(sorted(full), size)]
+    ties = [x for x in splits if sum(sig.kappa[i - 1] for i in x) == -d]
+    if _D_PATTERNS[pattern] > n - 3 or pattern == "tie" and not ties:
+        pattern = "free"
+    first = rng.choice(ties if pattern == "tie" else splits)
+    sides = [first]
+    if pattern == "cross":
+        sides.append(rng.choice([x for x in splits if _crosses(first, x, n)]))
+    elif pattern in ("square", "cube"):
+        sides += [rng.choice((first, full - first)) for _ in range(1 + (pattern == "cube"))]
+    elif pattern == "both sides":
+        sides.append(full - first)
+    for _ in range(rng.randrange(n - 2 - len(sides))):
+        # mostly a split compatible with the sides so far, so fewer lists are 0
+        fits = [x for x in splits if not any(_crosses(x, y, n) for y in sides)]
+        sides.append(rng.choice(fits if fits and rng.random() < 0.8 else splits))
+    b = [0] * n
+    exprs = [DivisorExpression({Boundary.of(n, x): 1}) for x in sides]
+    for _ in range(n - 3 - len(sides)):
+        kind = rng.randrange(3)
+        if kind == 2:
+            i = rng.randrange(n)
+            b[i] += 1
+            exprs.append(DivisorExpression({Psi(i + 1): 1}))
+        else:
+            exprs.append((d_mu_boundary_form, d_mu_psi_form)[kind](sig))
+    rng.shuffle(sides)
+    rng.shuffle(exprs)
+    return pattern, sides, b, exprs
+
+
+@st.composite
+def _d_factor_hypothesis_case(draw):
+    """A :func:`_form_psi_case` with ``n >= 5``, its psi degree capped so
+    that 1..n-3 ``D{...}`` sides fit, and those sides."""
+    sig, b = draw(_form_psi_case().filter(lambda case: case[0].n >= 5))
+    n = sig.n
+    while sum(b) > n - 4:
+        b[b.index(max(b))] -= 1
+    count = draw(st.integers(1, n - 3 - sum(b)))
+    sides = draw(st.lists(st.sets(st.integers(1, n), min_size=2, max_size=n - 2),
+                          min_size=count, max_size=count))
+    return sig, b, sides
+
+
 class TestFormPsiNumber:
-    """``W``, the restriction recursion behind ``intersect`` on lists of
-    ``Dmu``, ``Dmu_psi`` and ``psi_i``, against the fold and McMullen's sum."""
+    """``W``, the restriction recursion behind every ``intersect`` list,
+    against the fold and McMullen's sum."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_matches_fold_on_the_whole_grid(self, n):
@@ -495,6 +558,61 @@ class TestFormPsiNumber:
             form_psi_number(SIG_QUAD4, [1, -1, 0, 0])
         with pytest.raises(WrongDegree, match="sum to 2 > n - 3 = 1"):
             form_psi_number(SIG_QUAD4, [1, 1, 0, 0])
+
+    def test_rejects_bad_boundaries(self):
+        with pytest.raises(ValueError, match="^boundary symbol for the wrong n$"):
+            form_psi_number(SIG_QUAD4, [0] * 4, [Boundary.of(5, {1, 2})])
+        with pytest.raises(WrongDegree, match="factors sum to 2 > n - 3 = 1"):
+            form_psi_number(SIG_QUAD4, [0] * 4, [Boundary.of(4, {1, 2})] * 2)
+        with pytest.raises(WrongDegree, match="factors sum to 4 > n - 3 = 3"):
+            form_psi_number(SIG_CUBIC6, [0, 2, 0, 0, 0, 0], [Boundary.of(6, {1, 2})] * 2)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_boundary_factors_match_fold_on_the_grid(self, n):
+        # two seeded lists per relabeled grid signature, the patterns in turn
+        rng = random.Random(f"form-psi-boundary:{n}")
+        patterns = itertools.cycle(_D_PATTERNS)
+        seen = dict.fromkeys(_D_PATTERNS, 0)
+        nonzero = 0
+        for sig in _grid(n):
+            sigma = list(range(1, n + 1))
+            rng.shuffle(sigma)
+            sig = sig.relabeled(sigma)
+            for _ in range(2):
+                pattern, sides, b, exprs = _d_factor_case(sig, rng, next(patterns))
+                value = form_psi_number(sig, b, [Boundary.of(n, x) for x in sides])
+                assert value == product_number(n, exprs), (sig.d, sig.kappa, sides, b)
+                assert value == 0 or pattern != "cross"
+                seen[pattern] += 1
+                nonzero += value != 0
+        assert all(seen[p] for p, count in _D_PATTERNS.items() if count <= n - 3)
+        assert 4 * nonzero >= sum(seen.values())  # a quarter of the lists or more
+
+    @pytest.mark.parametrize(
+        "d,kappa,b,sides,value",
+        [(5, [1, -3, -2, -2, -1, -1, -1, -1], [0, 1, 1, 0, 0, 0, 0, 0], [{1, 5}], 10),
+         (3, [2, 1, -1, -2, -2, -1, -1, -2], [0] * 8, [{1, 5}, {1, 5}], 16)],
+    )
+    def test_n8_boundary_values_match_fold(self, d, kappa, b, sides, value):
+        sig = validate_signature(d, kappa)
+        bnds = [Boundary.of(8, x) for x in sides]
+        assert form_psi_number(sig, b, bnds) == value
+        a = 5 - sum(b) - len(bnds)
+        exprs = [DivisorExpression({t: 1}) for t in bnds] + [d_mu_boundary_form(sig)] * a
+        exprs += [DivisorExpression({Psi(i): 1}) for i, p in enumerate(b, 1) for _ in range(p)]
+        assert product_number(8, exprs) == value
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_d_factor_hypothesis_case(), st.data())
+    def test_boundary_factors_invariant_under_relabeling(self, case, data):
+        sig, b, sides = case
+        sigma = data.draw(st.permutations(range(1, sig.n + 1)))
+        moved = [0] * sig.n
+        for i, p in enumerate(b):
+            moved[sigma[i] - 1] = p
+        moved_sides = [Boundary.of(sig.n, {sigma[i - 1] for i in x}) for x in sides]
+        assert form_psi_number(sig.relabeled(sigma), moved, moved_sides) == form_psi_number(
+            sig, b, [Boundary.of(sig.n, x) for x in sides])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_form_psi_case(), st.data())

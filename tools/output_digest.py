@@ -18,14 +18,16 @@ benchmark's n = 7: the full walk of an E-trivial n = 8 signature (39,208
 trees) and the refusal at n = 10 that stops at the first tree in the ideal
 support.  The last is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
 (the walk's signature has volume 0), so a change of engine for such
-signatures shows in the digest.  Four ``intersect`` queries at n = 8 go
-past the benchmark's n = 7.  Two are on that signature: the
-``Dmu_psi,...,psi_2`` list of forms and psi classes reaches the
-restriction recursion ``W`` (``form_psi_number``), and only the one whose
-``D{1,5}`` factor adds excess terms reaches the final pairing of the fold.
-The other two reach ``W`` on the E-nontrivial ``--d 3
---kappa=2,1,-1,-2,-2,-1,-1,-2``, which has tie splits (``k_A = k_B = -d``):
-a mix of both forms with ``psi_3``, and a pure psi monomial.
+signatures shows in the digest.  Eight ``intersect`` queries at n = 8 go
+past the benchmark's n = 7, all answered by the restriction recursion
+``W`` (``form_psi_number``).  Two are on that signature: the
+``Dmu_psi,...,psi_2`` list of forms and psi classes, and one whose
+``D{1,5}`` factor is restricted to first.  The other six are on the
+E-nontrivial ``--d 3 --kappa=2,1,-1,-2,-2,-1,-1,-2``, which has tie splits
+(``k_A = k_B = -d``): a mix of both forms with ``psi_3``, a pure psi
+monomial, and four ``D{...}`` lists: a crossing pair (value 0),
+``D{1,5},D{1,5}`` with ``Dmu``, one split written by both of its sides, and
+the tie split ``D{3,4}``.
 Three ``verify-family`` charts go past the benchmark's codimension-2 chains
 centred at vertex 0: a 4-component chain at n = 12, a tie node (``k_B = -d``
 on both sides) with marking 1 off vertex 0, and a star centred at vertex 1
@@ -83,7 +85,10 @@ PROBE_ARGV = [
     *(["intersect", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1", "--factors", f]
       for f in ("Dmu_psi,Dmu_psi,Dmu,psi_1,psi_2", "Dmu,Dmu_psi,D{1,5},psi_2,psi_3")),
     *(["intersect", "--json", "--d", "3", "--kappa=2,1,-1,-2,-2,-1,-1,-2", "--factors", f]
-      for f in ("Dmu,Dmu_psi,Dmu,Dmu,psi_3", "psi_1,psi_7,psi_4,psi_1,psi_7")),
+      for f in ("Dmu,Dmu_psi,Dmu,Dmu,psi_3", "psi_1,psi_7,psi_4,psi_1,psi_7",
+                # a crossing pair, a repeated D{S}, one split by both sides, a tie split
+                "D{1,2},D{2,3},Dmu,Dmu,Dmu", "D{1,5},D{1,5},Dmu,Dmu_psi,Dmu",
+                "D{1,5},Dmu,D{2,3,4,6,7,8},psi_3,Dmu", "Dmu,D{3,4},Dmu_psi,Dmu,psi_1")),
     *(["verify-family", "--json", "--d", "2", f"--kappa={kappa}", "--chart", chart]
       for kappa, chart in (
           ("1,1,-1,-1,-1,-1,-1,-1,-1,-1,1,1", "1,2;3,4,5;6,7;8,9,10,11,12 0-1 1-2 2-3"),
