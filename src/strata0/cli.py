@@ -106,16 +106,20 @@ def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
     return out
 
 
-def _marking_list(text: str, pos: int) -> frozenset[int]:
+def _marking_list(text: str, pos: int, n: int | None = None) -> frozenset[int]:
     """The markings of a comma-separated list found at offset ``pos``: ASCII
-    digits only, with no empty entry and no repeat."""
+    digits only, with no empty entry, no repeat and, given ``n``, each in
+    ``1..n``."""
     marks: set[int] = set()
     for mpos, m in _split_with_positions(text, ","):
         if not re.fullmatch(r"[0-9]+", m):
             raise SpecParseError(f"bad marking {m!r}", pos + mpos)
-        if int(m) in marks:
-            raise SpecParseError(f"marking {int(m)} repeated in one group", pos + mpos)
-        marks.add(int(m))
+        i = int(m)
+        if n is not None and not 1 <= i <= n:
+            raise SpecParseError(f"marking {i} is outside 1..{n}", pos + mpos)
+        if i in marks:
+            raise SpecParseError(f"marking {i} repeated in one group", pos + mpos)
+        marks.add(i)
     return frozenset(marks)
 
 
@@ -179,7 +183,10 @@ def parse_tree_spec(
             raise SpecParseError(f"expected 'j-k' or 't[j-k]=p/q', got {tok!r}", pos)
         if u == v or not (0 <= u < nv and 0 <= v < nv):
             raise SpecParseError(f"edge {tok!r} references a missing vertex", pos)
-        edges.append((u, v) if u < v else (v, u))
+        key = (u, v) if u < v else (v, u)
+        if key in edges:
+            raise SpecParseError(f"edge {key[0]}-{key[1]} given twice", pos)
+        edges.append(key)
     for (u, v), (pos, _) in params.items():
         if (u, v) not in edges:
             raise SpecParseError(f"parameter for non-edge {u}-{v}", pos)
@@ -219,8 +226,11 @@ def parse_factors(text: str, sig: Signature) -> list[Psi | Boundary | str]:
                 raise SpecParseError(f"psi index {i} out of range", pos)
             out.append(Psi(i))
         elif m.group(3) is not None:
-            side = _marking_list(m.group(3), pos + m.start(3))
-            out.append(Boundary.of(sig.n, side))
+            side = _marking_list(m.group(3), pos + m.start(3), sig.n)
+            try:
+                out.append(Boundary.of(sig.n, side))
+            except ValueError as exc:  # a side too small or too large
+                raise SpecParseError(str(exc), pos) from None
         else:
             out.append(m.group(1))
     return out

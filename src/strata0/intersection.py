@@ -13,9 +13,10 @@ classical genus-0 rules:
 * a boundary divisor whose split crosses the stratum kills the term;
 * otherwise the divisor refines a unique vertex by one new edge.
 
-A top-degree decorated stratum integrates to a product of one multinomial
-per vertex, ``(m_v - 3)! / prod_f a_f!`` when the decorations at each vertex
-sum to ``m_v - 3`` (and 0 otherwise).
+A top-degree decorated stratum integrates to ``prod_v (f_v - 3)! /
+prod_flags p!`` when the decorations at each vertex of ``f_v`` flags sum to
+``f_v - 3`` (and 0 otherwise): a multinomial per vertex, whose flag
+factorials are one product over the stratum.
 
 Marking sets are bitmasks in the codec of :mod:`strata0.strata` (bit
 ``i-1`` is marking ``i``).  Equal strata must combine, which is what keeps
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from strata0.strata import _laminar, _marks_mask, _mask_marks
@@ -83,9 +84,9 @@ class Boundary:
         m = _marks_mask(n, side)
         full = (1 << n) - 1
         if m == 0 or m == full:
-            raise ValueError("side must be a proper nonempty subset of 1..n")
+            raise ValueError(f"side must be a proper nonempty subset of 1..{n}")
         key = m if m & 1 else full ^ m
-        if bin(key).count("1") < 2 or bin(full ^ key).count("1") < 2:
+        if key.bit_count() < 2 or (full ^ key).bit_count() < 2:
             raise ValueError("both sides of a boundary split need >= 2 markings")
         return Boundary(n, key)
 
@@ -112,7 +113,8 @@ class DivisorExpression:
         self.terms: dict[DivisorSymbol, Fraction] = {}
         if terms:
             for sym, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     self.terms[sym] = c
 
@@ -192,10 +194,10 @@ def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
     """Vertex data of a split-set stratum, in the vertex numbering of
     :func:`strata0.strata._laminar`.
 
-    Returns ``(flags, decsum, denfac)``: the far mask of each flag per
-    vertex, with first the flag toward marking 1 (so no other flag's far mask
-    holds marking 1); and per vertex the decoration sum and the product of
-    ``p!`` over its decorations.
+    Returns ``(flags, decsum)``: the far mask of each flag per vertex, with
+    first the flag toward marking 1 (so no other flag's far mask holds
+    marking 1); and the decoration sum per vertex.  With the one product of
+    ``p!`` over ``dec`` that is all a stratum's integral reads.
     """
     full = (1 << n) - 1
     fars, parent, own = _laminar(n, splits)
@@ -212,11 +214,9 @@ def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
         for fm in flags[v]:
             where[fm] = v
     decsum = [0] * len(flags)
-    denfac = [1] * len(flags)
     for fm, p in dec:
         decsum[where[fm]] += p
-        denfac[where[fm]] *= factorial(p)
-    return flags, decsum, denfac
+    return flags, decsum
 
 
 def _flag_weights(full: int, psis: dict[int, int], bnds: dict[int, int]) -> dict[int, int]:
@@ -230,20 +230,20 @@ def _flag_weights(full: int, psis: dict[int, int], bnds: dict[int, int]) -> dict
     return weights
 
 
-def _moves(full, fl, dv, powers, weights, bnds, fact):
+def _moves(full, fl, dv, powers, weights, bnds):
     """The terms one factor adds at a vertex with flags ``fl`` (far masks,
     the flag toward marking 1 first) and decoration sum ``dv``.
 
     Returns ``(raises, refinements)``: ``(q, fm)`` for each flag whose
-    decoration the factor raises with weight ``q``, and ``(q, split, size,
-    den)`` for each factor term ``q * D_split`` that moves ``size`` flags of
-    ``fl[1:]``, whose decorations have factorial product ``den``, to a new
-    vertex.  A refinement is kept only if both halves, of ``size + 1`` and
-    ``f - size + 1`` flags, keep slack ``>= 0``.  Both lists are empty at a
-    vertex with no slack (``dv > f - 4``): decorations never shrink and
-    splitting a vertex only lowers the total slack, so such terms integrate to
-    zero inside a top-degree product.  The moved subsets come from a
-    lowest-bit DP (bit ``t`` is ``fl[t+1]``).
+    decoration the factor raises with weight ``q``, and ``(q, split, size)``
+    for each factor term ``q * D_split`` that moves ``size`` flags of
+    ``fl[1:]`` to a new vertex.  A refinement is kept only if both halves, of
+    ``size + 1`` and ``f - size + 1`` flags, keep slack ``>= 0``.  Both lists
+    are empty at a vertex with no slack (``dv > f - 4``): decorations never
+    shrink and splitting a vertex only lowers the total slack, so such terms
+    integrate to zero inside a top-degree product.  The moved subsets come
+    from a lowest-bit DP over two columns, far mask and decoration sum (bit
+    ``t`` is ``fl[t+1]``); the factorials are left to :func:`_pair_final`.
     """
     f = len(fl)
     if dv > f - 4:
@@ -255,20 +255,18 @@ def _moves(full, fl, dv, powers, weights, bnds, fact):
         pw = [powers.get(fm, 0) for fm in rest]
         far = [0] * (1 << len(rest))
         dsum = [0] * len(far)
-        den = [1] * len(far)
         for bits in range(1, len(far)):
             low = bits & -bits
             i = low.bit_length() - 1
             prev = bits ^ low
             far[bits] = far[prev] | rest[i]
             dm = dsum[bits] = dsum[prev] + pw[i]
-            den[bits] = den[prev] * fact[pw[i]]
             size = bits.bit_count()
             if dm <= size - 2 and dv - dm <= f - size - 2:
                 split = full ^ far[bits]
                 q = bnds.get(split)
                 if q:
-                    refinements.append((q, split, size, den[bits]))
+                    refinements.append((q, split, size))
     return raises, refinements
 
 
@@ -282,19 +280,18 @@ def _fold_step(
     :func:`_moves` at every vertex as new keys, a raise as a bumped ``dec``
     and a refinement as one more split."""
     full = (1 << n) - 1
-    fact = [factorial(i) for i in range(n + 1)]
     weights = _flag_weights(full, psis, bnds)
     nxt: dict[_Key, int] = {}
     get = nxt.get
     for (splits, dec), c in state.items():
-        flags, decsum, _ = _vertices(n, splits, dec)
+        flags, decsum = _vertices(n, splits, dec)
         powers = dict(dec)
         for fl, dv in zip(flags, decsum):
-            raises, refinements = _moves(full, fl, dv, powers, weights, bnds, fact)
+            raises, refinements = _moves(full, fl, dv, powers, weights, bnds)
             for q, fm in raises:
                 t = (splits, _bumped(dec, fm))
                 nxt[t] = get(t, 0) + c * q
-            for q, split, _, _ in refinements:
+            for q, split, _ in refinements:
                 t = (splits | {split}, dec)
                 nxt[t] = get(t, 0) + c * q
     return {t: c for t, c in nxt.items() if c}
@@ -308,24 +305,26 @@ def _pair_final(
 ) -> int:
     """Pair a degree ``n - 4`` state with the last factor.
 
-    Restricted to a stratum, a factor is a weight per flag plus the splits
-    that refine a vertex; :func:`_moves` lists both, as it does for
-    :func:`_fold_step`.  At this depth every live stratum has exactly one
-    vertex with one unit of slack, and only the moves there contribute.  Each
-    is a product of per-vertex multinomials evaluated in place (no new
-    strata).  A refinement there moves ``size`` flags holding ``dm``
-    decorations; ``_moves`` keeps it when ``dm <= size - 2`` and
-    ``dv - dm <= f - size - 2``, and as the two add up to ``dv <= f - 4 =
-    dv``, both hold with equality: both halves reach top degree.  At a vertex
-    of slack 0 nothing passes.  A stratum with any other slack profile raises
-    ``RuntimeError``.
+    At this depth every live stratum has exactly one vertex with one unit of
+    slack, and only the :func:`_moves` there contribute, evaluated in place
+    (no new strata).  A refinement there moves ``size`` flags holding ``dm``
+    decorations; ``_moves`` keeps it when ``dm <= size - 2`` and ``dv - dm <=
+    f - size - 2``, and as the two add up to ``dv <= f - 4 = dv``, both hold
+    with equality: both halves reach top degree.  A stratum with any other
+    slack profile raises ``RuntimeError``.
+
+    One exact integer per stratum, ``top = prod_v (f_v - 3)! // prod_dec p!``
+    (a multinomial per vertex, ``f - 3`` times one at the slack vertex of
+    ``f`` flags), scales every move: a raise at a flag of power ``p`` adds
+    ``top // (p + 1)`` and a refinement ``top * (size - 2)! * (f - size -
+    2)! // (f - 3)!``.  Both are products of multinomials, so exact.
     """
     full = (1 << n) - 1
     fact = [factorial(i) for i in range(n + 1)]
     weights = _flag_weights(full, psis, bnds)
     total = 0
     for (splits, dec), c in state.items():
-        flags, decsum, denfac = _vertices(n, splits, dec)
+        flags, decsum = _vertices(n, splits, dec)
         deficit = [len(fl) - 3 - d for fl, d in zip(flags, decsum)]
         if min(deficit) < 0 or sum(deficit) != 1:
             # total slack is 1 and the fold keeps every vertex's slack >= 0
@@ -333,22 +332,18 @@ def _pair_final(
                 f"internal error: stratum with vertex slacks {deficit} reached "
                 "the final pairing; please report"
             )
+        top = prod(fact[len(fl) - 3] for fl in flags) // prod(fact[p] for _, p in dec)
         star = deficit.index(1)
-        base = 1
-        for v, fl in enumerate(flags):
-            if v != star:
-                base *= fact[len(fl) - 3] // denfac[v]
         fl = flags[star]
         f = len(fl)
-        den_all = denfac[star]
         powers = dict(dec)
-        raises, refinements = _moves(full, fl, decsum[star], powers, weights, bnds, fact)
+        raises, refinements = _moves(full, fl, decsum[star], powers, weights, bnds)
         acc = 0
         for q, fm in raises:
-            acc += q * (fact[f - 3] // (den_all * (powers.get(fm, 0) + 1)))
-        for q, _, size, dn in refinements:
-            acc += q * (fact[size - 2] // dn) * (fact[f - size - 2] // (den_all // dn))
-        total += c * base * acc
+            acc += q * top // (powers.get(fm, 0) + 1)
+        for q, _, size in refinements:
+            acc += q * top * fact[size - 2] * fact[f - size - 2] // fact[f - 3]
+        total += c * acc
     return total
 
 

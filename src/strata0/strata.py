@@ -370,8 +370,12 @@ class StableTree:
 
     def __post_init__(self) -> None:
         nv = len(self.vertex_marks)
-        object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in self.edges)))
-        if len(self.edges) != nv - 1:
+        edges = tuple(sorted(_norm_edge(u, v) for u, v in self.edges))
+        for a, b in zip(edges, edges[1:]):
+            if a == b:
+                raise StrataError(f"edge {a} given twice")
+        object.__setattr__(self, "edges", edges)
+        if len(edges) != nv - 1:
             raise StrataError(f"a tree on {nv} vertices needs {nv - 1} edges")
         # n markings in 1..n are exactly 1..n iff the sets are disjoint
         n = sum(len(m) for m in self.vertex_marks)

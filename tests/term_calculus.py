@@ -12,7 +12,7 @@ vertex-numbered one in ``test_intersection_oracle.py``.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from strata0.intersection import DivisorSymbol, Psi, WrongDegree, _bumped, _check_psi, _vertices
 
@@ -102,12 +102,17 @@ def integrate(elem: ChowElement) -> Fraction:
         raise WrongDegree(f"degree {elem.degree} != n - 3 = {n - 3}")
     total = Fraction(0)
     for s, c in elem.terms.items():
-        flags, decsum, denfac = _vertices(n, s.splits, s.dec)
+        flags, decsum = _vertices(n, s.splits, s.dec)
+        powers = dict(s.dec)
         val = c
-        for fl, d, den in zip(flags, decsum, denfac):
+        for fl, d in zip(flags, decsum):
             if d != len(fl) - 3:
                 break
-            val *= factorial(d) // den
+            # the vertex's multinomial (f_v - 3)! / prod_{flags at v} p!
+            for fm in fl:
+                d_fm = powers.get(fm, 0)
+                val *= comb(d, d_fm)
+                d -= d_fm
         else:
             total += val
     return total

@@ -264,6 +264,19 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "error: need exactly n - 3 = 1 factors, got 0" in err
 
+    @pytest.mark.parametrize("second", ["0-1", "1-0"])
+    @pytest.mark.parametrize(
+        "argv,spec",
+        [(("principal", "--d", "2", "--kappa=-1,-1,-1,-1,0,0", "--tree"), "1,2;3,4;5,6 0-1 {}"),
+         (("verify-family", "--d", "2", "--kappa=-1,-1,-1,-1,0,0", "--chart"),
+          "1,2;3,4;5,6 0-1 {} 0-2 t[0-1]=1")],
+        ids=["tree", "chart"],
+    )
+    def test_repeated_edge_is_2(self, capsys, argv, spec, second):
+        # the second copy is named where it is written, in either order
+        got = run(capsys, *argv, spec.format(second))
+        assert got == (2, "", "error: edge 0-1 given twice (at position 16)\n")
+
     def test_tree_with_cycle_is_2(self, capsys):
         # three edges on four vertices, closing the cycle 0-1-2 and leaving 3 out
         code, _, err = run(
@@ -335,10 +348,11 @@ class TestIntersectOneEngine:
         [("D{1,2},Dmu", "need exactly n - 3 = 3 factors, got 2"),
          ("D{1,2},Dmu,psi_7", "psi index 7 out of range (at position 11)"),
          ("D{},Dmu,Dmu", "bad marking '' (at position 2)"),
-         ("Dmu,D{3},Dmu", "both sides of a boundary split need >= 2 markings"),
-         ("D{1,2,3,4,5,6},Dmu,Dmu", "side must be a proper nonempty subset of 1..n"),
+         ("Dmu,D{3},Dmu", "both sides of a boundary split need >= 2 markings (at position 4)"),
+         ("D{1,2,3,4,5,6},Dmu,Dmu",
+          "side must be a proper nonempty subset of 1..6 (at position 0)"),
          ("D{1,2,2},Dmu,Dmu", "marking 2 repeated in one group (at position 6)"),
-         ("D{1,7},Dmu,Dmu", "marking 7 is outside 1..6")],
+         ("D{1,7},Dmu,Dmu", "marking 7 is outside 1..6 (at position 4)")],
     )
     def test_boundary_list_errors_are_2(self, capsys, no_fold, factors, message):
         got = run(capsys, "intersect", "--d", "3", "--kappa=2,-1,-2,-1,-2,-2", "--factors", factors)

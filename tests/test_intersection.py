@@ -134,8 +134,24 @@ class TestMultiply:
             product_number(n, [P(i), P(1)])
 
 
+class TestDivisorExpression:
+    def test_coefficients_are_fractions_and_zeros_drop(self):
+        half = F(1, 2)
+        b = Boundary.of(5, {1, 2})
+        e = DivisorExpression({Psi(1): 3, Psi(2): "2/7", b: half, Psi(3): 0, Psi(4): F(0)})
+        assert e.terms == {Psi(1): F(3), Psi(2): F(2, 7), b: half}
+        assert all(type(c) is F for c in e.terms.values())
+        assert e.terms[b] is half  # a Fraction is kept as given
+        # a sum that cancels drops its symbol
+        assert (e + DivisorExpression({b: F(-1, 2), Psi(5): 1})).terms == {
+            Psi(1): F(3), Psi(2): F(2, 7), Psi(5): F(1)
+        }
+        assert (e - e).terms == {}
+
+
 class TestPsiClosedForm:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    # n = 8 and 9 bring decoration powers 5 and 6 to the final raise
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
     def test_all_monomials(self, n):
         for mono in itertools.combinations_with_replacement(range(1, n + 1), n - 3):
             exps = [mono.count(i) for i in range(1, n + 1)]

@@ -209,11 +209,21 @@ class TestStableTree:
             StableTree((frozenset({1, 2, 3}), frozenset({4})), ((0, 1),))
 
     def test_validation_rejects_disconnected(self):
-        with pytest.raises(StrataError):
+        with pytest.raises(StrataError, match="not connected"):
             StableTree(
-                (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}), frozenset({7, 8})),
-                ((0, 1), (2, 3), (0, 1)),
+                (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}), frozenset({7, 8, 9})),
+                ((0, 1), (1, 2), (0, 2)),
             )
+
+    @pytest.mark.parametrize(
+        "edges", [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 0), (0, 2))]
+    )
+    def test_validation_rejects_repeated_edges(self, edges):
+        # the repeat also leaves a vertex unstable or the edge count off;
+        # the error names the repeat
+        marks = (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
+        with pytest.raises(StrataError, match=r"^edge \(0, 1\) given twice$"):
+            StableTree(marks, edges)
 
     def test_enumeration_counts(self):
         sig5 = sig2(-1, -1, -1, -1, 0)

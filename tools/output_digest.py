@@ -16,11 +16,15 @@ boundary index set has 22,226 elements, and the refused ``volume`` at
 n = 16.  Two more probe the ``volume --max-codim`` tree walk beyond the
 benchmark's n = 7: the full walk of an E-trivial n = 8 signature (39,208
 trees) and the refusal at n = 10 that stops at the first tree in the ideal
-support.  The last is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
+support.  The next is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
 (the walk's signature has volume 0), so a change of engine for such
-signatures shows in the digest.  Eight ``intersect`` queries at n = 8 go
-past the benchmark's n = 7, all answered by the restriction recursion
-``W`` (``form_psi_number``).  Two are on that signature: the
+signatures shows in the digest; it has no tie split.  A second, ``volume
+--json --d 3 --kappa=1,-1,-1,-1,-1,-1,-1,-1`` (value -40), runs the fold
+on 35 tie splits (``k_A = k_B = -3``); the benchmark's n = 8 ``volume`` is
+all-negative and never reaches the fold.  Eight ``intersect`` queries at
+n = 8 go past the benchmark's n = 7, all answered by the restriction
+recursion ``W`` (``form_psi_number``).  Two are on the signature of the
+first of those ``volume`` probes: the
 ``Dmu_psi,...,psi_2`` list of forms and psi classes, and one whose
 ``D{1,5}`` factor is restricted to first.  The other six are on the
 E-nontrivial ``--d 3 --kappa=2,1,-1,-2,-2,-1,-1,-2``, which has tie splits
@@ -82,6 +86,8 @@ PROBE_ARGV = [
     ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0", "--max-codim", "5"],
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5] + [-1] * 9)), "--max-codim", "7"],
     ["volume", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1"],
+    # the fold on 35 tie splits k_A = k_B = -3
+    ["volume", "--json", "--d", "3", "--kappa=1,-1,-1,-1,-1,-1,-1,-1"],
     *(["intersect", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1", "--factors", f]
       for f in ("Dmu_psi,Dmu_psi,Dmu,psi_1,psi_2", "Dmu,Dmu_psi,D{1,5},psi_2,psi_3")),
     *(["intersect", "--json", "--d", "3", "--kappa=2,1,-1,-2,-2,-1,-1,-2", "--factors", f]
