@@ -2,10 +2,11 @@
 
 Every subcommand takes the signature as ``--d`` and ``--kappa`` (a
 comma-separated list of signed integers) and prints either a table (default)
-or machine-readable JSON (``--json``).  Rationals are emitted as
-``{"num": "...", "den": "..."}`` so nothing is lost to floating point;
-partitions are arrays of arrays of 1-based markings with the light block
-first.  Identical invocations produce byte-identical output.
+or machine-readable JSON (``--json``).  Payloads hold rationals as
+:class:`~fractions.Fraction`, which :func:`_json` writes as exact numerator
+and denominator strings; partitions are arrays of arrays of 1-based markings
+with the light block first.  Identical invocations produce byte-identical
+output.
 
 Tree and chart specs share a mini-format: the first token lists the vertex
 marking groups joined by ``;`` (``1,2;3,4;5,6``; an empty group is allowed),
@@ -46,7 +47,7 @@ from strata0.divisors import (
     form_psi_number,
     volume,
 )
-from strata0.intersection import Boundary, Psi, _check_factor_count
+from strata0.intersection import Boundary, _check_factor_count
 from strata0.local_family import (
     DEFAULT_SEED,
     INF,
@@ -106,16 +107,15 @@ def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
     return out
 
 
-def _marking_list(text: str, pos: int, n: int | None = None) -> frozenset[int]:
+def _marking_list(text: str, pos: int, n: int) -> frozenset[int]:
     """The markings of a comma-separated list found at offset ``pos``: ASCII
-    digits only, with no empty entry, no repeat and, given ``n``, each in
-    ``1..n``."""
+    digits only, with no empty entry, no repeat and each in ``1..n``."""
     marks: set[int] = set()
     for mpos, m in _split_with_positions(text, ","):
         if not re.fullmatch(r"[0-9]+", m):
             raise SpecParseError(f"bad marking {m!r}", pos + mpos)
         i = int(m)
-        if n is not None and not 1 <= i <= n:
+        if not 1 <= i <= n:
             raise SpecParseError(f"marking {i} is outside 1..{n}", pos + mpos)
         if i in marks:
             raise SpecParseError(f"marking {i} repeated in one group", pos + mpos)
@@ -147,16 +147,17 @@ def parse_kappa(text: str) -> list[int]:
 
 
 def parse_tree_spec(
-    text: str, chart: bool = True
+    text: str, n: int, chart: bool = True
 ) -> tuple[tuple[frozenset[int], ...], list[tuple[int, int]], dict[tuple[int, int], Fraction]]:
-    """Parse a tree/chart spec into (marking groups, edges, node parameters).
-    A tree spec (``chart`` false) rejects its first node parameter."""
+    """Parse a tree/chart spec on the markings ``1..n`` into (marking groups,
+    edges, node parameters).  A tree spec (``chart`` false) rejects its
+    first node parameter."""
     tokens = [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
     if not tokens:
         raise SpecParseError("empty tree spec", 0)
     gpos, gtok = tokens[0]
     groups = tuple(
-        _marking_list(piece, gpos + pos) if piece else frozenset()
+        _marking_list(piece, gpos + pos, n) if piece else frozenset()
         for pos, piece in _split_with_positions(gtok, ";")
     )
     edges: list[tuple[int, int]] = []
@@ -198,7 +199,7 @@ def _read_tree(
 ) -> tuple[StableTree, dict[tuple[int, int], Fraction]]:
     """The stable tree of a tree/chart spec, checked to carry ``n`` markings,
     and its node parameters."""
-    groups, edges, params = parse_tree_spec(text, chart)
+    groups, edges, params = parse_tree_spec(text, sig.n, chart)
     tree = StableTree(groups, tuple(edges))
     if tree.n != sig.n:
         what = "chart" if chart else "tree"
@@ -209,31 +210,33 @@ def _read_tree(
 _FACTOR_RE = re.compile(r"\s*(psi_([0-9]+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")
 
 
-def parse_factors(text: str, sig: Signature) -> list[Psi | Boundary | str]:
-    """Comma-separated product factors: ``psi_3``, ``D{1,2}``, ``Dmu``,
-    ``Dmu_psi``, as a :class:`Psi`, a :class:`Boundary` or the name of a form
-    of ``D_mu``.  A blank list is the empty product."""
-    out: list[Psi | Boundary | str] = []
-    if not text.strip():
-        return out
-    for pos, piece in _split_with_positions(text, ","):
+def parse_factors(text: str, sig: Signature) -> tuple[list[int], list[Boundary]]:
+    """Comma-separated product factors ``psi_3``, ``D{1,2}``, ``Dmu`` and
+    ``Dmu_psi``, checked to number ``n - 3``, as what
+    :func:`~strata0.divisors.form_psi_number` reads: the exponent of each
+    ``psi_i`` and the :class:`Boundary` of each ``D{...}``.  The two forms of
+    ``D_mu`` are linearly equivalent, so they only count toward the ``n - 3``.
+    A blank list is the empty product."""
+    psi_exponents = [0] * sig.n
+    boundaries: list[Boundary] = []
+    pieces = _split_with_positions(text, ",") if text.strip() else []
+    for pos, piece in pieces:
         m = _FACTOR_RE.fullmatch(piece)
         if not m:
             raise SpecParseError(f"bad factor {piece.strip()!r}", pos)
         if m.group(2):
             i = int(m.group(2))
             if not 1 <= i <= sig.n:
-                raise SpecParseError(f"psi index {i} out of range", pos)
-            out.append(Psi(i))
+                raise SpecParseError(f"psi index {i} is outside 1..{sig.n}", pos + m.start(2))
+            psi_exponents[i - 1] += 1
         elif m.group(3) is not None:
             side = _marking_list(m.group(3), pos + m.start(3), sig.n)
             try:
-                out.append(Boundary.of(sig.n, side))
+                boundaries.append(Boundary.of(sig.n, side))
             except ValueError as exc:  # a side too small or too large
                 raise SpecParseError(str(exc), pos) from None
-        else:
-            out.append(m.group(1))
-    return out
+    _check_factor_count(sig.n, len(pieces))
+    return psi_exponents, boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +244,19 @@ def parse_factors(text: str, sig: Signature) -> list[Psi | Boundary | str]:
 # ---------------------------------------------------------------------------
 
 
-def _rat(x: int | Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    values whose dict keys are strings.  The standard library skips its C
-    encoder once ``indent`` is set, and its pure-Python one was most of a
-    ``blowup`` query; this writes dicts (keys sorted), lists and tuples
-    itself, a list of plain ints in one join, and leaves floats and any
-    other leaf to ``json.dumps``.  ``indent`` is the newline and indent
-    of the current level."""
+    values whose dict keys are strings, with each :class:`Fraction` written
+    as the object ``{"den": "<d>", "num": "<n>"}`` so no rational is lost to
+    floating point.  The standard library skips its C encoder once
+    ``indent`` is set, and its pure-Python one was most of a ``blowup``
+    query; this writes dicts (keys sorted), lists and tuples itself, a list
+    of plain ints in one join, and leaves floats and any other leaf to
+    ``json.dumps``.  ``indent`` is the newline and indent of the current
+    level."""
     t = type(value)
     if t is str:
         return _encode_str(value)
@@ -276,6 +277,8 @@ def _json(value, indent: str = "\n") -> str:
         else:
             items = [_json(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is Fraction:
+        return _json({"den": str(value.denominator), "num": str(value.numerator)}, indent)
     if value is None:
         return "null"
     if t is bool:
@@ -313,16 +316,13 @@ _Answer = tuple[int, dict, Callable[[], list[str]]]
 
 def _cmd_boundary(sig: Signature, args) -> _Answer:
     # the walk's one factor for r = 1 is d + k_I0 = d * mu_S
-    mus = []
-    rows = []
-    for masks, (m,) in strata._p_hat_walk(sig, r_max=1):
-        mus.append(Fraction(m, sig.d))
-        rows.append({"blocks": [strata._mask_marks(b) for b in masks], "mu_s": _rat(mus[-1])})
+    rows = [{"blocks": [strata._mask_marks(b) for b in masks], "mu_s": Fraction(m, sig.d)}
+            for masks, (m,) in strata._p_hat_walk(sig, r_max=1)]
 
     def table() -> list[str]:
         lines = [f"boundary divisors of the base (n = {sig.n}): {len(rows)}"]
-        for row, mu in zip(rows, mus):
-            lines.append(f"  {_fmt_blocks(row['blocks']):<40} mu_S = {mu}")
+        for row in rows:
+            lines.append(f"  {_fmt_blocks(row['blocks']):<40} mu_S = {row['mu_s']}")
         return lines
 
     return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": rows}, table
@@ -369,13 +369,11 @@ def _cmd_principal(sig: Signature, args) -> _Answer:
     betas = [exponent_vector(tree, j, sig) for j in range(tree.num_vertices)]
     gens = sorted(g.entries for g in ideal_generators(tree, sig))
     body = {
-        "tree": {"vertices": [sorted(m) for m in tree.vertex_marks],
-                 "edges": [list(e) for e in tree.edges]},
+        "tree": {"vertices": [sorted(m) for m in tree.vertex_marks], "edges": tree.edges},
         "principal_subcurves": [sorted(g) for g in principal],
         "non_principal_vertices": sorted(rest),
-        "beta": [{"vertex": j, "exponents": [[list(e), p] for e, p in b.entries]}
-                 for j, b in enumerate(betas)],
-        "generators": [[[list(e), p] for e, p in g] for g in gens],
+        "beta": [{"vertex": j, "exponents": b.entries} for j, b in enumerate(betas)],
+        "generators": gens,
         "fiber_projective_dim": fiber_projective_dim(tree, sig),
         "in_ideal_support": in_ideal_support(tree, sig),
     }
@@ -403,34 +401,26 @@ def _cmd_divisor(sig: Signature, args) -> _Answer:
         terms.append((order, sym, b, p))
     terms.sort(key=lambda term: term[0])
     scale = (sig.n - 2) * (sig.n - 1)
-    bf = [(sym, Fraction(b, scale)) for _, sym, b, _ in terms if b]
-    pf = [(sym, Fraction(p, 2)) for _, sym, _, p in terms if p]
-    body = {"boundary_form": [{**sym, "coefficient": _rat(c)} for sym, c in bf],
-            "psi_form": [{**sym, "coefficient": _rat(c)} for sym, c in pf]}
+    body = {"boundary_form": [{**sym, "coefficient": Fraction(b, scale)}
+                              for _, sym, b, _ in terms if b],
+            "psi_form": [{**sym, "coefficient": Fraction(p, 2)} for _, sym, _, p in terms if p]}
 
     def table() -> list[str]:
         lines = []
-        for title, terms in (("distinguished divisor, boundary form:", bf), ("psi form:", pf)):
+        for title, form in (("distinguished divisor, boundary form:", "boundary_form"),
+                            ("psi form:", "psi_form")):
             lines.append(title)
-            for sym, c in terms:
-                name = f"psi_{sym['psi']}" if "psi" in sym else _fmt_blocks(sym["boundary"])
-                lines.append(f"  {name:<40} {c}")
+            for term in body[form]:
+                name = f"psi_{term['psi']}" if "psi" in term else _fmt_blocks(term["boundary"])
+                lines.append(f"  {name:<40} {term['coefficient']}")
         return lines
 
     return EXIT_OK, body, table
 
 
 def _cmd_intersect(sig: Signature, args) -> _Answer:
-    factors = parse_factors(args.factors, sig)
-    _check_factor_count(sig.n, len(factors))
-    # the forms of D_mu are linearly equivalent, so the product is
-    # W(kappa, b) times the D{...} factors whatever the mix of forms
-    b = [0] * sig.n
-    for f in factors:
-        if isinstance(f, Psi):
-            b[f.i - 1] += 1
-    value = form_psi_number(sig, b, [f for f in factors if isinstance(f, Boundary)])
-    body = {"factors": args.factors, "value": _rat(value)}
+    value = form_psi_number(sig, *parse_factors(args.factors, sig))
+    body = {"factors": args.factors, "value": value}
     return EXIT_OK, body, lambda: [f"product = {value}"]
 
 
@@ -445,9 +435,9 @@ def _cmd_volume(sig: Signature, args) -> _Answer:
             raise StrataError("triviality criteria disagree; please report")
     res = volume(sig)
     body = {
-        "coefficient": _rat(res.coefficient),
+        "coefficient": res.coefficient,
         "pi_power": res.pi_power,
-        "intersection_number": _rat(res.intersection_number),
+        "intersection_number": res.intersection_number,
         "signed_decimal": res.signed_decimal(),
         "abs_decimal": res.abs_decimal(),
         "e_trivial": res.e_trivial,
@@ -456,7 +446,7 @@ def _cmd_volume(sig: Signature, args) -> _Answer:
     lines = [
         f"top self-intersection: {res.intersection_number}",
         f"volume = {res.coefficient} * pi^{res.pi_power}",
-        f"       = {res.signed_decimal()}  (|.| = {res.abs_decimal()})",
+        f"       = {body['signed_decimal']}  (|.| = {body['abs_decimal']})",
     ] + [f"note: {wng}" for wng in res.warnings]
     return EXIT_OK, body, lambda: lines
 
@@ -494,7 +484,7 @@ def _cmd_verify_family(sig: Signature, args) -> _Answer:
         "chart": args.chart,
         "seed": seed,
         "samples": args.samples,
-        "node_params": {f"{u}-{v}": _rat(t) for (u, v), t in sorted(chart.node_params.items())},
+        "node_params": {f"{u}-{v}": t for (u, v), t in chart.node_params.items()},
         "pairs": pairs,
         "all_ok": all_ok,
     }
@@ -570,7 +560,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         sig = validate_signature(args.d, parse_kappa(args.kappa))
         code, body, table = args.func(sig, args)
-        _emit({"command": args.command, "d": sig.d, "kappa": list(sig.kappa), **body}, args, table)
+        _emit({"command": args.command, "d": sig.d, "kappa": sig.kappa, **body}, args, table)
         return code
     except ExceptionalDivisorNontrivial as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -394,6 +394,7 @@ def keel_relation(n: int, i: int, j: int, k: int, l: int) -> DivisorExpression:
     """
     if len({i, j, k, l}) != 4:
         raise ValueError("need four distinct markings")
+    _marks_mask(n, (i, j, k, l))  # names a marking outside 1..n
     others = [m for m in range(1, n + 1) if m not in (i, j, k, l)]
     terms: dict[DivisorSymbol, Fraction] = {}
 
@@ -414,6 +415,7 @@ def psi_boundary_expression(n: int, i: int, j: int, k: int) -> DivisorExpression
     ``i``-side avoids ``j`` and ``k``."""
     if len({i, j, k}) != 3:
         raise ValueError("need three distinct markings")
+    _marks_mask(n, (i, j, k))  # names a marking outside 1..n
     others = [m for m in range(1, n + 1) if m not in (i, j, k)]
     terms: dict[DivisorSymbol, Fraction] = {}
     for size in range(1, len(others) + 1):

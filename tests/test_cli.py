@@ -5,9 +5,12 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import resource
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -58,32 +61,32 @@ class TestSpecParsers:
         assert exc.value.pos == 3
 
     def test_tree_spec(self):
-        groups, edges, params = parse_tree_spec("1,2;3,4,5;6,7,8 0-1 0-2 t[0-1]=1/3")
+        groups, edges, params = parse_tree_spec("1,2;3,4,5;6,7,8 0-1 0-2 t[0-1]=1/3", 8)
         assert groups == (frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8}))
         assert edges == [(0, 1), (0, 2)]
         assert params[(0, 1)].numerator == 1 and params[(0, 1)].denominator == 3
 
     def test_tree_spec_empty_group(self):
-        groups, edges, _ = parse_tree_spec("1,2;;3,4 0-1 1-2")
+        groups, edges, _ = parse_tree_spec("1,2;;3,4 0-1 1-2", 4)
         assert groups[1] == frozenset()
 
     def test_tree_spec_bad_token_position(self):
         with pytest.raises(SpecParseError) as exc:
-            parse_tree_spec("1,2;3,4,5;6,7,8 0-1 0=2")
+            parse_tree_spec("1,2;3,4,5;6,7,8 0-1 0=2", 8)
         assert exc.value.pos == 20
 
     def test_tree_spec_bad_marking_position(self):
         with pytest.raises(SpecParseError) as exc:
-            parse_tree_spec("1,2;3,x;4,5 0-1 1-2")
+            parse_tree_spec("1,2;3,x;4,5 0-1 1-2", 5)
         assert exc.value.pos == 6
 
     def test_edge_to_missing_vertex(self):
         with pytest.raises(SpecParseError):
-            parse_tree_spec("1,2;3,4 0-5")
+            parse_tree_spec("1,2;3,4 0-5", 4)
 
     def test_param_for_missing_edge(self):
         with pytest.raises(SpecParseError):
-            parse_tree_spec("1,2;3,4 0-1 t[1-2]=1")
+            parse_tree_spec("1,2;3,4 0-1 t[1-2]=1", 4)
 
 
 class TestExitCodes:
@@ -234,6 +237,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "error: node parameter t[0-1] given twice (at position 23)" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(("principal", "--tree", "1,2,3;4,5,7 0-1"),
+          "marking 7 is outside 1..6 (at position 10)"),
+         (("principal", "--tree", "1,2,3;4,5,6,7 0-1"),
+          "marking 7 is outside 1..6 (at position 12)"),
+         (("verify-family", "--chart", "1,2,3;4,5,9 0-1"),
+          "marking 9 is outside 1..6 (at position 10)"),
+         (("principal", "--tree", "1,2,3;4,5 0-1"), "tree carries 5 markings but n = 6")],
+    )
+    def test_tree_marking_outside_range_is_2(self, capsys, argv, message):
+        got = run(capsys, argv[0], "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", *argv[1:])
+        assert got == (2, "", f"error: {message}\n")
+
     def test_node_parameter_in_tree_names_its_position(self, capsys):
         code, out, err = run(
             capsys, "principal", "--d", "2", "--kappa=-1,-1,-1,-1", "--tree", "1,2;3,4 0-1 t[0-1]=1"
@@ -245,9 +262,9 @@ class TestExitCodes:
         "factors,message",
         [("Dmu,psi_2", "need exactly n - 3 = 3 factors, got 2"),
          ("Dmu,Dmu_psi,psi_2,Dmu", "need exactly n - 3 = 3 factors, got 4"),
-         ("Dmu,Dmu_psi,psi_7", "psi index 7 out of range (at position 12)"),
+         ("Dmu,Dmu_psi,psi_7", "psi index 7 is outside 1..6 (at position 16)"),
          # the count is checked only once the whole list has parsed
-         ("Dmu,psi_0", "psi index 0 out of range (at position 4)")],
+         ("Dmu,psi_0", "psi index 0 is outside 1..6 (at position 8)")],
     )
     def test_form_only_list_errors_are_2(self, capsys, factors, message):
         code, out, err = run(
@@ -346,7 +363,7 @@ class TestIntersectOneEngine:
     @pytest.mark.parametrize(
         "factors,message",
         [("D{1,2},Dmu", "need exactly n - 3 = 3 factors, got 2"),
-         ("D{1,2},Dmu,psi_7", "psi index 7 out of range (at position 11)"),
+         ("D{1,2},Dmu,psi_7", "psi index 7 is outside 1..6 (at position 15)"),
          ("D{},Dmu,Dmu", "bad marking '' (at position 2)"),
          ("Dmu,D{3},Dmu", "both sides of a boundary split need >= 2 markings (at position 4)"),
          ("D{1,2,3,4,5,6},Dmu,Dmu",
@@ -362,7 +379,7 @@ class TestIntersectOneEngine:
 _json_text = st.text() | st.sampled_from(["", "\"", "\\", "\x00\x7f", "\u00a0\u2028", "\ud800"])
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70) | st.floats()
-    | _json_text,
+    | st.fractions() | _json_text,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.lists(st.integers() | st.booleans())
                    | st.dictionaries(_json_text, inner)),
@@ -451,6 +468,46 @@ class TestJson:
                 terms[sym] = Fraction(int(c["num"]), int(c["den"]))
             assert terms == expr.terms
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_p_hat_signatures())
+    @example(validate_signature(2, [-1, -1, -1, -1, -1, 1]))
+    @example(validate_signature(3, [0, 1, -1, -2, -2, -1, -1]))
+    def test_tables_print_the_payload(self, sig):
+        # one run prints the table and writes its payload to --out: every
+        # number in the table is the payload's, row by row
+        def run_out(command):
+            kappa = ",".join(map(str, sig.kappa))
+            out = io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = pathlib.Path(tmp, "out.json")
+                argv = [command, "--d", str(sig.d), f"--kappa={kappa}", "--out", str(path)]
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                got = json.loads(path.read_text()) if code == 0 else None
+            return code, out.getvalue().splitlines(), got
+
+        def rat(c):
+            return Fraction(int(c["num"]), int(c["den"]))
+
+        _, lines, got = run_out("boundary")
+        assert [Fraction(line.split()[-1]) for line in lines[1:]] == [
+            rat(row["mu_s"]) for row in got["partitions"]]
+        _, lines, got = run_out("divisor")
+        psi_at = lines.index("psi form:")
+        assert lines[0] == "distinguished divisor, boundary form:"
+        for form, rows in (("boundary_form", lines[1:psi_at]), ("psi_form", lines[psi_at + 1:])):
+            assert [Fraction(line.split()[-1]) for line in rows] == [
+                rat(term["coefficient"]) for term in got[form]]
+        if sig.n == 8:  # an n = 8 volume in the fold takes seconds
+            return
+        code, lines, got = run_out("volume")
+        assert code in (0, 3)
+        if code == 0:
+            top = re.fullmatch(r"top self-intersection: (\S+)", lines[0])
+            vol = re.fullmatch(r"volume = (\S+) \* pi\^(\d+)", lines[1])
+            assert Fraction(top[1]) == rat(got["intersection_number"])
+            assert (Fraction(vol[1]), int(vol[2])) == (rat(got["coefficient"]), got["pi_power"])
+
     def test_divisor_walks_the_splits_once(self, capsys, monkeypatch):
         # both forms of D_mu are printed from one walk of the two-block splits
         import strata0
@@ -492,8 +549,12 @@ class TestJson:
     @example({"e": {}, "l": [], "t": (), "n": None, "f": [float("nan"), float("inf"), -0.0]})
     @example([1, True, 0, False, -(2**100)])
     @example(["\"q\" \\ \t\x00\x1f \u00e9 \u2003 \U0001f600", {"\u00e9\n": "\\"}])
+    @example([Fraction(-3, 4), {"c": Fraction(5)}, (Fraction(0),)])
     def test_emitter_matches_json_dumps(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+        def rat(f):
+            return {"num": str(f.numerator), "den": str(f.denominator)}
+
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True, default=rat)
 
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "phat", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1", "--json")

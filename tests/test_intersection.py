@@ -22,7 +22,7 @@ from strata0.intersection import (
     product_number,
     psi_boundary_expression,
 )
-from strata0.strata import validate_signature
+from strata0.strata import StrataError, validate_signature
 
 
 def D(n, side):
@@ -230,6 +230,11 @@ class TestKeel:
     def test_n4_degrees(self):
         assert product_number(4, [keel_relation(4, 1, 2, 3, 4)]) == 0
 
+    def test_marking_outside_range_is_named(self):
+        # named before any split is built, where the side check would speak first
+        with pytest.raises(StrataError, match=r"^marking 9 is outside 1\.\.6$"):
+            keel_relation(6, 1, 2, 3, 9)
+
     def test_n5_pairings(self):
         kr = keel_relation(5, 1, 2, 3, 4)
         assert product_number(5, [kr, D(5, {4, 5})]) == 0
@@ -264,6 +269,11 @@ class TestKeel:
 
 
 class TestPsiBoundaryExpression:
+    @pytest.mark.parametrize("marks,bad", [((1, 2, 9), 9), ((1, 2, 0), 0)])
+    def test_marking_outside_range_is_named(self, marks, bad):
+        with pytest.raises(StrataError, match=rf"^marking {bad} is outside 1\.\.5$"):
+            psi_boundary_expression(5, *marks)
+
     def test_n4_single_divisor(self):
         e = psi_boundary_expression(4, 1, 2, 3)
         assert set(e.terms) == {Boundary.of(4, {1, 4})}
