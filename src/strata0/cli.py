@@ -21,8 +21,9 @@ Example:
     strata0 verify-family --d 2 --kappa=1,1,-1,-1,-1,-1,-1,-1 \\
         --chart "1,2;3,4,5;6,7,8 0-1 0-2 t[0-1]=1/3 t[0-2]=2/7" --samples 20
 
-Exit codes: 0 success, 2 invalid input, 3 when the volume is requested but the
-exceptional divisor is nontrivial, 4 when a family verification fails.
+Exit codes: 0 success, 2 invalid input or a request that runs out of memory,
+3 when the volume is requested but the exceptional divisor is nontrivial, 4
+when a family verification fails.
 
 The subcommands are rows of one table, ``_COMMANDS`` (name, handler, help,
 epilog, own options), over the options ``_COMMON`` to all; one loop builds
@@ -62,9 +63,7 @@ from strata0.strata import (
     StableTree,
     StrataError,
     exponent_vector,
-    fiber_projective_dim,
     ideal_generators,
-    in_ideal_support,
     principal_subcurves,
     validate_signature,
 )
@@ -374,8 +373,8 @@ def _cmd_principal(sig: Signature, args) -> _Answer:
         "non_principal_vertices": sorted(rest),
         "beta": [{"vertex": j, "exponents": b.entries} for j, b in enumerate(betas)],
         "generators": gens,
-        "fiber_projective_dim": fiber_projective_dim(tree, sig),
-        "in_ideal_support": in_ideal_support(tree, sig),
+        "fiber_projective_dim": len(principal) - 1,
+        "in_ideal_support": len(principal) >= 2,
     }
     lines = [
         f"principal subcurves: {[sorted(g) for g in principal]}",
@@ -571,6 +570,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PoleHit, DenominatorVanishes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except MemoryError:
+        print("error: out of memory; the request is too large", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

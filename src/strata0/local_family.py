@@ -22,7 +22,16 @@ curve, with retry on degenerate draws: an identity of rational functions that
 holds at a generic exact sample holds identically.  A point is carried across
 the nodes by one propagation walk, shared by the marked sections and the
 sampled points; the path between two components is read off the parent table
-of the :class:`~strata0.strata.StableTree`.
+of the :class:`~strata0.strata.StableTree`.  A draw is generic when, on every
+component, it avoids that component's special points (its marking and node
+coordinates), one set lookup per component against a set cached on the chart.
+
+``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as integer
+numerator/denominator pairs, with no gcd per factor: at ``z = p/q`` a finite
+marking ``a = r/s`` contributes ``(p s - r q) / (q s)`` raised to ``k_i``.
+:func:`evaluate_phi` and :func:`section_in_frame` reduce those pairs to a
+``Fraction`` once, at the end; :func:`verify_ratio_identity` never does, and
+decides each sample by one cross-multiplication.
 """
 
 from __future__ import annotations
@@ -128,6 +137,7 @@ class LocalChart:
     node_coords: dict[int, dict[int, Fraction]]
     seed: int | None = None
     _coords_cache: dict[int, tuple[Coord, ...]] = field(default_factory=dict, repr=False)
+    _special_cache: tuple[frozenset[Coord], ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         edges = set(self.tree.edges)
@@ -284,6 +294,18 @@ def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     return chart._coords_cache[i]
 
 
+def _special_points(chart: LocalChart) -> tuple[frozenset[Coord], ...]:
+    """Per component, its marking coordinates (as the sections see them, so
+    possibly ``INF``) and node coordinates; built once per chart."""
+    if not chart._special_cache:
+        marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
+        chart._special_cache = tuple(
+            frozenset([a[j] for a in marks] + list(chart.node_coords[j].values()))
+            for j in range(chart.tree.num_vertices)
+        )
+    return chart._special_cache
+
+
 def sample_curve_point(
     chart: LocalChart,
     rng: random.Random,
@@ -301,20 +323,47 @@ def sample_curve_point(
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
     _check_vertices(chart.tree, base, *check)
-    all_marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
+    special = _special_points(chart)
     for _ in range(_SAMPLE_DRAWS):
         try:
             z = _spread(chart, base, _rand_rational(rng))
         except DenominatorVanishes:
             continue
-        if all(
-            z[j] is not INF
-            and all(z[j] != a[j] for a in all_marks)
-            and z[j] not in chart.node_coords[j].values()
-            for j in check
-        ):
+        if all(z[j] is not INF and z[j] not in special[j] for j in check):
             return z
     raise DenominatorVanishes("no valid sample point found; chart too degenerate")
+
+
+def _frame_marks(chart: LocalChart, j: int) -> list[tuple[int, int, int, int]]:
+    """``(i, r, s, k_i)`` for every marking ``i`` finite in frame ``j``,
+    with ``a_{ji} = r/s``, in order of ``i``."""
+    kappa = chart.sig.kappa
+    out = []
+    for i in range(1, chart.sig.n + 1):
+        a = marked_point_coords(chart, i)[j]
+        if a is not INF:
+            out.append((i, a.numerator, a.denominator, kappa[i - 1]))
+    return out
+
+
+def _phi_pair(j: int, marks: Sequence[tuple[int, int, int, int]], z: Coord) -> tuple[int, int]:
+    """``Phi_j`` at ``z`` as an integer pair ``(num, den)``, not reduced and
+    with a denominator of either sign; ``marks`` is :func:`_frame_marks`."""
+    if z is INF:
+        raise PoleHit("sample point at infinity; use a finite draw")
+    p, q = z.numerator, z.denominator
+    num = den = 1
+    for i, r, s, k in marks:
+        diff = p * s - r * q  # z - a = diff / (q s)
+        if diff == 0:
+            raise PoleHit(f"sample coordinate equals a_({j},{i})")
+        if k >= 0:
+            num *= diff ** k
+            den *= (q * s) ** k
+        else:
+            num *= (q * s) ** -k
+            den *= diff ** -k
+    return num, den
 
 
 def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> Fraction:
@@ -326,19 +375,7 @@ def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> Fraction:
     product and raises :class:`PoleHit`.
     """
     _check_vertices(chart.tree, j)
-    z = point[j]
-    if z is INF:
-        raise PoleHit("sample point at infinity; use a finite draw")
-    val = Fraction(1)
-    for i in range(1, chart.sig.n + 1):
-        a = marked_point_coords(chart, i)[j]
-        if a is INF:
-            continue
-        base = z - a
-        if base == 0:
-            raise PoleHit(f"sample coordinate equals a_({j},{i})")
-        val *= base ** chart.sig.kappa[i - 1]
-    return val
+    return Fraction(*_phi_pair(j, _frame_marks(chart, j), point[j]))
 
 
 def beta_monomial(chart: LocalChart, j: int) -> Fraction:
@@ -406,21 +443,34 @@ def ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     return val
 
 
-def _frame_jacobian(chart: LocalChart, j: int, k: int, point: Sequence[Coord]) -> Fraction:
-    """``dz_j / dz_k`` along the curve at a sample point."""
-    if j == k:
-        return Fraction(1)
+def _path_steps(chart: LocalChart, j: int, k: int) -> list[tuple[int, int, int, int, int]]:
+    """``(b, r, s, t_num, t_den)`` for each step ``a -> b`` of the path from
+    ``j`` to ``k``, with ``b_{ba} = r/s`` and ``t_ab = t_num / t_den``."""
     path = chart.path(j, k)
-    jac = Fraction(1)
+    out = []
     for a, b in zip(path, path[1:]):
+        node, t = chart.node_coords[b][a], chart.t(a, b)
+        out.append((b, node.numerator, node.denominator, t.numerator, t.denominator))
+    return out
+
+
+def _jacobian_pair(
+    steps: Sequence[tuple[int, int, int, int, int]], point: Sequence[Coord]
+) -> tuple[int, int]:
+    """``dz_j / dz_k`` at a sample point as an integer pair, a product of
+    ``-t / (z_b - b_{ba})^2`` over the :func:`_path_steps` from ``j`` to ``k``."""
+    num = den = 1
+    for b, r, s, t_num, t_den in steps:
         zb = point[b]
         if zb is INF:
             raise PoleHit("frame change through a point at infinity")
-        diff = zb - chart.node_coords[b][a]
+        p, q = zb.numerator, zb.denominator
+        diff = p * s - r * q  # z_b - b_{ba} = diff / (q s)
         if diff == 0:
             raise PoleHit("frame change degenerate at a node")
-        jac *= -chart.t(a, b) / diff ** 2
-    return jac
+        num *= -t_num * (q * s) ** 2
+        den *= t_den * diff * diff
+    return num, den
 
 
 def section_in_frame(
@@ -428,10 +478,11 @@ def section_in_frame(
 ) -> Fraction:
     """Value of the rescaled section ``t^{beta_j} Phi_j`` in the frame of
     component ``frame`` at a sample point."""
-    _check_vertices(chart.tree, frame)
-    phi = evaluate_phi(chart, j, point)
-    jac = _frame_jacobian(chart, j, frame, point)
-    return beta_monomial(chart, j) * phi * jac ** chart.sig.d
+    _check_vertices(chart.tree, frame, j)
+    phi_num, phi_den = _phi_pair(j, _frame_marks(chart, j), point[j])
+    jac_num, jac_den = _jacobian_pair(_path_steps(chart, j, frame), point)
+    d = chart.sig.d
+    return beta_monomial(chart, j) * Fraction(phi_num * jac_num ** d, phi_den * jac_den ** d)
 
 
 def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) -> bool:
@@ -444,6 +495,12 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
     retries degenerate draws itself and returns only points generic on every
     component, where neither side can hit a pole; when it gives up, its
     :class:`DenominatorVanishes` propagates.
+
+    In the frame of ``k`` the identity reads ``Phi_j J^d = C Phi_k`` with
+    ``J = dz_j/dz_k`` and ``C = f_{jk} t^{beta_k} / t^{beta_j}``.  ``C``,
+    each frame's finite markings and the path steps of ``J`` are read once
+    per call; each sample then costs integer products only, and one
+    cross-multiplication of the two sides decides it.
     """
     _check_vertices(chart.tree, j, k)
     if samples < 1:
@@ -453,10 +510,18 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
     if j == k:
         return True
     rng = make_sampler(chart.seed)
-    f = ratio_constant(chart, j, k)
+    c = ratio_constant(chart, j, k) * beta_monomial(chart, k) / beta_monomial(chart, j)
+    c_num, c_den = c.numerator, c.denominator
+    marks_j, marks_k = _frame_marks(chart, j), _frame_marks(chart, k)
+    steps = _path_steps(chart, j, k)
+    d = chart.sig.d
     for _ in range(samples):
         point = sample_curve_point(chart, rng)
-        if section_in_frame(chart, j, point, k) != f * section_in_frame(chart, k, point, k):
+        phi_j_num, phi_j_den = _phi_pair(j, marks_j, point[j])
+        jac_num, jac_den = _jacobian_pair(steps, point)
+        phi_k_num, phi_k_den = _phi_pair(k, marks_k, point[k])
+        if (phi_j_num * jac_num ** d * c_den * phi_k_den
+                != c_num * phi_k_num * phi_j_den * jac_den ** d):
             return False
     return True
 

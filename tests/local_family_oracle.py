@@ -1,0 +1,77 @@
+"""``Fraction`` evaluation of the local model, the oracle of the integer path.
+
+These are the plain ``Fraction`` forms of ``Phi_j``, the frame change
+``dz_j/dz_k`` and the rescaled section, and the sampler that tests each
+special point of a component by its own ``!=``.  ``local_family`` computes
+the same values as integer numerator/denominator pairs and tests genericity
+by one set lookup per component.  Draws and propagation go through the
+module attributes of ``local_family``, so a test that patches
+``_rand_rational`` patches both samplers alike.
+"""
+
+from fractions import Fraction
+
+from strata0 import local_family as lf
+from strata0.local_family import (
+    INF,
+    DenominatorVanishes,
+    PoleHit,
+    beta_monomial,
+    marked_point_coords,
+)
+
+
+def sample_curve_point(chart, rng, base=0, check_vertices=None):
+    check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
+    all_marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
+    for _ in range(lf._SAMPLE_DRAWS):
+        try:
+            z = lf._spread(chart, base, lf._rand_rational(rng))
+        except DenominatorVanishes:
+            continue
+        if all(
+            z[j] is not INF
+            and all(z[j] != a[j] for a in all_marks)
+            and z[j] not in chart.node_coords[j].values()
+            for j in check
+        ):
+            return z
+    raise DenominatorVanishes("no valid sample point found; chart too degenerate")
+
+
+def evaluate_phi(chart, j, point):
+    z = point[j]
+    if z is INF:
+        raise PoleHit("sample point at infinity; use a finite draw")
+    val = Fraction(1)
+    for i in range(1, chart.sig.n + 1):
+        a = marked_point_coords(chart, i)[j]
+        if a is INF:
+            continue
+        base = z - a
+        if base == 0:
+            raise PoleHit(f"sample coordinate equals a_({j},{i})")
+        val *= base ** chart.sig.kappa[i - 1]
+    return val
+
+
+def frame_jacobian(chart, j, k, point):
+    if j == k:
+        return Fraction(1)
+    path = chart.path(j, k)
+    jac = Fraction(1)
+    for a, b in zip(path, path[1:]):
+        zb = point[b]
+        if zb is INF:
+            raise PoleHit("frame change through a point at infinity")
+        diff = zb - chart.node_coords[b][a]
+        if diff == 0:
+            raise PoleHit("frame change degenerate at a node")
+        jac *= -chart.t(a, b) / diff ** 2
+    return jac
+
+
+def section_in_frame(chart, j, point, frame):
+    phi = evaluate_phi(chart, j, point)
+    jac = frame_jacobian(chart, j, frame, point)
+    return beta_monomial(chart, j) * phi * jac ** chart.sig.d

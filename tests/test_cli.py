@@ -102,6 +102,17 @@ class TestExitCodes:
         code, out, _ = run(capsys, "boundary", "--d", "2", "--kappa=-1,-1,-1,-1")
         assert code == 0 and "mu_S" in out
 
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "table"])
+    def test_out_of_memory_is_2(self, capsys, monkeypatch, fmt):
+        # phat and exceptional build P-hat in memory; a request too large for
+        # it ends with one error line, not a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.strata, "_p_hat_walk", exhausted)
+        code, out, err = run(capsys, "phat", *fmt, "--d", "2", "--kappa=-1,-1,-1,-1,-1,1")
+        assert (code, out, err) == (2, "", "error: out of memory; the request is too large\n")
+
     def test_bad_factor_is_2(self, capsys):
         code, _, err = run(
             capsys, "intersect", "--d", "2", "--kappa=-1,-1,-1,-1", "--factors", "nope"

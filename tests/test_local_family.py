@@ -4,6 +4,7 @@ candidate differentials, ratio constants and the codimension-2 trichotomy."""
 import random
 from fractions import Fraction as F
 
+import local_family_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,6 +334,143 @@ def test_ratio_identity_on_every_edge(case, seed):
         for j, k in ((u, v), (v, u)):
             assert verify_ratio_identity(chart, j, k, samples=2), (j, k)
         assert ratio_constant(chart, u, v) * ratio_constant(chart, v, u) == 1
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed_trees(), st.integers(0, 2 ** 16), st.booleans())
+def test_integer_path_matches_fraction_oracle(case, seed, pin):
+    # Phi_j and dz_j/dz_k as integer pairs, and the public values built on
+    # them, against the Fraction forms, in every frame: at two sampled points
+    # and at every marked section, where the zero checks fire.  kappa has
+    # entries of both signs, tie nodes occur, and a pinned chart puts a
+    # marking at INF on each component with fewer than three nodes
+    sig, tree = case
+    chart = build_chart(sig, tree, seed=seed, pin=pin)
+    rng = make_sampler(seed + 1)
+    points = [sample_curve_point(chart, rng) for _ in range(2)]
+    points += [marked_point_coords(chart, i) for i in range(1, sig.n + 1)]
+    frames = range(tree.num_vertices)
+    for z in points:
+        for j in frames:
+            marks = local_family._frame_marks(chart, j)
+            expect = _outcome(oracle.evaluate_phi, chart, j, z)
+            assert _outcome(lambda: F(*local_family._phi_pair(j, marks, z[j]))) == expect
+            assert _outcome(evaluate_phi, chart, j, z) == expect
+            for k in frames:
+                steps = local_family._path_steps(chart, j, k)
+                assert _outcome(lambda: F(*local_family._jacobian_pair(steps, z))) == _outcome(
+                    oracle.frame_jacobian, chart, j, k, z
+                )
+                assert _outcome(section_in_frame, chart, j, z, k) == _outcome(
+                    oracle.section_in_frame, chart, j, z, k
+                )
+
+
+class TestIntegerPath:
+    def test_wrong_constant_fails(self, monkeypatch):
+        # a cross-multiplication that never fails would pass every other test
+        chain = build_codim2_chart(SIG_C, BLOCKS_C, seed=22)
+        sig = validate_signature(2, [1, 1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 1])
+        tree = StableTree(
+            (frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6, 7}),
+             frozenset({8, 9, 10, 11, 12})),
+            ((0, 1), (1, 2), (2, 3)),
+        )
+        cases = [(chain, 0, 1), (chain, 2, 0), (build_chart(sig, tree, seed=25), 0, 3)]
+        for chart, j, k in cases:
+            assert verify_ratio_identity(chart, j, k, samples=3)
+        true_constant = local_family.ratio_constant
+        for scale in (2, -1):
+            monkeypatch.setattr(
+                local_family, "ratio_constant", lambda c, j, k: scale * true_constant(c, j, k)
+            )
+            for chart, j, k in cases:
+                assert not verify_ratio_identity(chart, j, k, samples=3), (scale, j, k)
+
+    @pytest.mark.parametrize("pin", [True, False])
+    def test_sampler_matches_pairwise_loop(self, pin):
+        # the first points of a fixed chart and seed, generic on every
+        # component, on the base alone, and from another base
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=40, pin=pin)
+        for kwargs in ({}, {"check_vertices": [0]}, {"base": 2, "check_vertices": [2, 1]}):
+            new, old = make_sampler(41), make_sampler(41)
+            for _ in range(10):
+                point = sample_curve_point(chart, new, **kwargs)
+                assert point == oracle.sample_curve_point(chart, old, **kwargs)
+
+    def test_sampler_rejects_as_pairwise_loop(self, monkeypatch):
+        # a draw stream through every special point of the base component and
+        # through every marked section, with free draws in between: both
+        # samplers reject the same draws and accept the same points
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=42, t2=F(5, 3))
+        stream = list(chart.node_coords[0].values())
+        stream += [marked_point_coords(chart, i)[0] for i in range(1, 9)]
+        stream = [x for x in stream if x is not INF]
+        rng = make_sampler(43)
+        stream = [x for s in stream for x in (s, s, local_family._rand_rational(rng))]
+        monkeypatch.setattr(local_family, "_rand_rational", lambda draws: next(draws))
+        for kwargs in ({}, {"check_vertices": [1]}):
+            new, old = iter(stream), iter(stream)
+            got = []
+            while True:
+                point = _outcome(sample_curve_point, chart, new, **kwargs)
+                assert point == _outcome(oracle.sample_curve_point, chart, old, **kwargs)
+                if len(got) == 8:
+                    break
+                got.append(point)
+            assert len(set(got)) == 8
+
+
+class TestErrorMessages:
+    # From the CLI none of these is reachable: its degenerate-chart check and
+    # the sampler's rejections come first.  A section meets the node
+    # coordinate toward k only where it is at INF on k, so the closed form of
+    # f_jk skips that marking and never says "hits the node coordinate".
+    def test_pole_hits(self):
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=8, pin=False)
+        far = F(123456789, 7)
+        with pytest.raises(PoleHit, match=r"^sample point at infinity; use a finite draw$"):
+            evaluate_phi(chart, 1, (far, INF, far))
+        with pytest.raises(PoleHit, match=r"^sample coordinate equals a_\(0,1\)$"):
+            evaluate_phi(chart, 0, marked_point_coords(chart, 1))
+        with pytest.raises(PoleHit, match=r"^sample coordinate equals a_\(2,7\)$"):
+            section_in_frame(chart, 2, marked_point_coords(chart, 7), 0)
+        with pytest.raises(PoleHit, match=r"^frame change through a point at infinity$"):
+            section_in_frame(chart, 0, (far, INF, far), 1)
+        with pytest.raises(PoleHit, match=r"^frame change degenerate at a node$"):
+            section_in_frame(chart, 0, (far, far, chart.node_coords[2][0]), 2)
+
+    def test_denominator_vanishes(self, monkeypatch):
+        pinched = build_codim2_chart(SIG_C, BLOCKS_C, t1=0, seed=21)
+        with pytest.raises(
+            DenominatorVanishes, match=r"^ratio verification needs a smooth fiber \(t != 0\)$"
+        ):
+            verify_ratio_identity(pinched, 0, 1, samples=1)
+        # marking 1 sits at 1 on vertex 0; t[0-1] = 1 puts it on the node
+        # toward vertex 2 of vertex 1, and t[1-2] = 0 pinches that node
+        sig = validate_signature(2, [-1, -1, -1, -1, -1, 1])
+        tree = StableTree((frozenset({1, 2}), frozenset({3}), frozenset({4, 5, 6})),
+                          ((0, 1), (1, 2)))
+        chart = build_chart(sig, tree, {(0, 1): F(1), (1, 2): F(0)}, seed=5)
+        assert chart.mark_coords[0][1] == 1
+        with pytest.raises(
+            DenominatorVanishes, match=r"^point sits exactly on a fully degenerate node$"
+        ):
+            marked_point_coords(chart, 1)
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=21)
+        monkeypatch.setattr(local_family, "_rand_rational", lambda rng: F(0))
+        with pytest.raises(
+            DenominatorVanishes, match=r"^no valid sample point found; chart too degenerate$"
+        ):
+            sample_curve_point(chart, make_sampler(1))
 
 
 class TestVertexIndices:
