@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
-from strata0.strata import _laminar, _marks_mask, _mask_marks
+from strata0.strata import _laminar, _marks_mask
 
 __all__ = [
     "WrongDegree",
@@ -89,10 +89,6 @@ class Boundary:
         if key.bit_count() < 2 or (full ^ key).bit_count() < 2:
             raise ValueError("both sides of a boundary split need >= 2 markings")
         return Boundary(n, key)
-
-    def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        full = (1 << self.n) - 1
-        return _mask_marks(self.key), _mask_marks(full ^ self.key)
 
 
 DivisorSymbol = Union[Psi, Boundary]

@@ -29,7 +29,11 @@ coordinates), one set lookup per component against a set cached on the chart.
 ``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as integer
 numerator/denominator pairs, with no gcd per factor: at ``z = p/q`` a finite
 marking ``a = r/s`` contributes ``(p s - r q) / (q s)`` raised to ``k_i``.
-:func:`evaluate_phi` and :func:`section_in_frame` reduce those pairs to a
+The same product, over the markings on one side of a node and evaluated at
+the node coordinate, gives the ratio constant of adjacent components,
+``f_{jk} = (-1)^d Phi_j^J(b_{jk}) / Phi_k^K(b_{kj})``, so every product of
+marking factors in this module is one integer helper.  :func:`evaluate_phi`,
+:func:`ratio_constant` and :func:`section_in_frame` reduce those pairs to a
 ``Fraction`` once, at the end; :func:`verify_ratio_identity` never does, and
 decides each sample by one cross-multiplication.
 """
@@ -387,60 +391,53 @@ def beta_monomial(chart: LocalChart, j: int) -> Fraction:
     return val
 
 
-def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
-    """Closed form of ``f_{jk}`` for adjacent components.
+def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> tuple[int, int]:
+    """``f_{jk}`` for adjacent components, as an integer pair:
 
-    With ``J`` the markings on the ``j`` side of the node,
+        f_{jk} = (-1)^d Phi_j^J(b_{jk}) / Phi_k^K(b_{kj}),
 
-        f_{jk} = (-1)^(d + sum_F k_i)
-                 * prod_{i in F, in J} (a_{ji} - b_{jk})^{k_i}
-                 / prod_{i in F, not in J} (a_{ki} - b_{kj})^{k_i},
+    where ``Phi_j^J(z) = prod (z - a_{ji})^{k_i}`` over the markings ``J`` on
+    the ``j`` side of the node and ``Phi_k^K`` is the same product over the
+    other side ``K``, both restricted to the markings ``F`` finite in both
+    frames.  This is the quotient ``prod_J (a_{ji} - b_{jk})^{k_i} /
+    prod_K (a_{ki} - b_{kj})^{k_i}`` times ``(-1)^(d + sum_F k_i)``: turning
+    each ``a - b`` into ``b - a`` costs ``(-1)^(sum_J k_i - sum_K k_i)``,
+    whose parity is that of ``sum_F k_i``, so the signs cancel to ``(-1)^d``.
+    Swapping ``j`` and ``k`` inverts the quotient and keeps the sign, so this
+    one form serves both orders, with no orientation of the node.
 
-    where F drops the markings at infinity in either chart.  Swapping ``j``
-    and ``k`` inverts the quotient and keeps the sign, so this one form
-    serves both orders, with no orientation of the node.
+    A marking at ``b_{jk}`` in frame ``j`` sits at INF in frame ``k`` (or
+    ``marked_point_coords`` refuses it on a pinched node), so the restriction
+    to ``F`` keeps every factor nonzero.
     """
     on_j = chart.tree.far_marks(k, j)  # NoSuchEdge unless adjacent
     kappa = chart.sig.kappa
-    b_jk = chart.node_coords[j][k]
-    b_kj = chart.node_coords[k][j]
-    num = Fraction(1)
-    den = Fraction(1)
-    ksum = chart.sig.d
+    marks_j: list[tuple[int, int, int, int]] = []
+    marks_k: list[tuple[int, int, int, int]] = []
     for i in range(1, chart.sig.n + 1):
-        a_j = marked_point_coords(chart, i)[j]
-        a_k = marked_point_coords(chart, i)[k]
-        if a_j is INF or a_k is INF:
+        a = marked_point_coords(chart, i)
+        if a[j] is INF or a[k] is INF:
             continue
-        ksum += kappa[i - 1]
-        if i in on_j:
-            base = a_j - b_jk
-            if base == 0:
-                raise DenominatorVanishes(f"a_({j},{i}) hits the node coordinate")
-            num *= base ** kappa[i - 1]
-        else:
-            base = a_k - b_kj
-            if base == 0:
-                raise DenominatorVanishes(f"a_({k},{i}) hits the node coordinate")
-            den *= base ** kappa[i - 1]
-    sign = -1 if ksum % 2 else 1
-    return sign * num / den
+        h, marks = (j, marks_j) if i in on_j else (k, marks_k)
+        marks.append((i, a[h].numerator, a[h].denominator, kappa[i - 1]))
+    num_j, den_j = _phi_pair(j, marks_j, chart.node_coords[j][k])
+    num_k, den_k = _phi_pair(k, marks_k, chart.node_coords[k][j])
+    return (-1) ** chart.sig.d * num_j * den_k, den_j * num_k
 
 
 def ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     """The constant ``f_{jk}`` with ``t^{beta_j} Phi_j = f_{jk} t^{beta_k} Phi_k``.
 
-    For adjacent components this is the closed form; in general the constants
-    compose along the path between the components.
+    The constants of the adjacent pairs along the path between the
+    components compose, as integer pairs reduced to one ``Fraction``.
     """
     _check_vertices(chart.tree, j, k)
-    if j == k:
-        return Fraction(1)
     path = chart.path(j, k)
-    val = Fraction(1)
+    num = den = 1
     for a, b in zip(path, path[1:]):
-        val *= _adjacent_ratio_constant(chart, a, b)
-    return val
+        step_num, step_den = _adjacent_ratio_constant(chart, a, b)
+        num, den = num * step_num, den * step_den
+    return Fraction(num, den)
 
 
 def _path_steps(chart: LocalChart, j: int, k: int) -> list[tuple[int, int, int, int, int]]:

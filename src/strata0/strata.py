@@ -819,9 +819,6 @@ class WeilDivisorData:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.terms.values())
 
-    def nonzero(self) -> dict[MultiBlockPartition, int]:
-        return {p: c for p, c in self.terms.items() if c != 0}
-
 
 def exceptional_divisor(sig: Signature) -> WeilDivisorData:
     """Weil coefficients ``(|S| - 2) * m(S)`` of the exceptional divisor.
@@ -833,8 +830,8 @@ def exceptional_divisor(sig: Signature) -> WeilDivisorData:
 
 
 def _leading_exceptional_terms(sig: Signature) -> dict[MultiBlockPartition, int]:
-    """The first three terms of ``exceptional_divisor(sig).nonzero()``, the
-    ones a refused volume shows, without building P-hat.
+    """The first three terms of ``exceptional_divisor(sig)`` with a nonzero
+    coefficient, the ones a refused volume shows, without building P-hat.
 
     An ``r >= 2`` element has coefficient ``(r-1) m(S) >= 1`` and an ``r = 1``
     element has 0, so these are the first three ``r >= 2`` elements of the

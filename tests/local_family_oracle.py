@@ -1,10 +1,11 @@
 """``Fraction`` evaluation of the local model, the oracle of the integer path.
 
 These are the plain ``Fraction`` forms of ``Phi_j``, the frame change
-``dz_j/dz_k`` and the rescaled section, and the sampler that tests each
-special point of a component by its own ``!=``.  ``local_family`` computes
-the same values as integer numerator/denominator pairs and tests genericity
-by one set lookup per component.  Draws and propagation go through the
+``dz_j/dz_k``, the rescaled section and the ratio constant ``f_jk`` (with
+its own sign bookkeeping), and the sampler that tests each special point of
+a component by its own ``!=``.  ``local_family`` computes the same values as
+integer numerator/denominator pairs and tests genericity by one set lookup
+per component.  Draws and propagation go through the
 module attributes of ``local_family``, so a test that patches
 ``_rand_rational`` patches both samplers alike.
 """
@@ -69,6 +70,51 @@ def frame_jacobian(chart, j, k, point):
             raise PoleHit("frame change degenerate at a node")
         jac *= -chart.t(a, b) / diff ** 2
     return jac
+
+
+def adjacent_ratio_constant(chart, j, k):
+    """With ``J`` the markings on the ``j`` side of the node,
+
+        f_{jk} = (-1)^(d + sum_F k_i)
+                 * prod_{i in F, in J} (a_{ji} - b_{jk})^{k_i}
+                 / prod_{i in F, not in J} (a_{ki} - b_{kj})^{k_i},
+
+    where F drops the markings at infinity in either chart."""
+    on_j = chart.tree.far_marks(k, j)  # NoSuchEdge unless adjacent
+    kappa = chart.sig.kappa
+    b_jk = chart.node_coords[j][k]
+    b_kj = chart.node_coords[k][j]
+    num = Fraction(1)
+    den = Fraction(1)
+    ksum = chart.sig.d
+    for i in range(1, chart.sig.n + 1):
+        a_j = marked_point_coords(chart, i)[j]
+        a_k = marked_point_coords(chart, i)[k]
+        if a_j is INF or a_k is INF:
+            continue
+        ksum += kappa[i - 1]
+        if i in on_j:
+            base = a_j - b_jk
+            if base == 0:
+                raise DenominatorVanishes(f"a_({j},{i}) hits the node coordinate")
+            num *= base ** kappa[i - 1]
+        else:
+            base = a_k - b_kj
+            if base == 0:
+                raise DenominatorVanishes(f"a_({k},{i}) hits the node coordinate")
+            den *= base ** kappa[i - 1]
+    sign = -1 if ksum % 2 else 1
+    return sign * num / den
+
+
+def ratio_constant(chart, j, k):
+    if j == k:
+        return Fraction(1)
+    path = chart.path(j, k)
+    val = Fraction(1)
+    for a, b in zip(path, path[1:]):
+        val *= adjacent_ratio_constant(chart, a, b)
+    return val
 
 
 def section_in_frame(chart, j, point, frame):

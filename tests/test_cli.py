@@ -322,6 +322,17 @@ class TestExitCodes:
         assert ("--max-codim must be >= 0" in err) == (code == 2)
 
     @pytest.mark.parametrize(
+        "chart,extra,message",
+        [("1,2;3,4 0-1", ("--samples", "0"), "--samples must be >= 1"),
+         ("1,2;3,4 0-1 t[0-1]=0", (), "family verification needs nonzero node parameters")],
+        ids=["no-samples", "pinched"],
+    )
+    def test_verify_family_refusals_are_2(self, capsys, chart, extra, message):
+        got = run(capsys, "verify-family", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", chart,
+                  *extra)
+        assert got == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "params,code",
         [("t[0-1]=59/59 t[0-2]=-64/56", 2),  # marking 7 onto the node 0-2
          ("t[0-1]=3/7 t[0-2]=-64/64", 2),  # marking 5 onto the node 0-1

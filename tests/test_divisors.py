@@ -352,6 +352,18 @@ class TestVolumeDecimals:
                 assert _format_g(F(x), digits) == f"{x:.{digits}g}"
         assert _format_g(F(0), 12) == "0"
 
+    @pytest.mark.parametrize(
+        "v", [F(9, 10), F(99, 100), F(-1, 3), F(999999999999, 10**12), F(-7, 9000)]
+    )
+    def test_exact_rendering_of_non_dyadic_values(self, v):
+        # the bit-length estimate of the exponent overshoots by one on 9/10,
+        # 99/100 and 1 - 10^-12, as it never does on a double (a dyadic
+        # value); the reference is 60-digit decimal arithmetic
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = format(Decimal(v.numerator) / Decimal(v.denominator), ".12g")
+        assert _format_g(v, 12) == ref
+
 
 class TestPartitionSumEngine:
     """McMullen's partition sum against the fold, which stays its oracle.

@@ -22,7 +22,7 @@ from strata0.intersection import (
     product_number,
     psi_boundary_expression,
 )
-from strata0.strata import StrataError, validate_signature
+from strata0.strata import StrataError, _mask_marks, validate_signature
 
 
 def D(n, side):
@@ -148,6 +148,18 @@ class TestDivisorExpression:
         }
         assert (e - e).terms == {}
 
+    def test_repr_order_and_equality(self):
+        # psi symbols by index, then splits by the mask of the side holding 1
+        b12, b13 = Boundary.of(5, {1, 2}), Boundary.of(5, {1, 3})
+        e = DivisorExpression({b13: F(1, 2), Psi(3): 2, b12: -1, Psi(1): 1})
+        assert repr(e) == (
+            "1*Psi(i=1) + 2*Psi(i=3) + -1*Boundary(n=5, key=3) + 1/2*Boundary(n=5, key=5)"
+        )
+        assert repr(DivisorExpression()) == "0"
+        assert e == DivisorExpression({Psi(1): 1, Psi(3): 2, b12: -1, b13: F(1, 2)})
+        assert e != DivisorExpression({Psi(1): 1, Psi(3): 2, b12: -1})
+        assert e != e.terms
+
 
 class TestPsiClosedForm:
     # n = 8 and 9 bring decoration powers 5 and 6 to the final raise
@@ -170,6 +182,10 @@ class TestProductNumber:
     def test_wrong_factor_count(self):
         with pytest.raises(WrongDegree):
             product_number(5, [P(1)])
+
+    def test_boundary_of_another_n(self):
+        with pytest.raises(ValueError, match="^boundary symbol for the wrong n$"):
+            product_number(5, [D(6, {1, 2}), P(1)])
 
     def test_final_pairing_rejects_wrong_slack(self):
         # the n = 5 fundamental class has two units of slack, not one
@@ -214,8 +230,8 @@ class TestProductNumber:
         for n in (5, 6):
             bnds = [s for s in all_symbols(n) if isinstance(s, Boundary)]
             for s1, s2 in itertools.combinations(bnds, 2):
-                a1, _ = s1.sides()
-                a2, _ = s2.sides()
+                a1 = _mask_marks(s1.key)
+                a2 = _mask_marks(s2.key)
                 x, y = set(a1), set(a2)
                 full = set(range(1, n + 1))
                 crossing = all(
@@ -234,6 +250,10 @@ class TestKeel:
         # named before any split is built, where the side check would speak first
         with pytest.raises(StrataError, match=r"^marking 9 is outside 1\.\.6$"):
             keel_relation(6, 1, 2, 3, 9)
+
+    def test_repeated_marking(self):
+        with pytest.raises(ValueError, match="^need four distinct markings$"):
+            keel_relation(6, 1, 2, 2, 3)
 
     def test_n5_pairings(self):
         kr = keel_relation(5, 1, 2, 3, 4)
@@ -274,6 +294,10 @@ class TestPsiBoundaryExpression:
         with pytest.raises(StrataError, match=rf"^marking {bad} is outside 1\.\.5$"):
             psi_boundary_expression(5, *marks)
 
+    def test_repeated_marking(self):
+        with pytest.raises(ValueError, match="^need three distinct markings$"):
+            psi_boundary_expression(5, 1, 2, 1)
+
     def test_n4_single_divisor(self):
         e = psi_boundary_expression(4, 1, 2, 3)
         assert set(e.terms) == {Boundary.of(4, {1, 4})}
@@ -311,7 +335,7 @@ class TestPsiBoundaryExpression:
 def relabel_symbol(sym, sigma, n):
     if isinstance(sym, Psi):
         return Psi(sigma[sym.i - 1])
-    a, _ = sym.sides()
+    a = _mask_marks(sym.key)
     return Boundary.of(n, {sigma[i - 1] for i in a})
 
 

@@ -36,6 +36,10 @@ BLOCKS_C = [{1, 2}, {3, 4, 5}, {6, 7, 8}]
 SIG_A = validate_signature(2, [-1, -1, -1, -1, -1, -1, 1, 1])
 BLOCKS_A = [{1, 2, 3}, {5, 6, 7}, {4, 8}]
 BLOCKS_B = [{1, 6, 7}, {3, 4, 5}, {2, 8}]
+ONE_EDGE = (
+    validate_signature(2, [-1, -1, -1, -1, -1, 1]),
+    StableTree((frozenset({1, 2, 3}), frozenset({4, 5, 6})), ((0, 1),)),
+)
 
 
 class TestChartValidation:
@@ -374,6 +378,34 @@ def test_integer_path_matches_fraction_oracle(case, seed, pin):
                 )
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed_trees(), st.integers(0, 2 ** 16), st.booleans(), st.data())
+def test_ratio_constant_matches_fraction_oracle(case, seed, pin, data):
+    # f_jk as (-1)^d over two _phi_pair calls against the Fraction closed form
+    # with its own sign, on every ordered edge and on one pair that is not an
+    # edge, with all node parameters nonzero and then with one of them 0
+    # wherever every section still exists on that pinched fiber
+    sig, tree = case
+    pairs = [p for u, v in tree.edges for p in ((u, v), (v, u))]
+    far = [(j, k) for j in range(tree.num_vertices) for k in range(j)
+           if not tree.has_edge(j, k)]
+    if far:
+        pairs.append(data.draw(st.sampled_from(far)))
+    pinch = data.draw(st.sampled_from(tree.edges))
+    for params in (None, {pinch: F(0)}):
+        chart = build_chart(sig, tree, params, seed=seed, pin=pin)
+        try:
+            for i in range(1, sig.n + 1):
+                marked_point_coords(chart, i)
+        except DenominatorVanishes:
+            continue
+        for j, k in pairs:
+            assert ratio_constant(chart, j, k) == oracle.ratio_constant(chart, j, k), (j, k)
+        for j, k in pairs[2 * len(tree.edges):]:
+            with pytest.raises(NoSuchEdge):
+                local_family._adjacent_ratio_constant(chart, j, k)
+
+
 class TestIntegerPath:
     def test_wrong_constant_fails(self, monkeypatch):
         # a cross-multiplication that never fails would pass every other test
@@ -432,8 +464,9 @@ class TestIntegerPath:
 class TestErrorMessages:
     # From the CLI none of these is reachable: its degenerate-chart check and
     # the sampler's rejections come first.  A section meets the node
-    # coordinate toward k only where it is at INF on k, so the closed form of
-    # f_jk skips that marking and never says "hits the node coordinate".
+    # coordinate toward k only where it is at INF on k, and f_jk takes only
+    # the markings finite in both frames, so its _phi_pair calls never raise
+    # PoleHit.
     def test_pole_hits(self):
         chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=8, pin=False)
         far = F(123456789, 7)
@@ -471,6 +504,60 @@ class TestErrorMessages:
             DenominatorVanishes, match=r"^no valid sample point found; chart too degenerate$"
         ):
             sample_curve_point(chart, make_sampler(1))
+
+    REFUSALS = {
+        "no node coordinate": (
+            lambda: LocalChart(*ONE_EDGE, {(0, 1): F(1)},
+                               {0: {1: F(0), 2: F(1), 3: F(2)}, 1: {4: F(0), 5: F(1), 6: F(2)}},
+                               {0: {}, 1: {0: F(6)}}),
+            StrataError, r"^vertex 0: need one node coordinate per neighbor$",
+        ),
+        "no marking coordinate": (
+            lambda: LocalChart(*ONE_EDGE, {(0, 1): F(1)},
+                               {0: {1: F(0), 2: F(1)}, 1: {4: F(0), 5: F(1), 6: F(2)}},
+                               {0: {1: F(5)}, 1: {0: F(6)}}),
+            StrataError, r"^vertex 0: need one coordinate per marking$",
+        ),
+        "home of an unknown marking": (
+            lambda: build_codim2_chart(SIG_C, BLOCKS_C, seed=8).home_vertex(99),
+            StrataError, r"^marking 99 not in tree$",
+        ),
+        "no samples": (
+            lambda: verify_ratio_identity(build_codim2_chart(SIG_C, BLOCKS_C, seed=8), 0, 1,
+                                          samples=0),
+            ValueError, r"^need at least one sample$",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusals(self, case):
+        call, exc, message = self.REFUSALS[case]
+        with pytest.raises(exc, match=message):
+            call()
+
+
+class TestRedraws:
+    def test_zero_node_parameter_is_redrawn(self, monkeypatch):
+        # build_chart draws t until it is nonzero, then the free coordinates
+        draws = iter([F(0), F(0), F(3, 7), F(2, 9), F(4, 11)])
+        monkeypatch.setattr(local_family, "_rand_rational", lambda rng: next(draws))
+        chart = build_chart(*ONE_EDGE, seed=1)
+        assert chart.node_params == {(0, 1): F(3, 7)}
+        assert chart.mark_coords == {0: {1: F(2, 9), 2: F(1), 3: INF},
+                                     1: {4: F(4, 11), 5: F(1), 6: INF}}
+
+    def test_sampler_retries_a_draw_on_a_pinched_node(self, monkeypatch):
+        # the draw 0 is the base's node coordinate toward the pinched
+        # component, where the fiber has no point; the next draw is accepted
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, t1=0, seed=21)
+        assert chart.node_coords[0][1] == 0
+        stream = iter([F(0), F(7, 13)])
+        monkeypatch.setattr(local_family, "_rand_rational", lambda rng: next(stream))
+        point = sample_curve_point(chart, make_sampler(1), check_vertices=[0])
+        assert point[0] == F(7, 13) and next(stream, None) is None
+
+    def test_infinity_repr(self):
+        assert repr(INF) == "INF"
 
 
 class TestVertexIndices:

@@ -225,6 +225,12 @@ class TestStableTree:
         with pytest.raises(StrataError, match=r"^edge \(0, 1\) given twice$"):
             StableTree(marks, edges)
 
+    @pytest.mark.parametrize("edge", [(0, 0), (0, 2), (-1, 0)], ids=["loop", "high", "negative"])
+    def test_validation_rejects_bad_edges(self, edge):
+        marks = (frozenset({1, 2}), frozenset({3, 4}))
+        with pytest.raises(StrataError, match=rf"^bad edge \({edge[0]},{edge[1]}\)$"):
+            StableTree(marks, (edge,))
+
     def test_enumeration_counts(self):
         sig5 = sig2(-1, -1, -1, -1, 0)
         assert len(enumerate_stable_trees(SIG_QUAD4, 1)) == 1 + 3

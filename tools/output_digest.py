@@ -42,13 +42,15 @@ U+00A0 before its edge.  The last ``divisor`` probe, on the E-trivial
 ``--d 3 --kappa=0,1,-1,-2,-2,-1,-1`` (n = 7), meets every term the two forms
 drop: ``psi_1`` (``k_1 = 0``), 12 splits with ``c_S = 0``, 6 with
 ``k_I0 = 0``, and 14 tie splits (``k_A = k_B = -d``).  Two ``verify-family``
-probes at ``d = 3`` on ``--kappa=2,1,-2,-2,-1,-1,-2,-1`` close the list: a
+probes at ``d = 3`` on ``--kappa=2,1,-2,-2,-1,-1,-2,-1`` follow: a
 five-component chart (a star at vertex 0 with a tail, ``t[3-4]=-3/4``) whose
 identities the integer path checks with ``k_i`` of both signs, and a 4-chain
 whose ``t[0-1]=1`` puts marking 1 at INF on vertex 2, off its home frame,
-which the CLI refuses as a degenerate chart (exit 2).  The ``PoleHit`` and
-``DenominatorVanishes`` paths of the family check cannot be reached from the
-CLI: that refusal and the sampler's rejections come first.
+which the CLI refuses as a degenerate chart (exit 2).  The last two are the
+other refusals of ``verify-family`` (exit 2): ``--samples 0`` and a chart
+with ``t[0-1]=0``.  The ``PoleHit`` and ``DenominatorVanishes`` paths of the
+family check cannot be reached from the CLI: those refusals and the
+sampler's rejections come first.
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
@@ -120,6 +122,11 @@ PROBE_ARGV = [
     *(["verify-family", "--json", "--d", "3", "--kappa=2,1,-2,-2,-1,-1,-2,-1", "--chart", chart]
       for chart in ("1;2,3;4,5;6;7,8 0-1 0-2 0-3 3-4 t[3-4]=-3/4",
                     "1,2;3,4;5,6;7,8 0-1 1-2 2-3 t[0-1]=1")),
+    # the two other refusals before any sample is drawn (exit 2)
+    ["verify-family", "--json", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", "1,2;3,4 0-1",
+     "--samples", "0"],
+    ["verify-family", "--json", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart",
+     "1,2;3,4 0-1 t[0-1]=0"],
 ]
 
 
