@@ -36,7 +36,7 @@ Three engines compute intersection numbers here:
   over set partitions ``P`` of the markings with ``|P| >= 3``.  It is the
   one computation in the package with a table over all ``2^n`` marking
   masks, and it fills the ``k_B`` column of that table itself;
-* the intersection fold of :func:`strata0.intersection.product_number` on
+* :func:`strata0.intersection.product_number`, one vertex at a time, on
   the boundary form, for ``volume`` on every other signature;
 * :func:`form_psi_number`, for ``intersect``: every product of forms of
   ``D_mu``, psi classes and boundary divisors ``D_T``, for every
@@ -49,12 +49,12 @@ Three engines compute intersection numbers here:
   kappa = (-1, .., -9, -15)`` (n = 10) it takes seconds where McMullen's
   sum takes milliseconds.
 
-McMullen's identity matched the fold on signatures with some ``k_i >= 0``
+McMullen's identity matched ``product_number`` where some ``k_i >= 0``
 as well: on all 78 E-trivial signatures with n = 4..7, d = 2..4 and entries
 in ``[1-d, 2d]`` (66 of them with some ``k_i >= 0``), on all 222 recorded
-benchmark volumes (184 such) and on nonzero such signatures at n = 8.  That
-is a checked identity, not a cited theorem, so those signatures stay on the
-fold.  The fold is the oracle of both other engines in the tests.
+benchmark volumes (184 such) and on nonzero such signatures at n = 8 and 9.
+That is a checked identity, not a cited theorem, so those signatures stay on
+``product_number``, the oracle of both other engines in the tests.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def volume(sig: Signature) -> VolumeResult:
     hypothesis.
 
     The self-intersection comes from McMullen's partition sum when every
-    ``k_i < 0``, the case his theorem covers, and from the intersection fold
+    ``k_i < 0``, the case his theorem covers, and from ``product_number``
     otherwise (see the module docstring).
     """
     n = sig.n

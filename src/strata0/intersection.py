@@ -1,11 +1,11 @@
 """Exact top intersection numbers of psi and boundary divisor classes on
 the moduli space of stable n-pointed genus-0 curves.
 
-Classes are held as Q-linear combinations of *decorated boundary strata*: a
-stable dual tree together with a power of the cotangent class at each flag
-(a marking leg or an edge branch).  Restricted to a stratum, a divisor
-expression is a weight per flag plus the splits that refine a vertex, by the
-classical genus-0 rules:
+Products are expanded over *decorated boundary strata*: a stable dual tree
+together with a power of the cotangent class at each flag (a marking leg or
+an edge branch).  Restricted to a stratum, a divisor expression is a
+weight per flag plus the splits that refine a vertex, by the classical
+genus-0 rules:
 
 * a psi class raises the decoration at its leg;
 * a boundary divisor equal to the split of an existing edge contributes the
@@ -18,31 +18,42 @@ prod_flags p!`` when the decorations at each vertex of ``f_v`` flags sum to
 ``f_v - 3`` (and 0 otherwise): a multinomial per vertex, whose flag
 factorials are one product over the stratum.
 
+A stratum is the product of its vertices' ``M_{0,f_v}``, and a factor
+restricted to it is the sum of its restrictions to the vertices, so a
+product of factors integrates one vertex at a time: hand each factor to a
+vertex, integrate each vertex on its own, and multiply.
+:func:`product_number` does this depth first from the smooth curve, with
+equal factors grouped into kinds.  At a vertex it applies one factor: a
+raise bumps a power at the same vertex, and a boundary term splits the
+vertex into two, between which the factors left are shared.  No global
+state of strata is built; a memo that lives for one call answers a vertex
+met again with the same powers and factors left.
+
 Marking sets are bitmasks in the codec of :mod:`strata0.strata` (bit
-``i-1`` is marking ``i``).  Equal strata must combine, which is what keeps
-intermediate term counts polynomial in practice.  A decorated stratum is
-keyed by its set of split masks, pairwise compatible, which determines the
-tree (Buneman's splits-equivalence theorem; Semple-Steel, *Phylogenetics*),
-so keys are canonical with no vertex renumbering and each rule above is one
-set operation on the splits.  The product fold behind :func:`product_number`
-runs on these keys and prunes terms that cannot reach a nonzero top degree.
-It answers only public :func:`product_number` on arbitrary expressions
-and ``volume`` on signatures with some ``k_i >= 0``; every ``intersect``
-list goes to the restriction recursion
-:func:`strata0.divisors.form_psi_number`, and the fold is that recursion's
-oracle in the tests.  The tests keep the term-by-term calculus on the same
-keys (``multiply`` / ``integrate``) as the fold's own oracle.
+``i-1`` is marking ``i``).  A flag is named by its far mask, the markings
+beyond it, and splitting a vertex keeps every flag's far mask, so a vertex
+is a tuple of far masks (the one holding marking 1 first, the rest sorted)
+and the boundary divisors that refine it are the unions of its other flags'
+masks.  :func:`product_number` answers the public API on arbitrary
+expressions and ``volume`` on signatures with some ``k_i >= 0``; every
+``intersect`` list goes to the restriction recursion
+:func:`strata0.divisors.form_psi_number`, and ``product_number`` is that
+recursion's oracle in the tests.  The tests keep two oracles of their own
+(``tests/term_calculus.py``): the term-by-term calculus (``multiply`` /
+``integrate``) and the breadth-first fold over decorated strata keyed by
+their split sets, both reading the same genus-0 rules.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
-from strata0.strata import _laminar, _marks_mask
+from strata0.strata import _marks_mask
 
 __all__ = [
     "WrongDegree",
@@ -138,13 +149,6 @@ class DivisorExpression:
         return self.terms.items()
 
 
-def _bumped(dec: tuple[tuple, ...], flag) -> tuple[tuple, ...]:
-    """A sorted decoration tuple with the power at ``flag`` raised by one."""
-    d = dict(dec)
-    d[flag] = d.get(flag, 0) + 1
-    return tuple(sorted(d.items()))
-
-
 def _check_psi(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"psi index {i} is outside 1..{n}")
@@ -174,47 +178,6 @@ def _scaled_parts(n: int, expr: DivisorExpression) -> tuple[int, dict[int, int],
     return den, psis, bnds
 
 
-# The fold keys a decorated stratum by ``(splits, dec)``.  ``splits`` is the
-# frozenset of the tree's split masks, each the side holding marking 1 as in
-# ``Boundary.key``.  ``dec`` is a sorted tuple of ``(flag, power)`` with
-# positive powers.  A flag is named by its far mask, the markings beyond it:
-# ``1 << (i-1)`` for the leg of marking ``i``; ``full ^ K`` for the branch of
-# split ``K`` on its marking-1 side and ``K`` for the one on its far side.
-# Compatible splits determine the tree, so the key is canonical by
-# construction, and splitting a vertex keeps every flag's far mask, so a
-# refinement only adds its split and leaves ``dec`` as it is.
-_Key = tuple[frozenset[int], tuple[tuple[int, int], ...]]
-
-
-def _vertices(n: int, splits: frozenset[int], dec: tuple[tuple[int, int], ...]):
-    """Vertex data of a split-set stratum, in the vertex numbering of
-    :func:`strata0.strata._laminar`.
-
-    Returns ``(flags, decsum)``: the far mask of each flag per vertex, with
-    first the flag toward marking 1 (so no other flag's far mask holds
-    marking 1); and the decoration sum per vertex.  With the one product of
-    ``p!`` over ``dec`` that is all a stratum's integral reads.
-    """
-    full = (1 << n) - 1
-    fars, parent, own = _laminar(n, splits)
-    own[0] ^= 1  # the leg of marking 1 leads vertex 0's flags
-    flags = [[1]] + [[full ^ a] for a in fars]
-    for j, a in enumerate(fars, 1):
-        flags[parent[j]].append(a)
-    where = {}
-    for v, m in enumerate(own):
-        while m:
-            low = m & -m
-            flags[v].append(low)
-            m ^= low
-        for fm in flags[v]:
-            where[fm] = v
-    decsum = [0] * len(flags)
-    for fm, p in dec:
-        decsum[where[fm]] += p
-    return flags, decsum
-
-
 def _flag_weights(full: int, psis: dict[int, int], bnds: dict[int, int]) -> dict[int, int]:
     """A factor's weight per flag: ``psi_i`` at the leg of marking ``i``, and
     ``-q_K`` at both branches of an edge ``K``.  Each raises the decoration at
@@ -226,120 +189,122 @@ def _flag_weights(full: int, psis: dict[int, int], bnds: dict[int, int]) -> dict
     return weights
 
 
-def _moves(full, fl, dv, powers, weights, bnds):
+def _moves(full, fl, pw, weights, bnds):
     """The terms one factor adds at a vertex with flags ``fl`` (far masks,
-    the flag toward marking 1 first) and decoration sum ``dv``.
+    the flag toward marking 1 first) and powers ``pw`` at those flags.
 
-    Returns ``(raises, refinements)``: ``(q, fm)`` for each flag whose
-    decoration the factor raises with weight ``q``, and ``(q, split, size)``
-    for each factor term ``q * D_split`` that moves ``size`` flags of
-    ``fl[1:]`` to a new vertex.  A refinement is kept only if both halves, of
-    ``size + 1`` and ``f - size + 1`` flags, keep slack ``>= 0``.  Both lists
-    are empty at a vertex with no slack (``dv > f - 4``): decorations never
-    shrink and splitting a vertex only lowers the total slack, so such terms
-    integrate to zero inside a top-degree product.  The moved subsets come
-    from a lowest-bit DP over two columns, far mask and decoration sum (bit
-    ``t`` is ``fl[t+1]``); the factorials are left to :func:`_pair_final`.
+    Returns ``(raises, refinements)``: ``(q, i)`` for each flag ``fl[i]``
+    whose decoration the factor raises with weight ``q``, and ``(q, split,
+    bits)`` for each factor term ``q * D_split`` that moves the flags
+    ``fl[t+1]`` with bit ``t`` set in ``bits`` to a new vertex.  A
+    refinement is kept only if both halves, of ``size + 1`` and ``f - size +
+    1`` flags (``size`` flags moved), keep slack ``>= 0``.  Both lists are
+    empty at a vertex with no slack (decoration sum ``dv > f - 4``):
+    decorations never shrink and splitting a vertex only lowers the total
+    slack, so such terms integrate to zero inside a top-degree product.  The
+    moved subsets come from a lowest-bit DP over two columns, far mask and
+    decoration sum.
     """
     f = len(fl)
+    dv = sum(pw)
     if dv > f - 4:
         return (), ()
-    raises = [(weights[fm], fm) for fm in fl if fm in weights]
+    raises = [(weights[fm], i) for i, fm in enumerate(fl) if fm in weights]
     refinements = []
     if bnds:
-        rest = fl[1:]
-        pw = [powers.get(fm, 0) for fm in rest]
-        far = [0] * (1 << len(rest))
+        far = [0] * (1 << (f - 1))
         dsum = [0] * len(far)
         for bits in range(1, len(far)):
             low = bits & -bits
-            i = low.bit_length() - 1
+            i = low.bit_length()
             prev = bits ^ low
-            far[bits] = far[prev] | rest[i]
+            far[bits] = far[prev] | fl[i]
             dm = dsum[bits] = dsum[prev] + pw[i]
             size = bits.bit_count()
             if dm <= size - 2 and dv - dm <= f - size - 2:
                 split = full ^ far[bits]
                 q = bnds.get(split)
                 if q:
-                    refinements.append((q, split, size))
+                    refinements.append((q, split, bits))
     return raises, refinements
 
 
-def _fold_step(
-    n: int,
-    state: dict[_Key, int],
-    psis: dict[int, int],
-    bnds: dict[int, int],
-) -> dict[_Key, int]:
-    """One multiplication step: each stratum takes the factor's
-    :func:`_moves` at every vertex as new keys, a raise as a bumped ``dec``
-    and a refinement as one more split."""
-    full = (1 << n) - 1
-    weights = _flag_weights(full, psis, bnds)
-    nxt: dict[_Key, int] = {}
-    get = nxt.get
-    for (splits, dec), c in state.items():
-        flags, decsum = _vertices(n, splits, dec)
-        powers = dict(dec)
-        for fl, dv in zip(flags, decsum):
-            raises, refinements = _moves(full, fl, dv, powers, weights, bnds)
-            for q, fm in raises:
-                t = (splits, _bumped(dec, fm))
-                nxt[t] = get(t, 0) + c * q
-            for q, split, _ in refinements:
-                t = (splits | {split}, dec)
-                nxt[t] = get(t, 0) + c * q
-    return {t: c for t, c in nxt.items() if c}
+def _shares(counts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every way to hand ``k`` of the factors left, ``counts[j]`` of kind
+    ``j``, to one half of a split: ``(t, counts - t, prod_j C(counts_j,
+    t_j))``."""
+    out = [((), (), 1)]
+    for c in counts:
+        out = [(t + (x,), u + (c - x,), m * comb(c, x))
+               for t, u, m in out for x in range(min(c, k - sum(t)) + 1)]
+    return [s for s in out if sum(s[0]) == k]
 
 
-def _pair_final(
-    n: int,
-    state: dict[_Key, int],
-    psis: dict[int, int],
-    bnds: dict[int, int],
-) -> int:
-    """Pair a degree ``n - 4`` state with the last factor.
+def _vertex_number(fl, pw, counts, kinds, full, memo) -> int:
+    """The integral over a vertex's ``M_{0,f}`` of its decorations times
+    ``counts[j]`` factors of each kind ``j``, restricted to the vertex.
 
-    At this depth every live stratum has exactly one vertex with one unit of
-    slack, and only the :func:`_moves` there contribute, evaluated in place
-    (no new strata).  A refinement there moves ``size`` flags holding ``dm``
-    decorations; ``_moves`` keeps it when ``dm <= size - 2`` and ``dv - dm <=
-    f - size - 2``, and as the two add up to ``dv <= f - 4 = dv``, both hold
-    with equality: both halves reach top degree.  A stratum with any other
-    slack profile raises ``RuntimeError``.
-
-    One exact integer per stratum, ``top = prod_v (f_v - 3)! // prod_dec p!``
-    (a multinomial per vertex, ``f - 3`` times one at the slack vertex of
-    ``f`` flags), scales every move: a raise at a flag of power ``p`` adds
-    ``top // (p + 1)`` and a refinement ``top * (size - 2)! * (f - size -
-    2)! // (f - 3)!``.  Both are products of multinomials, so exact.
+    ``fl`` are the flags' far masks, the flag holding marking 1 first and
+    the rest sorted, and ``pw`` the powers there, so equal vertices are equal
+    tuples and ``memo`` (the caller's, for one product) answers a repeated
+    one; it also keeps the :func:`_shares` of each ``(counts, slack)``, a
+    key of another shape.  One factor of the first kind left is applied through
+    :func:`_moves`: a raise is the same vertex with one power bumped; a
+    refinement splits it into halves A (the new flag ``split``, then the
+    moved flags) and B (``fl[0]``, the flags that stay and the new flag
+    ``full ^ split``), and the factors left are shared between the halves in
+    every way that fills A's slack, with a binomial per kind.  A vertex with
+    no factors left is the multinomial ``(f - 3)! / prod p!``, and the last
+    factor is evaluated in place: a raise is that multinomial with one power
+    ``p`` made ``p + 1``, a refinement ``(size - 2)! (f - size - 2)! / prod
+    p!``, both halves at top degree.
     """
-    full = (1 << n) - 1
-    fact = [factorial(i) for i in range(n + 1)]
-    weights = _flag_weights(full, psis, bnds)
+    f = len(fl)
+    left = sum(counts)
+    if not left:
+        return factorial(f - 3) // prod(map(factorial, pw))
+    key = (fl, pw, counts)
+    if key in memo:
+        return memo[key]
+    j = next(j for j, c in enumerate(counts) if c)
+    raises, refinements = _moves(full, fl, pw, *kinds[j])
     total = 0
-    for (splits, dec), c in state.items():
-        flags, decsum = _vertices(n, splits, dec)
-        deficit = [len(fl) - 3 - d for fl, d in zip(flags, decsum)]
-        if min(deficit) < 0 or sum(deficit) != 1:
-            # total slack is 1 and the fold keeps every vertex's slack >= 0
-            raise RuntimeError(
-                f"internal error: stratum with vertex slacks {deficit} reached "
-                "the final pairing; please report"
-            )
-        top = prod(fact[len(fl) - 3] for fl in flags) // prod(fact[p] for _, p in dec)
-        star = deficit.index(1)
-        fl = flags[star]
-        f = len(fl)
-        powers = dict(dec)
-        raises, refinements = _moves(full, fl, decsum[star], powers, weights, bnds)
-        acc = 0
-        for q, fm in raises:
-            acc += q * top // (powers.get(fm, 0) + 1)
-        for q, _, size in refinements:
-            acc += q * top * fact[size - 2] * fact[f - size - 2] // fact[f - 3]
-        total += c * acc
+    if left == 1:
+        base = prod(map(factorial, pw))
+        for q, i in raises:
+            total += q * factorial(f - 3) // (base * (pw[i] + 1))
+        for q, _, bits in refinements:
+            size = bits.bit_count()
+            total += q * factorial(size - 2) * factorial(f - size - 2) // base
+    else:
+        rest = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
+        for q, i in raises:
+            raised = pw[:i] + (pw[i] + 1,) + pw[i + 1 :]
+            total += q * _vertex_number(fl, raised, rest, kinds, full, memo)
+        for q, split, bits in refinements:
+            a_fl, a_pw, b_fl, b_pw = [split], [0], [fl[0]], [pw[0]]
+            for i in range(1, f):
+                if bits >> (i - 1) & 1:
+                    a_fl.append(fl[i])
+                    a_pw.append(pw[i])
+                else:
+                    b_fl.append(fl[i])
+                    b_pw.append(pw[i])
+            at = bisect(b_fl, full ^ split, 1)
+            b_fl.insert(at, full ^ split)
+            b_pw.insert(at, 0)
+            a = (tuple(a_fl), tuple(a_pw))
+            b = (tuple(b_fl), tuple(b_pw))
+            acc = 0
+            sk = (rest, len(a_fl) - 3 - sum(a_pw))
+            if sk not in memo:
+                memo[sk] = _shares(*sk)
+            for t, u, m in memo[sk]:
+                va = _vertex_number(*a, t, kinds, full, memo)
+                if va:
+                    acc += m * va * _vertex_number(*b, u, kinds, full, memo)
+            total += q * acc
+    memo[key] = total
     return total
 
 
@@ -353,27 +318,35 @@ def _check_factor_count(n: int, count: int) -> None:
 def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
     """Intersection number of ``n - 3`` divisor expressions.
 
-    Expands linearly, folding one factor at a time over the fundamental class;
-    the result does not depend on the factor order.  Boundary-only factors are
-    folded first so that crossing splits annihilate terms early; the last
-    factor is paired directly without materialising the top-degree layer.
+    Equal factors are grouped into kinds with a count each, so that
+    ``D^(n-3)`` is one kind.  The product restricts to the smooth vertex of
+    ``M_{0,n}`` and is integrated one vertex at a time by
+    :func:`_vertex_number`, depth first, with a memo that lives for this
+    call only: a boundary term splits a vertex into two, and the factors
+    left are shared between the halves.  Integers throughout, over the
+    product of the factors' denominators; the result does not depend on the
+    factor order.
     """
     _check_factor_count(n, len(factors))
     if n == 3:
         return Fraction(1)
-    parts = [_scaled_parts(n, f) for f in factors]
-    # boundary-only factors first: cheaper and prunes harder
-    parts.sort(key=lambda t: bool(t[1]))
+    exprs: list[DivisorExpression] = []
+    counts: list[int] = []
+    for expr in factors:
+        if expr in exprs:
+            counts[exprs.index(expr)] += 1
+        else:
+            exprs.append(expr)
+            counts.append(1)
+    full = (1 << n) - 1
     den_total = 1
-    for den, _, _ in parts:
-        den_total *= den
-    state: dict[_Key, int] = {(frozenset(), ()): 1}
-    for den, psis, bnds in parts[:-1]:
-        state = _fold_step(n, state, psis, bnds)
-        if not state:
-            return Fraction(0)
-    _, psis, bnds = parts[-1]
-    total = _pair_final(n, state, psis, bnds)
+    kinds = []
+    for expr, c in zip(exprs, counts):
+        den, psis, bnds = _scaled_parts(n, expr)
+        den_total *= den**c
+        kinds.append((_flag_weights(full, psis, bnds), bnds))
+    legs = tuple(1 << i for i in range(n))
+    total = _vertex_number(legs, (0,) * n, tuple(counts), kinds, full, {})
     return Fraction(total, den_total)
 
 

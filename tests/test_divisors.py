@@ -414,6 +414,15 @@ class TestPartitionSumEngine:
         assert volume(sig).intersection_number == value
         assert calls == [8]
 
+    def test_mixed_n9_matches_the_other_engines(self, monkeypatch):
+        # D_mu^6 on M_{0,9} with some k_i >= 0 and distinct entries: the
+        # breadth-first fold's state grew to 1.1 million strata here
+        sig = validate_signature(18, [1, -5, -6, -9, -1, -8, -4, -1, -3])
+        calls = _count_fold_calls(monkeypatch)
+        assert volume(sig).intersection_number == -35642
+        assert calls == [9]
+        assert form_psi_number(sig, [0] * 9) == _partition_sum_self_intersection(sig) == -35642
+
     def test_n9_value(self, monkeypatch):
         calls = _count_fold_calls(monkeypatch)
         res = volume(validate_signature(5, [-1] * 8 + [-2]))

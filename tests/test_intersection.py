@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from term_calculus import DegreeOverflow, integrate, multiply, unit
+from term_calculus import DegreeOverflow, _pair_final, integrate, multiply, unit
 
 from strata0.divisors import d_mu_boundary_form, d_mu_psi_form
 from strata0.intersection import (
@@ -189,8 +189,6 @@ class TestProductNumber:
 
     def test_final_pairing_rejects_wrong_slack(self):
         # the n = 5 fundamental class has two units of slack, not one
-        from strata0.intersection import _pair_final
-
         with pytest.raises(RuntimeError, match="internal error"):
             _pair_final(5, {(frozenset(), ()): 1}, {1: 1}, {})
 

@@ -1,8 +1,8 @@
 """The split-set stratum calculus against the vertex form it replaced.
 
 The term-by-term calculus of ``term_calculus.py`` keys a decorated stratum by
-its set of split masks and names each flag by its far mask, as the library's
-fold does, so ``multiply`` is one set operation per rule.  The
+its set of split masks and names each flag by its far mask, as the fold
+there does, so ``multiply`` is one set operation per rule.  The
 oracle below is the vertex-numbered calculus that did this before: explicit
 vertices and edges, renumbered into a canonical vertex order after every
 refinement, with boundary products found by walking flag subsets at every
@@ -17,19 +17,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from term_calculus import ChowElement, DecoratedStratum, integrate, multiply, unit
+from term_calculus import (
+    ChowElement,
+    DecoratedStratum,
+    _fold_step,
+    _pair_final,
+    fold_product,
+    integrate,
+    multiply,
+    unit,
+)
 
 from strata0.intersection import (
     Boundary,
     DivisorExpression,
     Psi,
-    _fold_step,
-    _pair_final,
     _scaled_parts,
     product_number,
 )
@@ -372,6 +379,37 @@ def test_final_pairing_matches_last_fold_step(case):
         top = _fold_step(n, state, psis, bnds)
         elem = ChowElement(n, {DecoratedStratum(n, s, dec): c for (s, dec), c in top.items()})
         assert _pair_final(n, state, psis, bnds) == integrate(elem)
+
+
+@st.composite
+def repeated_kind_products(draw):
+    # fewer kinds than factors, so some kind repeats; each kind draws its
+    # boundary terms from a few splits, as in expression_products
+    n = draw(st.integers(5, 8))
+    bnds = [s for s in all_symbols(n) if isinstance(s, Boundary)]
+    pool = draw(st.lists(st.sampled_from(bnds), min_size=1, max_size=3, unique=True))
+    syms = pool + [Psi(i) for i in range(1, n + 1)]
+    coeff = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    kind = st.dictionaries(st.sampled_from(syms), coeff, min_size=1, max_size=3)
+    kinds = draw(st.lists(kind, min_size=1, max_size=min(3, n - 4)))
+    picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=n - 3, max_size=n - 3))
+    return n, [DivisorExpression(k) for k in kinds], picks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(repeated_kind_products())
+def test_grouped_kinds_match_fold_in_every_order(case):
+    # product_number groups equal factors into kinds; the value must be the
+    # fold's and the expansion's, and must not depend on where the repeats
+    # sit or on whether they are one object or equal copies
+    n, kinds, picks = case
+    factors = [kinds[i] for i in picks]
+    parts = [_scaled_parts(n, expr) for expr in factors]
+    den = prod(d for d, _, _ in parts)
+    value = product_number(n, factors)
+    assert value == F(fold_product(n, parts), den) == expand_product(n, factors)
+    for order in set(itertools.permutations(picks)):
+        assert product_number(n, [DivisorExpression(kinds[i].terms) for i in order]) == value
 
 
 def test_matches_multiply_chain():

@@ -19,9 +19,14 @@ trees) and the refusal at n = 10 that stops at the first tree in the ideal
 support.  The next is a nonzero ``volume`` at n = 8 with some ``k_i >= 0``
 (the walk's signature has volume 0), so a change of engine for such
 signatures shows in the digest; it has no tie split.  A second, ``volume
---json --d 3 --kappa=1,-1,-1,-1,-1,-1,-1,-1`` (value -40), runs the fold
-on 35 tie splits (``k_A = k_B = -3``); the benchmark's n = 8 ``volume`` is
-all-negative and never reaches the fold.  Eight ``intersect`` queries at
+--json --d 3 --kappa=1,-1,-1,-1,-1,-1,-1,-1`` (value -40), runs
+``product_number`` on 35 tie splits (``k_A = k_B = -3``); the benchmark's
+n = 8 ``volume`` is all-negative and never reaches ``product_number``.  A
+third, ``volume --json --d 18 --kappa=1,-5,-6,-9,-1,-8,-4,-1,-3`` (value
+-35642), takes ``product_number`` past n = 8: ``D_mu^6`` on M_{0,9} with
+eight distinct entries, which the per-vertex recursion answers in seconds
+and a breadth-first fold over global decorated strata in tens of seconds
+and over 600 MiB.  Eight ``intersect`` queries at
 n = 8 go past the benchmark's n = 7, all answered by the restriction
 recursion ``W`` (``form_psi_number``).  Two are on the signature of the
 first of those ``volume`` probes: the
@@ -95,8 +100,10 @@ PROBE_ARGV = [
     ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0", "--max-codim", "5"],
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5] + [-1] * 9)), "--max-codim", "7"],
     ["volume", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1"],
-    # the fold on 35 tie splits k_A = k_B = -3
+    # product_number on 35 tie splits k_A = k_B = -3
     ["volume", "--json", "--d", "3", "--kappa=1,-1,-1,-1,-1,-1,-1,-1"],
+    # D_mu^6 at n = 9 with some k_i >= 0 and distinct entries (value -35642)
+    ["volume", "--json", "--d", "18", "--kappa=1,-5,-6,-9,-1,-8,-4,-1,-3"],
     *(["intersect", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1", "--factors", f]
       for f in ("Dmu_psi,Dmu_psi,Dmu,psi_1,psi_2", "Dmu,Dmu_psi,D{1,5},psi_2,psi_3")),
     *(["intersect", "--json", "--d", "3", "--kappa=2,1,-1,-2,-2,-1,-1,-2", "--factors", f]
