@@ -106,9 +106,12 @@ def _split_with_positions(text: str, sep: str) -> list[tuple[int, str]]:
     return out
 
 
-def _marking_list(text: str, pos: int, n: int) -> frozenset[int]:
+def _marking_list(
+    text: str, pos: int, n: int, taken: frozenset[int] = frozenset()
+) -> frozenset[int]:
     """The markings of a comma-separated list found at offset ``pos``: ASCII
-    digits only, with no empty entry, no repeat and each in ``1..n``."""
+    digits only, with no empty entry, no repeat, none in ``taken`` (the
+    earlier groups') and each in ``1..n``."""
     marks: set[int] = set()
     for mpos, m in _split_with_positions(text, ","):
         if not re.fullmatch(r"[0-9]+", m):
@@ -118,6 +121,8 @@ def _marking_list(text: str, pos: int, n: int) -> frozenset[int]:
             raise SpecParseError(f"marking {i} is outside 1..{n}", pos + mpos)
         if i in marks:
             raise SpecParseError(f"marking {i} repeated in one group", pos + mpos)
+        if i in taken:
+            raise SpecParseError(f"marking {i} repeated across groups", pos + mpos)
         marks.add(i)
     return frozenset(marks)
 
@@ -155,10 +160,10 @@ def parse_tree_spec(
     if not tokens:
         raise SpecParseError("empty tree spec", 0)
     gpos, gtok = tokens[0]
-    groups = tuple(
-        _marking_list(piece, gpos + pos, n) if piece else frozenset()
-        for pos, piece in _split_with_positions(gtok, ";")
-    )
+    groups: tuple[frozenset[int], ...] = ()
+    for pos, piece in _split_with_positions(gtok, ";"):
+        taken = frozenset().union(*groups)
+        groups += (_marking_list(piece, gpos + pos, n, taken) if piece else frozenset(),)
     edges: list[tuple[int, int]] = []
     params: dict[tuple[int, int], tuple[int, Fraction]] = {}  # key -> (position, value)
     nv = len(groups)
@@ -196,14 +201,14 @@ def parse_tree_spec(
 def _read_tree(
     text: str, sig: Signature, chart: bool
 ) -> tuple[StableTree, dict[tuple[int, int], Fraction]]:
-    """The stable tree of a tree/chart spec, checked to carry ``n`` markings,
-    and its node parameters."""
+    """The stable tree of a tree/chart spec, checked to carry all ``n``
+    markings before it is built, and its node parameters."""
     groups, edges, params = parse_tree_spec(text, sig.n, chart)
-    tree = StableTree(groups, tuple(edges))
-    if tree.n != sig.n:
+    count = sum(map(len, groups))  # distinct markings in 1..n
+    if count != sig.n:
         what = "chart" if chart else "tree"
-        raise StrataError(f"{what} carries {tree.n} markings but n = {sig.n}")
-    return tree, params
+        raise StrataError(f"{what} carries {count} markings but n = {sig.n}")
+    return StableTree(groups, tuple(edges)), params
 
 
 _FACTOR_RE = re.compile(r"\s*(psi_([0-9]+)|D\{([^{}]*)\}|Dmu|Dmu_psi)\s*")

@@ -43,8 +43,10 @@ Three engines compute intersection numbers here:
   signature, E-nontrivial ones included.  It restricts the product to one
   ``D_S = M_{0,|A|+1} x M_{0,|B|+1}`` at a time, where ``D_mu`` restricts
   to the ``D_mu`` of the two smaller signatures plus ``(d + k_A) psi`` at
-  the node (Keel's genus-0 rules; the derivation is in its docstring), and
-  builds no decorated strata.  It is not a ``volume`` engine: its memo
+  the node (Keel's genus-0 rules), and builds no decorated strata.  One
+  step computes that restriction, for an explicit ``D_T`` factor and for
+  each ``D_S`` of a ``D_mu`` taken in the boundary form alike; the formula
+  is in its docstring.  It is not a ``volume`` engine: its memo
   grows with the distinct entries of ``kappa``, and on ``d = 30,
   kappa = (-1, .., -9, -15)`` (n = 10) it takes seconds where McMullen's
   sum takes milliseconds.
@@ -64,7 +66,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from strata0.intersection import Boundary, DivisorExpression, Psi, WrongDegree, product_number
 from strata0.strata import Signature, _leading_exceptional_terms, _p_hat_walk
@@ -143,19 +145,6 @@ def d_mu_psi_form(sig: Signature) -> DivisorExpression:
     return DivisorExpression({_symbol(sig.n, key): Fraction(c, 2) for key, _, c in _form_terms(sig) if c})
 
 
-def _node_terms(a: int, j: int, low: int, x: int, high: Callable[[int], int]) -> int:
-    """``C(a, j) low sum_{i=0..j} C(j, i) x^i high(i)``: ``(2 D)^a`` on a
-    boundary divisor, ``2 D = 2 D_A + x psi_p' + 2 D_B``, with ``j`` factors
-    on the A side, ``low`` the B side's number and ``high(i)`` the A side's
-    with ``psi_p'^i`` (see :func:`form_psi_number`)."""
-    if not low:
-        return 0
-    acc = high(0)
-    for i in range(1, j + 1 if x else 1):
-        acc += math.comb(j, i) * x**i * high(i)
-    return math.comb(a, j) * low * acc
-
-
 def form_psi_number(
     sig: Signature, psi_exponents: Sequence[int], boundaries: Sequence[Boundary] = ()
 ) -> Fraction:
@@ -178,39 +167,41 @@ def form_psi_number(
     marking), a crossing ``D_U`` to 0, and ``D_S|_{D_S} = -psi_p - psi_p'``.
     So the psi form restricts to ``D(kappa_B + [k_A])`` on the B side and
     to ``D(kappa_A + [k_B]) + (d + k_A) psi_p'`` on the A side, because
-    ``½ k_A - ½ k_B = d + k_A``.  Expanding ``(X_A + X_B)^a``, only the
-    degree split that fills both sides survives (:func:`_node_terms`).
+    ``½ k_A - ½ k_B = d + k_A``.  Take ``a`` factors ``D`` and ``r`` more
+    factors ``D_S`` on ``D_S``.  The ``D_S`` give ``(-1)^r sum_s C(r, s)
+    psi_p^s psi_p'^(r-s)``, and of ``(X_A + X_B)^a`` only the degree split
+    that fills both sides survives: with ``j`` factors ``D`` on the A side,
+    the restriction formula is
 
-    * With a ``D_T`` left, restrict to the first.  The product is 0 if
-      another ``D_U`` crosses ``T``.  Otherwise the ``r`` further copies of
-      ``D_T`` give ``(-1)^r sum_s C(r, s) psi_p^s psi_p'^(r-s)``, and with
-      ``j`` the number of ``D`` factors that fills the A side,
+        W = (-1)^r sum_s C(r, s) C(a, j) W_B(psi_p^s)
+                * sum_{i=0..j} C(j, i) (d + k_A)^i W_A(psi_p'^(r-s+i)),
 
-          W = (-1)^r sum_s C(r, s) C(a, j) W_B(psi_p^s)
-                  * sum_{i=0..j} C(j, i) (d + k_A)^i W_A(psi_p'^(r-s+i)).
+    where ``W_A`` and ``W_B`` carry their side's ``b`` and ``D_U``, and
+    ``j = |A| - 2 - b_A - (r - s)``, less one per ``D_U`` on the A side,
+    over ``0 <= j <= a``.  One step, ``on_node``, computes a term of the sum
+    over ``s``, and both entry paths of the recursion call it:
 
+    * With a ``D_T`` left, restrict to the first, ``S = T``.  The product is
+      0 if another ``D_U`` crosses ``T``; the further copies of ``D_T`` are
+      the ``r``, and the sum over ``s`` is taken here.
     * With none, ``a = 0`` gives ``W = (n-3)! / prod_i b_i!``.
     * With none and ``a >= 1``, take one factor in the boundary form,
-      ``D^a psi^b = sum_S c_S D_S (D|_{D_S})^(a-1) psi^b``: with
-      ``j = |A| - 2 - b_A`` and ``a - 1 - j = |B| - 2 - b_B``,
-
-          W = sum_S c_S C(a-1, j) W(kappa_B + [k_A], b_B + [0])
-                  * sum_{i=0..j} C(j, i) (d + k_A)^i W(kappa_A + [k_B], b_A + [i])
-
-      over the splits with ``c_S != 0``, ``j >= 0`` and ``a - 1 - j >= 0``
-      (which also make both sides stable).  On a tie ``k_A = k_B = -d`` the
-      A-side shift ``d + k_A`` is 0 and ``c_S`` is symmetric, so both
-      orientations give the same term and the split counts once.
+      ``D^a psi^b = sum_S c_S D_S D^(a-1) psi^b``.  Each term is the
+      formula's ``r = 0`` case, one step with ``a - 1`` factors ``D``, over
+      the splits with ``c_S != 0`` and ``0 <= j <= a - 1`` (which also make
+      both sides stable).  On a tie ``k_A = k_B = -d`` the A-side shift
+      ``d + k_A`` is 0 and ``c_S`` is symmetric, so both orientations give
+      the same term and the split counts once.
 
     The entries of the smaller tuples may be ``<= -d``, so the recursion
-    runs on raw ``(k_i, b_i)`` tuples, never on a :class:`Signature`.  It
-    works with ``U = 2^a W``, the number of the integral class
-    ``2 D(kappa)``, which is an integer: ``c_S (n-2)(n-1)`` is an integer,
-    each term gains the factor ``2^(1+i)``, and the sum over splits is
-    divided by ``(n-2)(n-1)`` exactly once per state.  With no ``D_T`` a
-    split is a sub-multiset of the ``(k_i, b_i)``, counted with binomial
-    weights, and a memo local to the call is keyed by the sorted multiset;
-    with some, the markings keep their places and the ``D_T`` are masks.
+    runs on raw ``(k_i, b_i)`` pairs, never on a :class:`Signature`, with
+    the ``D_U`` as masks over their places.  It works with ``U = 2^a W``,
+    the number of the integral class ``2 D(kappa)``, which is an integer:
+    ``c_S (n-2)(n-1)`` is an integer, each term gains the factor
+    ``2^(1+i)``, and the sum over splits is divided by ``(n-2)(n-1)``
+    exactly once per state.  With no ``D_T`` a split is a sub-multiset of
+    the pairs, counted with binomial weights, and a memo local to the call
+    is keyed by the sorted pairs.
     """
     n, d = sig.n, sig.d
     b = tuple(psi_exponents)
@@ -224,7 +215,52 @@ def form_psi_number(
             f"psi exponents and boundary factors sum to {n - 3 - top} > n - 3 = {n - 3}")
     memo: dict[tuple[tuple[int, int], ...], int] = {}
 
-    def scaled(state: tuple[tuple[int, int], ...]) -> int:
+    def on_node(a, j, k_a, side_a, e_a, us_a, side_b, e_b, us_b) -> int:
+        # U of the step on D_S: j of the a factors D on the A side, psi_p'^e_a
+        # and psi_p^e_b at the node
+        low = value(side_b + ((k_a, e_b),), us_b)
+        if not low:
+            return 0
+        k_b, x = -2 * d - k_a, 2 * (d + k_a)
+        acc = value(side_a + ((k_b, e_a),), us_a)
+        for i in range(1, j + 1 if x else 1):
+            acc += math.comb(j, i) * x**i * value(side_a + ((k_b, e_a + i),), us_a)
+        return math.comb(a, j) * low * acc
+
+    def value(state: tuple[tuple[int, int], ...], bnds: tuple[int, ...]) -> int:
+        # U of the product over the (k_i, b_i) of state with D_U for each mask U in bnds
+        if bnds:
+            m = len(state)
+            t, full = bnds[0], (1 << m) - 1
+            k_t = sum(k for i, (k, _) in enumerate(state) if t >> i & 1)
+            big = t if k_t >= -d else full ^ t  # the side A = I0
+            held: tuple[list[int], list[int]] = ([], [])  # the other D_U on A and on B
+            r = 0  # further copies of D_T
+            for u in bnds[1:]:
+                if u in (t, full ^ t):
+                    r += 1
+                    continue
+                x = next((x for x in (u, full ^ u) if x & big in (0, x)), None)
+                if x is None:
+                    return 0  # D_U crosses D_T
+                held[0 if x & big else 1].append(x)
+            sides = []
+            for half, us in ((big, held[0]), (full ^ big, held[1])):
+                places = [i for i in range(m) if half >> i & 1]
+                sides.append((tuple(state[i] for i in places),
+                              tuple(sum(1 << q for q, i in enumerate(places) if x >> i & 1) for x in us)))
+            (side_a, us_a), (side_b, us_b) = sides
+            a = m - 3 - sum(p for _, p in state) - len(bnds)
+            j0 = len(side_a) - 2 - sum(p for _, p in side_a) - len(us_a)
+            k_a = max(k_t, -2 * d - k_t)
+            total = 0
+            for s in range(r + 1):  # psi_p^s on the B side, psi_p'^(r-s) on the A side
+                j = j0 - r + s
+                if 0 <= j <= a:
+                    total += math.comb(r, s) * on_node(
+                        a, j, k_a, side_a, r - s, us_a, side_b, s, us_b)
+            return -total if r & 1 else total
+        state = tuple(sorted(state))
         got = memo.get(state)
         if got is not None:
             return got
@@ -246,58 +282,20 @@ def form_psi_number(
                     for size, k_a, b_a, w, side_a, side_b in subs for s in range(cnt + 1)]
         total = 0
         for size, k_a, b_a, weight, side_a, side_b in subs:
-            k_b = -2 * d - k_a
             j = size - 2 - b_a
-            if k_a < k_b or j < 0 or j >= a:
+            if k_a < -d or j < 0 or j >= a:
                 continue
             c = _split_coefficient(m, d, k_a, size)
             if not c:
                 continue
-            term = _node_terms(a - 1, j, scaled(tuple(sorted(side_b + ((k_a, 0),)))), 2 * (d + k_a),
-                               lambda i: scaled(tuple(sorted(side_a + ((k_b, i),)))))
             # a tie is met in both orientations: count it half
-            total += (1 if k_a == k_b else 2) * weight * c * term
+            total += ((1 if k_a == -d else 2) * weight * c
+                      * on_node(a - 1, j, k_a, side_a, 0, (), side_b, 0, ()))
         out = total // ((m - 2) * (m - 1))
         memo[state] = out
         return out
 
-    def restricted(ks: tuple[int, ...], bs: tuple[int, ...], bnds: tuple[int, ...]) -> int:
-        # U of the product with D_U for each mask U over the places of ks
-        if not bnds:
-            return scaled(tuple(sorted(zip(ks, bs))))
-        m, t = len(ks), bnds[0]
-        full = (1 << m) - 1
-        k_t = sum(k for i, k in enumerate(ks) if t >> i & 1)
-        big = t if k_t >= -d else full ^ t  # the side A = I0
-        k_a = max(k_t, -2 * d - k_t)
-        held: tuple[list[int], list[int]] = ([], [])  # the other D_U on A and on B
-        r = 0  # further copies of D_T
-        for u in bnds[1:]:
-            if u in (t, full ^ t):
-                r += 1
-                continue
-            x = next((x for x in (u, full ^ u) if x & big in (0, x)), None)
-            if x is None:
-                return 0  # D_U crosses D_T
-            held[0 if x & big else 1].append(x)
-        sides = []
-        for half, us, k_node in ((big, held[0], -2 * d - k_a), (full ^ big, held[1], k_a)):
-            places = [i for i in range(m) if half >> i & 1]
-            sides.append((tuple(ks[i] for i in places) + (k_node,),
-                          tuple(bs[i] for i in places),
-                          tuple(sum(1 << q for q, i in enumerate(places) if x >> i & 1) for x in us)))
-        (ks_a, bs_a, us_a), (ks_b, bs_b, us_b) = sides
-        a = m - 3 - sum(bs) - len(bnds)
-        total = 0
-        for s in range(r + 1):  # psi_p^s on the B side, psi_p'^(r-s) on the A side
-            j = len(ks_a) - 3 - sum(bs_a) - len(us_a) - (r - s)
-            if 0 <= j <= a:
-                low = restricted(ks_b, bs_b + (s,), us_b)
-                total += (-1) ** r * math.comb(r, s) * _node_terms(
-                    a, j, low, 2 * (d + k_a), lambda i: restricted(ks_a, bs_a + (r - s + i,), us_a))
-        return total
-
-    return Fraction(restricted(sig.kappa, b, tuple(t.key for t in boundaries)), 2**top)
+    return Fraction(value(tuple(zip(sig.kappa, b)), tuple(t.key for t in boundaries)), 2**top)
 
 
 def blowup_is_trivial(sig: Signature) -> bool:

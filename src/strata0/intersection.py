@@ -85,10 +85,19 @@ class Psi:
 
 @dataclass(frozen=True)
 class Boundary:
-    """Boundary divisor of a two-block split, stored as the side holding marking 1."""
+    """Boundary divisor of a two-block split, stored as the side holding
+    marking 1; the constructor refuses a key that is not such a side with at
+    least 2 markings on each side of ``1..n``."""
 
     n: int
     key: int  # bitmask of the side containing marking 1
+
+    def __post_init__(self) -> None:
+        full = (1 << self.n) - 1
+        if not (self.key & 1 and self.key & full == self.key
+                and self.key.bit_count() >= 2 and (full ^ self.key).bit_count() >= 2):
+            raise ValueError(f"boundary key {self.key:#b} is not the side holding marking 1 "
+                             f"of a split of 1..{self.n} with both sides >= 2 markings")
 
     @staticmethod
     def of(n: int, side: Iterable[int]) -> "Boundary":
@@ -328,8 +337,6 @@ def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
     factor order.
     """
     _check_factor_count(n, len(factors))
-    if n == 3:
-        return Fraction(1)
     exprs: list[DivisorExpression] = []
     counts: list[int] = []
     for expr in factors:

@@ -256,7 +256,12 @@ class TestExitCodes:
           "marking 7 is outside 1..6 (at position 12)"),
          (("verify-family", "--chart", "1,2,3;4,5,9 0-1"),
           "marking 9 is outside 1..6 (at position 10)"),
-         (("principal", "--tree", "1,2,3;4,5 0-1"), "tree carries 5 markings but n = 6")],
+         (("principal", "--tree", "1,2,3;4,5 0-1"), "tree carries 5 markings but n = 6"),
+         # a missing marking below n is counted, not read as n - 1 markings
+         (("principal", "--tree", "1,2,3;4,6 0-1"), "tree carries 5 markings but n = 6"),
+         (("verify-family", "--chart", "1,3;4,5,6 0-1"), "chart carries 5 markings but n = 6"),
+         (("principal", "--tree", "1,2,3;3,4,5,6 0-1"),
+          "marking 3 repeated across groups (at position 6)")],
     )
     def test_tree_marking_outside_range_is_2(self, capsys, argv, message):
         got = run(capsys, argv[0], "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", *argv[1:])

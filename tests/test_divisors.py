@@ -563,6 +563,23 @@ class TestFormPsiNumber:
             value = product_number(sig.n, _form_psi_factors(sig, b, random.Random(0)))
         assert form_psi_number(sig, b) == value
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_boundary_form_expansion_is_the_restriction_step(self, n):
+        # W's two entry paths share one step: one D expanded in the boundary
+        # form must equal the sum of the restrictions to the D_S it names
+        rng = random.Random(f"form-psi-step:{n}")
+        nontrivial = 0
+        for sig in _grid(n):
+            b = [0] * n
+            for _ in range(rng.randrange(n - 3)):  # a >= 1
+                b[rng.randrange(n)] += 1
+            expanded = sum(
+                F(c, (n - 2) * (n - 1)) * form_psi_number(sig, b, [divisors_mod._symbol(n, key)])
+                for key, c, _ in divisors_mod._form_terms(sig) if type(key) is not int and c)
+            assert form_psi_number(sig, b) == expanded, (sig.d, sig.kappa, b)
+            nontrivial += not blowup_is_trivial(sig)
+        assert nontrivial
+
     @pytest.mark.parametrize("n", [9, 10])
     def test_matches_partition_sum_beyond_the_fold(self, n):
         checked = 0

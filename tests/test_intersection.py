@@ -187,6 +187,15 @@ class TestProductNumber:
         with pytest.raises(ValueError, match="^boundary symbol for the wrong n$"):
             product_number(5, [D(6, {1, 2}), P(1)])
 
+    @pytest.mark.parametrize("key", [0b11100, 0b1, 0b1111, 0b100011, -0b11])
+    def test_invalid_boundary_key_is_refused(self, key):
+        # keys Boundary.of never makes: {1,2}|{3,4,5} keyed by its far side,
+        # a one-marking side on either end, a bit beyond n, a negative key.
+        # When the constructor took any int, product_number gave D^2 = 0 or 1
+        # on each, never the -1 of a split of n = 5
+        with pytest.raises(ValueError, match=r"^boundary key -?0b[01]+ is not the side holding"):
+            Boundary(5, key)
+
     def test_final_pairing_rejects_wrong_slack(self):
         # the n = 5 fundamental class has two units of slack, not one
         with pytest.raises(RuntimeError, match="internal error"):
