@@ -20,11 +20,14 @@ the ratio of any two rescaled candidates is a constant of the chart data,
 All verification here is by exact evaluation at random rational points of the
 curve, with retry on degenerate draws: an identity of rational functions that
 holds at a generic exact sample holds identically.  A point is carried across
-the nodes by one propagation walk, shared by the marked sections and the
-sampled points; the path between two components is read off the parent table
-of the :class:`~strata0.strata.StableTree`.  A draw is generic when, on every
-component, it avoids that component's special points (its marking and node
-coordinates), one set lookup per component against a set cached on the chart.
+the nodes by one propagation walk over the chart's node coordinates, shared
+by the marked sections and the sampled points; the path between two
+components is read off the parent table of the
+:class:`~strata0.strata.StableTree`.  The sections are read into one table
+per component, built on first use and cached on the chart: its special
+points (its marking and node coordinates) and its finite markings.  A draw
+is generic when, on every component, it avoids that component's special
+points, one set lookup per component.
 
 ``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as integer
 numerator/denominator pairs, with no gcd per factor: at ``z = p/q`` a finite
@@ -98,6 +101,8 @@ class _Infinity:
 
 INF = _Infinity()
 Coord = Fraction | _Infinity
+Row = tuple[int, int, int, int]  # (i, r, s, k_i) of a finite marking a_ji = r/s
+Frame = tuple[frozenset[Coord], tuple[Row, ...]]
 
 DEFAULT_SEED = 20237
 
@@ -141,18 +146,20 @@ class LocalChart:
     node_coords: dict[int, dict[int, Fraction]]
     seed: int | None = None
     _coords_cache: dict[int, tuple[Coord, ...]] = field(default_factory=dict, repr=False)
-    _special_cache: tuple[frozenset[Coord], ...] = field(default=(), repr=False)
+    _frames_cache: tuple[Frame, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         edges = set(self.tree.edges)
         if set(self.node_params) != edges:
             raise StrataError("need exactly one node parameter per edge")
         for j in range(self.tree.num_vertices):
-            special: list[Coord] = list(self.mark_coords.get(j, {}).values())
-            nodes = self.node_coords.get(j, {})
+            if j not in self.node_coords or j not in self.mark_coords:
+                raise StrataError(f"vertex {j}: need an entry in node_coords and in mark_coords")
+            special: list[Coord] = list(self.mark_coords[j].values())
+            nodes = self.node_coords[j]
             if set(nodes) != set(self.tree.neighbors(j)):
                 raise StrataError(f"vertex {j}: need one node coordinate per neighbor")
-            if set(self.mark_coords.get(j, {})) != set(self.tree.vertex_marks[j]):
+            if set(self.mark_coords[j]) != set(self.tree.vertex_marks[j]):
                 raise StrataError(f"vertex {j}: need one coordinate per marking")
             special += list(nodes.values())
             finite = [c for c in special if c is not INF]
@@ -269,17 +276,17 @@ def build_codim2_chart(
 
 def _spread(chart: LocalChart, start: int, x: Coord) -> tuple[Coord, ...]:
     """Coordinates on every component of the point at ``x`` on component
-    ``start``, pushed through the node relations by a search from ``start``;
-    raises :class:`DenominatorVanishes` where a relation is undefined."""
+    ``start``, pushed through the node relations by a search from ``start``
+    over the node coordinates (their keys are the neighbors); raises
+    :class:`DenominatorVanishes` where a relation is undefined."""
     coords: dict[int, Coord] = {start: x}
     stack = [start]
     while stack:
         cur = stack.pop()
-        for nxt in chart.tree.neighbors(cur):
+        for nxt, b_near in chart.node_coords[cur].items():
             if nxt not in coords:
                 coords[nxt] = _propagate(
-                    coords[cur], chart.node_coords[cur][nxt], chart.node_coords[nxt][cur],
-                    chart.t(cur, nxt),
+                    coords[cur], b_near, chart.node_coords[nxt][cur], chart.t(cur, nxt)
                 )
                 stack.append(nxt)
     return tuple(coords[j] for j in range(chart.tree.num_vertices))
@@ -298,16 +305,24 @@ def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     return chart._coords_cache[i]
 
 
-def _special_points(chart: LocalChart) -> tuple[frozenset[Coord], ...]:
-    """Per component, its marking coordinates (as the sections see them, so
-    possibly ``INF``) and node coordinates; built once per chart."""
-    if not chart._special_cache:
-        marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
-        chart._special_cache = tuple(
-            frozenset([a[j] for a in marks] + list(chart.node_coords[j].values()))
-            for j in range(chart.tree.num_vertices)
-        )
-    return chart._special_cache
+def _frames(chart: LocalChart) -> tuple[Frame, ...]:
+    """Per component ``j``: its special points, the marking coordinates as the
+    sections see them (so possibly ``INF``) and its node coordinates; and its
+    finite markings ``(i, r, s, k_i)`` with ``a_{ji} = r/s``, in order of ``i``.
+    Built on first use, so a section that does not exist raises there."""
+    if not chart._frames_cache:
+        sections = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
+        frames = []
+        for j in range(chart.tree.num_vertices):
+            coords = [a[j] for a in sections]
+            rows = tuple(
+                (i, a.numerator, a.denominator, k)
+                for i, (a, k) in enumerate(zip(coords, chart.sig.kappa), start=1)
+                if a is not INF
+            )
+            frames.append((frozenset(coords + list(chart.node_coords[j].values())), rows))
+        chart._frames_cache = tuple(frames)
+    return chart._frames_cache
 
 
 def sample_curve_point(
@@ -327,7 +342,7 @@ def sample_curve_point(
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
     _check_vertices(chart.tree, base, *check)
-    special = _special_points(chart)
+    special = [points for points, _ in _frames(chart)]
     for _ in range(_SAMPLE_DRAWS):
         try:
             z = _spread(chart, base, _rand_rational(rng))
@@ -338,21 +353,9 @@ def sample_curve_point(
     raise DenominatorVanishes("no valid sample point found; chart too degenerate")
 
 
-def _frame_marks(chart: LocalChart, j: int) -> list[tuple[int, int, int, int]]:
-    """``(i, r, s, k_i)`` for every marking ``i`` finite in frame ``j``,
-    with ``a_{ji} = r/s``, in order of ``i``."""
-    kappa = chart.sig.kappa
-    out = []
-    for i in range(1, chart.sig.n + 1):
-        a = marked_point_coords(chart, i)[j]
-        if a is not INF:
-            out.append((i, a.numerator, a.denominator, kappa[i - 1]))
-    return out
-
-
-def _phi_pair(j: int, marks: Sequence[tuple[int, int, int, int]], z: Coord) -> tuple[int, int]:
+def _phi_pair(j: int, marks: Sequence[Row], z: Coord) -> tuple[int, int]:
     """``Phi_j`` at ``z`` as an integer pair ``(num, den)``, not reduced and
-    with a denominator of either sign; ``marks`` is :func:`_frame_marks`."""
+    with a denominator of either sign; ``marks`` are rows of :func:`_frames`."""
     if z is INF:
         raise PoleHit("sample point at infinity; use a finite draw")
     p, q = z.numerator, z.denominator
@@ -379,7 +382,7 @@ def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> Fraction:
     product and raises :class:`PoleHit`.
     """
     _check_vertices(chart.tree, j)
-    return Fraction(*_phi_pair(j, _frame_marks(chart, j), point[j]))
+    return Fraction(*_phi_pair(j, _frames(chart)[j][1], point[j]))
 
 
 def beta_monomial(chart: LocalChart, j: int) -> Fraction:
@@ -411,15 +414,10 @@ def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> tuple[int, in
     to ``F`` keeps every factor nonzero.
     """
     on_j = chart.tree.far_marks(k, j)  # NoSuchEdge unless adjacent
-    kappa = chart.sig.kappa
-    marks_j: list[tuple[int, int, int, int]] = []
-    marks_k: list[tuple[int, int, int, int]] = []
-    for i in range(1, chart.sig.n + 1):
-        a = marked_point_coords(chart, i)
-        if a[j] is INF or a[k] is INF:
-            continue
-        h, marks = (j, marks_j) if i in on_j else (k, marks_k)
-        marks.append((i, a[h].numerator, a[h].denominator, kappa[i - 1]))
+    rows_j, rows_k = _frames(chart)[j][1], _frames(chart)[k][1]
+    both = {row[0] for row in rows_j} & {row[0] for row in rows_k}
+    marks_j = [row for row in rows_j if row[0] in both and row[0] in on_j]
+    marks_k = [row for row in rows_k if row[0] in both and row[0] not in on_j]
     num_j, den_j = _phi_pair(j, marks_j, chart.node_coords[j][k])
     num_k, den_k = _phi_pair(k, marks_k, chart.node_coords[k][j])
     return (-1) ** chart.sig.d * num_j * den_k, den_j * num_k
@@ -476,7 +474,7 @@ def section_in_frame(
     """Value of the rescaled section ``t^{beta_j} Phi_j`` in the frame of
     component ``frame`` at a sample point."""
     _check_vertices(chart.tree, frame, j)
-    phi_num, phi_den = _phi_pair(j, _frame_marks(chart, j), point[j])
+    phi_num, phi_den = _phi_pair(j, _frames(chart)[j][1], point[j])
     jac_num, jac_den = _jacobian_pair(_path_steps(chart, j, frame), point)
     d = chart.sig.d
     return beta_monomial(chart, j) * Fraction(phi_num * jac_num ** d, phi_den * jac_den ** d)
@@ -509,7 +507,7 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
     rng = make_sampler(chart.seed)
     c = ratio_constant(chart, j, k) * beta_monomial(chart, k) / beta_monomial(chart, j)
     c_num, c_den = c.numerator, c.denominator
-    marks_j, marks_k = _frame_marks(chart, j), _frame_marks(chart, k)
+    marks_j, marks_k = _frames(chart)[j][1], _frames(chart)[k][1]
     steps = _path_steps(chart, j, k)
     d = chart.sig.d
     for _ in range(samples):

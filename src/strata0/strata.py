@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -144,6 +145,9 @@ class Signature:
     kappa: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for i, v in enumerate((self.d, *self.kappa)):
+            if not isinstance(v, int):
+                raise _not_integer(i, v)
         if self.d < 2:
             raise BadD(f"d must be >= 2, got {self.d}")
         if len(self.kappa) < 3:
@@ -168,13 +172,25 @@ class Signature:
         return Signature(self.d, tuple(new))
 
 
+def _not_integer(i: int, v: object) -> StrataError:
+    """The refusal of entry ``i`` of ``(d, *kappa)``, which is not an integer."""
+    return StrataError(f"{f'k_{i}' if i else 'd'} = {v!r} is not an integer")
+
+
 def validate_signature(d: int, kappa: Sequence[int]) -> Signature:
     """Validate ``(d, kappa)`` and return the signature.
 
     Raises :class:`BadD`, :class:`TooFewMarks`, :class:`EntryTooSmall` or
-    :class:`SumMismatch` on invalid input.
+    :class:`SumMismatch` on invalid input, and :class:`StrataError` on a
+    value that is not an integer (``2.7`` is refused, not truncated).
     """
-    return Signature(int(d), tuple(int(k) for k in kappa))
+    values = []
+    for i, v in enumerate((d, *kappa)):
+        try:
+            values.append(operator.index(v))
+        except TypeError:
+            raise _not_integer(i, v) from None
+    return Signature(values[0], tuple(values[1:]))
 
 
 def bundle_rank(sig: Signature) -> int:
@@ -418,12 +434,22 @@ class StableTree:
         masks of the side holding marking 1 (bit ``i-1`` is marking ``i``).
         Vertex 0 holds marking 1; the numbering depends only on the set."""
         key = tuple(sorted(splits))
+        full = (1 << n) - 1
+        for a, k in enumerate(key):
+            if k != k & full:
+                raise StrataError(f"split {k:#b} has a marking outside 1..{n}")
+            if not k & 1:
+                raise StrataError(f"split {k:#b} does not hold marking 1")
+            if not 2 <= k.bit_count() <= n - 2:
+                raise StrataError(f"split {k:#b} leaves fewer than 2 markings on a side")
+            for m in key[:a]:
+                if m == k:
+                    raise StrataError(f"split {k:#b} given twice")
+                if m & k != m and k | m != full:  # m < k, so k is not inside m
+                    raise StrataError(f"splits {m:#b} and {k:#b} cross")
         _, parent, own = _laminar(n, key)
         marks = tuple(frozenset(_mask_marks(m)) for m in own)
-        tree = StableTree(marks, tuple((parent[j], j) for j in range(1, len(own))))
-        if tree.canonical_key() != key:
-            raise StrataError("splits must be distinct, pairwise compatible and hold marking 1")
-        return tree
+        return StableTree(marks, tuple((parent[j], j) for j in range(1, len(own))))
 
     @property
     def n(self) -> int:

@@ -2,8 +2,9 @@
 
 These are the plain ``Fraction`` forms of ``Phi_j``, the frame change
 ``dz_j/dz_k``, the rescaled section and the ratio constant ``f_jk`` (with
-its own sign bookkeeping), and the sampler that tests each special point of
-a component by its own ``!=``.  ``local_family`` computes the same values as
+its own sign bookkeeping), the propagation of a point to every component
+along its own path, and the sampler that tests each special point of a
+component by its own ``!=``.  ``local_family`` computes the same values as
 integer numerator/denominator pairs and tests genericity by one set lookup
 per component.  Draws and propagation go through the
 module attributes of ``local_family``, so a test that patches
@@ -20,6 +21,19 @@ from strata0.local_family import (
     beta_monomial,
     marked_point_coords,
 )
+
+
+def spread(chart, start, x):
+    """The point at ``x`` on component ``start``, on each component ``v``:
+    ``_propagate`` folded along ``chart.path(start, v)``, one path at a time."""
+    out = []
+    for v in range(chart.tree.num_vertices):
+        path = chart.path(start, v)
+        z = x
+        for a, b in zip(path, path[1:]):
+            z = lf._propagate(z, chart.node_coords[a][b], chart.node_coords[b][a], chart.t(a, b))
+        out.append(z)
+    return tuple(out)
 
 
 def sample_curve_point(chart, rng, base=0, check_vertices=None):

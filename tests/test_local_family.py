@@ -364,7 +364,7 @@ def test_integer_path_matches_fraction_oracle(case, seed, pin):
     frames = range(tree.num_vertices)
     for z in points:
         for j in frames:
-            marks = local_family._frame_marks(chart, j)
+            marks = local_family._frames(chart)[j][1]
             expect = _outcome(oracle.evaluate_phi, chart, j, z)
             assert _outcome(lambda: F(*local_family._phi_pair(j, marks, z[j]))) == expect
             assert _outcome(evaluate_phi, chart, j, z) == expect
@@ -376,6 +376,28 @@ def test_integer_path_matches_fraction_oracle(case, seed, pin):
                 assert _outcome(section_in_frame, chart, j, z, k) == _outcome(
                     oracle.section_in_frame, chart, j, z, k
                 )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed_trees(), st.integers(0, 2 ** 16), st.booleans(), st.data())
+def test_spread_matches_path_fold(case, seed, pin, data):
+    # _spread walks the node coordinates out from the start; the oracle folds
+    # _propagate along chart.path to each component on its own.  From every
+    # component: a random draw, INF, and each marking and node coordinate
+    # there, on a smooth chart and with one node parameter 0, where a point
+    # on the pinched node raises in both
+    sig, tree = case
+    pinch = data.draw(st.sampled_from(tree.edges))
+    rng = make_sampler(seed + 1)
+    for params in (None, {pinch: F(0)}):
+        chart = build_chart(sig, tree, params, seed=seed, pin=pin)
+        for s in range(tree.num_vertices):
+            xs = [local_family._rand_rational(rng), INF, *chart.mark_coords[s].values(),
+                  *chart.node_coords[s].values()]
+            for x in xs:
+                assert _outcome(local_family._spread, chart, s, x) == _outcome(
+                    oracle.spread, chart, s, x
+                ), (s, x)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -517,6 +539,12 @@ class TestErrorMessages:
                                {0: {1: F(0), 2: F(1)}, 1: {4: F(0), 5: F(1), 6: F(2)}},
                                {0: {1: F(5)}, 1: {0: F(6)}}),
             StrataError, r"^vertex 0: need one coordinate per marking$",
+        ),
+        "no node-coordinate entry": (
+            lambda: LocalChart(validate_signature(2, [-1] * 4),
+                               StableTree((frozenset({1, 2, 3, 4}),), ()), {},
+                               {0: {1: F(0), 2: F(1), 3: F(2), 4: INF}}, {}),
+            StrataError, r"^vertex 0: need an entry in node_coords and in mark_coords$",
         ),
         "home of an unknown marking": (
             lambda: build_codim2_chart(SIG_C, BLOCKS_C, seed=8).home_vertex(99),

@@ -86,6 +86,17 @@ class TestSignature:
         with pytest.raises(TooFewMarks):
             validate_signature(3, [-3, -3])
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [(lambda: Signature(2.5, (-1,) * 5), r"^d = 2\.5 is not an integer$"),
+         (lambda: validate_signature(2.7, [-1] * 4), r"^d = 2\.7 is not an integer$"),
+         (lambda: Signature(2, (-1.0, -1, -1, -1)), r"^k_1 = -1\.0 is not an integer$")],
+    )
+    def test_non_integers_refused(self, call, message):
+        # int() would truncate 2.7 to 2 and accept the signature of d = 2
+        with pytest.raises(StrataError, match=message):
+            call()
+
     def test_n3_accepted(self):
         sig = validate_signature(3, [-2, -2, -2])
         assert sig.n == 3

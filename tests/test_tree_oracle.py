@@ -316,15 +316,23 @@ def test_canonical_key_under_renumbering_and_relabeling(tree, data):
     )
 
 
+BAD_SPLITS = [
+    ([0b000111, 0b001011], r"^splits 0b111 and 0b1011 cross$"),  # {1,2,3}, {1,2,4}
+    ([0b000110], r"^split 0b110 does not hold marking 1$"),
+    ([0b000011, 0b000011], r"^split 0b11 given twice$"),
+    ([0b011111], r"^split 0b11111 leaves fewer than 2 markings on a side$"),  # far side {6}
+    ([0b001011, 0b000111], r"^splits 0b111 and 0b1011 cross$"),  # in either order
+    ([0b000001], r"^split 0b1 leaves fewer than 2 markings on a side$"),
+    ([0b1000011], r"^split 0b1000011 has a marking outside 1\.\.6$"),
+    ([-0b11], r"^split -0b11 has a marking outside 1\.\.6$"),
+]
+
+
 @pytest.mark.parametrize(
-    "splits",
-    [[0b000111, 0b001011],  # {1,2,3} and {1,2,4} cross
-     [0b000110],  # does not hold marking 1
-     [0b000011, 0b000011],  # repeated
-     [0b011111]],  # far side of one marking
+    "splits,message", BAD_SPLITS, ids=[f"splits{i}" for i in range(len(BAD_SPLITS))]
 )
-def test_from_splits_rejects_bad_sets(splits):
-    with pytest.raises(StrataError):
+def test_from_splits_rejects_bad_sets(splits, message):
+    with pytest.raises(StrataError, match=message):
         StableTree.from_splits(6, splits)
 
 
