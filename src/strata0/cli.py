@@ -5,8 +5,13 @@ comma-separated list of signed integers) and prints either a table (default)
 or machine-readable JSON (``--json``).  Payloads hold rationals as
 :class:`~fractions.Fraction`, which :func:`_json` writes as exact numerator
 and denominator strings; partitions are arrays of arrays of 1-based markings
-with the light block first.  Identical invocations produce byte-identical
-output.
+with the light block first.  The ``boundary``, ``phat``, ``exceptional``
+and ``divisor`` commands keep the walk's rows as plain tuples of block masks
+and integers (a :class:`_Rows` array): ``_json`` writes them through one
+row writer, only when it encodes the payload.  The writer and the tables
+decode each distinct mask once, into a dict that lives for that one
+encoding or table.
+Identical invocations produce byte-identical output.
 
 Tree and chart specs share a mini-format: the first token lists the vertex
 marking groups joined by ``;`` (``1,2;3,4;5,6``; an empty group is allowed),
@@ -33,12 +38,14 @@ the only parser from it at import, and :func:`main` parses every call with it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from strata0 import strata
 from strata0.divisors import (
@@ -251,26 +258,103 @@ def parse_factors(text: str, sig: Signature) -> tuple[list[int], list[Boundary]]
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json(value, indent: str = "\n") -> str:
+class _Rows(tuple):
+    """A JSON array of objects kept as plain tuples, ``_Rows(*groups)``, each
+    group ``(fields, rows)`` written after the one before.  ``fields`` names the
+    entries of every row tuple of its group, in tuple order, each with how it
+    is written: ``"blocks"`` for a tuple of marking masks (an array of arrays
+    of markings), an ``int`` ``den`` for an integer numerator over ``den``
+    (a rational) and ``None`` for a value :func:`_json` writes as it is."""
+
+    def __new__(cls, *groups: tuple[tuple[tuple[str, object], ...], Sequence[tuple]]):
+        return super().__new__(cls, groups)
+
+
+class _MaskTexts(dict):
+    """Mask -> ``fmt`` of its markings (in increasing order), each decoded
+    and formatted on first use.  Only a local of one encoding or one table
+    holds one, so none outlives the call that filled it."""
+
+    def __init__(self, fmt: Callable[[tuple[int, ...]], str]):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = self.fmt(strata._mask_marks(mask))
+        return text
+
+
+def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> str:
+    """:func:`_json` of a :class:`_Rows` array at ``indent``: each row in the
+    layout ``_json`` gives the dict of its fields, from one template per
+    group whose field names are sorted once, each rational reduced by one
+    gcd, and each block read from ``mask_texts[indent]``, the mask ->
+    encoded block table that this encoding shares among its arrays at that
+    indent (both forms of ``divisor`` hold the same splits)."""
+    inner = indent + "  "  # a row
+    field = inner + "  "  # its fields
+    block = field + "  "  # the blocks of a "blocks" field, and a rational's den and num
+    mark = block + "  "  # the markings of a block
+    texts = mask_texts.get(indent)
+    if texts is None:
+        texts = mask_texts[indent] = _MaskTexts(
+            lambda marks: "[" + mark + ("," + mark).join(map(str, marks)) + block + "]")
+    between = "," + block
+
+    def blocks(masks: Sequence[int]) -> str:
+        return "[" + block + between.join(map(texts.__getitem__, masks)) + field + "]"
+
+    def column(kind, values: Iterator) -> Iterator[str]:
+        if kind == "blocks":
+            return map(blocks, values)
+        if kind is None:
+            return map(_json, values, itertools.repeat(field), itertools.repeat(mask_texts))
+        rational = "{" + block + '"den": "%d",' + block + '"num": "%d"' + field + "}"
+
+        def lowest_terms(num: int) -> str:
+            g = math.gcd(num, kind)
+            return rational % (kind // g, num // g)
+
+        return map(lowest_terms, values)
+
+    items: list[str] = []
+    for fields, rows in value:
+        order = sorted(range(len(fields)), key=lambda i: fields[i][0])
+        template = "{" + ",".join(field + _encode_str(fields[i][0]) + ": %s" for i in order) + inner + "}"
+        columns = [column(fields[i][1], map(operator.itemgetter(i), rows)) for i in order]
+        items += map(template.__mod__, zip(*columns))
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _json(value, indent: str = "\n", mask_texts: dict[str, _MaskTexts] | None = None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     values whose dict keys are strings, with each :class:`Fraction` written
     as the object ``{"den": "<d>", "num": "<n>"}`` so no rational is lost to
     floating point.  The standard library skips its C encoder once
     ``indent`` is set, and its pure-Python one was most of a ``blowup``
     query; this writes dicts (keys sorted), lists and tuples itself, a list
-    of plain ints in one join, and leaves floats and any other leaf to
-    ``json.dumps``.  ``indent`` is the newline and indent of the current
-    level."""
+    of plain ints in one join, a :class:`_Rows` array through the row writer
+    :func:`_rows_json` (the same bytes as its rows written as dicts, with no
+    dict built), and leaves floats and any other leaf to ``json.dumps``.
+    ``indent`` is the newline and indent of the current level;
+    ``mask_texts`` holds the row writer's block tables, by indent, and the
+    outermost call makes it, so it lives for that one encoding."""
+    if mask_texts is None:
+        mask_texts = {}
     t = type(value)
     if t is str:
         return _encode_str(value)
     if t is int:
         return int.__repr__(value)
+    if t is _Rows:
+        return _rows_json(value, indent, mask_texts)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        items = [_encode_str(k) + ": " + _json(v, inner, mask_texts) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -279,10 +363,10 @@ def _json(value, indent: str = "\n") -> str:
         if set(map(type, value)) == {int}:
             items = map(int.__repr__, value)
         else:
-            items = [_json(x, inner) for x in value]
+            items = [_json(x, inner, mask_texts) for x in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if t is Fraction:
-        return _json({"den": str(value.denominator), "num": str(value.numerator)}, indent)
+        return _json({"den": str(value.denominator), "num": str(value.numerator)}, indent, mask_texts)
     if value is None:
         return "null"
     if t is bool:
@@ -306,8 +390,17 @@ def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
     sys.stdout.write(text if args.json else "\n".join(table()) + "\n")
 
 
-def _fmt_blocks(blocks: Sequence[Sequence[int]]) -> str:
-    return " | ".join(",".join(map(str, b)) for b in blocks)
+def _block_texts() -> Callable[[Sequence[int]], str]:
+    """A table's writer of block masks, ``1,2 | 3,4``, reading each block
+    from a mask -> text table local to the table's call."""
+    texts = _MaskTexts(lambda marks: ",".join(map(str, marks)))
+    return lambda masks: " | ".join(map(texts.__getitem__, masks))
+
+
+def _rational_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, with no ``Fraction``."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +413,31 @@ _Answer = tuple[int, dict, Callable[[], list[str]]]
 
 def _cmd_boundary(sig: Signature, args) -> _Answer:
     # the walk's one factor for r = 1 is d + k_I0 = d * mu_S
-    rows = [{"blocks": [strata._mask_marks(b) for b in masks], "mu_s": Fraction(m, sig.d)}
-            for masks, (m,) in strata._p_hat_walk(sig, r_max=1)]
+    rows = [(masks, m) for masks, (m,) in strata._p_hat_walk(sig, r_max=1)]
 
     def table() -> list[str]:
+        blocks = _block_texts()
         lines = [f"boundary divisors of the base (n = {sig.n}): {len(rows)}"]
-        for row in rows:
-            lines.append(f"  {_fmt_blocks(row['blocks']):<40} mu_S = {row['mu_s']}")
+        for masks, m in rows:
+            lines.append(f"  {blocks(masks):<40} mu_S = {_rational_text(m, sig.d)}")
         return lines
 
-    return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": rows}, table
+    partitions = _Rows(((("blocks", "blocks"), ("mu_s", sig.d)), rows))
+    return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": partitions}, table
 
 
 def _cmd_phat(sig: Signature, args) -> _Answer:
-    rows = []
-    for masks, ms in strata._p_hat_walk(sig):
-        blocks = [strata._mask_marks(b) for b in masks]
-        rows.append({"blocks": blocks, "r": len(ms), "m": math.prod(ms)})
+    rows = [(masks, len(ms), math.prod(ms)) for masks, ms in strata._p_hat_walk(sig)]
 
     def table() -> list[str]:
+        blocks = _block_texts()
         lines = [f"boundary divisors of the blow-up: {len(rows)}"]
-        for row in rows:
-            lines.append(f"  r={row['r']}  {_fmt_blocks(row['blocks']):<40} m = {row['m']}")
+        for masks, r, m in rows:
+            lines.append(f"  r={r}  {blocks(masks):<40} m = {m}")
         return lines
 
-    return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": rows}, table
+    partitions = _Rows(((("blocks", "blocks"), ("r", None), ("m", None)), rows))
+    return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": partitions}, table
 
 
 def _cmd_exceptional(sig: Signature, args) -> _Answer:
@@ -352,19 +445,19 @@ def _cmd_exceptional(sig: Signature, args) -> _Answer:
     rows = []
     for masks, ms in strata._p_hat_walk(sig):
         m = math.prod(ms)
-        orders = [m // f for f in ms] if len(ms) >= 2 else None
-        blocks = [strata._mask_marks(b) for b in masks]
-        rows.append({"blocks": blocks, "coefficient": (len(ms) - 1) * m, "orders": orders})
-    trivial = not any(row["coefficient"] for row in rows)
+        rows.append((masks, (len(ms) - 1) * m, [m // f for f in ms] if len(ms) >= 2 else None))
+    trivial = not any(c for _, c, _ in rows)
 
     def table() -> list[str]:
+        blocks = _block_texts()
         lines = [f"exceptional Weil divisor ({'zero' if trivial else 'nonzero'}):"]
-        for row in rows:
-            extra = f"  orders = {row['orders']}" if row["orders"] else ""
-            lines.append(f"  {_fmt_blocks(row['blocks']):<40} coeff = {row['coefficient']}{extra}")
+        for masks, c, orders in rows:
+            extra = f"  orders = {orders}" if orders else ""
+            lines.append(f"  {blocks(masks):<40} coeff = {c}{extra}")
         return lines
 
-    return EXIT_OK, {"n": sig.n, "trivial": trivial, "terms": rows}, table
+    terms = _Rows(((("blocks", "blocks"), ("coefficient", None), ("orders", None)), rows))
+    return EXIT_OK, {"n": sig.n, "trivial": trivial, "terms": terms}, table
 
 
 def _cmd_principal(sig: Signature, args) -> _Answer:
@@ -393,30 +486,30 @@ def _cmd_principal(sig: Signature, args) -> _Answer:
 
 
 def _cmd_divisor(sig: Signature, args) -> _Answer:
-    # psi classes by index, then splits by their side holding marking 1,
-    # each written I0 first as the walk oriented it
-    terms = []
-    for key, b, p in _form_terms(sig):
-        if type(key) is int:
-            order, sym = (0, key), {"psi": key}
-        else:
-            i0, i1 = map(strata._mask_marks, key)
-            order, sym = (1, i0 if key[0] & 1 else i1), {"boundary": [i0, i1]}
-        terms.append((order, sym, b, p))
-    terms.sort(key=lambda term: term[0])
+    # psi classes by index, as _form_terms yields them, then splits by their
+    # side holding marking 1, each written I0 first as the walk oriented it
+    psi, splits = [], []
+    for term in _form_terms(sig):
+        (psi if type(term[0]) is int else splits).append(term)
+    splits.sort(key=lambda term: strata._mask_marks(term[0][0] if term[0][0] & 1 else term[0][1]))
     scale = (sig.n - 2) * (sig.n - 1)
-    body = {"boundary_form": [{**sym, "coefficient": Fraction(b, scale)}
-                              for _, sym, b, _ in terms if b],
-            "psi_form": [{**sym, "coefficient": Fraction(p, 2)} for _, sym, _, p in terms if p]}
+    # (name, table title, den, psi rows, split rows); a row is (symbol, numerator over den)
+    forms = []
+    for name, title, col, den in (("boundary_form", "distinguished divisor, boundary form:", 1, scale),
+                                  ("psi_form", "psi form:", 2, 2)):
+        forms.append((name, title, den, [(t[0], t[col]) for t in psi if t[col]],
+                      [(t[0], t[col]) for t in splits if t[col]]))
+    body = {name: _Rows(((("psi", None), ("coefficient", den)), psi_rows),
+                        ((("boundary", "blocks"), ("coefficient", den)), split_rows))
+            for name, _, den, psi_rows, split_rows in forms}
 
     def table() -> list[str]:
+        blocks = _block_texts()
         lines = []
-        for title, form in (("distinguished divisor, boundary form:", "boundary_form"),
-                            ("psi form:", "psi_form")):
+        for _, title, den, psi_rows, split_rows in forms:
             lines.append(title)
-            for term in body[form]:
-                name = f"psi_{term['psi']}" if "psi" in term else _fmt_blocks(term["boundary"])
-                lines.append(f"  {name:<40} {term['coefficient']}")
+            lines += [f"  {f'psi_{i}':<40} {_rational_text(c, den)}" for i, c in psi_rows]
+            lines += [f"  {blocks(masks):<40} {_rational_text(c, den)}" for masks, c in split_rows]
         return lines
 
     return EXIT_OK, body, table

@@ -148,6 +148,8 @@ class Signature:
         for i, v in enumerate((self.d, *self.kappa)):
             if not isinstance(v, int):
                 raise _not_integer(i, v)
+        # a list kappa would make the frozen signature unhashable
+        object.__setattr__(self, "kappa", tuple(self.kappa))
         if self.d < 2:
             raise BadD(f"d must be >= 2, got {self.d}")
         if len(self.kappa) < 3:

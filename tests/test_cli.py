@@ -11,8 +11,10 @@ import resource
 import subprocess
 import sys
 import tempfile
+import weakref
 from fractions import Fraction
 
+import cli_rows_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -495,6 +497,32 @@ class TestJson:
                 terms[sym] = Fraction(int(c["num"]), int(c["den"]))
             assert terms == expr.terms
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_p_hat_signatures())
+    @example(validate_signature(3, [-2, -2, -2]))  # n = 3: every row array is empty
+    @example(validate_signature(3, [-1, -2, -1, -2]))  # two splits with k_B = -d on both sides
+    @example(validate_signature(3, [0, 1, -1, -2, -2, -1, -1]))
+    @example(validate_signature(3, [2, 1, -1, -2, -2, -1, -1, -2]))  # E-nontrivial, with ties
+    @example(validate_signature(2, [3, 3] + [-1] * 10))  # n = 12: 22,226 elements of P-hat
+    def test_rows_match_the_dict_oracle(self, sig):
+        # the row writer and the tables print what the dict-row builders of
+        # cli_rows_oracle give, encoded by json.dumps, byte for byte
+        def rat(f):
+            return {"num": str(f.numerator), "den": str(f.denominator)}
+
+        kappa = ",".join(map(str, sig.kappa))
+        for command in cli_rows_oracle.BUILDERS:
+            payload, lines = cli_rows_oracle.payload(command, sig)
+            argv = [command, "--d", str(sig.d), f"--kappa={kappa}"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--json"]) == 0
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True, default=rat) + "\n"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            assert out.getvalue().split("\n") == lines + [""]
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_p_hat_signatures())
     @example(validate_signature(2, [-1, -1, -1, -1, -1, 1]))
@@ -525,8 +553,6 @@ class TestJson:
         for form, rows in (("boundary_form", lines[1:psi_at]), ("psi_form", lines[psi_at + 1:])):
             assert [Fraction(line.split()[-1]) for line in rows] == [
                 rat(term["coefficient"]) for term in got[form]]
-        if sig.n == 8:  # an n = 8 volume in the fold takes seconds
-            return
         code, lines, got = run_out("volume")
         assert code in (0, 3)
         if code == 0:
@@ -554,22 +580,38 @@ class TestJson:
         assert (code, len(walks)) == (0, 1)
 
     def test_table_run_encodes_json_only_for_out(self, capsys, monkeypatch, tmp_path):
-        calls = []
-        encode = cli._json
+        calls, rows, tables = [], [], []
+        encode, write_rows, mask_dict = cli._json, cli._rows_json, cli._MaskTexts
 
-        def counting(value, indent="\n"):
+        def counting(value, indent="\n", mask_texts=None):
             calls.append(indent)
-            return encode(value, indent)
+            return encode(value, indent, mask_texts)
+
+        def counting_rows(value, indent, mask_texts):
+            rows.extend(row for _, group in value for row in group)
+            return write_rows(value, indent, mask_texts)
+
+        class Tracked(mask_dict):
+            def __init__(self, fmt):
+                super().__init__(fmt)
+                tables.append(weakref.ref(self))
 
         monkeypatch.setattr(cli, "_json", counting)
+        monkeypatch.setattr(cli, "_rows_json", counting_rows)
+        monkeypatch.setattr(cli, "_MaskTexts", Tracked)
         argv = ("phat", "--d", "2", "--kappa=2,-1,-1,-1,-1,-1,-1")
         code, table, _ = run(capsys, *argv)
-        assert (code, len(calls)) == (0, 0)
+        assert (code, len(calls), len(rows)) == (0, 0, 0)
         out = tmp_path / "phat.json"
         assert run(capsys, *argv, "--out", str(out)) == (0, table, "")
         # one payload encoded: its nested values recurse at a deeper indent
         assert calls.count("\n") == 1
-        assert json.loads(out.read_text())["command"] == "phat"
+        got = json.loads(out.read_text())
+        assert got["command"] == "phat"
+        # each row written once
+        assert len(rows) == len(set(rows)) == got["count"] == len(got["partitions"])
+        # one mask dict per printed table and one for the encoding, all dead
+        assert len(tables) == 3 and all(ref() is None for ref in tables)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_json_values)
@@ -788,7 +830,7 @@ def _fuzz_argv(draw):
     kind = draw(st.sampled_from(["kappa", "tree", "chart", "factors"]))
     if kind == "kappa":
         cmd = draw(st.sampled_from(["boundary", "phat", "exceptional", "divisor", "volume"]))
-        top = 6 if cmd == "volume" else 8  # keeps the fold small
+        top = 6 if cmd == "volume" else 8  # keeps product_number's volumes small
         if draw(st.booleans()):
             d, entries = draw(_kappa(top))
             entries = [str(k) for k in entries]

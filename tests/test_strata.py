@@ -97,6 +97,13 @@ class TestSignature:
         with pytest.raises(StrataError, match=message):
             call()
 
+    def test_list_kappa_is_stored_as_a_tuple(self):
+        # a list kappa used to build, and then hash() raised TypeError
+        sig = Signature(2, [-1, -1, -1, -1])
+        assert sig.kappa == (-1,) * 4
+        assert hash(sig) == hash(validate_signature(2, (-1,) * 4))
+        assert sig == validate_signature(2, (-1,) * 4)
+
     def test_n3_accepted(self):
         sig = validate_signature(3, [-2, -2, -2])
         assert sig.n == 3
