@@ -27,14 +27,20 @@ equal factors grouped into kinds.  At a vertex it applies one factor: a
 raise bumps a power at the same vertex, and a boundary term splits the
 vertex into two, between which the factors left are shared.  No global
 state of strata is built; a memo that lives for one call answers a vertex
-met again with the same powers and factors left.
+met again with the same powers and factors left, up to the relabelings
+that fix every factor.
 
 Marking sets are bitmasks in the codec of :mod:`strata0.strata` (bit
-``i-1`` is marking ``i``).  A flag is named by its far mask, the markings
-beyond it, and splitting a vertex keeps every flag's far mask, so a vertex
-is a tuple of far masks (the one holding marking 1 first, the rest sorted)
-and the boundary divisors that refine it are the unions of its other flags'
-masks.  :func:`product_number` answers the public API on arbitrary
+``i-1`` is marking ``i``).  A flag is named by the markings beyond it, and
+splitting a vertex keeps every flag's far set, so the boundary divisors
+that refine a vertex are the unions of its flags' far sets.  Once per call,
+``product_number`` cuts the markings into classes that every factor treats
+alike (with ``D_mu``, the markings of equal ``k_i``) and names a flag by its
+*label*, the count of each class beyond it packed in bit fields.  A flag is
+then one int, its label shifted left past its power, and a vertex is the
+sorted tuple of its flags: vertices that differ by a relabeling inside the
+classes are one memo entry.  With every class a singleton the labels are
+the far masks.  :func:`product_number` answers the public API on arbitrary
 expressions and ``volume`` on signatures with some ``k_i >= 0``; every
 ``intersect`` list goes to the restriction recursion
 :func:`strata0.divisors.form_psi_number`, and ``product_number`` is that
@@ -47,7 +53,6 @@ their split sets, both reading the same genus-0 rules.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -176,7 +181,7 @@ def _scaled_parts(n: int, expr: DivisorExpression) -> tuple[int, dict[int, int],
     psis: dict[int, int] = {}
     bnds: dict[int, int] = {}
     for sym, c in expr.terms.items():
-        num = int(c * den)
+        num = c.numerator * (den // c.denominator)
         if isinstance(sym, Psi):
             _check_psi(n, sym.i)
             psis[sym.i] = psis.get(sym.i, 0) + num
@@ -199,8 +204,15 @@ def _flag_weights(full: int, psis: dict[int, int], bnds: dict[int, int]) -> dict
 
 
 def _moves(full, fl, pw, weights, bnds):
-    """The terms one factor adds at a vertex with flags ``fl`` (far masks,
-    the flag toward marking 1 first) and powers ``pw`` at those flags.
+    """The terms one factor adds at a vertex with flags ``fl`` and powers
+    ``pw`` at those flags.
+
+    A flag is named by a label of the markings beyond it that adds over
+    disjoint sets: a far mask, or the packed class counts of
+    :func:`product_number`.  ``full`` is the label of all markings, the
+    factor's ``weights`` are keyed by flag label and its ``bnds`` by the
+    label of the side ``full - far`` that holds ``fl[0]``'s markings (far
+    masks with ``fl[0]`` the flag toward marking 1 fit ``Boundary.key``).
 
     Returns ``(raises, refinements)``: ``(q, i)`` for each flag ``fl[i]``
     whose decoration the factor raises with weight ``q``, and ``(q, split,
@@ -211,7 +223,7 @@ def _moves(full, fl, pw, weights, bnds):
     empty at a vertex with no slack (decoration sum ``dv > f - 4``):
     decorations never shrink and splitting a vertex only lowers the total
     slack, so such terms integrate to zero inside a top-degree product.  The
-    moved subsets come from a lowest-bit DP over two columns, far mask and
+    moved subsets come from a lowest-bit DP over two columns, far label and
     decoration sum.
     """
     f = len(fl)
@@ -227,11 +239,11 @@ def _moves(full, fl, pw, weights, bnds):
             low = bits & -bits
             i = low.bit_length()
             prev = bits ^ low
-            far[bits] = far[prev] | fl[i]
+            far[bits] = far[prev] + fl[i]
             dm = dsum[bits] = dsum[prev] + pw[i]
             size = bits.bit_count()
             if dm <= size - 2 and dv - dm <= f - size - 2:
-                split = full ^ far[bits]
+                split = full - far[bits]
                 q = bnds.get(split)
                 if q:
                     refinements.append((q, split, bits))
@@ -249,32 +261,36 @@ def _shares(counts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], tupl
     return [s for s in out if sum(s[0]) == k]
 
 
-def _vertex_number(fl, pw, counts, kinds, full, memo) -> int:
+def _vertex_number(v, counts, kinds, full, shift, memo) -> int:
     """The integral over a vertex's ``M_{0,f}`` of its decorations times
     ``counts[j]`` factors of each kind ``j``, restricted to the vertex.
 
-    ``fl`` are the flags' far masks, the flag holding marking 1 first and
-    the rest sorted, and ``pw`` the powers there, so equal vertices are equal
-    tuples and ``memo`` (the caller's, for one product) answers a repeated
-    one; it also keeps the :func:`_shares` of each ``(counts, slack)``, a
-    key of another shape.  One factor of the first kind left is applied through
-    :func:`_moves`: a raise is the same vertex with one power bumped; a
-    refinement splits it into halves A (the new flag ``split``, then the
-    moved flags) and B (``fl[0]``, the flags that stay and the new flag
-    ``full ^ split``), and the factors left are shared between the halves in
-    every way that fills A's slack, with a binomial per kind.  A vertex with
-    no factors left is the multinomial ``(f - 3)! / prod p!``, and the last
-    factor is evaluated in place: a raise is that multinomial with one power
-    ``p`` made ``p + 1``, a refinement ``(size - 2)! (f - size - 2)! / prod
-    p!``, both halves at top degree.
+    ``v`` is the sorted tuple of the vertex's flags, each the int ``label <<
+    shift | power`` (see :func:`product_number`), so the tuple is the
+    vertex's canonical key and ``memo`` (the caller's, for one product)
+    answers a repeated one; it also keeps the :func:`_shares` of each
+    ``(counts, slack)``, a key of another shape.  One factor of the first
+    kind left is applied through :func:`_moves`: a raise is the same vertex
+    with one power bumped; a refinement splits it into halves A (the new
+    flag ``split`` and the moved flags) and B (``v[0]``, the flags that
+    stay and the new flag ``full - split``), each sorted again.  Refinements that give the same
+    two halves are summed first; then the factors left are shared between
+    the halves in every way that fills A's slack, with a binomial per kind.
+    A vertex with no factors left is the multinomial ``(f - 3)! / prod p!``,
+    and the last factor is evaluated in place: a raise is that multinomial
+    with one power ``p`` made ``p + 1``, a refinement ``(size - 2)! (f - size
+    - 2)! / prod p!``, both halves at top degree.
     """
-    f = len(fl)
+    f = len(v)
     left = sum(counts)
+    low = (1 << shift) - 1
     if not left:
-        return factorial(f - 3) // prod(map(factorial, pw))
-    key = (fl, pw, counts)
+        return factorial(f - 3) // prod([factorial(x & low) for x in v])
+    key = (v, counts)
     if key in memo:
         return memo[key]
+    fl = [x >> shift for x in v]
+    pw = [x & low for x in v]
     j = next(j for j, c in enumerate(counts) if c)
     raises, refinements = _moves(full, fl, pw, *kinds[j])
     total = 0
@@ -288,33 +304,66 @@ def _vertex_number(fl, pw, counts, kinds, full, memo) -> int:
     else:
         rest = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
         for q, i in raises:
-            raised = pw[:i] + (pw[i] + 1,) + pw[i + 1 :]
-            total += q * _vertex_number(fl, raised, rest, kinds, full, memo)
+            raised = sorted(v[:i] + (v[i] + 1,) + v[i + 1 :])
+            total += q * _vertex_number(tuple(raised), rest, kinds, full, shift, memo)
+        halves: dict[tuple, int] = {}
         for q, split, bits in refinements:
-            a_fl, a_pw, b_fl, b_pw = [split], [0], [fl[0]], [pw[0]]
+            a, b, da = [split << shift], [v[0], (full - split) << shift], 0
             for i in range(1, f):
                 if bits >> (i - 1) & 1:
-                    a_fl.append(fl[i])
-                    a_pw.append(pw[i])
+                    a.append(v[i])
+                    da += pw[i]
                 else:
-                    b_fl.append(fl[i])
-                    b_pw.append(pw[i])
-            at = bisect(b_fl, full ^ split, 1)
-            b_fl.insert(at, full ^ split)
-            b_pw.insert(at, 0)
-            a = (tuple(a_fl), tuple(a_pw))
-            b = (tuple(b_fl), tuple(b_pw))
-            acc = 0
-            sk = (rest, len(a_fl) - 3 - sum(a_pw))
+                    b.append(v[i])
+            a.sort()
+            b.sort()
+            ab = (tuple(a), tuple(b), len(a) - 3 - da)
+            halves[ab] = halves.get(ab, 0) + q
+        for (a, b, slack), q in halves.items():
+            sk = (rest, slack)
             if sk not in memo:
                 memo[sk] = _shares(*sk)
+            acc = 0
             for t, u, m in memo[sk]:
-                va = _vertex_number(*a, t, kinds, full, memo)
+                va = _vertex_number(a, t, kinds, full, shift, memo)
                 if va:
-                    acc += m * va * _vertex_number(*b, u, kinds, full, memo)
+                    acc += m * va * _vertex_number(b, u, kinds, full, shift, memo)
             total += q * acc
     memo[key] = total
     return total
+
+
+def _swap_fixes(weights: dict[int, int], bi: int, bj: int) -> bool:
+    """Whether swapping bits ``bi`` and ``bj`` of every far mask maps a
+    factor's :func:`_flag_weights` to itself.  Beyond the two legs only the
+    masks holding ``bi`` and not ``bj`` are read: both branches of an edge
+    carry one weight, so the swap of a mask holding ``bj`` and not ``bi`` is
+    checked by its complement's."""
+    both = bi | bj
+    if weights.get(bi) != weights.get(bj):
+        return False
+    for m, q in weights.items():
+        if m & both == bi and weights.get(m ^ both) != q:
+            return False
+    return True
+
+
+def _marking_classes(n: int, weight_maps: Sequence[dict[int, int]]) -> list[list[int]]:
+    """The markings ``0..n-1`` (bit indices) cut into the classes of those
+    that are interchangeable in every factor kind, in order of their least
+    marking: ``i`` and ``j`` are when their transposition fixes each of
+    ``weight_maps`` (:func:`_swap_fixes`).  The permutations that fix the
+    maps form a group, so this is an equivalence, and a marking is tested
+    against one member of each class."""
+    classes: list[list[int]] = []
+    for i in range(n):
+        for c in classes:
+            if all(_swap_fixes(w, 1 << i, 1 << c[0]) for w in weight_maps):
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
 
 
 def _check_factor_count(n: int, count: int) -> None:
@@ -335,6 +384,28 @@ def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
     left are shared between the halves.  Integers throughout, over the
     product of the factors' denominators; the result does not depend on the
     factor order.
+
+    The markings are first cut into the classes of those that every kind
+    treats alike (:func:`_marking_classes`); with ``D_mu`` these are the
+    markings of equal ``k_i``.  A flag is then named by its *label*, the
+    count of each class among the markings beyond it, packed into one int
+    with a bit field per class (wide enough for the class size, in order of
+    least marking), and carried as ``label << shift | power``.  Labels add
+    over disjoint sets, so a split's label is a sum of flag labels, and a
+    kind's weights and splits are keyed by the labels of their far sets
+    (a split by both of its sides).  With every class a singleton the fields
+    are 1 bit wide and the labels are the far masks.
+
+    Why a vertex may be keyed by the multiset of its ``(label, power)``
+    alone: a vertex's value reads only its flags' far sets, their powers
+    and the kinds' weights on the unions of far sets.  The far sets of a
+    vertex partition the markings, so two vertices with the same multiset
+    of ``(label, power)`` have far sets that meet each class in equally
+    many markings, flag for flag; a permutation inside each class then maps
+    one vertex's far sets onto the other's.  It fixes every kind's weights,
+    being a product of transpositions that do, so the two values are equal.
+    The same argument makes a weight, or a split coefficient, a function of
+    the label it is keyed by.
     """
     _check_factor_count(n, len(factors))
     exprs: list[DivisorExpression] = []
@@ -347,13 +418,33 @@ def product_number(n: int, factors: Sequence[DivisorExpression]) -> Fraction:
             counts.append(1)
     full = (1 << n) - 1
     den_total = 1
-    kinds = []
+    parts = []
     for expr, c in zip(exprs, counts):
         den, psis, bnds = _scaled_parts(n, expr)
         den_total *= den**c
-        kinds.append((_flag_weights(full, psis, bnds), bnds))
-    legs = tuple(1 << i for i in range(n))
-    total = _vertex_number(legs, (0,) * n, tuple(counts), kinds, full, {})
+        parts.append((psis, bnds, _flag_weights(full, psis, bnds)))
+    fields = []  # (class mask, offset of its bit field)
+    offset = 0
+    for c in _marking_classes(n, [w for _, _, w in parts]):
+        fields.append((sum(1 << i for i in c), offset))
+        offset += len(c).bit_length()
+
+    def label(mask: int) -> int:
+        return sum((mask & cm).bit_count() << off for cm, off in fields)
+
+    top = label(full)
+    kinds = []
+    for psis, bnds, _ in parts:  # _flag_weights and the splits, in labels
+        weights = {label(1 << (i - 1)): q for i, q in psis.items()}
+        splits = {}
+        for k, q in bnds.items():
+            lk = label(k)
+            weights[lk] = weights[top - lk] = -q
+            splits[lk] = splits[top - lk] = q
+        kinds.append((weights, splits))
+    shift = (n - 3).bit_length()
+    legs = tuple(sorted(label(1 << i) << shift for i in range(n)))
+    total = _vertex_number(legs, tuple(counts), kinds, top, shift, {})
     return Fraction(total, den_total)
 
 

@@ -579,13 +579,12 @@ def edge_weight(tree: StableTree, oriented_edge: tuple[int, int], sig: Signature
 
 
 def _principal(
-    sig: Signature, parent: Sequence[int], marks: Sequence[int]
+    sig: Signature, parent: Sequence[int], ks: Sequence[int]
 ) -> tuple[list[frozenset[int]], frozenset[int]]:
     """:func:`principal_subcurves` on a table rooted at vertex 0: ``parent[v]``
-    is the neighbor of ``v`` toward the root (-1 at the root) and ``marks[v]``
-    the marking mask of the subtree under ``v``."""
+    is the neighbor of ``v`` toward the root (-1 at the root) and ``ks[v]``
+    the ``k_B`` of the markings ``B`` of the subtree under ``v``."""
     d = sig.d
-    ks = [_mask_k(sig, m) for m in marks]
     # each group is keyed by its vertex nearest the root: climb weight-0
     # nodes, jumping to the top already found for a vertex on the way
     top = list(range(len(parent)))
@@ -619,7 +618,7 @@ def principal_subcurves(
     summing to ``-2d``, so only one can be heavy (``k < -d``).
     """
     parent, marks, _ = zip(*tree._below)
-    return _principal(sig, parent, marks)
+    return _principal(sig, parent, [_mask_k(sig, m) for m in marks])
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +690,17 @@ def _any_tree_in_support(sig: Signature, max_edges: int) -> bool:
     """Whether some stable tree with at most ``max_edges`` nodes lies in the
     ideal support.  Each key of :func:`_split_keys` is tested on its
     :func:`_laminar` table, with no :class:`StableTree` built, and the walk
-    stops at the first tree in the support."""
-    full = (1 << sig.n) - 1
+    stops at the first tree in the support.  The ``k`` of every far side (a
+    mask without marking 1) comes from one lowest-bit table, ``kt[a >> 1]``,
+    built once per walk; the root's subtree holds every marking, so its
+    ``k`` is ``-2d``."""
+    kt = [0] * (1 << (sig.n - 1))
+    for m in range(1, len(kt)):
+        low = m & -m
+        kt[m] = kt[m ^ low] + sig.kappa[low.bit_length()]
     tables = (_laminar(sig.n, key) for key in _split_keys(sig.n, max_edges))
-    return any(len(_principal(sig, parent, [full, *fars])[0]) >= 2 for fars, parent, _ in tables)
+    return any(len(_principal(sig, parent, [-2 * sig.d, *(kt[a >> 1] for a in fars)])[0]) >= 2
+               for fars, parent, _ in tables)
 
 
 def fiber_projective_dim(tree: StableTree, sig: Signature) -> int:

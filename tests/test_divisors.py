@@ -423,6 +423,20 @@ class TestPartitionSumEngine:
         assert calls == [9]
         assert form_psi_number(sig, [0] * 9) == _partition_sum_self_intersection(sig) == -35642
 
+    @pytest.mark.parametrize(
+        "d,kappa,value",
+        [(4, [1] + [-1] * 7 + [-2], -245), (5, [1] + [-1] * 8 + [-3], -1071),
+         (2, [0] * 7 + [-1] * 4, 0)],
+    )
+    def test_mixed_past_n8_matches_w(self, d, kappa, value, monkeypatch):
+        # repeated entries at n = 9, 10 and 11: product_number keys its
+        # vertices by class counts, and W is an independent engine
+        sig = validate_signature(d, kappa)
+        calls = _count_fold_calls(monkeypatch)
+        assert volume(sig).intersection_number == value
+        assert calls == [sig.n]
+        assert form_psi_number(sig, [0] * sig.n) == value
+
     def test_n9_value(self, monkeypatch):
         calls = _count_fold_calls(monkeypatch)
         res = volume(validate_signature(5, [-1] * 8 + [-2]))

@@ -10,6 +10,9 @@ vertex.  Each oracle stratum translates to a split-set key (an edge becomes
 the split of its far side, a leg flag ``(v, 0, i)`` the mask of marking
 ``i``, a branch flag ``(v, 1, w)`` the far mask of the ``w`` side), and the
 two calculi must agree term for term.
+
+The last section checks that ``product_number``'s marking classes split
+wherever a factor tells two markings apart, against the fold.
 """
 
 import itertools
@@ -20,6 +23,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from term_calculus import (
@@ -33,13 +37,17 @@ from term_calculus import (
     unit,
 )
 
+from strata0.divisors import d_mu_boundary_form, d_mu_psi_form
 from strata0.intersection import (
     Boundary,
     DivisorExpression,
     Psi,
+    _flag_weights,
+    _marking_classes,
     _scaled_parts,
     product_number,
 )
+from strata0.strata import validate_signature
 
 # ---------------------------------------------------------------------------
 # oracle: the vertex form
@@ -428,3 +436,85 @@ def test_matches_multiply_chain():
         folded = product_number(n, [DivisorExpression({s: F(1)}) for s in chosen])
         assert folded == direct, chosen
 
+
+
+# ---------------------------------------------------------------------------
+# marking classes: product_number keys a vertex by its class counts
+# ---------------------------------------------------------------------------
+
+# repeated entries at n = 6..8, so D_mu alone merges markings into classes
+CLASS_SIGNATURES = [
+    validate_signature(2, [1, -1, -1, -1, -1, -1]),
+    validate_signature(3, [0, 0, -1, -1, -2, -2]),
+    validate_signature(3, [1, -1, -2, -1, 0, -2, -1]),
+    validate_signature(4, [2, -1, -1, -1, -3, -3, -1]),
+    validate_signature(3, [1, -1, -1, -1, -1, -1, -1, -1]),
+]
+
+
+def _class_lists(sig):
+    """Factor lists on ``sig``'s markings: the two ``D_mu`` forms alone and
+    mixed, and lists where ``psi_i`` or ``D{i,j}`` tells marking ``i`` from
+    the others of equal ``k_i`` (``j`` has another ``k``)."""
+    n, kappa = sig.n, sig.kappa
+    b, p = d_mu_boundary_form(sig), d_mu_psi_form(sig)
+    i = next(i for i in range(1, n + 1) if kappa.count(kappa[i - 1]) > 1)
+    j = next(j for j in range(1, n + 1) if kappa[j - 1] != kappa[i - 1])
+    psi_i = DivisorExpression({Psi(i): F(1)})
+    d_ij = DivisorExpression({Boundary.of(n, {i, j}): F(1)})
+    lists = {
+        "psi_i": [b] * (n - 4) + [psi_i],
+        "D_ij": [p] + [b] * (n - 5) + [d_ij],
+    }
+    if n < 8:  # the fold takes seconds per list at n = 8
+        lists["boundary"] = [b] * (n - 3)
+        lists["psi_form"] = [p] * (n - 3)
+        lists["mixed"] = ([p, b] * n)[: n - 3]
+        lists["psi_i_twice"] = [psi_i, p, psi_i] + [b] * (n - 6)
+    return lists
+
+
+CLASS_CASES = [(sig, name, factors) for sig in CLASS_SIGNATURES
+               for name, factors in _class_lists(sig).items()]
+
+
+def _relabeled(n, expr, sigma):
+    """``expr`` with marking ``i`` renamed ``sigma[i-1]`` in every term."""
+    terms = {}
+    for sym, c in expr.items():
+        if isinstance(sym, Psi):
+            terms[Psi(sigma[sym.i - 1])] = c
+        else:
+            terms[Boundary.of(n, {sigma[t] for t in range(n) if sym.key >> t & 1})] = c
+    return DivisorExpression(terms)
+
+
+def test_marking_classes_are_the_markings_no_factor_tells_apart():
+    sig = validate_signature(3, [1, -1, -2, -1, 0, -2, -1])
+    n, full = sig.n, (1 << sig.n) - 1
+
+    def classes(*exprs):
+        return _marking_classes(n, [_flag_weights(full, *_scaled_parts(n, e)[1:]) for e in exprs])
+
+    b, p = d_mu_boundary_form(sig), d_mu_psi_form(sig)
+    equal_k = [[0], [1, 3, 6], [2, 5], [4]]
+    assert classes(b) == classes(p) == classes(b, p) == equal_k
+    assert classes(b, DivisorExpression({Psi(4): F(1)})) == [[0], [1, 6], [2, 5], [3], [4]]
+    assert classes(p, DivisorExpression({Boundary.of(n, {2, 3}): F(1)})) == [
+        [0], [1], [2], [3, 6], [4], [5]]
+    assert classes() == [list(range(n))]
+
+
+@pytest.mark.parametrize("sig, name, factors", CLASS_CASES,
+                         ids=[f"d{s.d}n{s.n}-{name}" for s, name, _ in CLASS_CASES])
+def test_class_keyed_product_matches_fold(sig, name, factors):
+    # a factor that tells a marking from its class must split the class;
+    # merging it anyway changes the value, which the fold reads per mask
+    n = sig.n
+    parts = [_scaled_parts(n, expr) for expr in factors]
+    value = product_number(n, factors)
+    assert value == F(fold_product(n, parts), prod(den for den, _, _ in parts))
+    # relabeling the markings of every factor leaves the product unchanged
+    sigma = list(range(1, n + 1))
+    random.Random(n).shuffle(sigma)
+    assert product_number(n, [_relabeled(n, expr, sigma) for expr in factors]) == value

@@ -23,6 +23,7 @@ from strata0.strata import (
     MultiBlockPartition,
     _any_tree_in_support,
     _laminar,
+    _mask_k,
     _principal,
     _split_keys,
     boundary_weight,
@@ -383,7 +384,7 @@ def test_principal_on_split_walk_tables_matches_trees(sig):
     for key in _split_keys(n, n - 3):
         fars, parent, _ = _laminar(n, key)
         tree = StableTree.from_splits(n, key)
-        got = _principal(sig, parent, [full, *fars])
+        got = _principal(sig, parent, [_mask_k(sig, m) for m in (full, *fars)])
         assert got == principal_subcurves(tree, sig) == oracle_principal_subcurves(tree, sig)
         in_support = in_support or len(got[0]) >= 2
     assert _any_tree_in_support(sig, n - 3) == in_support == (not blowup_is_trivial(sig))

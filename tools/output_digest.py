@@ -26,7 +26,11 @@ third, ``volume --json --d 18 --kappa=1,-5,-6,-9,-1,-8,-4,-1,-3`` (value
 -35642), takes ``product_number`` past n = 8: ``D_mu^6`` on M_{0,9} with
 eight distinct entries, which the per-vertex recursion answers in seconds
 and a breadth-first fold over global decorated strata in tens of seconds
-and over 600 MiB.  Eight ``intersect`` queries at
+and over 600 MiB.  A fourth, ``volume --json --d 4
+--kappa=1,-1,-1,-1,-1,-1,-1,-1,-2`` (value -245), is ``D_mu^6`` on M_{0,9}
+with seven equal entries: ``product_number`` finds the class of those seven
+interchangeable markings and keys its vertices by class counts, 268 vertex
+entries where far masks need 53,446.  Eight ``intersect`` queries at
 n = 8 go past the benchmark's n = 7, all answered by the restriction
 recursion ``W`` (``form_psi_number``).  Two are on the signature of the
 first of those ``volume`` probes: the
@@ -104,6 +108,8 @@ PROBE_ARGV = [
     ["volume", "--json", "--d", "3", "--kappa=1,-1,-1,-1,-1,-1,-1,-1"],
     # D_mu^6 at n = 9 with some k_i >= 0 and distinct entries (value -35642)
     ["volume", "--json", "--d", "18", "--kappa=1,-5,-6,-9,-1,-8,-4,-1,-3"],
+    # D_mu^6 at n = 9 with seven equal entries, one class of markings (value -245)
+    ["volume", "--json", "--d", "4", "--kappa=1,-1,-1,-1,-1,-1,-1,-1,-2"],
     *(["intersect", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1", "--factors", f]
       for f in ("Dmu_psi,Dmu_psi,Dmu,psi_1,psi_2", "Dmu,Dmu_psi,D{1,5},psi_2,psi_3")),
     *(["intersect", "--json", "--d", "3", "--kappa=2,1,-1,-2,-2,-1,-1,-2", "--factors", f]
