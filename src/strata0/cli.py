@@ -9,8 +9,9 @@ with the light block first.  The ``boundary``, ``phat``, ``exceptional``
 and ``divisor`` commands keep the walk's rows as plain tuples of block masks
 and integers (a :class:`_Rows` array): ``_json`` writes them through one
 row writer, only when it encodes the payload.  The writer and the tables
-decode each distinct mask once, into a dict that lives for that one
-encoding or table.
+read each block's text from a dict that lives for that one encoding or
+table and builds a new mask's text from the text of the mask without its
+top bit, in one concatenation, with no decode.
 Identical invocations produce byte-identical output.
 
 Tree and chart specs share a mini-format: the first token lists the vertex
@@ -271,16 +272,27 @@ class _Rows(tuple):
 
 
 class _MaskTexts(dict):
-    """Mask -> ``fmt`` of its markings (in increasing order), each decoded
-    and formatted on first use.  Only a local of one encoding or one table
-    holds one, so none outlives the call that filled it."""
+    """Mask -> the text ``opening + sep.join(markings) + closing`` of its
+    markings, in increasing order.  A missing mask's text is the text of the
+    mask without its top bit, with ``closing`` cut off, then ``sep``, the top
+    marking and ``closing`` (``opening`` and the top marking when that rest is
+    empty).  So a new mask costs one lookup and one concatenation, and a
+    missing rest is built the same way first.  Only a local of one encoding
+    or one table holds one, so none outlives the call that filled it."""
 
-    def __init__(self, fmt: Callable[[tuple[int, ...]], str]):
+    def __init__(self, opening: str, sep: str, closing: str):
         super().__init__()
-        self.fmt = fmt
+        self.opening, self.sep, self.closing = opening, sep, closing
 
     def __missing__(self, mask: int) -> str:
-        text = self[mask] = self.fmt(strata._mask_marks(mask))
+        top = mask.bit_length()
+        rest = mask ^ (1 << (top - 1))
+        if rest:
+            head = self[rest]
+            text = f"{head[:len(head) - len(self.closing)]}{self.sep}{top}{self.closing}"
+        else:
+            text = f"{self.opening}{top}{self.closing}"
+        self[mask] = text
         return text
 
 
@@ -288,17 +300,18 @@ def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> 
     """:func:`_json` of a :class:`_Rows` array at ``indent``: each row in the
     layout ``_json`` gives the dict of its fields, from one template per
     group whose field names are sorted once, each rational reduced by one
-    gcd, and each block read from ``mask_texts[indent]``, the mask ->
-    encoded block table that this encoding shares among its arrays at that
-    indent (both forms of ``divisor`` hold the same splits)."""
+    gcd, a ``None``-kind column of plain ints (no bool) in one map, and each
+    block read from ``mask_texts[indent]``, the mask -> encoded block
+    :class:`_MaskTexts` that this encoding shares among its arrays at that
+    indent (both forms of ``divisor`` hold the same splits), which builds
+    each block from its prefix."""
     inner = indent + "  "  # a row
     field = inner + "  "  # its fields
     block = field + "  "  # the blocks of a "blocks" field, and a rational's den and num
     mark = block + "  "  # the markings of a block
     texts = mask_texts.get(indent)
     if texts is None:
-        texts = mask_texts[indent] = _MaskTexts(
-            lambda marks: "[" + mark + ("," + mark).join(map(str, marks)) + block + "]")
+        texts = mask_texts[indent] = _MaskTexts("[" + mark, "," + mark, block + "]")
     between = "," + block
 
     def blocks(masks: Sequence[int]) -> str:
@@ -308,6 +321,9 @@ def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> 
         if kind == "blocks":
             return map(blocks, values)
         if kind is None:
+            values = list(values)
+            if set(map(type, values)) == {int}:  # a bool is not an int here
+                return map(int.__repr__, values)
             return map(_json, values, itertools.repeat(field), itertools.repeat(mask_texts))
         rational = "{" + block + '"den": "%d",' + block + '"num": "%d"' + field + "}"
 
@@ -337,10 +353,11 @@ def _json(value, indent: str = "\n", mask_texts: dict[str, _MaskTexts] | None = 
     query; this writes dicts (keys sorted), lists and tuples itself, a list
     of plain ints in one join, a :class:`_Rows` array through the row writer
     :func:`_rows_json` (the same bytes as its rows written as dicts, with no
-    dict built), and leaves floats and any other leaf to ``json.dumps``.
-    ``indent`` is the newline and indent of the current level;
-    ``mask_texts`` holds the row writer's block tables, by indent, and the
-    outermost call makes it, so it lives for that one encoding."""
+    dict built and no mask decoded), and leaves floats and any other leaf to
+    ``json.dumps``.  ``indent`` is the newline and indent of the current
+    level; ``mask_texts`` holds the row writer's block tables, by indent,
+    each filled from prefixes, and the outermost call makes it, so it lives
+    for that one encoding."""
     if mask_texts is None:
         mask_texts = {}
     t = type(value)
@@ -393,8 +410,21 @@ def _emit(payload: dict, args, table: Callable[[], list[str]]) -> None:
 def _block_texts() -> Callable[[Sequence[int]], str]:
     """A table's writer of block masks, ``1,2 | 3,4``, reading each block
     from a mask -> text table local to the table's call."""
-    texts = _MaskTexts(lambda marks: ",".join(map(str, marks)))
+    texts = _MaskTexts("", ",", "")
     return lambda masks: " | ".join(map(texts.__getitem__, masks))
+
+
+def _marks_order_key(mask: int) -> str:
+    """A key that orders masks as the tuples of their markings (in increasing
+    order) are ordered, with no decode: for each marking from 1 up to the
+    largest in ``mask``, ``"0"`` if ``mask`` holds it and ``"1"`` if not.
+    Say two masks first differ at marking ``x``, held by ``a``.  If ``b``
+    holds a marking past ``x``, its key has ``"1"`` where ``a``'s has
+    ``"0"``, and ``a`` comes first; if not, ``b``'s tuple and key are proper
+    prefixes of ``a``'s, and ``b`` comes first.  The XOR flips the bits
+    below the top one and sets the bit above it, which ``bin`` writes first,
+    so the slice drops that bit and the ``0b`` and reverses the rest."""
+    return bin(mask ^ ((2 << mask.bit_length()) - 1))[:2:-1]
 
 
 def _rational_text(num: int, den: int) -> str:
@@ -491,7 +521,7 @@ def _cmd_divisor(sig: Signature, args) -> _Answer:
     psi, splits = [], []
     for term in _form_terms(sig):
         (psi if type(term[0]) is int else splits).append(term)
-    splits.sort(key=lambda term: strata._mask_marks(term[0][0] if term[0][0] & 1 else term[0][1]))
+    splits.sort(key=lambda term: _marks_order_key(term[0][0] if term[0][0] & 1 else term[0][1]))
     scale = (sig.n - 2) * (sig.n - 1)
     # (name, table title, den, psi rows, split rows); a row is (symbol, numerator over den)
     forms = []

@@ -27,8 +27,8 @@ This module is the one split core that the other layers share:
   and the refused volume's leading terms read it through ``_p_hat_parts``,
   which builds frozenset blocks; both divisor forms read it in one pass;
   the ``boundary``, ``phat``, ``exceptional`` and ``divisor`` commands
-  print its masks, as it oriented them, through ``_mask_marks``.  A
-  partition given from outside the walk has one checked path,
+  print its masks, as it oriented them, with markings in increasing
+  order.  A partition given from outside the walk has one checked path,
   ``_m_factors``, which ``m_value`` and ``vanishing_orders`` read.  No
   function here builds a table over all ``2^n`` masks;
 * the stable tree as its set of pairwise-compatible splits (Buneman's

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import resource
 import subprocess
@@ -25,6 +26,7 @@ from strata0.divisors import d_mu_boundary_form, d_mu_psi_form
 from strata0.intersection import Boundary, Psi
 from strata0.strata import (
     StableTree,
+    _mask_marks,
     boundary_weight,
     enumerate_p_hat,
     enumerate_two_block,
@@ -441,6 +443,31 @@ def _p_hat_signatures(draw):
     return validate_signature(d, draw(st.permutations(kappa + [0] * zeros)))
 
 
+@st.composite
+def _row_groups(draw):
+    """``_Rows`` groups, each with ``None``-kind columns that hold plain ints
+    only (the int path) or mix ints, bools, ``None`` and lists, with a
+    blocks and a rational column among them at times."""
+    ints = st.integers() | st.integers(-(2**100), 2**100) | st.just(2**100)
+    mixed = ints | st.booleans() | st.none() | st.lists(st.integers(), max_size=3)
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        nrows = draw(st.integers(0, 4))
+        names = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+        kinds = [draw(st.sampled_from([None, None, None, "blocks", 6])) for _ in names]
+        columns = []
+        for kind in kinds:
+            if kind == "blocks":
+                values = st.lists(st.integers(1, 2**12 - 1), min_size=1, max_size=3).map(tuple)
+            elif kind == 6:
+                values = st.integers(-50, 50)
+            else:
+                values = draw(st.sampled_from([ints, mixed, st.booleans()]))
+            columns.append(draw(st.lists(values, min_size=nrows, max_size=nrows)))
+        groups.append((tuple(zip(names, kinds)), list(zip(*columns))))
+    return groups
+
+
 class TestJson:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_p_hat_signatures())
@@ -592,8 +619,8 @@ class TestJson:
             return write_rows(value, indent, mask_texts)
 
         class Tracked(mask_dict):
-            def __init__(self, fmt):
-                super().__init__(fmt)
+            def __init__(self, opening, sep, closing):
+                super().__init__(opening, sep, closing)
                 tables.append(weakref.ref(self))
 
         monkeypatch.setattr(cli, "_json", counting)
@@ -612,6 +639,50 @@ class TestJson:
         assert len(rows) == len(set(rows)) == got["count"] == len(got["partitions"])
         # one mask dict per printed table and one for the encoding, all dead
         assert len(tables) == 3 and all(ref() is None for ref in tables)
+
+    @pytest.mark.parametrize("form", [("[\n      ", ",\n      ", "\n    ]"), ("", ",", "")])
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_mask_texts_build_each_text_from_its_prefix(self, form, order):
+        # every mask at n = 12 (so markings 10-12 appear), looked up in an
+        # order that leaves prefixes missing, so they fill in recursively;
+        # the table form's closing is empty, where a [:-0] slice would show
+        masks = list(range(2**12 - 1, 0, -1))
+        if order == "shuffled":
+            random.Random(12).shuffle(masks)
+        opening, sep, closing = form
+        texts = cli._MaskTexts(opening, sep, closing)
+        for mask in masks:
+            assert texts[mask] == opening + sep.join(map(str, _mask_marks(mask))) + closing
+        assert len(texts) == 2**12 - 1
+
+    def test_marks_order_key_sorts_masks_as_their_markings(self):
+        masks = range(1, 2**12)
+        assert sorted(masks, key=cli._marks_order_key) == sorted(masks, key=_mask_marks)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_row_groups())
+    @example([((("a", None), ("b", None), ("c", None)),
+               [(1, True, 3), (True, False, -(2**100)), (0, None, 2**100), (-4, [1, True], 7)])])
+    @example([((("a", None), ("b", "blocks"), ("c", 6)), [(1, (3, 2**11 + 5), 4), (-2, (1,), -9)]),
+              ((("a", None),), [(True,), (False,)])])
+    def test_rows_json_int_columns_match_json_dumps(self, groups):
+        # a None-kind column of plain ints takes one map; a bool must not
+        def rat(f):
+            return {"num": str(f.numerator), "den": str(f.denominator)}
+
+        def as_dict(fields, row):
+            out = {}
+            for (name, kind), v in zip(fields, row):
+                if kind == "blocks":
+                    v = [list(_mask_marks(m)) for m in v]
+                elif kind is not None:
+                    v = Fraction(v, kind)
+                out[name] = v
+            return out
+
+        dicts = [as_dict(fields, row) for fields, rows in groups for row in rows]
+        for payload, want in ((cli._Rows(*groups), dicts), ({"k": [cli._Rows(*groups)]}, {"k": [dicts]})):
+            assert cli._json(payload) == json.dumps(want, indent=2, sort_keys=True, default=rat)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_json_values)
