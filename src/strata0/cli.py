@@ -39,7 +39,6 @@ the only parser from it at import, and :func:`main` parses every call with it.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import operator
@@ -300,7 +299,9 @@ def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> 
     """:func:`_json` of a :class:`_Rows` array at ``indent``: each row in the
     layout ``_json`` gives the dict of its fields, from one template per
     group whose field names are sorted once, each rational reduced by one
-    gcd, a ``None``-kind column of plain ints (no bool) in one map, and each
+    gcd, a ``None``-kind column of plain ints (no bool) in one map, a
+    ``None`` or a nonempty list of plain ints in it (``exceptional``'s
+    ``orders``) with no :func:`_json` call, and each
     block read from ``mask_texts[indent]``, the mask -> encoded block
     :class:`_MaskTexts` that this encoding shares among its arrays at that
     indent (both forms of ``divisor`` hold the same splits), which builds
@@ -317,6 +318,13 @@ def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> 
     def blocks(masks: Sequence[int]) -> str:
         return "[" + block + between.join(map(texts.__getitem__, masks)) + field + "]"
 
+    def leaf(value) -> str:
+        if value is None:
+            return "null"
+        if type(value) is list and set(map(type, value)) == {int}:
+            return "[" + block + between.join(map(int.__repr__, value)) + field + "]"
+        return _json(value, field, mask_texts)
+
     def column(kind, values: Iterator) -> Iterator[str]:
         if kind == "blocks":
             return map(blocks, values)
@@ -324,7 +332,7 @@ def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> 
             values = list(values)
             if set(map(type, values)) == {int}:  # a bool is not an int here
                 return map(int.__repr__, values)
-            return map(_json, values, itertools.repeat(field), itertools.repeat(mask_texts))
+            return map(leaf, values)
         rational = "{" + block + '"den": "%d",' + block + '"num": "%d"' + field + "}"
 
         def lowest_terms(num: int) -> str:

@@ -20,18 +20,20 @@ the ratio of any two rescaled candidates is a constant of the chart data,
 All verification here is by exact evaluation at random rational points of the
 curve, with retry on degenerate draws: an identity of rational functions that
 holds at a generic exact sample holds identically.  A point is carried across
-the nodes by one propagation walk over the chart's node coordinates, shared
-by the marked sections and the sampled points; the path between two
-components is read off the parent table of the
-:class:`~strata0.strata.StableTree`.  The sections are read into one table
-per component, built on first use and cached on the chart: its special
-points (its marking and node coordinates) and its finite markings.  A draw
-is generic when, on every component, it avoids that component's special
-points, one set lookup per component.
+the nodes by one propagation walk, shared by the marked sections and the
+sampled points, as reduced integer pairs (``INF`` is ``(1, 0)``), one gcd
+per node; the path between two components is read off the parent table of
+the :class:`~strata0.strata.StableTree`.  The sections are read into one
+table per component, built on first use and cached on the chart: its
+special points (its marking and node coordinates and ``INF``, as the same
+pairs) and its finite markings.  A draw is generic when, on every component,
+it avoids that component's special points, one set lookup per component;
+only an accepted point becomes ``Fraction`` coordinates.
 
-``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as integer
-numerator/denominator pairs, with no gcd per factor: at ``z = p/q`` a finite
-marking ``a = r/s`` contributes ``(p s - r q) / (q s)`` raised to ``k_i``.
+``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as unreduced
+integer numerator/denominator pairs, with no gcd per factor: at
+``z = p/q`` a finite marking ``a = r/s`` contributes ``(p s - r q) / (q s)``
+raised to ``k_i``.
 The same product, over the markings on one side of a node and evaluated at
 the node coordinate, gives the ratio constant of adjacent components,
 ``f_{jk} = (-1)^d Phi_j^J(b_{jk}) / Phi_k^K(b_{kj})``, so every product of
@@ -46,6 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from strata0.strata import (
@@ -101,8 +104,11 @@ class _Infinity:
 
 INF = _Infinity()
 Coord = Fraction | _Infinity
+Pair = tuple[int, int]  # p/q in lowest terms with q > 0, or _INF_PAIR
 Row = tuple[int, int, int, int]  # (i, r, s, k_i) of a finite marking a_ji = r/s
-Frame = tuple[frozenset[Coord], tuple[Row, ...]]
+Frame = tuple[frozenset[Pair], tuple[Row, ...]]
+
+_INF_PAIR = (1, 0)
 
 DEFAULT_SEED = 20237
 
@@ -118,15 +124,12 @@ def _rand_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_BOUND, _BOUND), rng.randint(1, _BOUND))
 
 
-def _propagate(x: Coord, b_near: Fraction, b_far: Fraction, t: Fraction) -> Coord:
-    """Coordinate of a point across one node: ``b_far + t / (x - b_near)``."""
-    if x is INF:
-        return b_far
-    if x == b_near:
-        if t == 0:
-            raise DenominatorVanishes("point sits exactly on a fully degenerate node")
-        return INF
-    return b_far + t / (x - b_near)
+def _pair(x: Coord) -> Pair:
+    return _INF_PAIR if x is INF else (x.numerator, x.denominator)
+
+
+def _coord(z: Pair) -> Coord:
+    return Fraction(*z) if z[1] else INF
 
 
 @dataclass
@@ -146,6 +149,7 @@ class LocalChart:
     node_coords: dict[int, dict[int, Fraction]]
     seed: int | None = None
     _coords_cache: dict[int, tuple[Coord, ...]] = field(default_factory=dict, repr=False)
+    _walks_cache: dict[int, tuple[tuple, ...]] = field(default_factory=dict, repr=False)
     _frames_cache: tuple[Frame, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
@@ -274,22 +278,43 @@ def build_codim2_chart(
 # ---------------------------------------------------------------------------
 
 
-def _spread(chart: LocalChart, start: int, x: Coord) -> tuple[Coord, ...]:
-    """Coordinates on every component of the point at ``x`` on component
-    ``start``, pushed through the node relations by a search from ``start``
-    over the node coordinates (their keys are the neighbors); raises
-    :class:`DenominatorVanishes` where a relation is undefined."""
-    coords: dict[int, Coord] = {start: x}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nxt, b_near in chart.node_coords[cur].items():
-            if nxt not in coords:
-                coords[nxt] = _propagate(
-                    coords[cur], b_near, chart.node_coords[nxt][cur], chart.t(cur, nxt)
-                )
-                stack.append(nxt)
-    return tuple(coords[j] for j in range(chart.tree.num_vertices))
+def _spread(chart: LocalChart, start: int, x: Pair) -> tuple[Pair, ...]:
+    """Reduced pairs on every component of the point at the pair ``x`` on
+    component ``start``, by a search from ``start`` over the node coordinates
+    (their keys are the neighbors), whose steps ``(near, far, s, r, b_far,
+    u c, v a s, v c)`` for ``b_near = r/s``, ``b_far = u/v`` and ``t = a/c``
+    are read once per chart and start.  At ``x = p/q`` a node gives
+    ``b_far + t / (x - b_near) = (u c D + v a s q) / (v c D)``,
+    ``D = p s - r q``, divided by one gcd with the sign of ``D``; ``INF``
+    crosses to ``b_far`` and ``b_near`` to ``INF``.  Raises
+    :class:`DenominatorVanishes` at ``b_near`` on a node with ``t = 0``."""
+    if start not in chart._walks_cache:
+        steps, stack, seen = [], [start], {start}
+        while stack:
+            near = stack.pop()
+            for far, b_near in chart.node_coords[near].items():
+                if far not in seen:
+                    seen.add(far)
+                    stack.append(far)
+                    (u, v), t = _pair(chart.node_coords[far][near]), chart.t(near, far)
+                    s, a, c = b_near.denominator, t.numerator, t.denominator
+                    steps.append((near, far, s, b_near.numerator, (u, v), u * c, v * a * s, v * c))
+        chart._walks_cache[start] = tuple(steps)
+    z = [x] * chart.tree.num_vertices
+    for near, far, s, r, b_far, uc, vas, vc in chart._walks_cache[start]:
+        p, q = z[near]
+        diff = p * s - r * q
+        if not q:
+            z[far] = b_far
+        elif diff:
+            num, den = uc * diff + vas * q, vc * diff
+            g = gcd(num, den) if diff > 0 else -gcd(num, den)
+            z[far] = num // g, den // g
+        elif vas:
+            z[far] = _INF_PAIR
+        else:
+            raise DenominatorVanishes("point sits exactly on a fully degenerate node")
+    return tuple(z)
 
 
 def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
@@ -301,26 +326,28 @@ def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     """
     if i not in chart._coords_cache:
         home = chart.home_vertex(i)
-        chart._coords_cache[i] = _spread(chart, home, chart.mark_coords[home][i])
+        pairs = _spread(chart, home, _pair(chart.mark_coords[home][i]))
+        chart._coords_cache[i] = tuple(map(_coord, pairs))
     return chart._coords_cache[i]
 
 
 def _frames(chart: LocalChart) -> tuple[Frame, ...]:
-    """Per component ``j``: its special points, the marking coordinates as the
-    sections see them (so possibly ``INF``) and its node coordinates; and its
-    finite markings ``(i, r, s, k_i)`` with ``a_{ji} = r/s``, in order of ``i``.
-    Built on first use, so a section that does not exist raises there."""
+    """Per component ``j``: its special points as reduced pairs, the marking
+    coordinates as the sections see them, its node coordinates and ``INF``;
+    and its finite markings ``(i, r, s, k_i)`` with ``a_{ji} = r/s``, in order
+    of ``i``.  Built on first use, so a missing section raises there."""
     if not chart._frames_cache:
         sections = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
         frames = []
         for j in range(chart.tree.num_vertices):
-            coords = [a[j] for a in sections]
+            coords = [_pair(a[j]) for a in sections]
             rows = tuple(
-                (i, a.numerator, a.denominator, k)
-                for i, (a, k) in enumerate(zip(coords, chart.sig.kappa), start=1)
-                if a is not INF
+                (i, r, s, k)
+                for i, ((r, s), k) in enumerate(zip(coords, chart.sig.kappa), start=1)
+                if s
             )
-            frames.append((frozenset(coords + list(chart.node_coords[j].values())), rows))
+            nodes = map(_pair, chart.node_coords[j].values())
+            frames.append((frozenset([_INF_PAIR, *coords, *nodes]), rows))
         chart._frames_cache = tuple(frames)
     return chart._frames_cache
 
@@ -334,22 +361,23 @@ def sample_curve_point(
     """A random rational point of the fiber, satisfying every node equation.
 
     The base coordinate is drawn at random and pushed through the node
-    relations; draws landing on a special point (a pole of some ``Phi_j`` or a
-    node) are rejected and retried, up to ``_SAMPLE_DRAWS`` draws in all.  On
-    a pinched fiber the coordinates away from the base collapse to node
-    values, so genericity can only be demanded on the components listed in
-    ``check_vertices`` (default: all).
+    relations as reduced pairs; draws landing on a special point (a pole of
+    some ``Phi_j``, a node or ``INF``) are rejected and retried, up to
+    ``_SAMPLE_DRAWS`` draws in all, and only the accepted point becomes
+    ``Fraction`` coordinates.  On a pinched fiber the coordinates away from
+    the base collapse to node values, so genericity can only be demanded on
+    the components listed in ``check_vertices`` (default: all).
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
     _check_vertices(chart.tree, base, *check)
     special = [points for points, _ in _frames(chart)]
     for _ in range(_SAMPLE_DRAWS):
         try:
-            z = _spread(chart, base, _rand_rational(rng))
+            z = _spread(chart, base, _pair(_rand_rational(rng)))
         except DenominatorVanishes:
             continue
-        if all(z[j] is not INF and z[j] not in special[j] for j in check):
-            return z
+        if all(z[j] not in special[j] for j in check):
+            return tuple(map(_coord, z))
     raise DenominatorVanishes("no valid sample point found; chart too degenerate")
 
 

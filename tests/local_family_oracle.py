@@ -2,13 +2,15 @@
 
 These are the plain ``Fraction`` forms of ``Phi_j``, the frame change
 ``dz_j/dz_k``, the rescaled section and the ratio constant ``f_jk`` (with
-its own sign bookkeeping), the propagation of a point to every component
-along its own path, and the sampler that tests each special point of a
-component by its own ``!=``.  ``local_family`` computes the same values as
-integer numerator/denominator pairs and tests genericity by one set lookup
-per component.  Draws and propagation go through the
-module attributes of ``local_family``, so a test that patches
-``_rand_rational`` patches both samplers alike.
+its own sign bookkeeping), the propagation of a point across one node in
+``Fraction`` arithmetic, its fold along the path to every component, one
+path at a time, and the sampler that carries each draw by that fold and
+tests each special point of a component by its own ``!=``.
+``local_family`` computes the same values as integer numerator/denominator
+pairs: it carries a point as reduced pairs along one walk from the start
+and tests genericity by one set lookup of those pairs per component.  Draws
+go through ``local_family._rand_rational``, so a test that patches it
+patches both samplers alike.
 """
 
 from fractions import Fraction
@@ -23,6 +25,17 @@ from strata0.local_family import (
 )
 
 
+def _propagate(x, b_near, b_far, t):
+    """Coordinate of a point across one node: ``b_far + t / (x - b_near)``."""
+    if x is INF:
+        return b_far
+    if x == b_near:
+        if t == 0:
+            raise DenominatorVanishes("point sits exactly on a fully degenerate node")
+        return INF
+    return b_far + t / (x - b_near)
+
+
 def spread(chart, start, x):
     """The point at ``x`` on component ``start``, on each component ``v``:
     ``_propagate`` folded along ``chart.path(start, v)``, one path at a time."""
@@ -31,17 +44,20 @@ def spread(chart, start, x):
         path = chart.path(start, v)
         z = x
         for a, b in zip(path, path[1:]):
-            z = lf._propagate(z, chart.node_coords[a][b], chart.node_coords[b][a], chart.t(a, b))
+            z = _propagate(z, chart.node_coords[a][b], chart.node_coords[b][a], chart.t(a, b))
         out.append(z)
     return tuple(out)
 
 
 def sample_curve_point(chart, rng, base=0, check_vertices=None):
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
-    all_marks = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
+    all_marks = []
+    for i in range(1, chart.sig.n + 1):
+        home = chart.home_vertex(i)
+        all_marks.append(spread(chart, home, chart.mark_coords[home][i]))
     for _ in range(lf._SAMPLE_DRAWS):
         try:
-            z = lf._spread(chart, base, lf._rand_rational(rng))
+            z = spread(chart, base, lf._rand_rational(rng))
         except DenominatorVanishes:
             continue
         if all(

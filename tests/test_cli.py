@@ -446,10 +446,13 @@ def _p_hat_signatures(draw):
 @st.composite
 def _row_groups(draw):
     """``_Rows`` groups, each with ``None``-kind columns that hold plain ints
-    only (the int path) or mix ints, bools, ``None`` and lists, with a
-    blocks and a rational column among them at times."""
+    only (the int path), ``None`` or lists of plain ints (the ``orders``
+    path), or mix ints, bools, ``None``, tuples and lists that may hold a
+    bool, with a blocks and a rational column among them at times."""
     ints = st.integers() | st.integers(-(2**100), 2**100) | st.just(2**100)
-    mixed = ints | st.booleans() | st.none() | st.lists(st.integers(), max_size=3)
+    orders = st.none() | st.lists(ints, max_size=4)
+    mixed = (ints | st.booleans() | orders | st.lists(st.integers() | st.booleans(), max_size=3)
+             | st.tuples(st.integers()))
     groups = []
     for _ in range(draw(st.integers(0, 3))):
         nrows = draw(st.integers(0, 4))
@@ -462,7 +465,7 @@ def _row_groups(draw):
             elif kind == 6:
                 values = st.integers(-50, 50)
             else:
-                values = draw(st.sampled_from([ints, mixed, st.booleans()]))
+                values = draw(st.sampled_from([ints, orders, mixed, st.booleans()]))
             columns.append(draw(st.lists(values, min_size=nrows, max_size=nrows)))
         groups.append((tuple(zip(names, kinds)), list(zip(*columns))))
     return groups
@@ -665,8 +668,11 @@ class TestJson:
                [(1, True, 3), (True, False, -(2**100)), (0, None, 2**100), (-4, [1, True], 7)])])
     @example([((("a", None), ("b", "blocks"), ("c", 6)), [(1, (3, 2**11 + 5), 4), (-2, (1,), -9)]),
               ((("a", None),), [(True,), (False,)])])
+    @example([((("orders", None), ("c", None)),
+               [(None, 1), ([3, -(2**100), 0], 2), ([], 3), ([1, True], 4), ((2, 3), 5), ([7], 6)])])
     def test_rows_json_int_columns_match_json_dumps(self, groups):
-        # a None-kind column of plain ints takes one map; a bool must not
+        # a None-kind column of plain ints takes one map, and None or a
+        # nonempty list of plain ints takes no _json call; a bool must not
         def rat(f):
             return {"num": str(f.numerator), "den": str(f.denominator)}
 

@@ -340,6 +340,10 @@ def test_ratio_identity_on_every_edge(case, seed):
         assert ratio_constant(chart, u, v) * ratio_constant(chart, v, u) == 1
 
 
+def _pair(x):
+    return (1, 0) if x is INF else (x.numerator, x.denominator)
+
+
 def _outcome(fn, *args, **kwargs):
     """The value of a call, or the type and message of what it raised."""
     try:
@@ -381,11 +385,12 @@ def test_integer_path_matches_fraction_oracle(case, seed, pin):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(signed_trees(), st.integers(0, 2 ** 16), st.booleans(), st.data())
 def test_spread_matches_path_fold(case, seed, pin, data):
-    # _spread walks the node coordinates out from the start; the oracle folds
-    # _propagate along chart.path to each component on its own.  From every
-    # component: a random draw, INF, and each marking and node coordinate
-    # there, on a smooth chart and with one node parameter 0, where a point
-    # on the pinched node raises in both
+    # _spread walks the node coordinates out from the start on reduced integer
+    # pairs; the oracle folds its Fraction _propagate along chart.path to each
+    # component on its own.  From every component: a random draw, INF, and
+    # each marking and node coordinate there, on a smooth chart and with one
+    # node parameter 0, where a point on the pinched node raises in both.
+    # Every pair is in lowest terms with a positive denominator, INF is (1, 0)
     sig, tree = case
     pinch = data.draw(st.sampled_from(tree.edges))
     rng = make_sampler(seed + 1)
@@ -395,9 +400,38 @@ def test_spread_matches_path_fold(case, seed, pin, data):
             xs = [local_family._rand_rational(rng), INF, *chart.mark_coords[s].values(),
                   *chart.node_coords[s].values()]
             for x in xs:
-                assert _outcome(local_family._spread, chart, s, x) == _outcome(
-                    oracle.spread, chart, s, x
-                ), (s, x)
+                got = _outcome(local_family._spread, chart, s, _pair(x))
+                if type(got) is tuple and type(got[0]) is tuple:
+                    for p, q in got:
+                        assert (p, q) == _pair(F(p, q) if q else INF), (s, x, got)
+                    got = tuple(F(p, q) if q else INF for p, q in got)
+                assert got == _outcome(oracle.spread, chart, s, x), (s, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed_trees(), st.integers(0, 2 ** 16), st.booleans(), st.data())
+def test_sampler_matches_fraction_oracle_draw_for_draw(case, seed, pin, data):
+    # the public sampler against the oracle's, which carries each draw by the
+    # Fraction path fold: from equal seeds, the same points, or the same error
+    # after the same draws (both generators end in the same state).  Some
+    # node parameters are given, 0 (a pinched node, whose far side collapses
+    # onto a node coordinate) or small; the others are drawn.  The base and
+    # the components checked for genericity are drawn too
+    sig, tree = case
+    vertices = range(tree.num_vertices)
+    given_t = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-3, 2)])
+    params = data.draw(st.dictionaries(st.sampled_from(tree.edges), given_t))
+    base = data.draw(st.sampled_from(vertices))
+    check = data.draw(st.none() | st.lists(st.sampled_from(vertices), unique=True))
+    chart = build_chart(sig, tree, params or None, seed=seed, pin=pin)
+    new, old = make_sampler(seed + 1), make_sampler(seed + 1)
+    for _ in range(4):
+        point = _outcome(sample_curve_point, chart, new, base=base, check_vertices=check)
+        assert point == _outcome(oracle.sample_curve_point, chart, old, base, check)
+        assert new.getstate() == old.getstate()
+        if type(point[0]) is type:  # the error both raised
+            break
+        assert all(type(x) is F or x is INF for x in point)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
