@@ -58,11 +58,9 @@ from strata0.divisors import (
 from strata0.intersection import Boundary, _check_factor_count
 from strata0.local_family import (
     DEFAULT_SEED,
-    INF,
     DenominatorVanishes,
     PoleHit,
     build_chart,
-    marked_point_coords,
     verify_ratio_identity,
 )
 from strata0.strata import (
@@ -594,16 +592,6 @@ def _cmd_verify_family(sig: Signature, args) -> _Answer:
     chart = build_chart(sig, tree, params or None, seed=seed)
     if any(t == 0 for t in chart.node_params.values()):
         raise StrataError("family verification needs nonzero node parameters")
-    # A section reaches infinity away from its home component only by landing
-    # on the node coordinate toward that component one step earlier.
-    for i in range(1, sig.n + 1):
-        home = chart.home_vertex(i)
-        for j, x in enumerate(marked_point_coords(chart, i)):
-            if x is INF and j != home:
-                raise StrataError(
-                    f"degenerate chart: the node parameters put marking {i} "
-                    f"on the node toward component {j}"
-                )
     pairs = []
     all_ok = True
     for u, v in tree.edges:

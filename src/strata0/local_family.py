@@ -23,12 +23,13 @@ holds at a generic exact sample holds identically.  A point is carried across
 the nodes by one propagation walk, shared by the marked sections and the
 sampled points, as reduced integer pairs (``INF`` is ``(1, 0)``), one gcd
 per node; the path between two components is read off the parent table of
-the :class:`~strata0.strata.StableTree`.  The sections are read into one
-table per component, built on first use and cached on the chart: its
-special points (its marking and node coordinates and ``INF``, as the same
-pairs) and its finite markings.  A draw is generic when, on every component,
-it avoids that component's special points, one set lookup per component;
-only an accepted point becomes ``Fraction`` coordinates.
+the :class:`~strata0.strata.StableTree`.  The sections are carried into one
+table per component, once per chart on first use: the sections there and
+its special points (those, its node coordinates and ``INF``), as the same
+pairs, and its finite markings.  A draw is generic when it avoids each
+component's special points, one set lookup per component; only an accepted
+point becomes ``Fraction`` coordinates.  :func:`verify_ratio_identity`
+refuses a degenerate chart, whose node parameters put a marking on a node.
 
 ``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as unreduced
 integer numerator/denominator pairs, with no gcd per factor: at
@@ -106,7 +107,7 @@ INF = _Infinity()
 Coord = Fraction | _Infinity
 Pair = tuple[int, int]  # p/q in lowest terms with q > 0, or _INF_PAIR
 Row = tuple[int, int, int, int]  # (i, r, s, k_i) of a finite marking a_ji = r/s
-Frame = tuple[frozenset[Pair], tuple[Row, ...]]
+Frame = tuple[frozenset[Pair], tuple[Row, ...], tuple[Pair, ...]]
 
 _INF_PAIR = (1, 0)
 
@@ -148,7 +149,6 @@ class LocalChart:
     mark_coords: dict[int, dict[int, Coord]]
     node_coords: dict[int, dict[int, Fraction]]
     seed: int | None = None
-    _coords_cache: dict[int, tuple[Coord, ...]] = field(default_factory=dict, repr=False)
     _walks_cache: dict[int, tuple[tuple, ...]] = field(default_factory=dict, repr=False)
     _frames_cache: tuple[Frame, ...] = field(default=(), repr=False)
 
@@ -323,31 +323,30 @@ def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     The home component stores the coordinate directly; every other component
     sees the point through the chain of node relations.  With all node
     parameters zero the point collapses onto node coordinates away from home.
+    Read off :func:`_frames`, which raises if any section meets a pinched node.
     """
-    if i not in chart._coords_cache:
-        home = chart.home_vertex(i)
-        pairs = _spread(chart, home, _pair(chart.mark_coords[home][i]))
-        chart._coords_cache[i] = tuple(map(_coord, pairs))
-    return chart._coords_cache[i]
+    chart.home_vertex(i)  # a marking outside 1..n raises here
+    return tuple(_coord(frame[2][i - 1]) for frame in _frames(chart))
 
 
 def _frames(chart: LocalChart) -> tuple[Frame, ...]:
-    """Per component ``j``: its special points as reduced pairs, the marking
-    coordinates as the sections see them, its node coordinates and ``INF``;
-    and its finite markings ``(i, r, s, k_i)`` with ``a_{ji} = r/s``, in order
-    of ``i``.  Built on first use, so a missing section raises there."""
+    """Per component ``j``: its special points as reduced pairs (the marked
+    sections there, its node coordinates and ``INF``); its finite markings
+    ``(i, r, s, k_i)`` with ``a_{ji} = r/s``, in order of ``i``; and the
+    sections there, marking ``i`` at index ``i - 1``.  Built on first use by
+    :func:`_spread` from each home, so a section on a pinched node raises here."""
     if not chart._frames_cache:
-        sections = [marked_point_coords(chart, i) for i in range(1, chart.sig.n + 1)]
+        homes = enumerate(map(chart.home_vertex, range(1, chart.sig.n + 1)), start=1)
+        sections = [_spread(chart, j, _pair(chart.mark_coords[j][i])) for i, j in homes]
         frames = []
-        for j in range(chart.tree.num_vertices):
-            coords = [_pair(a[j]) for a in sections]
+        for j, column in enumerate(zip(*sections)):
             rows = tuple(
                 (i, r, s, k)
-                for i, ((r, s), k) in enumerate(zip(coords, chart.sig.kappa), start=1)
+                for i, ((r, s), k) in enumerate(zip(column, chart.sig.kappa), start=1)
                 if s
             )
             nodes = map(_pair, chart.node_coords[j].values())
-            frames.append((frozenset([_INF_PAIR, *coords, *nodes]), rows))
+            frames.append((frozenset([_INF_PAIR, *column, *nodes]), rows, column))
         chart._frames_cache = tuple(frames)
     return chart._frames_cache
 
@@ -369,14 +368,14 @@ def sample_curve_point(
     the components listed in ``check_vertices`` (default: all).
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
-    _check_vertices(chart.tree, base, *check)
-    special = [points for points, _ in _frames(chart)]
+    _check_vertices(chart.tree, base, *([] if check_vertices is None else check))
+    frames = _frames(chart)
     for _ in range(_SAMPLE_DRAWS):
         try:
             z = _spread(chart, base, _pair(_rand_rational(rng)))
         except DenominatorVanishes:
             continue
-        if all(z[j] not in special[j] for j in check):
+        if all(z[j] not in frames[j][0] for j in check):
             return tuple(map(_coord, z))
     raise DenominatorVanishes("no valid sample point found; chart too degenerate")
 
@@ -438,7 +437,7 @@ def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> tuple[int, in
     one form serves both orders, with no orientation of the node.
 
     A marking at ``b_{jk}`` in frame ``j`` sits at INF in frame ``k`` (or
-    ``marked_point_coords`` refuses it on a pinched node), so the restriction
+    :func:`_frames` refuses it on a pinched node), so the restriction
     to ``F`` keeps every factor nonzero.
     """
     on_j = chart.tree.far_marks(k, j)  # NoSuchEdge unless adjacent
@@ -519,6 +518,10 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
     component, where neither side can hit a pole; when it gives up, its
     :class:`DenominatorVanishes` propagates.
 
+    Raises :class:`StrataError` on a degenerate chart, whose node parameters
+    put a marking on the node toward a component where its section is then
+    ``INF``; the message names the first such marking and component.
+
     In the frame of ``k`` the identity reads ``Phi_j J^d = C Phi_k`` with
     ``J = dz_j/dz_k`` and ``C = f_{jk} t^{beta_k} / t^{beta_j}``.  ``C``,
     each frame's finite markings and the path steps of ``J`` are read once
@@ -530,12 +533,18 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
         raise ValueError("need at least one sample")
     if any(t == 0 for t in chart.node_params.values()):
         raise DenominatorVanishes("ratio verification needs a smooth fiber (t != 0)")
+    frames = _frames(chart)
+    for i in range(1, chart.sig.n + 1):
+        for v, frame in enumerate(frames):
+            if frame[2][i - 1] == _INF_PAIR and i not in chart.mark_coords[v]:
+                raise StrataError(f"degenerate chart: the node parameters put marking {i} "
+                                  f"on the node toward component {v}")
     if j == k:
         return True
     rng = make_sampler(chart.seed)
     c = ratio_constant(chart, j, k) * beta_monomial(chart, k) / beta_monomial(chart, j)
     c_num, c_den = c.numerator, c.denominator
-    marks_j, marks_k = _frames(chart)[j][1], _frames(chart)[k][1]
+    marks_j, marks_k = frames[j][1], frames[k][1]
     steps = _path_steps(chart, j, k)
     d = chart.sig.d
     for _ in range(samples):

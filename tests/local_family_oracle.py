@@ -5,7 +5,8 @@ These are the plain ``Fraction`` forms of ``Phi_j``, the frame change
 its own sign bookkeeping), the propagation of a point across one node in
 ``Fraction`` arithmetic, its fold along the path to every component, one
 path at a time, and the sampler that carries each draw by that fold and
-tests each special point of a component by its own ``!=``.
+tests each special point of a component by its own ``!=``; and the
+degenerate-chart rule, read off that fold one marking at a time.
 ``local_family`` computes the same values as integer numerator/denominator
 pairs: it carries a point as reduced pairs along one walk from the start
 and tests genericity by one set lookup of those pairs per component.  Draws
@@ -47,6 +48,19 @@ def spread(chart, start, x):
             z = _propagate(z, chart.node_coords[a][b], chart.node_coords[b][a], chart.t(a, b))
         out.append(z)
     return tuple(out)
+
+
+def degenerate_chart_message(chart):
+    """The refusal of a chart whose node parameters put a marking on a node,
+    or ``None``: the first marking, in increasing order, whose section is at
+    INF on a component other than its home, and its first such component."""
+    for i in range(1, chart.sig.n + 1):
+        home = chart.home_vertex(i)
+        for j, x in enumerate(spread(chart, home, chart.mark_coords[home][i])):
+            if x is INF and j != home:
+                return (f"degenerate chart: the node parameters put marking {i} "
+                        f"on the node toward component {j}")
+    return None
 
 
 def sample_curve_point(chart, rng, base=0, check_vertices=None):

@@ -444,6 +444,27 @@ class TestPartitionSumEngine:
         assert res.coefficient == F(245, 5 ** 6 * 5040)
         assert not calls
 
+    def test_mixed_matches_w_at_n8_n9(self):
+        # the mixed identity against W past the grid, with no zero entry:
+        # eight distinct entries at n = 9, seven equal ones, and seeded
+        # members of the family 1 plus negatives summing to -(2d + 1)
+        cases = [(18, [1, -5, -6, -9, -1, -8, -4, -1, -3], -35642),
+                 (4, [1] + [-1] * 7 + [-2], -245)]
+        rng = random.Random("mcmullen-mixed")
+        for _ in range(6):
+            n = rng.choice((8, 9))
+            d = rng.randrange(n, 2 * n)
+            neg = [0]
+            while sum(neg) != -(2 * d + 1):
+                neg = [rng.randrange(1 - d, 0) for _ in range(n - 1)]
+            cases.append((d, [1] + neg, None))
+        for d, kappa, value in cases:
+            sig = validate_signature(d, kappa)
+            assert blowup_is_trivial(sig), kappa
+            w = form_psi_number(sig, [0] * sig.n)
+            assert _partition_sum_self_intersection(sig) == w, (d, kappa)
+            assert value is None or w == value
+
     @pytest.mark.parametrize(
         "d,kappa",
         [(2, [1, -1, -1, -1, -1, -1]), (4, [1, 1, -1, -3, -3, -3]),
@@ -455,6 +476,35 @@ class TestPartitionSumEngine:
         calls = _count_fold_calls(monkeypatch)
         assert volume(sig).intersection_number == fold
         assert calls == [sig.n]
+
+
+def _frontier_case(rng, n):
+    """A seeded top-degree list at ``n`` on ``1`` plus ``n - 1`` distinct
+    negative entries: one or two compatible ``D{...}`` sides, up to two psi
+    classes and the rest ``D_mu`` in either form, in a shuffled order.
+    Returns the signature, the sides, the psi exponents and the factors."""
+    d = rng.randrange(2 * n, 3 * n)
+    neg = [0]
+    while sum(neg) != -(2 * d + 1):
+        neg = rng.sample(range(1 - d, 0), n - 1)
+    kappa = [1] + neg
+    rng.shuffle(kappa)
+    sig = validate_signature(d, kappa)
+    sides = []
+    for _ in range(rng.randrange(1, 3)):
+        x = set(rng.sample(range(1, n + 1), rng.randrange(2, n - 1)))
+        while any(_crosses(x, y, n) for y in sides):
+            x = set(rng.sample(range(1, n + 1), rng.randrange(2, n - 1)))
+        sides.append(x)
+    b = [0] * n
+    for _ in range(rng.randrange(3)):
+        b[rng.randrange(n)] += 1
+    exprs = [DivisorExpression({Boundary.of(n, x): 1}) for x in sides]
+    exprs += [rng.choice((d_mu_boundary_form, d_mu_psi_form))(sig)
+              for _ in range(n - 3 - len(sides) - sum(b))]
+    exprs += [DivisorExpression({Psi(i): 1}) for i, p in enumerate(b, 1) for _ in range(p)]
+    rng.shuffle(exprs)
+    return sig, sides, b, exprs
 
 
 def _form_psi_factors(sig, b, rng):
@@ -653,6 +703,26 @@ class TestFormPsiNumber:
         exprs = [DivisorExpression({t: 1}) for t in bnds] + [d_mu_boundary_form(sig)] * a
         exprs += [DivisorExpression({Psi(i): 1}) for i, p in enumerate(b, 1) for _ in range(p)]
         assert product_number(8, exprs) == value
+
+    def test_matches_fold_past_n8_with_distinct_entries(self):
+        # W against the fold where no other test takes it: distinct entries
+        # with D{...} lists and psi mixes, sixteen seeded lists at n = 8 (4
+        # are nonzero, the rest vanish by degree on a side) and the n = 9
+        # list D_mu^4 psi_2 D{1,2,3}, whose fold takes seconds
+        rng = random.Random("form-psi-frontier")
+        nonzero = 0
+        for _ in range(16):
+            sig, sides, b, exprs = _frontier_case(rng, 8)
+            value = form_psi_number(sig, b, [Boundary.of(8, x) for x in sides])
+            assert value == product_number(8, exprs), (sig.d, sig.kappa, sides, b)
+            nonzero += value != 0
+        assert nonzero >= 4
+        sig = validate_signature(18, [1, -5, -6, -9, -1, -8, -4, -1, -3])
+        b = [0, 1] + [0] * 7
+        exprs = [d_mu_boundary_form(sig), d_mu_psi_form(sig)] * 2
+        exprs += [DivisorExpression({Psi(2): 1}), DivisorExpression({Boundary.of(9, {1, 2, 3}): 1})]
+        assert form_psi_number(sig, b, [Boundary.of(9, {1, 2, 3})]) == 287
+        assert product_number(9, exprs) == 287
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_d_factor_hypothesis_case(), st.data())

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from test_orientation_oracle import signed_trees
 
 from strata0 import local_family
+from strata0.cli import main, parse_tree_spec
 from strata0.local_family import (
+    DEFAULT_SEED,
     INF,
     BadBlocks,
     DenominatorVanishes,
@@ -462,6 +464,76 @@ def test_ratio_constant_matches_fraction_oracle(case, seed, pin, data):
                 local_family._adjacent_ratio_constant(chart, j, k)
 
 
+class TestDegenerateChart:
+    # a chart whose node parameters put a marking on a node: the library
+    # refuses it on every pair, j == k included, with the line the CLI prints.
+    # The first is a codim-2 chain whose t[0-1] = 1 and t[0-2] = -8/7 put
+    # marking 7 on the node toward component 2; the second a star whose
+    # t[0-2] = -1 carries marking 5 from 1 on component 2 to 0 on the center,
+    # the node toward component 1, behind the edge 0-1 checked first
+    CHARTS = {
+        "chain": (3, "5,-1,-2,-1,-2,-1,-2,0,-2",
+                  "2;6,7,9;1,3,4,5,8 0-1 0-2 t[0-1]=59/59 t[0-2]=-64/56", 7, 2),
+        "star": (3, "1,-1,-1,-1,-1,-1,-1,-1", "1,2;3,4;5,6;7,8 0-1 0-2 0-3 t[0-2]=-1", 5, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHARTS))
+    def test_refused_on_every_pair(self, case, capsys):
+        d, kappa, spec, i, v = self.CHARTS[case]
+        sig = validate_signature(d, [int(k) for k in kappa.split(",")])
+        groups, edges, params = parse_tree_spec(spec, sig.n)
+        chart = build_chart(sig, StableTree(groups, tuple(edges)), params, seed=DEFAULT_SEED)
+        message = (f"degenerate chart: the node parameters put marking {i} "
+                   f"on the node toward component {v}")
+        assert oracle.degenerate_chart_message(chart) == message
+        for u, w in edges:
+            for j, k in ((u, w), (w, u), (w, w)):
+                with pytest.raises(StrataError, match=f"^{message}$"):
+                    verify_ratio_identity(chart, j, k, samples=1)
+        assert main(["verify-family", "--d", str(d), f"--kappa={kappa}", "--chart", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed_trees().filter(lambda case: len(case[1].edges) > 1), st.integers(0, 2 ** 16),
+       st.sampled_from([True, True, False]), st.data())
+def test_degenerate_chart_refusal_matches_oracle(case, seed, pin, data):
+    # trees with two edges or more, since on one edge distinct special points
+    # keep every section off the node.  Node parameters pinned to +-1 or
+    # other small values often carry a pinned coordinate (0, 1 or INF) onto
+    # a node; in some charts one parameter is also aimed,
+    # t = (b_{far,w} - b_{far,near}) (x - b_{near,far}), so that the section
+    # at x on near, of a marking on near's side, lands on the node toward w.
+    # verify_ratio_identity refuses exactly the charts where the oracle finds
+    # a section at INF off its home (120 of the 200), with the oracle's
+    # message, on both orders of every edge and on j == k; the rest pass
+    sig, tree = case
+    small = st.sampled_from([F(1), F(-1), F(1), F(-1), F(1, 2), F(-2), None])
+    params = {e: t for e in tree.edges if (t := data.draw(small)) is not None}
+    chart = build_chart(sig, tree, params or None, seed=seed, pin=pin)
+    aims = [(e, near, far, w) for e in tree.edges for near, far in (e, e[::-1])
+            for w in tree.neighbors(far) if w != near]
+    if data.draw(st.booleans()):
+        e, near, far, w = data.draw(st.sampled_from(aims))
+        i = data.draw(st.sampled_from(sorted(tree.far_marks(far, near))))
+        home = chart.home_vertex(i)
+        x = oracle.spread(chart, home, chart.mark_coords[home][i])[near]
+        b = chart.node_coords
+        if x is not INF and x != b[near][far]:
+            t = (b[far][w] - b[far][near]) * (x - b[near][far])
+            chart = LocalChart(sig, tree, {**chart.node_params, e: t}, chart.mark_coords, b,
+                               seed=seed)
+    message = oracle.degenerate_chart_message(chart)
+    for u, v in tree.edges:
+        for j, k in ((u, v), (v, u), (v, v)):
+            if message is None:
+                assert verify_ratio_identity(chart, j, k, samples=1), (j, k)
+            else:
+                with pytest.raises(StrataError) as refusal:
+                    verify_ratio_identity(chart, j, k, samples=1)
+                assert str(refusal.value) == message
+
+
 class TestIntegerPath:
     def test_wrong_constant_fails(self, monkeypatch):
         # a cross-multiplication that never fails would pass every other test
@@ -518,11 +590,11 @@ class TestIntegerPath:
 
 
 class TestErrorMessages:
-    # From the CLI none of these is reachable: its degenerate-chart check and
-    # the sampler's rejections come first.  A section meets the node
-    # coordinate toward k only where it is at INF on k, and f_jk takes only
-    # the markings finite in both frames, so its _phi_pair calls never raise
-    # PoleHit.
+    # From the CLI none of these is reachable: the degenerate-chart check of
+    # verify_ratio_identity and the sampler's rejections come first.  A
+    # section meets the node coordinate toward k only where it is at INF on
+    # k, and f_jk takes only the markings finite in both frames, so its
+    # _phi_pair calls never raise PoleHit.
     def test_pole_hits(self):
         chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=8, pin=False)
         far = F(123456789, 7)

@@ -55,7 +55,12 @@ probes at ``d = 3`` on ``--kappa=2,1,-2,-2,-1,-1,-2,-1`` follow: a
 five-component chart (a star at vertex 0 with a tail, ``t[3-4]=-3/4``) whose
 identities the integer path checks with ``k_i`` of both signs, and a 4-chain
 whose ``t[0-1]=1`` puts marking 1 at INF on vertex 2, off its home frame,
-which the CLI refuses as a degenerate chart (exit 2).  The last two are the
+which the family check refuses as a degenerate chart (exit 2).  A third
+degenerate chart, ``verify-family --json --d 3
+--kappa=1,-1,-1,-1,-1,-1,-1,-1`` on the star ``"1,2;3,4;5,6;7,8 0-1 0-2
+0-3 t[0-1]=1 t[0-2]=-1"``, puts two markings on nodes, marking 3 on the
+node toward component 2 and marking 5 on the node toward component 1, so it
+pins which one the refusal names: the first marking.  The last two are the
 other refusals of ``verify-family`` (exit 2): ``--samples 0`` and a chart
 with ``t[0-1]=0``.  The ``PoleHit`` and ``DenominatorVanishes`` paths of the
 family check cannot be reached from the CLI: those refusals and the
@@ -135,6 +140,9 @@ PROBE_ARGV = [
     *(["verify-family", "--json", "--d", "3", "--kappa=2,1,-2,-2,-1,-1,-2,-1", "--chart", chart]
       for chart in ("1;2,3;4,5;6;7,8 0-1 0-2 0-3 3-4 t[3-4]=-3/4",
                     "1,2;3,4;5,6;7,8 0-1 1-2 2-3 t[0-1]=1")),
+    # two markings on nodes: the refusal names marking 3, the first (exit 2)
+    ["verify-family", "--json", "--d", "3", "--kappa=1,-1,-1,-1,-1,-1,-1,-1", "--chart",
+     "1,2;3,4;5,6;7,8 0-1 0-2 0-3 t[0-1]=1 t[0-2]=-1"],
     # the two other refusals before any sample is drawn (exit 2)
     ["verify-family", "--json", "--d", "2", "--kappa=-1,-1,-1,-1", "--chart", "1,2;3,4 0-1",
      "--samples", "0"],
