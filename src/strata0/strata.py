@@ -39,11 +39,13 @@ This module is the one split core that the other layers share:
   :func:`enumerate_stable_trees` sorts what it yields.
   Every tree fills one parent and far-side table on construction; the local
   charts read paths off its parents (``StableTree._path``), and principal
-  subcurves are one pass over its rows, or over a ``_laminar`` table with
-  no tree built: the node above ``v`` has weight 0 iff ``k_v = -d`` (``k_B``
-  of the subtree under ``v``), and any other node rules out the group above
-  it iff ``k_v < -d``, else the one below, since only one side of a node can
-  be heavy.
+  subcurves are one pass over its rows: the node above ``v`` has weight 0
+  iff ``k_v = -d`` (``k_B`` of the subtree under ``v``), and any other node
+  rules out the group above it iff ``k_v < -d``, else the one below, since
+  only one side of a node can be heavy.  The ``--max-codim`` walk builds no
+  tree and no table: each split that ``_split_keys`` adds is a new leaf, so
+  the walk applies this rule to one leaf per key and counts the principal
+  groups as it goes.
 
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  Every boundary index is a :class:`MultiBlockPartition`: a
@@ -688,19 +690,67 @@ def in_ideal_support(tree: StableTree, sig: Signature) -> bool:
 
 def _any_tree_in_support(sig: Signature, max_edges: int) -> bool:
     """Whether some stable tree with at most ``max_edges`` nodes lies in the
-    ideal support.  Each key of :func:`_split_keys` is tested on its
-    :func:`_laminar` table, with no :class:`StableTree` built, and the walk
-    stops at the first tree in the support.  The ``k`` of every far side (a
-    mask without marking 1) comes from one lowest-bit table, ``kt[a >> 1]``,
-    built once per walk; the root's subtree holds every marking, so its
-    ``k`` is ``-2d``."""
+    ideal support, by a brute-force check of every key of
+    :func:`_split_keys` that stops at the first tree in the support.
+
+    No :class:`StableTree` and no :func:`_laminar` table is built: the walk's
+    own depth-first order carries :func:`_principal`'s counts, one leaf at a
+    time.  A key of length ``v`` extends the key of length ``v - 1`` met just
+    before it by one split ``L`` larger than every earlier split ``K``.  Both
+    hold marking 1 and are compatible, so ``K`` lies inside ``L`` or
+    ``K | L`` is everything: the far side ``full ^ L`` lies inside ``full ^ K``
+    or is disjoint from it.  So a new far side never contains an earlier one,
+    the new vertex ``v`` is a leaf, and nothing is re-parented.  Its parent is
+    the latest earlier far side that holds it, else the root.
+
+    Per depth the walk keeps each vertex's group (its ``top``, as in
+    :func:`_principal`), a bitmask of ruled-out groups and the number of
+    principal groups; the smooth curve has one group, the root's, and it is
+    principal.  With ``kv`` the ``k`` of the new far side:
+
+    * ``kv == -d``: the node has weight 0 and the leaf joins its parent's group;
+    * ``kv < -d``: the leaf is a new principal group and rules out its
+      parent's group, so the count goes up by one iff that group was ruled
+      out already;
+    * ``kv > -d``: the leaf is a new group that rules itself out.
+
+    So the count never goes down along a path, and the first count of 2 or
+    more answers.  The ``k`` of every far side (a mask without marking 1)
+    comes from one lowest-bit table, ``kt[a >> 1]``, built once per walk."""
+    d, full = sig.d, (1 << sig.n) - 1
     kt = [0] * (1 << (sig.n - 1))
     for m in range(1, len(kt)):
         low = m & -m
         kt[m] = kt[m ^ low] + sig.kappa[low.bit_length()]
-    tables = (_laminar(sig.n, key) for key in _split_keys(sig.n, max_edges))
-    return any(len(_principal(sig, parent, [-2 * sig.d, *(kt[a >> 1] for a in fars)])[0]) >= 2
-               for fars, parent, _ in tables)
+    # entry v of each stack is the state of the key's first v splits; vertex
+    # v >= 1 lies beyond fars[v], and the root's entry holds every marking
+    fars, top, ruled, count = [full], [0], [0], [1]
+    keys = _split_keys(sig.n, max_edges)
+    next(keys)  # the smooth curve
+    for key in keys:
+        v = len(key)
+        del fars[v:], top[v:], ruled[v:], count[v:]
+        a = full ^ key[-1]
+        p = v - 1
+        while p and not fars[p] & a:
+            p -= 1
+        kv, out, c = kt[a >> 1], ruled[-1], count[-1]
+        if kv == -d:
+            t = top[p]
+        else:
+            t = v
+            if kv < -d:
+                c += out >> top[p] & 1
+                if c >= 2:
+                    return True
+                out |= 1 << top[p]
+            else:
+                out |= 1 << v
+        fars.append(a)
+        top.append(t)
+        ruled.append(out)
+        count.append(c)
+    return False
 
 
 def fiber_projective_dim(tree: StableTree, sig: Signature) -> int:

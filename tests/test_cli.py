@@ -783,19 +783,25 @@ class TestJson:
         assert code == 0
 
     def test_volume_max_codim_builds_no_tree(self, capsys, monkeypatch):
-        built = []
-        init = StableTree.__post_init__
+        # no tree, and no laminar table or principal pass per tree: the walk
+        # folds principal groups along the split walk one leaf at a time
+        calls = {"tree": 0, "_laminar": 0, "_principal": 0}
 
-        def counting(self):
-            built.append(1)
-            init(self)
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(StableTree, "__post_init__", counting)
+        monkeypatch.setattr(StableTree, "__post_init__",
+                            counting("tree", StableTree.__post_init__))
+        for name in ("_laminar", "_principal"):
+            monkeypatch.setattr(cli.strata, name, counting(name, getattr(cli.strata, name)))
         # n = 7 and E-trivial, so the walk visits all 2752 trees up to depth 4
         code, _, _ = run(
             capsys, "volume", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0", "--max-codim", "4"
         )
-        assert (code, len(built)) == (0, 0)
+        assert (code, calls) == (0, {"tree": 0, "_laminar": 0, "_principal": 0})
 
 
 class TestOneParser:

@@ -53,21 +53,22 @@ def signatures(draw):
 
 @st.composite
 def signed_trees(draw):
-    """A signature and a tree of compatible random splits (one of them
-    balanced, if the signature has such a split), vertices renumbered."""
+    """A signature and a tree of 1 to ``n - 3`` random compatible splits (one
+    of them balanced, if the signature has such a split), vertices
+    renumbered.  Each split is drawn from those compatible with the ones
+    before it, so the depth is drawn, not filtered: every compatible set of
+    fewer than ``n - 3`` splits extends by one more."""
     sig = draw(signatures())
     n = sig.n
     full = (1 << n) - 1
     # split masks of the side holding marking 1; a tie has weight 1 on both sides
     cands = [a for a in range(1, full, 2) if 2 <= a.bit_count() <= n - 2]
     ties = [a for a in cands if mu(sig, _mask_marks(a)) == 1]
-    picks = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=n - 3))
-    if ties:
-        picks.insert(0, draw(st.sampled_from(ties)))
-    chosen = []
-    for key in picks:
-        if key not in chosen and all((key & c) in (key, c) or key | c == full for c in chosen):
-            chosen.append(key)
+    chosen = [draw(st.sampled_from(ties))] if ties else []
+    for _ in range(len(chosen), draw(st.integers(1, n - 3))):
+        cands = [a for a in cands if a not in chosen
+                 and all((a & c) in (a, c) or a | c == full for c in chosen)]
+        chosen.append(draw(st.sampled_from(cands)))
     tree = StableTree.from_splits(n, chosen)
     perm = draw(st.permutations(range(tree.num_vertices)))
     marks = [None] * tree.num_vertices

@@ -10,6 +10,7 @@ paths between components) with ``Fraction`` weights.
 """
 
 import itertools
+import random
 
 import pytest
 from fraction_weights import mu, oracle_orient
@@ -375,20 +376,88 @@ E_NONTRIVIAL = [
 ]
 
 
-@pytest.mark.parametrize("sig", TIE_SIGNATURES + E_NONTRIVIAL, ids=lambda s: f"d{s.d}n{s.n}")
-def test_principal_on_split_walk_tables_matches_trees(sig):
-    # every split set, read off its laminar table as the --max-codim walk
-    # does; StableTree.from_splits numbers vertices by the same table
-    n, full = sig.n, (1 << sig.n) - 1
-    in_support = False
+def split_walk_oracle(sig):
+    """Every key of the walk, in the walk's order, read off its own
+    :func:`_laminar` table by the whole of :func:`_principal`.  Yields the
+    key, its principal groups and ruled-out vertices, and the branch of the
+    walk's fold that its last split takes:
+    ``"zero"`` (weight-0 node), ``"heavy"`` or ``"heavy-on-ruled"`` (a heavy
+    leaf under a group not yet or already ruled out) or ``"light"``."""
+    n, full, d = sig.n, (1 << sig.n) - 1, sig.d
+    ruled_masks = {}  # key -> far masks of its ruled-out vertices
     for key in _split_keys(n, n - 3):
         fars, parent, _ = _laminar(n, key)
+        masks = (full, *fars)
+        principal, rest = _principal(sig, parent, [_mask_k(sig, m) for m in masks])
+        ruled_masks[key] = {masks[v] for v in rest}
+        branch = None
+        if key:
+            leaf = fars.index(full ^ key[-1]) + 1
+            kv = _mask_k(sig, masks[leaf])
+            if kv == -d:
+                branch = "zero"
+            elif kv > -d:
+                branch = "light"
+            elif masks[parent[leaf]] in ruled_masks[key[:-1]]:
+                branch = "heavy-on-ruled"
+            else:
+                branch = "heavy"
+        yield key, (principal, rest), branch
+
+
+def check_walk_at_every_depth(sig):
+    """``_any_tree_in_support`` at each depth against the per-key oracle;
+    returns the set of fold branches the walk met."""
+    n = sig.n
+    first = n - 2  # least edge count of a key with two principal groups
+    branches = set()
+    for key, (principal, _), branch in split_walk_oracle(sig):
+        branches.add(branch)
+        if len(principal) >= 2:
+            first = min(first, len(key))
+    for depth in range(n - 2):
+        assert _any_tree_in_support(sig, depth) == (first <= depth), (sig, depth)
+    return branches
+
+
+@pytest.mark.parametrize("sig", TIE_SIGNATURES + E_NONTRIVIAL, ids=lambda s: f"d{s.d}n{s.n}")
+def test_principal_on_split_walk_tables_matches_trees(sig):
+    # every split set, read off its laminar table; StableTree.from_splits
+    # numbers vertices by the same table
+    n = sig.n
+    in_support = False
+    for key, got, _ in split_walk_oracle(sig):
         tree = StableTree.from_splits(n, key)
-        got = _principal(sig, parent, [_mask_k(sig, m) for m in (full, *fars)])
         assert got == principal_subcurves(tree, sig) == oracle_principal_subcurves(tree, sig)
         in_support = in_support or len(got[0]) >= 2
+    check_walk_at_every_depth(sig)
     assert _any_tree_in_support(sig, n - 3) == in_support == (not blowup_is_trivial(sig))
     assert in_support or sig not in E_NONTRIVIAL
+
+
+def all_signatures(n, d):
+    """Every signature at ``(n, d)`` up to relabeling, ``kappa`` non-decreasing."""
+    top = -2 * d - (n - 1) * (1 - d)
+    return [validate_signature(d, kappa)
+            for kappa in itertools.combinations_with_replacement(range(1 - d, top + 1), n)
+            if sum(kappa) == -2 * d]
+
+
+def test_split_walk_fold_matches_oracle_on_every_small_signature():
+    # every signature at n <= 6 and d = 2..4, in both orders of kappa (the
+    # walk's order of splits follows the numbering), and ten seeded ones at
+    # n = 7
+    sigs = [sig for n in (4, 5, 6) for d in (2, 3, 4) for sig in all_signatures(n, d)]
+    sigs += [validate_signature(sig.d, sig.kappa[::-1]) for sig in sigs]
+    rng = random.Random("split-walk-fold")
+    at_7 = {d: all_signatures(7, d) for d in (2, 3, 4)}
+    for _ in range(10):
+        sig = rng.choice(at_7[rng.choice((2, 3, 4))])
+        sigs.append(validate_signature(sig.d, rng.sample(sig.kappa, 7)))
+    branches = set()
+    for sig in sigs:
+        branches |= check_walk_at_every_depth(sig)
+    assert branches == {None, "zero", "heavy", "heavy-on-ruled", "light"}
 
 
 @st.composite
