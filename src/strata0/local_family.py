@@ -19,36 +19,33 @@ the ratio of any two rescaled candidates is a constant of the chart data,
 
 All verification here is by exact evaluation at random rational points of the
 curve, with retry on degenerate draws: an identity of rational functions that
-holds at a generic exact sample holds identically.  A point is carried across
-the nodes by one propagation walk, shared by the marked sections and the
-sampled points, as reduced integer pairs (``INF`` is ``(1, 0)``), one gcd
-per node; the path between two components is read off the parent table of
-the :class:`~strata0.strata.StableTree`.  The sections are carried into one
-table per component, once per chart on first use: the sections there and
-its special points (those, its node coordinates and ``INF``), as the same
-pairs, and its finite markings.  A draw is generic when it avoids each
-component's special points, one set lookup per component; only an accepted
-point becomes ``Fraction`` coordinates.  :func:`verify_ratio_identity`
-refuses a degenerate chart, whose node parameters put a marking on a node.
+holds at a generic exact sample holds identically.
 
-``Phi_j`` and the frame change ``dz_j/dz_k`` are evaluated as unreduced
-integer numerator/denominator pairs, with no gcd per factor: at
-``z = p/q`` a finite marking ``a = r/s`` contributes ``(p s - r q) / (q s)``
-raised to ``k_i``.
-The same product, over the markings on one side of a node and evaluated at
-the node coordinate, gives the ratio constant of adjacent components,
-``f_{jk} = (-1)^d Phi_j^J(b_{jk}) / Phi_k^K(b_{kj})``, so every product of
-marking factors in this module is one integer helper.  :func:`evaluate_phi`,
-:func:`ratio_constant` and :func:`section_in_frame` reduce those pairs to a
-``Fraction`` once, at the end; :func:`verify_ratio_identity` never does, and
-decides each sample by one cross-multiplication.
+Inside the module a point has one format, a reduced integer pair ``(p, q)``
+with ``q > 0`` (``INF`` is ``(1, 0)``).  A chart's node coordinates and
+parameters are read as pairs once, into one propagation walk per start
+component that carries a point across the nodes, one gcd per node.  The
+walk carries the marked sections once per chart into one table per
+component (the sections there, its special points and its finite
+markings), off which the verdict on a degenerate chart is read once too.
+``Phi_j`` and ``dz_j/dz_k`` are unreduced integer pairs, with no gcd per
+factor: at ``z = p/q`` a finite marking ``a = r/s`` contributes
+``(p s - r q) / (q s)`` raised to ``k_i``, and the same product at a node
+coordinate gives the ratio constant of adjacent components,
+``f_{jk} = (-1)^d Phi_j^J(b_{jk}) / Phi_k^K(b_{kj})``.  ``Fraction`` and
+``INF`` appear only at the public API: the chart's fields, the points that
+:func:`sample_curve_point` and :func:`marked_point_coords` return and
+:func:`evaluate_phi` and :func:`section_in_frame` take, and the values of
+those two and :func:`ratio_constant`.  :func:`verify_ratio_identity` samples
+on pairs and decides each sample by one cross-multiplication.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -108,13 +105,14 @@ Coord = Fraction | _Infinity
 Pair = tuple[int, int]  # p/q in lowest terms with q > 0, or _INF_PAIR
 Row = tuple[int, int, int, int]  # (i, r, s, k_i) of a finite marking a_ji = r/s
 Frame = tuple[frozenset[Pair], tuple[Row, ...], tuple[Pair, ...]]
+Step = tuple[int, int, int, int, int, int, int, int]  # (near, far, r, s, a, c, u, v)
 
 _INF_PAIR = (1, 0)
 
 DEFAULT_SEED = 20237
 
 _BOUND = 10 ** 6
-_SAMPLE_DRAWS = 100  # draws sample_curve_point makes before it gives up
+_SAMPLE_DRAWS = 100  # draws the sampling loop makes before it gives up
 
 
 def make_sampler(seed: int | None = None) -> random.Random:
@@ -141,6 +139,9 @@ class LocalChart:
     home component ``j`` (possibly ``INF``); ``node_coords[j][j']`` is the
     finite coordinate ``b_{jj'}``; ``node_params`` holds one rational ``t``
     per edge (zero allowed: that node stays pinched).
+
+    The walk steps, the frames and the degenerate-chart verdict are derived
+    from these six fields on first use, and are not fields themselves.
     """
 
     sig: Signature
@@ -149,8 +150,6 @@ class LocalChart:
     mark_coords: dict[int, dict[int, Coord]]
     node_coords: dict[int, dict[int, Fraction]]
     seed: int | None = None
-    _walks_cache: dict[int, tuple[tuple, ...]] = field(default_factory=dict, repr=False)
-    _frames_cache: tuple[Frame, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         edges = set(self.tree.edges)
@@ -182,6 +181,50 @@ class LocalChart:
     def path(self, j: int, k: int) -> list[int]:
         """Vertices of the unique path from ``j`` to ``k`` (inclusive)."""
         return self.tree._path(j, k)
+
+    @cached_property
+    def _walks(self) -> tuple[tuple[Step, ...], ...]:
+        """Per start component, the steps ``(near, far, r, s, a, c, u, v)`` of
+        a search from it over the node coordinates (keyed by neighbor), for
+        ``b_near = r/s``, ``t = a/c`` and ``b_far = u/v`` as reduced pairs."""
+        walks = []
+        for start in range(self.tree.num_vertices):
+            steps, stack = [], [(start, -1)]
+            while stack:
+                near, back = stack.pop()
+                for far, b_near in self.node_coords[near].items():
+                    if far != back:
+                        stack.append((far, near))
+                        steps.append((near, far, *_pair(b_near), *_pair(self.t(near, far)),
+                                      *_pair(self.node_coords[far][near])))
+            walks.append(tuple(steps))
+        return tuple(walks)
+
+    @cached_property
+    def _frames(self) -> tuple[Frame, ...]:
+        """Per component ``j``: its special points (the sections there, its node
+        coordinates and ``INF``); its finite markings ``(i, r, s, k_i)`` with
+        ``a_{ji} = r/s``, by ``i``; and the sections there, marking ``i`` at
+        index ``i - 1``.  A section on a pinched node raises in :func:`_spread`."""
+        homes = enumerate(map(self.home_vertex, range(1, self.sig.n + 1)), start=1)
+        sections = [_spread(self, j, _pair(self.mark_coords[j][i])) for i, j in homes]
+        frames = []
+        for j, column in enumerate(zip(*sections)):
+            rows = tuple((i, r, s, k) for i, ((r, s), k)
+                         in enumerate(zip(column, self.sig.kappa), start=1) if s)
+            nodes = [(r, s) for near, _, r, s, *_ in self._walks[j] if near == j]
+            frames.append((frozenset([_INF_PAIR, *column, *nodes]), rows, column))
+        return tuple(frames)
+
+    @cached_property
+    def _refusal(self) -> str | None:
+        """The refusal of a degenerate chart, or ``None``: the least marking
+        ``i``, then component ``v``, where its section is ``INF`` off its home."""
+        bad = min(((i, v) for v, (_, _, column) in enumerate(self._frames)
+                   for i, (_, q) in enumerate(column, start=1)
+                   if not q and i not in self.mark_coords[v]), default=None)
+        return bad and ("degenerate chart: the node parameters put marking {} "
+                        "on the node toward component {}".format(*bad))
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +323,22 @@ def build_codim2_chart(
 
 def _spread(chart: LocalChart, start: int, x: Pair) -> tuple[Pair, ...]:
     """Reduced pairs on every component of the point at the pair ``x`` on
-    component ``start``, by a search from ``start`` over the node coordinates
-    (their keys are the neighbors), whose steps ``(near, far, s, r, b_far,
-    u c, v a s, v c)`` for ``b_near = r/s``, ``b_far = u/v`` and ``t = a/c``
-    are read once per chart and start.  At ``x = p/q`` a node gives
-    ``b_far + t / (x - b_near) = (u c D + v a s q) / (v c D)``,
+    component ``start``, along the chart's walk from ``start``: at ``x = p/q``
+    a step gives ``b_far + t / (x - b_near) = (u c D + v a s q) / (v c D)``,
     ``D = p s - r q``, divided by one gcd with the sign of ``D``; ``INF``
-    crosses to ``b_far`` and ``b_near`` to ``INF``.  Raises
-    :class:`DenominatorVanishes` at ``b_near`` on a node with ``t = 0``."""
-    if start not in chart._walks_cache:
-        steps, stack, seen = [], [start], {start}
-        while stack:
-            near = stack.pop()
-            for far, b_near in chart.node_coords[near].items():
-                if far not in seen:
-                    seen.add(far)
-                    stack.append(far)
-                    (u, v), t = _pair(chart.node_coords[far][near]), chart.t(near, far)
-                    s, a, c = b_near.denominator, t.numerator, t.denominator
-                    steps.append((near, far, s, b_near.numerator, (u, v), u * c, v * a * s, v * c))
-        chart._walks_cache[start] = tuple(steps)
+    crosses to ``b_far``, and ``b_near`` to ``INF`` unless ``t = 0``, where
+    it raises :class:`DenominatorVanishes`."""
     z = [x] * chart.tree.num_vertices
-    for near, far, s, r, b_far, uc, vas, vc in chart._walks_cache[start]:
+    for near, far, r, s, a, c, u, v in chart._walks[start]:
         p, q = z[near]
         diff = p * s - r * q
         if not q:
-            z[far] = b_far
+            z[far] = u, v
         elif diff:
-            num, den = uc * diff + vas * q, vc * diff
+            num, den = u * c * diff + v * a * s * q, v * c * diff
             g = gcd(num, den) if diff > 0 else -gcd(num, den)
             z[far] = num // g, den // g
-        elif vas:
+        elif a:
             z[far] = _INF_PAIR
         else:
             raise DenominatorVanishes("point sits exactly on a fully degenerate node")
@@ -321,34 +349,28 @@ def marked_point_coords(chart: LocalChart, i: int) -> tuple[Coord, ...]:
     """Full coordinate tuple of the section of marking ``i``.
 
     The home component stores the coordinate directly; every other component
-    sees the point through the chain of node relations.  With all node
-    parameters zero the point collapses onto node coordinates away from home.
-    Read off :func:`_frames`, which raises if any section meets a pinched node.
+    sees it through the node relations, so with all node parameters zero it
+    collapses onto node coordinates away from home.  Read off the chart's
+    frames, which raise if any section meets a pinched node.
     """
     chart.home_vertex(i)  # a marking outside 1..n raises here
-    return tuple(_coord(frame[2][i - 1]) for frame in _frames(chart))
+    return tuple(_coord(frame[2][i - 1]) for frame in chart._frames)
 
 
-def _frames(chart: LocalChart) -> tuple[Frame, ...]:
-    """Per component ``j``: its special points as reduced pairs (the marked
-    sections there, its node coordinates and ``INF``); its finite markings
-    ``(i, r, s, k_i)`` with ``a_{ji} = r/s``, in order of ``i``; and the
-    sections there, marking ``i`` at index ``i - 1``.  Built on first use by
-    :func:`_spread` from each home, so a section on a pinched node raises here."""
-    if not chart._frames_cache:
-        homes = enumerate(map(chart.home_vertex, range(1, chart.sig.n + 1)), start=1)
-        sections = [_spread(chart, j, _pair(chart.mark_coords[j][i])) for i, j in homes]
-        frames = []
-        for j, column in enumerate(zip(*sections)):
-            rows = tuple(
-                (i, r, s, k)
-                for i, ((r, s), k) in enumerate(zip(column, chart.sig.kappa), start=1)
-                if s
-            )
-            nodes = map(_pair, chart.node_coords[j].values())
-            frames.append((frozenset([_INF_PAIR, *column, *nodes]), rows, column))
-        chart._frames_cache = tuple(frames)
-    return chart._frames_cache
+def _sample(chart: LocalChart, rng: random.Random, base: int,
+            check: Sequence[int]) -> tuple[Pair, ...]:
+    """The one sampling loop: a draw on ``base``, carried by :func:`_spread`,
+    is accepted when it misses the special points of each component in
+    ``check``, and redrawn otherwise, up to ``_SAMPLE_DRAWS`` draws."""
+    frames = chart._frames
+    for _ in range(_SAMPLE_DRAWS):
+        try:
+            z = _spread(chart, base, _pair(_rand_rational(rng)))
+        except DenominatorVanishes:
+            continue
+        if all(z[j] not in frames[j][0] for j in check):
+            return z
+    raise DenominatorVanishes("no valid sample point found; chart too degenerate")
 
 
 def sample_curve_point(
@@ -361,31 +383,23 @@ def sample_curve_point(
 
     The base coordinate is drawn at random and pushed through the node
     relations as reduced pairs; draws landing on a special point (a pole of
-    some ``Phi_j``, a node or ``INF``) are rejected and retried, up to
-    ``_SAMPLE_DRAWS`` draws in all, and only the accepted point becomes
-    ``Fraction`` coordinates.  On a pinched fiber the coordinates away from
-    the base collapse to node values, so genericity can only be demanded on
-    the components listed in ``check_vertices`` (default: all).
+    some ``Phi_j``, a node or ``INF``) are redrawn, up to ``_SAMPLE_DRAWS``
+    draws in all, and the accepted point is returned as ``Fraction``
+    coordinates.  On a pinched fiber the coordinates away from the base
+    collapse to node values, so genericity can only be demanded on the
+    components listed in ``check_vertices`` (default: all).
     """
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
     _check_vertices(chart.tree, base, *([] if check_vertices is None else check))
-    frames = _frames(chart)
-    for _ in range(_SAMPLE_DRAWS):
-        try:
-            z = _spread(chart, base, _pair(_rand_rational(rng)))
-        except DenominatorVanishes:
-            continue
-        if all(z[j] not in frames[j][0] for j in check):
-            return tuple(map(_coord, z))
-    raise DenominatorVanishes("no valid sample point found; chart too degenerate")
+    return tuple(map(_coord, _sample(chart, rng, base, check)))
 
 
-def _phi_pair(j: int, marks: Sequence[Row], z: Coord) -> tuple[int, int]:
-    """``Phi_j`` at ``z`` as an integer pair ``(num, den)``, not reduced and
-    with a denominator of either sign; ``marks`` are rows of :func:`_frames`."""
-    if z is INF:
+def _phi_pair(j: int, marks: Sequence[Row], z: Pair) -> tuple[int, int]:
+    """``Phi_j`` at the pair ``z`` as an integer pair ``(num, den)``, not reduced
+    and with a denominator of either sign, over the frame rows ``marks``."""
+    p, q = z
+    if not q:
         raise PoleHit("sample point at infinity; use a finite draw")
-    p, q = z.numerator, z.denominator
     num = den = 1
     for i, r, s, k in marks:
         diff = p * s - r * q  # z - a = diff / (q s)
@@ -409,7 +423,7 @@ def evaluate_phi(chart: LocalChart, j: int, point: Sequence[Coord]) -> Fraction:
     product and raises :class:`PoleHit`.
     """
     _check_vertices(chart.tree, j)
-    return Fraction(*_phi_pair(j, _frames(chart)[j][1], point[j]))
+    return Fraction(*_phi_pair(j, chart._frames[j][1], _pair(point[j])))
 
 
 def beta_monomial(chart: LocalChart, j: int) -> Fraction:
@@ -437,16 +451,16 @@ def _adjacent_ratio_constant(chart: LocalChart, j: int, k: int) -> tuple[int, in
     one form serves both orders, with no orientation of the node.
 
     A marking at ``b_{jk}`` in frame ``j`` sits at INF in frame ``k`` (or
-    :func:`_frames` refuses it on a pinched node), so the restriction
+    the chart's frames refuse it on a pinched node), so the restriction
     to ``F`` keeps every factor nonzero.
     """
     on_j = chart.tree.far_marks(k, j)  # NoSuchEdge unless adjacent
-    rows_j, rows_k = _frames(chart)[j][1], _frames(chart)[k][1]
-    both = {row[0] for row in rows_j} & {row[0] for row in rows_k}
-    marks_j = [row for row in rows_j if row[0] in both and row[0] in on_j]
-    marks_k = [row for row in rows_k if row[0] in both and row[0] not in on_j]
-    num_j, den_j = _phi_pair(j, marks_j, chart.node_coords[j][k])
-    num_k, den_k = _phi_pair(k, marks_k, chart.node_coords[k][j])
+    (_, rows_j, column_j), (_, rows_k, column_k) = chart._frames[j], chart._frames[k]
+    marks_j = [row for row in rows_j if row[0] in on_j and column_k[row[0] - 1][1]]
+    marks_k = [row for row in rows_k if row[0] not in on_j and column_j[row[0] - 1][1]]
+    _, _, r, s, _, _, u, v = next(st for st in chart._walks[j] if st[1] == k)  # b_jk, b_kj
+    num_j, den_j = _phi_pair(j, marks_j, (r, s))
+    num_k, den_k = _phi_pair(k, marks_k, (u, v))
     return (-1) ** chart.sig.d * num_j * den_k, den_j * num_k
 
 
@@ -465,28 +479,22 @@ def ratio_constant(chart: LocalChart, j: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _path_steps(chart: LocalChart, j: int, k: int) -> list[tuple[int, int, int, int, int]]:
-    """``(b, r, s, t_num, t_den)`` for each step ``a -> b`` of the path from
-    ``j`` to ``k``, with ``b_{ba} = r/s`` and ``t_ab = t_num / t_den``."""
-    path = chart.path(j, k)
-    out = []
-    for a, b in zip(path, path[1:]):
-        node, t = chart.node_coords[b][a], chart.t(a, b)
-        out.append((b, node.numerator, node.denominator, t.numerator, t.denominator))
-    return out
+def _path_steps(chart: LocalChart, j: int, k: int) -> list[Step]:
+    """The steps of the walk from ``k`` onto the path from ``j``, in the order
+    of that path: a step ``a -> b`` toward ``k`` is ``(b, a, r, s, t_num,
+    t_den, ...)`` with ``b_{ba} = r/s`` and ``t_ab = t_num / t_den``."""
+    on_path = set(chart.path(j, k)[:-1])
+    return [step for step in reversed(chart._walks[k]) if step[1] in on_path]
 
 
-def _jacobian_pair(
-    steps: Sequence[tuple[int, int, int, int, int]], point: Sequence[Coord]
-) -> tuple[int, int]:
-    """``dz_j / dz_k`` at a sample point as an integer pair, a product of
-    ``-t / (z_b - b_{ba})^2`` over the :func:`_path_steps` from ``j`` to ``k``."""
+def _jacobian_pair(steps: Sequence[Step], z: Sequence[Pair]) -> tuple[int, int]:
+    """``dz_j / dz_k`` at the point ``z`` of pairs as an integer pair, a product
+    of ``-t / (z_b - b_{ba})^2`` over the :func:`_path_steps` from ``j`` to ``k``."""
     num = den = 1
-    for b, r, s, t_num, t_den in steps:
-        zb = point[b]
-        if zb is INF:
+    for b, _, r, s, t_num, t_den, _, _ in steps:
+        p, q = z[b]
+        if not q:
             raise PoleHit("frame change through a point at infinity")
-        p, q = zb.numerator, zb.denominator
         diff = p * s - r * q  # z_b - b_{ba} = diff / (q s)
         if diff == 0:
             raise PoleHit("frame change degenerate at a node")
@@ -501,8 +509,9 @@ def section_in_frame(
     """Value of the rescaled section ``t^{beta_j} Phi_j`` in the frame of
     component ``frame`` at a sample point."""
     _check_vertices(chart.tree, frame, j)
-    phi_num, phi_den = _phi_pair(j, _frames(chart)[j][1], point[j])
-    jac_num, jac_den = _jacobian_pair(_path_steps(chart, j, frame), point)
+    z = [_pair(x) for x in point]
+    phi_num, phi_den = _phi_pair(j, chart._frames[j][1], z[j])
+    jac_num, jac_den = _jacobian_pair(_path_steps(chart, j, frame), z)
     d = chart.sig.d
     return beta_monomial(chart, j) * Fraction(phi_num * jac_num ** d, phi_den * jac_den ** d)
 
@@ -512,46 +521,37 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
 
     Evaluates both sides at ``samples`` random rational curve points drawn
     from the chart's seed (all node parameters must be nonzero so the fiber
-    is smooth).  Exact arithmetic makes one generic sample already decisive;
-    several guard against a degenerate draw.  :func:`sample_curve_point`
-    retries degenerate draws itself and returns only points generic on every
-    component, where neither side can hit a pole; when it gives up, its
-    :class:`DenominatorVanishes` propagates.
-
-    Raises :class:`StrataError` on a degenerate chart, whose node parameters
-    put a marking on the node toward a component where its section is then
-    ``INF``; the message names the first such marking and component.
+    is smooth); one generic exact sample is already decisive.  The sampling
+    loop returns only points generic on every component, where neither side
+    has a pole, or raises :class:`DenominatorVanishes`.  A degenerate chart,
+    whose node parameters put a marking on a node, raises
+    :class:`StrataError` naming the first such marking and component.
 
     In the frame of ``k`` the identity reads ``Phi_j J^d = C Phi_k`` with
-    ``J = dz_j/dz_k`` and ``C = f_{jk} t^{beta_k} / t^{beta_j}``.  ``C``,
-    each frame's finite markings and the path steps of ``J`` are read once
-    per call; each sample then costs integer products only, and one
-    cross-multiplication of the two sides decides it.
+    ``J = dz_j/dz_k`` and ``C = f_{jk} t^{beta_k} / t^{beta_j}``; ``C`` and
+    the path steps of ``J`` are read once per call.  Each sample stays
+    reduced pairs, and one cross-multiplication of integer products decides it.
     """
     _check_vertices(chart.tree, j, k)
     if samples < 1:
         raise ValueError("need at least one sample")
     if any(t == 0 for t in chart.node_params.values()):
         raise DenominatorVanishes("ratio verification needs a smooth fiber (t != 0)")
-    frames = _frames(chart)
-    for i in range(1, chart.sig.n + 1):
-        for v, frame in enumerate(frames):
-            if frame[2][i - 1] == _INF_PAIR and i not in chart.mark_coords[v]:
-                raise StrataError(f"degenerate chart: the node parameters put marking {i} "
-                                  f"on the node toward component {v}")
+    if chart._refusal:
+        raise StrataError(chart._refusal)
     if j == k:
         return True
     rng = make_sampler(chart.seed)
     c = ratio_constant(chart, j, k) * beta_monomial(chart, k) / beta_monomial(chart, j)
     c_num, c_den = c.numerator, c.denominator
-    marks_j, marks_k = frames[j][1], frames[k][1]
+    marks_j, marks_k = chart._frames[j][1], chart._frames[k][1]
     steps = _path_steps(chart, j, k)
     d = chart.sig.d
     for _ in range(samples):
-        point = sample_curve_point(chart, rng)
-        phi_j_num, phi_j_den = _phi_pair(j, marks_j, point[j])
-        jac_num, jac_den = _jacobian_pair(steps, point)
-        phi_k_num, phi_k_den = _phi_pair(k, marks_k, point[k])
+        z = _sample(chart, rng, 0, range(chart.tree.num_vertices))
+        phi_j_num, phi_j_den = _phi_pair(j, marks_j, z[j])
+        jac_num, jac_den = _jacobian_pair(steps, z)
+        phi_k_num, phi_k_den = _phi_pair(k, marks_k, z[k])
         if (phi_j_num * jac_num ** d * c_den * phi_k_den
                 != c_num * phi_k_num * phi_j_den * jac_den ** d):
             return False

@@ -30,7 +30,8 @@ This module is the one split core that the other layers share:
   print its masks, as it oriented them, with markings in increasing
   order.  A partition given from outside the walk has one checked path,
   ``_m_factors``, which ``m_value`` and ``vanishing_orders`` read.  No
-  function here builds a table over all ``2^n`` masks;
+  function here builds a table over all ``2^n`` masks, and only the
+  ``--max-codim`` walk one over the ``2^(n-1)`` far masks;
 * the stable tree as its set of pairwise-compatible splits (Buneman's
   splits-equivalence theorem; Semple-Steel, *Phylogenetics*), each stored as
   the mask of the side holding marking 1.  ``canonical_key`` is the sorted
@@ -43,9 +44,11 @@ This module is the one split core that the other layers share:
   iff ``k_v = -d`` (``k_B`` of the subtree under ``v``), and any other node
   rules out the group above it iff ``k_v < -d``, else the one below, since
   only one side of a node can be heavy.  The ``--max-codim`` walk builds no
-  tree and no table: each split that ``_split_keys`` adds is a new leaf, so
-  the walk applies this rule to one leaf per key and counts the principal
-  groups as it goes.
+  tree and no table per tree: each split that ``_split_keys`` adds is a new
+  leaf, so the walk applies this rule to one leaf per key and counts the
+  principal groups as it goes.  Its one table, the ``k`` of every far side,
+  and the walk's candidate list are built only once the walk first extends
+  a key, so a walk of depth 0 builds neither.
 
 Markings are 1-based (``1..n``); vertices of a dual tree are 0-based list
 indices.  Every boundary index is a :class:`MultiBlockPartition`: a
@@ -358,6 +361,11 @@ def _laminar(n: int, splits: Iterable[int]) -> tuple[list[int], list[int], list[
     ``j >= 1`` lies just beyond ``fars[j-1]`` (far sides largest first, ties
     in the order given); ``parent[j]`` is the neighbor of ``j`` toward
     marking 1 and ``own[v]`` the mask of the markings on ``v``.
+
+    The parent scan also checks the family: every far side it passes must
+    miss the new one, else the two splits cross, and the parent must not
+    equal it.  The far sides before the parent are nested with the parent or
+    miss it, so they are nested with the new one or miss it too.
     """
     full = (1 << n) - 1
     fars = sorted((full ^ k for k in splits), key=int.bit_count, reverse=True)
@@ -366,7 +374,12 @@ def _laminar(n: int, splits: Iterable[int]) -> tuple[list[int], list[int], list[
     for j, a in enumerate(fars, 1):
         p = j - 1  # the smallest earlier far side holding a, else the root
         while p and fars[p - 1] & a != a:
+            if fars[p - 1] & a:
+                m, k = sorted((full ^ fars[p - 1], full ^ a))
+                raise StrataError(f"splits {m:#b} and {k:#b} cross")
             p -= 1
+        if p and fars[p - 1] == a:
+            raise StrataError(f"split {full ^ a:#b} given twice")
         parent[j] = p
         own[p] &= ~a
     return fars, parent, own
@@ -439,19 +452,14 @@ class StableTree:
         Vertex 0 holds marking 1; the numbering depends only on the set."""
         key = tuple(sorted(splits))
         full = (1 << n) - 1
-        for a, k in enumerate(key):
+        for k in key:
             if k != k & full:
                 raise StrataError(f"split {k:#b} has a marking outside 1..{n}")
             if not k & 1:
                 raise StrataError(f"split {k:#b} does not hold marking 1")
             if not 2 <= k.bit_count() <= n - 2:
                 raise StrataError(f"split {k:#b} leaves fewer than 2 markings on a side")
-            for m in key[:a]:
-                if m == k:
-                    raise StrataError(f"split {k:#b} given twice")
-                if m & k != m and k | m != full:  # m < k, so k is not inside m
-                    raise StrataError(f"splits {m:#b} and {k:#b} cross")
-        _, parent, own = _laminar(n, key)
+        _, parent, own = _laminar(n, key)  # raises on a crossing or repeated split
         marks = tuple(frozenset(_mask_marks(m)) for m in own)
         return StableTree(marks, tuple((parent[j], j) for j in range(1, len(own))))
 
@@ -538,17 +546,20 @@ def _split_keys(n: int, max_edges: int) -> Iterator[tuple[int, ...]]:
     """The canonical key of every stable tree with at most ``max_edges``
     edges, depth first: a set of splits before its extensions, each adding
     one larger compatible split.  Lazy, so a caller that stops early has
-    held only the candidate lists along one path of the walk."""
+    held only the candidate lists along one path of the walk, and none
+    before the walk first extends a key."""
     full = (1 << n) - 1
 
     def walk(chosen: tuple[int, ...], cands: list[int]) -> Iterator[tuple[int, ...]]:
-        yield chosen
-        if len(chosen) < max_edges:
-            for i, k in enumerate(cands):
-                compatible = [c for c in cands[i + 1:] if c & k == k or c | k == full]
-                yield from walk(chosen + (k,), compatible)
+        for i, k in enumerate(cands):
+            key = chosen + (k,)
+            yield key
+            if len(key) < max_edges:
+                yield from walk(key, [c for c in cands[i + 1:] if c & k == k or c | k == full])
 
-    return walk((), [k for k in range(1, full, 2) if 2 <= k.bit_count() <= n - 2])
+    yield ()
+    if max_edges > 0:
+        yield from walk((), [k for k in range(1, full, 2) if 2 <= k.bit_count() <= n - 2])
 
 
 # ---------------------------------------------------------------------------
@@ -716,18 +727,21 @@ def _any_tree_in_support(sig: Signature, max_edges: int) -> bool:
 
     So the count never goes down along a path, and the first count of 2 or
     more answers.  The ``k`` of every far side (a mask without marking 1)
-    comes from one lowest-bit table, ``kt[a >> 1]``, built once per walk."""
+    comes from one lowest-bit table, ``kt[a >> 1]``, built once per walk when
+    the walk first extends a key, so a walk of depth 0 builds nothing."""
     d, full = sig.d, (1 << sig.n) - 1
-    kt = [0] * (1 << (sig.n - 1))
-    for m in range(1, len(kt)):
-        low = m & -m
-        kt[m] = kt[m ^ low] + sig.kappa[low.bit_length()]
     # entry v of each stack is the state of the key's first v splits; vertex
     # v >= 1 lies beyond fars[v], and the root's entry holds every marking
     fars, top, ruled, count = [full], [0], [0], [1]
     keys = _split_keys(sig.n, max_edges)
     next(keys)  # the smooth curve
+    kt: list[int] = []
     for key in keys:
+        if not kt:
+            kt = [0] * (1 << (sig.n - 1))
+            for m in range(1, len(kt)):
+                low = m & -m
+                kt[m] = kt[m ^ low] + sig.kappa[low.bit_length()]
         v = len(key)
         del fars[v:], top[v:], ruled[v:], count[v:]
         a = full ^ key[-1]

@@ -847,19 +847,25 @@ def test_large_refusal_exits_3_in_bounded_memory():
 
     cases = [
         # n = 16 and E-nontrivial: the exit-3 message needs three terms, not P-hat
-        (("--kappa=5,5" + ",-1" * 14,),
+        (("--d", "2", "--kappa=5,5" + ",-1" * 14),
          "{1 | 2,3,4,5,6,7,8,9,10 | 11,12,13,14,15,16} -> 4, "
          "{1 | 2,3,4,5,6,7,8,9,10,11 | 12,13,14,15,16} -> 6, "
          "{1 | 2,3,4,5,6,7,8,9,10,11,12 | 13,14,15,16} -> 6"),
         # n = 10: the --max-codim cross-check stops at the first tree in the
         # ideal support instead of building every tree up to depth 7 first
-        (("--kappa=5" + ",-1" * 9, "--max-codim", "7"),
+        (("--d", "2", "--kappa=5" + ",-1" * 9, "--max-codim", "7"),
          "{1 | 2,3,4 | 5,6,7,8,9,10} -> 4, "
          "{1 | 2,3,4,5 | 6,7,8,9,10} -> 6, "
          "{1 | 2,3,4,5,6 | 7,8,9,10} -> 6"),
+        # n = 26 at depth 0: the walk never extends the smooth curve, so it
+        # builds no candidate list and no k table over the 2^25 far masks
+        (("--d", "7", "--kappa=5,5" + ",-1" * 24, "--max-codim", "0"),
+         "{1 | 2,3,4,5,6,7,8,9,10,11,12,13,14,15 | 16,17,18,19,20,21,22,23,24,25,26} -> 4, "
+         "{1 | 2,3,4,5,6,7,8,9,10,11,12,13,14,15,16 | 17,18,19,20,21,22,23,24,25,26} -> 6, "
+         "{1 | 2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17 | 18,19,20,21,22,23,24,25,26} -> 6"),
     ]
     for argv, message in cases:
-        code, out, err = run_child("volume", "--d", "2", *argv, preexec_fn=limit, timeout=10)
+        code, out, err = run_child("volume", *argv, preexec_fn=limit, timeout=10)
         assert (code, out) == (3, ""), err
         assert err == f"error: nonzero exceptional coefficients: {message}\n"
 

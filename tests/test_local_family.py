@@ -1,6 +1,7 @@
 """Exact checks of the local universal-curve model: section propagation,
 candidate differentials, ratio constants and the codimension-2 trichotomy."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -31,7 +32,7 @@ from strata0.local_family import (
     section_in_frame,
     verify_ratio_identity,
 )
-from strata0.strata import NoSuchEdge, StableTree, StrataError, validate_signature
+from strata0.strata import NoSuchEdge, StableTree, StrataError, _split_keys, validate_signature
 
 SIG_C = validate_signature(2, [1, 1, -1, -1, -1, -1, -1, -1])
 BLOCKS_C = [{1, 2}, {3, 4, 5}, {6, 7, 8}]
@@ -369,14 +370,15 @@ def test_integer_path_matches_fraction_oracle(case, seed, pin):
     points += [marked_point_coords(chart, i) for i in range(1, sig.n + 1)]
     frames = range(tree.num_vertices)
     for z in points:
+        pairs = [_pair(x) for x in z]
         for j in frames:
-            marks = local_family._frames(chart)[j][1]
+            marks = chart._frames[j][1]
             expect = _outcome(oracle.evaluate_phi, chart, j, z)
-            assert _outcome(lambda: F(*local_family._phi_pair(j, marks, z[j]))) == expect
+            assert _outcome(lambda: F(*local_family._phi_pair(j, marks, pairs[j]))) == expect
             assert _outcome(evaluate_phi, chart, j, z) == expect
             for k in frames:
                 steps = local_family._path_steps(chart, j, k)
-                assert _outcome(lambda: F(*local_family._jacobian_pair(steps, z))) == _outcome(
+                assert _outcome(lambda: F(*local_family._jacobian_pair(steps, pairs))) == _outcome(
                     oracle.frame_jacobian, chart, j, k, z
                 )
                 assert _outcome(section_in_frame, chart, j, z, k) == _outcome(
@@ -589,6 +591,46 @@ class TestIntegerPath:
             assert len(set(got)) == 8
 
 
+class TestChartIsAValue:
+    def test_only_the_data_fields(self):
+        # the walk steps, the frames and the refusal are derived from the six
+        # fields; reading them leaves == and repr as they were
+        names = [f.name for f in dataclasses.fields(LocalChart)]
+        assert names == ["sig", "tree", "node_params", "mark_coords", "node_coords", "seed"]
+        sig = validate_signature(2, [1, 1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 1])
+        tree = StableTree((frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6, 7}),
+                           frozenset({8, 9, 10, 11, 12})), ((0, 1), (1, 2), (2, 3)))
+        reads = [lambda c: sample_curve_point(c, make_sampler(1), base=2),
+                 lambda c: section_in_frame(c, 0, sample_curve_point(c, make_sampler(2)), 3),
+                 lambda c: verify_ratio_identity(c, 0, 3, samples=2),
+                 lambda c: marked_point_coords(c, 5)]
+        for read in reads:
+            used, fresh = build_chart(sig, tree, seed=25), build_chart(sig, tree, seed=25)
+            read(used)
+            assert used == fresh and repr(used) == repr(fresh)
+            assert verify_ratio_identity(fresh, 3, 1, samples=2)
+            assert used == fresh and repr(used) == repr(fresh)
+
+    def test_samples_stay_integer_pairs(self, monkeypatch):
+        # verify_ratio_identity decides each sample on reduced pairs: from
+        # one stream of draws, the Fractions the module makes do not grow
+        # with the number of samples
+        chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=21)
+        assert verify_ratio_identity(chart, 1, 2, samples=1)  # the chart's tables
+        rng = make_sampler(3)
+        draws = [local_family._rand_rational(rng) for _ in range(100)]
+        made = []
+        monkeypatch.setattr(local_family, "Fraction", lambda *args: made.append(args) or F(*args))
+        counts = []
+        for samples in (1, 8):
+            stream = iter(draws)
+            monkeypatch.setattr(local_family, "_rand_rational", lambda rng: next(stream))
+            made.clear()
+            assert verify_ratio_identity(chart, 1, 2, samples=samples)
+            counts.append(len(made))
+        assert counts[0] == counts[1]
+
+
 class TestErrorMessages:
     # From the CLI none of these is reachable: the degenerate-chart check of
     # verify_ratio_identity and the sampler's rejections come first.  A
@@ -787,3 +829,51 @@ class TestClassification:
             classify_codim2_case(sig, [{1, 2}, {3, 4, 5}, {6, 7}])
         with pytest.raises(BadBlocks):
             classify_codim2_case(sig, [{1, 2}, {3, 4, 5}])
+
+
+# ---------------------------------------------------------------------------
+# every tree at n <= 7
+# ---------------------------------------------------------------------------
+
+# each with balanced splits (k_A = k_B = -d), so tie nodes are met
+SWEEP = [
+    validate_signature(3, [1, -2, -2, -1, -2]),
+    validate_signature(2, [-1, -1, -1, -1, -1, 1]),
+    validate_signature(4, [3, -1, -2, -3, -1, -2, -2]),
+]
+
+
+@pytest.mark.parametrize("sig", SWEEP, ids=lambda sig: f"d{sig.d}n{sig.n}")
+def test_every_tree_against_fraction_oracle(sig):
+    # every tree of the signature, long paths included, against the Fraction
+    # oracle: the sampler draw for draw; on every pair of components,
+    # adjacent or not, f_jk as the ratio of the oracle's rescaled sections in
+    # one frame, which is the ratio identity there; the identity verified
+    # between the first and the last component; and the refusal of the chart
+    # with the same coordinates and every node parameter +-1, where sections
+    # often land on nodes
+    refused = 0
+    for count, key in enumerate(_split_keys(sig.n, sig.n - 3)):
+        tree = StableTree.from_splits(sig.n, key)
+        chart = build_chart(sig, tree, seed=count)
+        last = tree.num_vertices - 1
+        new, old = make_sampler(count), make_sampler(count)
+        z = sample_curve_point(chart, new, base=last)
+        assert z == oracle.sample_curve_point(chart, old, last)
+        assert new.getstate() == old.getstate()
+        sections = [oracle.section_in_frame(chart, j, z, last) for j in range(last + 1)]
+        for j in range(last + 1):
+            for k in range(j):
+                assert sections[j] == ratio_constant(chart, j, k) * sections[k], (key, j, k)
+        assert verify_ratio_identity(chart, last, 0, samples=1), key
+        signs = {e: F((-1) ** (i + count)) for i, e in enumerate(tree.edges)}
+        pinned = LocalChart(sig, tree, signs, chart.mark_coords, chart.node_coords, seed=count)
+        message = oracle.degenerate_chart_message(pinned)
+        if message is None:
+            assert verify_ratio_identity(pinned, last, 0, samples=1), key
+        else:
+            refused += 1
+            with pytest.raises(StrataError) as refusal:
+                verify_ratio_identity(pinned, last, 0, samples=1)
+            assert str(refusal.value) == message, key
+    assert refused

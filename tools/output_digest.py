@@ -13,11 +13,13 @@ a few usage errors, formatted for an 80-column terminal), and the
 ``PROBE_ARGV`` queries on signatures larger than the benchmark's (n <= 11):
 ``boundary``, ``phat``, ``exceptional`` and ``divisor`` at n = 12, whose
 boundary index set has 22,226 elements, and the refused ``volume`` at
-n = 16.  Three more probe the ``volume --max-codim`` tree walk beyond the
+n = 16.  Four more probe the ``volume --max-codim`` tree walk beyond the
 benchmark's n = 7: the full walks of E-trivial signatures with zero entries
 and tie splits at n = 8 (39,208 trees) and at n = 9 (``--d 2
 --kappa=1,-1,-1,-1,-1,-1,0,0,0 --max-codim 6``, 660,032 trees), and the
 refusal at n = 10 that stops at the first tree in the ideal support.  The
+fourth is the refusal of ``--d 4 --kappa=5,5,-1x18 --max-codim 0`` at
+n = 20, a walk of depth 0 that meets only the smooth curve.  The
 next is a nonzero ``volume`` at n = 8 with some ``k_i >= 0`` (the walk's
 signature has volume 0), so a change of engine for such signatures shows in
 the digest; it has no tie split.  A second, ``volume
@@ -111,6 +113,8 @@ PROBE_ARGV = [
     ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0", "--max-codim", "5"],
     ["volume", "--json", "--d", "2", "--kappa=1,-1,-1,-1,-1,-1,0,0,0", "--max-codim", "6"],
     ["volume", "--d", "2", "--kappa=" + ",".join(map(str, [5] + [-1] * 9)), "--max-codim", "7"],
+    # a walk of depth 0 at n = 20 builds nothing over the 2^19 far masks (exit 3)
+    ["volume", "--d", "4", "--kappa=" + ",".join(map(str, [5, 5] + [-1] * 18)), "--max-codim", "0"],
     ["volume", "--json", "--d", "5", "--kappa=1,-3,-2,-2,-1,-1,-1,-1"],
     # product_number on 35 tie splits k_A = k_B = -3
     ["volume", "--json", "--d", "3", "--kappa=1,-1,-1,-1,-1,-1,-1,-1"],
