@@ -7,11 +7,11 @@ or machine-readable JSON (``--json``).  Payloads hold rationals as
 and denominator strings; partitions are arrays of arrays of 1-based markings
 with the light block first.  The ``boundary``, ``phat``, ``exceptional``
 and ``divisor`` commands keep the walk's rows as plain tuples of block masks
-and integers (a :class:`_Rows` array): ``_json`` writes them through one
-row writer, only when it encodes the payload.  The writer and the tables
-read each block's text from a dict that lives for that one encoding or
-table and builds a new mask's text from the text of the mask without its
-top bit, in one concatenation, with no decode.
+and integers (a :class:`_Rows` array, whose fields declare how each column
+is written): ``_json`` writes them through one row writer, only when it
+encodes the payload.  Each row array and each table reads its blocks' texts
+from a dict of its own, which builds a new mask's text from the text of the
+mask without its top bit, in one concatenation, with no decode.
 Identical invocations produce byte-identical output.
 
 Tree and chart specs share a mini-format: the first token lists the vertex
@@ -45,7 +45,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from strata0 import strata
 from strata0.divisors import (
@@ -259,10 +259,11 @@ _encode_str = json.encoder.encode_basestring_ascii
 class _Rows(tuple):
     """A JSON array of objects kept as plain tuples, ``_Rows(*groups)``, each
     group ``(fields, rows)`` written after the one before.  ``fields`` names the
-    entries of every row tuple of its group, in tuple order, each with how it
-    is written: ``"blocks"`` for a tuple of marking masks (an array of arrays
-    of markings), an ``int`` ``den`` for an integer numerator over ``den``
-    (a rational) and ``None`` for a value :func:`_json` writes as it is."""
+    entries of every row tuple of its group, in tuple order, each with the
+    kind :func:`_rows_json` writes it as: ``"blocks"`` for a tuple of marking
+    masks (an array of arrays of markings), ``"int"`` for an int, ``"ints"``
+    for ``None`` or a list of ints, and an ``int`` ``den`` for an integer
+    numerator over ``den`` (a rational)."""
 
     def __new__(cls, *groups: tuple[tuple[tuple[str, object], ...], Sequence[tuple]]):
         return super().__new__(cls, groups)
@@ -274,7 +275,7 @@ class _MaskTexts(dict):
     mask without its top bit, with ``closing`` cut off, then ``sep``, the top
     marking and ``closing`` (``opening`` and the top marking when that rest is
     empty).  So a new mask costs one lookup and one concatenation, and a
-    missing rest is built the same way first.  Only a local of one encoding
+    missing rest is built the same way first.  Only a local of one row array
     or one table holds one, so none outlives the call that filled it."""
 
     def __init__(self, opening: str, sep: str, closing: str):
@@ -293,64 +294,50 @@ class _MaskTexts(dict):
         return text
 
 
-def _rows_json(value: _Rows, indent: str, mask_texts: dict[str, _MaskTexts]) -> str:
+def _rows_json(value: _Rows, indent: str) -> str:
     """:func:`_json` of a :class:`_Rows` array at ``indent``: each row in the
     layout ``_json`` gives the dict of its fields, from one template per
-    group whose field names are sorted once, each rational reduced by one
-    gcd, a ``None``-kind column of plain ints (no bool) in one map, a
-    ``None`` or a nonempty list of plain ints in it (``exceptional``'s
-    ``orders``) with no :func:`_json` call, and each
-    block read from ``mask_texts[indent]``, the mask -> encoded block
-    :class:`_MaskTexts` that this encoding shares among its arrays at that
-    indent (both forms of ``divisor`` hold the same splits), which builds
-    each block from its prefix."""
+    group whose field names are sorted once, and each column mapped through
+    the writer of its declared kind.  A rational is reduced by one gcd, and
+    each block is read from a :class:`_MaskTexts` of this array, which
+    builds each block from its prefix."""
     inner = indent + "  "  # a row
     field = inner + "  "  # its fields
     block = field + "  "  # the blocks of a "blocks" field, and a rational's den and num
     mark = block + "  "  # the markings of a block
-    texts = mask_texts.get(indent)
-    if texts is None:
-        texts = mask_texts[indent] = _MaskTexts("[" + mark, "," + mark, block + "]")
+    texts = _MaskTexts("[" + mark, "," + mark, block + "]")
     between = "," + block
+    fraction = "{" + block + '"den": "%d",' + block + '"num": "%d"' + field + "}"
 
     def blocks(masks: Sequence[int]) -> str:
         return "[" + block + between.join(map(texts.__getitem__, masks)) + field + "]"
 
-    def leaf(value) -> str:
-        if value is None:
+    def ints(values: list[int] | None) -> str:
+        if values is None:
             return "null"
-        if type(value) is list and set(map(type, value)) == {int}:
-            return "[" + block + between.join(map(int.__repr__, value)) + field + "]"
-        return _json(value, field, mask_texts)
+        return "[" + block + between.join(map(int.__repr__, values)) + field + "]" if values else "[]"
 
-    def column(kind, values: Iterator) -> Iterator[str]:
-        if kind == "blocks":
-            return map(blocks, values)
-        if kind is None:
-            values = list(values)
-            if set(map(type, values)) == {int}:  # a bool is not an int here
-                return map(int.__repr__, values)
-            return map(leaf, values)
-        rational = "{" + block + '"den": "%d",' + block + '"num": "%d"' + field + "}"
-
+    def rational(den: int) -> Callable[[int], str]:
         def lowest_terms(num: int) -> str:
-            g = math.gcd(num, kind)
-            return rational % (kind // g, num // g)
+            g = math.gcd(num, den)
+            return fraction % (den // g, num // g)
 
-        return map(lowest_terms, values)
+        return lowest_terms
 
+    writers = {"blocks": blocks, "int": int.__repr__, "ints": ints}
     items: list[str] = []
     for fields, rows in value:
-        order = sorted(range(len(fields)), key=lambda i: fields[i][0])
-        template = "{" + ",".join(field + _encode_str(fields[i][0]) + ": %s" for i in order) + inner + "}"
-        columns = [column(fields[i][1], map(operator.itemgetter(i), rows)) for i in order]
+        order = sorted(enumerate(fields), key=lambda f: f[1][0])
+        template = "{" + ",".join(field + _encode_str(name) + ": %s" for _, (name, _) in order) + inner + "}"
+        columns = [map(writers.get(kind) or rational(kind), map(operator.itemgetter(i), rows))
+                   for i, (_, kind) in order]
         items += map(template.__mod__, zip(*columns))
     if not items:
         return "[]"
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def _json(value, indent: str = "\n", mask_texts: dict[str, _MaskTexts] | None = None) -> str:
+def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     values whose dict keys are strings, with each :class:`Fraction` written
     as the object ``{"den": "<d>", "num": "<n>"}`` so no rational is lost to
@@ -361,23 +348,19 @@ def _json(value, indent: str = "\n", mask_texts: dict[str, _MaskTexts] | None = 
     :func:`_rows_json` (the same bytes as its rows written as dicts, with no
     dict built and no mask decoded), and leaves floats and any other leaf to
     ``json.dumps``.  ``indent`` is the newline and indent of the current
-    level; ``mask_texts`` holds the row writer's block tables, by indent,
-    each filled from prefixes, and the outermost call makes it, so it lives
-    for that one encoding."""
-    if mask_texts is None:
-        mask_texts = {}
+    level."""
     t = type(value)
     if t is str:
         return _encode_str(value)
     if t is int:
         return int.__repr__(value)
     if t is _Rows:
-        return _rows_json(value, indent, mask_texts)
+        return _rows_json(value, indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [_encode_str(k) + ": " + _json(v, inner, mask_texts) for k, v in sorted(value.items())]
+        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -386,10 +369,10 @@ def _json(value, indent: str = "\n", mask_texts: dict[str, _MaskTexts] | None = 
         if set(map(type, value)) == {int}:
             items = map(int.__repr__, value)
         else:
-            items = [_json(x, inner, mask_texts) for x in value]
+            items = [_json(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if t is Fraction:
-        return _json({"den": str(value.denominator), "num": str(value.numerator)}, indent, mask_texts)
+        return _json({"den": str(value.denominator), "num": str(value.numerator)}, indent)
     if value is None:
         return "null"
     if t is bool:
@@ -472,7 +455,7 @@ def _cmd_phat(sig: Signature, args) -> _Answer:
             lines.append(f"  r={r}  {blocks(masks):<40} m = {m}")
         return lines
 
-    partitions = _Rows(((("blocks", "blocks"), ("r", None), ("m", None)), rows))
+    partitions = _Rows(((("blocks", "blocks"), ("r", "int"), ("m", "int")), rows))
     return EXIT_OK, {"n": sig.n, "count": len(rows), "partitions": partitions}, table
 
 
@@ -492,7 +475,7 @@ def _cmd_exceptional(sig: Signature, args) -> _Answer:
             lines.append(f"  {blocks(masks):<40} coeff = {c}{extra}")
         return lines
 
-    terms = _Rows(((("blocks", "blocks"), ("coefficient", None), ("orders", None)), rows))
+    terms = _Rows(((("blocks", "blocks"), ("coefficient", "int"), ("orders", "ints")), rows))
     return EXIT_OK, {"n": sig.n, "trivial": trivial, "terms": terms}, table
 
 
@@ -535,7 +518,7 @@ def _cmd_divisor(sig: Signature, args) -> _Answer:
                                   ("psi_form", "psi form:", 2, 2)):
         forms.append((name, title, den, [(t[0], t[col]) for t in psi if t[col]],
                       [(t[0], t[col]) for t in splits if t[col]]))
-    body = {name: _Rows(((("psi", None), ("coefficient", den)), psi_rows),
+    body = {name: _Rows(((("psi", "int"), ("coefficient", den)), psi_rows),
                         ((("boundary", "blocks"), ("coefficient", den)), split_rows))
             for name, _, den, psi_rows, split_rows in forms}
 

@@ -55,6 +55,7 @@ from strata0.strata import (
     StrataError,
     _check_vertices,
     _k_sum,
+    _norm_edge,
     exponent_vector,
 )
 
@@ -254,12 +255,23 @@ def build_chart(
     its first node goes to 0, a second node to 1, and its last markings fill
     the remaining slots among {infinity, 1, 0}.  Unpinned coordinates are
     random rationals; node parameters default to random nonzero rationals.
+    A given node parameter is keyed by its edge in either orientation; a key
+    that is not an edge of ``tree``, or an edge given twice, raises
+    :class:`StrataError`.
     """
+    given: dict[tuple[int, int], Fraction] = {}
+    for (u, v), t in (node_params or {}).items():
+        edge = _norm_edge(u, v)
+        if not tree.has_edge(u, v):
+            raise StrataError(f"node parameter t[{u}-{v}]: no edge between vertices {u} and {v}")
+        if edge in given:
+            raise StrataError(f"node parameter of edge {edge[0]}-{edge[1]} given twice")
+        given[edge] = Fraction(t)
     rng = make_sampler(seed)
     params: dict[tuple[int, int], Fraction] = {}
     for u, v in tree.edges:
-        if node_params is not None and (u, v) in node_params:
-            params[(u, v)] = Fraction(node_params[(u, v)])
+        if (u, v) in given:
+            params[(u, v)] = given[(u, v)]
         else:
             t = _rand_rational(rng)
             while t == 0:

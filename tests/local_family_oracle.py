@@ -6,7 +6,10 @@ its own sign bookkeeping), the propagation of a point across one node in
 ``Fraction`` arithmetic, its fold along the path to every component, one
 path at a time, and the sampler that carries each draw by that fold and
 tests each special point of a component by its own ``!=``; and the
-degenerate-chart rule, read off that fold one marking at a time.
+degenerate-chart rule, read off that fold one marking at a time.  Every
+section it reads is its own fold from the marking's home coordinate, and
+``t^beta_j`` its own product over the far sides of the nodes, so no value
+here rests on ``local_family``'s sections or exponent vectors.
 ``local_family`` computes the same values as integer numerator/denominator
 pairs: it carries a point as reduced pairs along one walk from the start
 and tests genericity by one set lookup of those pairs per component.  Draws
@@ -17,13 +20,7 @@ patches both samplers alike.
 from fractions import Fraction
 
 from strata0 import local_family as lf
-from strata0.local_family import (
-    INF,
-    DenominatorVanishes,
-    PoleHit,
-    beta_monomial,
-    marked_point_coords,
-)
+from strata0.local_family import INF, DenominatorVanishes, PoleHit
 
 
 def _propagate(x, b_near, b_far, t):
@@ -37,17 +34,43 @@ def _propagate(x, b_near, b_far, t):
     return b_far + t / (x - b_near)
 
 
+def carry(chart, start, x, v):
+    """The point at ``x`` on component ``start``, on component ``v``:
+    ``_propagate`` folded along ``chart.path(start, v)``."""
+    path = chart.path(start, v)
+    for a, b in zip(path, path[1:]):
+        x = _propagate(x, chart.node_coords[a][b], chart.node_coords[b][a], chart.t(a, b))
+    return x
+
+
 def spread(chart, start, x):
-    """The point at ``x`` on component ``start``, on each component ``v``:
-    ``_propagate`` folded along ``chart.path(start, v)``, one path at a time."""
-    out = []
-    for v in range(chart.tree.num_vertices):
-        path = chart.path(start, v)
-        z = x
-        for a, b in zip(path, path[1:]):
-            z = _propagate(z, chart.node_coords[a][b], chart.node_coords[b][a], chart.t(a, b))
-        out.append(z)
-    return tuple(out)
+    """The point at ``x`` on component ``start``, on each component, by
+    :func:`carry`, one path at a time."""
+    return tuple(carry(chart, start, x, v) for v in range(chart.tree.num_vertices))
+
+
+def section(chart, i, v):
+    """Marking ``i``'s section on component ``v``: its coordinate on its home
+    component, carried to ``v``."""
+    home = chart.home_vertex(i)
+    return carry(chart, home, chart.mark_coords[home][i], v)
+
+
+def sections(chart):
+    """Each marking's section on every component, marking ``i`` at index
+    ``i - 1``."""
+    return [tuple(section(chart, i, v) for v in range(chart.tree.num_vertices))
+            for i in range(1, chart.sig.n + 1)]
+
+
+def beta_monomial(chart, j):
+    """``t^beta_j``: at each node ``t`` to the power ``max(0, d + k_B)``, ``B``
+    the markings on the side of the node holding component ``j``."""
+    val = Fraction(1)
+    for u, v in chart.tree.edges:
+        side = chart.tree.far_marks(u, v) if v in chart.path(j, u) else chart.tree.far_marks(v, u)
+        val *= chart.t(u, v) ** max(0, chart.sig.d + sum(chart.sig.kappa[i - 1] for i in side))
+    return val
 
 
 def degenerate_chart_message(chart):
@@ -65,10 +88,7 @@ def degenerate_chart_message(chart):
 
 def sample_curve_point(chart, rng, base=0, check_vertices=None):
     check = range(chart.tree.num_vertices) if check_vertices is None else list(check_vertices)
-    all_marks = []
-    for i in range(1, chart.sig.n + 1):
-        home = chart.home_vertex(i)
-        all_marks.append(spread(chart, home, chart.mark_coords[home][i]))
+    all_marks = sections(chart)
     for _ in range(lf._SAMPLE_DRAWS):
         try:
             z = spread(chart, base, lf._rand_rational(rng))
@@ -90,7 +110,7 @@ def evaluate_phi(chart, j, point):
         raise PoleHit("sample point at infinity; use a finite draw")
     val = Fraction(1)
     for i in range(1, chart.sig.n + 1):
-        a = marked_point_coords(chart, i)[j]
+        a = section(chart, i, j)
         if a is INF:
             continue
         base = z - a
@@ -132,8 +152,7 @@ def adjacent_ratio_constant(chart, j, k):
     den = Fraction(1)
     ksum = chart.sig.d
     for i in range(1, chart.sig.n + 1):
-        a_j = marked_point_coords(chart, i)[j]
-        a_k = marked_point_coords(chart, i)[k]
+        a_j, a_k = section(chart, i, j), section(chart, i, k)
         if a_j is INF or a_k is INF:
             continue
         ksum += kappa[i - 1]

@@ -445,29 +445,23 @@ def _p_hat_signatures(draw):
 
 @st.composite
 def _row_groups(draw):
-    """``_Rows`` groups, each with ``None``-kind columns that hold plain ints
-    only (the int path), ``None`` or lists of plain ints (the ``orders``
-    path), or mix ints, bools, ``None``, tuples and lists that may hold a
-    bool, with a blocks and a rational column among them at times."""
+    """``_Rows`` groups whose columns take the declared kinds: ``"int"``
+    (plain ints, some past 64 bits), ``"ints"`` (``None`` or a list of plain
+    ints, empty at times), ``"blocks"`` and a rational over 6."""
     ints = st.integers() | st.integers(-(2**100), 2**100) | st.just(2**100)
-    orders = st.none() | st.lists(ints, max_size=4)
-    mixed = (ints | st.booleans() | orders | st.lists(st.integers() | st.booleans(), max_size=3)
-             | st.tuples(st.integers()))
+    kinds = {
+        "int": ints,
+        "ints": st.none() | st.lists(ints, max_size=4),
+        "blocks": st.lists(st.integers(1, 2**12 - 1), min_size=1, max_size=3).map(tuple),
+        6: st.integers(-50, 50),
+    }
     groups = []
     for _ in range(draw(st.integers(0, 3))):
         nrows = draw(st.integers(0, 4))
         names = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
-        kinds = [draw(st.sampled_from([None, None, None, "blocks", 6])) for _ in names]
-        columns = []
-        for kind in kinds:
-            if kind == "blocks":
-                values = st.lists(st.integers(1, 2**12 - 1), min_size=1, max_size=3).map(tuple)
-            elif kind == 6:
-                values = st.integers(-50, 50)
-            else:
-                values = draw(st.sampled_from([ints, orders, mixed, st.booleans()]))
-            columns.append(draw(st.lists(values, min_size=nrows, max_size=nrows)))
-        groups.append((tuple(zip(names, kinds)), list(zip(*columns))))
+        fields = tuple((name, draw(st.sampled_from(list(kinds)))) for name in names)
+        columns = [draw(st.lists(kinds[kind], min_size=nrows, max_size=nrows)) for _, kind in fields]
+        groups.append((fields, list(zip(*columns))))
     return groups
 
 
@@ -613,13 +607,13 @@ class TestJson:
         calls, rows, tables = [], [], []
         encode, write_rows, mask_dict = cli._json, cli._rows_json, cli._MaskTexts
 
-        def counting(value, indent="\n", mask_texts=None):
+        def counting(value, indent="\n"):
             calls.append(indent)
-            return encode(value, indent, mask_texts)
+            return encode(value, indent)
 
-        def counting_rows(value, indent, mask_texts):
+        def counting_rows(value, indent):
             rows.extend(row for _, group in value for row in group)
-            return write_rows(value, indent, mask_texts)
+            return write_rows(value, indent)
 
         class Tracked(mask_dict):
             def __init__(self, opening, sep, closing):
@@ -640,7 +634,7 @@ class TestJson:
         assert got["command"] == "phat"
         # each row written once
         assert len(rows) == len(set(rows)) == got["count"] == len(got["partitions"])
-        # one mask dict per printed table and one for the encoding, all dead
+        # one mask dict per printed table and one for the row array, all dead
         assert len(tables) == 3 and all(ref() is None for ref in tables)
 
     @pytest.mark.parametrize("form", [("[\n      ", ",\n      ", "\n    ]"), ("", ",", "")])
@@ -664,15 +658,15 @@ class TestJson:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_row_groups())
-    @example([((("a", None), ("b", None), ("c", None)),
-               [(1, True, 3), (True, False, -(2**100)), (0, None, 2**100), (-4, [1, True], 7)])])
-    @example([((("a", None), ("b", "blocks"), ("c", 6)), [(1, (3, 2**11 + 5), 4), (-2, (1,), -9)]),
-              ((("a", None),), [(True,), (False,)])])
-    @example([((("orders", None), ("c", None)),
-               [(None, 1), ([3, -(2**100), 0], 2), ([], 3), ([1, True], 4), ((2, 3), 5), ([7], 6)])])
+    @example([((("a", "int"), ("b", "int"), ("c", "int")),
+               [(1, 0, 3), (-1, 2**64, -(2**100)), (0, -7, 2**100)])])
+    @example([((("a", "int"), ("b", "blocks"), ("c", 6)), [(1, (3, 2**11 + 5), 4), (-2, (1,), -9)]),
+              ((("a", "int"),), [(5,), (-5,)])])
+    @example([((("orders", "ints"), ("c", "int")),
+               [(None, 1), ([3, -(2**100), 0], 2), ([], 3), ([7], 6)])])
     def test_rows_json_int_columns_match_json_dumps(self, groups):
-        # a None-kind column of plain ints takes one map, and None or a
-        # nonempty list of plain ints takes no _json call; a bool must not
+        # each column is written by the writer of its declared kind: an
+        # "ints" None is null and an empty list [], as json.dumps writes them
         def rat(f):
             return {"num": str(f.numerator), "den": str(f.denominator)}
 
@@ -681,7 +675,7 @@ class TestJson:
             for (name, kind), v in zip(fields, row):
                 if kind == "blocks":
                     v = [list(_mask_marks(m)) for m in v]
-                elif kind is not None:
+                elif type(kind) is int:
                     v = Fraction(v, kind)
                 out[name] = v
             return out

@@ -66,6 +66,18 @@ class TestChartValidation:
                                        1: {4: F(0), 5: F(1), 6: F(2)}},
                        {0: {1: F(5)}, 1: {0: F(6)}})
 
+    def test_builder_reads_node_parameters_by_edge(self):
+        # a given parameter is read under either orientation of its edge, and
+        # a key that names no edge of the tree is refused, not dropped
+        sig, tree = ONE_EDGE
+        for key in ((0, 1), (1, 0)):
+            assert build_chart(sig, tree, {key: F(1, 3)}, seed=4).node_params == {(0, 1): F(1, 3)}
+        for key in ((0, 2), (1, 1), (-1, 0)):
+            with pytest.raises(StrataError, match=rf"^node parameter t\[{key[0]}-{key[1]}\]: no edge"):
+                build_chart(sig, tree, {key: F(1, 3)})
+        with pytest.raises(StrataError, match=r"^node parameter of edge 0-1 given twice$"):
+            build_chart(sig, tree, {(0, 1): F(1, 3), (1, 0): F(1, 3)})
+
     def test_builder_produces_valid_pinned_chart(self):
         chart = build_codim2_chart(SIG_C, BLOCKS_C, seed=2)
         assert chart.node_coords[0] == {1: F(0), 2: F(1)}
@@ -877,3 +889,43 @@ def test_every_tree_against_fraction_oracle(sig):
                 verify_ratio_identity(pinned, last, 0, samples=1)
             assert str(refusal.value) == message, key
     assert refused
+
+
+def test_fraction_oracle_reads_no_library_section(monkeypatch):
+    # the oracle carries its sections by its own fold and builds t^beta_j
+    # from the far sides of the nodes: with the library's two readers made
+    # to raise wherever they are called from, it still agrees with the
+    # library's values, taken first, on trees up to three nodes deep
+    sig = SWEEP[1]
+    charts = [build_chart(sig, StableTree.from_splits(sig.n, key), seed=count)
+              for count, key in enumerate(_split_keys(sig.n, sig.n - 3)) if count % 5 == 0]
+    cases = []
+    for chart in charts:
+        last = chart.tree.num_vertices - 1
+        z = sample_curve_point(chart, make_sampler(7), base=last)
+        pairs = [(j, k) for j in range(last + 1) for k in range(last + 1)]
+        cases.append((chart, z, {
+            "sections": [marked_point_coords(chart, i) for i in range(1, sig.n + 1)],
+            "phi": [_outcome(evaluate_phi, chart, j, z) for j in range(last + 1)],
+            "beta": [beta_monomial(chart, j) for j in range(last + 1)],
+            "ratio": [ratio_constant(chart, j, k) for j, k in pairs],
+            "rescaled": [_outcome(section_in_frame, chart, j, z, k) for j, k in pairs],
+        }))
+    assert max(len(chart.tree.edges) for chart in charts) == 3
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the oracle read a library section")
+
+    for reader in (local_family.marked_point_coords, local_family.beta_monomial):
+        monkeypatch.setattr(reader, "__code__", boom.__code__)
+    for chart, z, expect in cases:
+        last = chart.tree.num_vertices - 1
+        pairs = [(j, k) for j in range(last + 1) for k in range(last + 1)]
+        assert oracle.sections(chart) == expect["sections"]
+        assert [_outcome(oracle.evaluate_phi, chart, j, z) for j in range(last + 1)] == expect["phi"]
+        assert [oracle.beta_monomial(chart, j) for j in range(last + 1)] == expect["beta"]
+        assert [oracle.ratio_constant(chart, j, k) for j, k in pairs] == expect["ratio"]
+        assert [_outcome(oracle.section_in_frame, chart, j, z, k) for j, k in pairs] == expect["rescaled"]
+        assert z == oracle.sample_curve_point(chart, make_sampler(7), last)
+    with pytest.raises(AssertionError, match="read a library section"):
+        local_family.beta_monomial(charts[0], 0)

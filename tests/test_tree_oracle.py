@@ -25,11 +25,13 @@ from strata0.strata import (
     _any_tree_in_support,
     _laminar,
     _mask_k,
+    _p_hat_walk,
     _principal,
     _split_keys,
     boundary_weight,
     enumerate_stable_trees,
     exponent_vector,
+    in_ideal_support,
     principal_subcurves,
     validate_signature,
 )
@@ -443,21 +445,49 @@ def all_signatures(n, d):
             if sum(kappa) == -2 * d]
 
 
-def test_split_walk_fold_matches_oracle_on_every_small_signature():
-    # every signature at n <= 6 and d = 2..4, in both orders of kappa (the
-    # walk's order of splits follows the numbering), and ten seeded ones at
-    # n = 7
+def small_signatures(seed):
+    """Every signature at n <= 6 and d = 2..4, in both orders of kappa (the
+    walk's order of splits follows the numbering), and ten at n = 7 drawn
+    from a generator seeded with ``seed``."""
     sigs = [sig for n in (4, 5, 6) for d in (2, 3, 4) for sig in all_signatures(n, d)]
     sigs += [validate_signature(sig.d, sig.kappa[::-1]) for sig in sigs]
-    rng = random.Random("split-walk-fold")
+    rng = random.Random(seed)
     at_7 = {d: all_signatures(7, d) for d in (2, 3, 4)}
     for _ in range(10):
         sig = rng.choice(at_7[rng.choice((2, 3, 4))])
         sigs.append(validate_signature(sig.d, rng.sample(sig.kappa, 7)))
+    return sigs
+
+
+def test_split_walk_fold_matches_oracle_on_every_small_signature():
     branches = set()
-    for sig in sigs:
+    for sig in small_signatures("split-walk-fold"):
         branches |= check_walk_at_every_depth(sig)
     assert branches == {None, "zero", "heavy", "heavy-on-ruled", "light"}
+
+
+def test_ideal_support_is_the_union_of_star_closures():
+    # the stratum of T lies in the ideal support (two or more principal
+    # subcurves) iff T's split set holds the splits I_j | rest, j = 1..r, of
+    # the star of some element {I0, I1, .., Ir} of P-hat with r >= 2: the
+    # images of the exceptional divisors E_S cover the support exactly.  The
+    # P-hat walk knows nothing of principal subcurves, so this checks that
+    # rule on every tree of every small signature
+    trees_of = {}
+    met = set()
+    for sig in small_signatures("star-closures"):
+        n, full = sig.n, (1 << sig.n) - 1
+        if n not in trees_of:
+            trees_of[n] = [(frozenset(key), StableTree.from_splits(n, key))
+                           for key in _split_keys(n, n - 3)]
+        # each star's splits, each written by its side holding marking 1
+        stars = [frozenset(b if b & 1 else full ^ b for b in masks[1:])
+                 for masks, _ in _p_hat_walk(sig, r_min=2)]
+        for splits, tree in trees_of[n]:
+            covered = [star for star in stars if star <= splits]
+            assert in_ideal_support(tree, sig) == bool(covered), (sig, sorted(splits))
+            met.add(max(map(len, covered), default=0))
+    assert {0, 2} <= met
 
 
 @st.composite
