@@ -573,8 +573,6 @@ def _cmd_verify_family(sig: Signature, args) -> _Answer:
     tree, params = _read_tree(args.chart, sig, chart=True)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     chart = build_chart(sig, tree, params or None, seed=seed)
-    if any(t == 0 for t in chart.node_params.values()):
-        raise StrataError("family verification needs nonzero node parameters")
     pairs = []
     all_ok = True
     for u, v in tree.edges:

@@ -27,7 +27,9 @@ parameters are read as pairs once, into one propagation walk per start
 component that carries a point across the nodes, one gcd per node.  The
 walk carries the marked sections once per chart into one table per
 component (the sections there, its special points and its finite
-markings), off which the verdict on a degenerate chart is read once too.
+markings).  The chart owns the one refusal of :func:`verify_ratio_identity`,
+read once: a zero node parameter (a pinched fiber), or a degenerate chart
+whose node parameters put a marking on a node, both as :class:`StrataError`.
 ``Phi_j`` and ``dz_j/dz_k`` are unreduced integer pairs, with no gcd per
 factor: at ``z = p/q`` a finite marking ``a = r/s`` contributes
 ``(p s - r q) / (q s)`` raised to ``k_i``, and the same product at a node
@@ -53,6 +55,7 @@ from strata0.strata import (
     Signature,
     StableTree,
     StrataError,
+    _check_markings,
     _check_vertices,
     _k_sum,
     _norm_edge,
@@ -141,8 +144,10 @@ class LocalChart:
     finite coordinate ``b_{jj'}``; ``node_params`` holds one rational ``t``
     per edge (zero allowed: that node stays pinched).
 
-    The walk steps, the frames and the degenerate-chart verdict are derived
-    from these six fields on first use, and are not fields themselves.
+    The walk steps, the frames and the refusal (a zero node parameter or a
+    degenerate chart) are derived from these six fields on first use, and are
+    not fields themselves.  The tree must carry the signature's ``n``
+    markings.
     """
 
     sig: Signature
@@ -153,6 +158,7 @@ class LocalChart:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        _check_markings(self.tree, self.sig)
         edges = set(self.tree.edges)
         if set(self.node_params) != edges:
             raise StrataError("need exactly one node parameter per edge")
@@ -219,8 +225,11 @@ class LocalChart:
 
     @cached_property
     def _refusal(self) -> str | None:
-        """The refusal of a degenerate chart, or ``None``: the least marking
-        ``i``, then component ``v``, where its section is ``INF`` off its home."""
+        """The refusal, or ``None``: a zero node parameter, before the frames meet
+        it, else the least marking ``i``, then component ``v``, where its
+        section is ``INF`` off its home."""
+        if 0 in self.node_params.values():
+            return "family verification needs nonzero node parameters"
         bad = min(((i, v) for v, (_, _, column) in enumerate(self._frames)
                    for i, (_, q) in enumerate(column, start=1)
                    if not q and i not in self.mark_coords[v]), default=None)
@@ -532,12 +541,12 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
     """Exact check of ``t^{beta_j} Phi_j = f_{jk} t^{beta_k} Phi_k``.
 
     Evaluates both sides at ``samples`` random rational curve points drawn
-    from the chart's seed (all node parameters must be nonzero so the fiber
-    is smooth); one generic exact sample is already decisive.  The sampling
-    loop returns only points generic on every component, where neither side
-    has a pole, or raises :class:`DenominatorVanishes`.  A degenerate chart,
-    whose node parameters put a marking on a node, raises
-    :class:`StrataError` naming the first such marking and component.
+    from the chart's seed; one generic exact sample is already decisive.  The
+    sampling loop returns only points generic on every component, where
+    neither side has a pole, or raises :class:`DenominatorVanishes`.  On every
+    pair the chart's refusal comes first, as :class:`StrataError`: a zero node
+    parameter (the fiber must be smooth), else a degenerate chart, whose node
+    parameters put a marking on a node, named by its first such marking.
 
     In the frame of ``k`` the identity reads ``Phi_j J^d = C Phi_k`` with
     ``J = dz_j/dz_k`` and ``C = f_{jk} t^{beta_k} / t^{beta_j}``; ``C`` and
@@ -547,8 +556,6 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
     _check_vertices(chart.tree, j, k)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if any(t == 0 for t in chart.node_params.values()):
-        raise DenominatorVanishes("ratio verification needs a smooth fiber (t != 0)")
     if chart._refusal:
         raise StrataError(chart._refusal)
     if j == k:

@@ -576,6 +576,7 @@ def node_weights(
     ``-k_B / d`` of the markings ``B`` on the far side of the edge; the two
     values sum to 2.
     """
+    _check_markings(tree, sig)
     j, jp = edge
     k = _k_sum(sig, tree.far_marks(j, jp))  # the other side has -2d - k
     return Fraction(-k, sig.d), Fraction(2 * sig.d + k, sig.d)
@@ -630,6 +631,7 @@ def principal_subcurves(
     iff ``k_v < -d``, else the lower one: the two sides of a node have ``k``
     summing to ``-2d``, so only one can be heavy (``k < -d``).
     """
+    _check_markings(tree, sig)
     parent, marks, _ = zip(*tree._below)
     return _principal(sig, parent, [_mask_k(sig, m) for m in marks])
 
@@ -665,6 +667,15 @@ def _check_vertices(tree: StableTree, *vertices: int) -> None:
             raise StrataError(f"no vertex {j}")
 
 
+def _check_markings(tree: StableTree, sig: Signature) -> None:
+    """Raise :class:`StrataError` unless the tree carries the markings
+    ``1..n`` of ``sig``: its markings are ``1..m`` for some ``m``, so its
+    root row's subtree mask (every marking) is compared with ``n`` bits."""
+    marks = tree._below[0][1]
+    if marks != (1 << sig.n) - 1:
+        raise StrataError(f"tree carries {marks.bit_count()} markings but n = {sig.n}")
+
+
 def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
     """Exponents ``beta_j``: ``max(0, d + k_B)`` at each node, ``B`` its side
     holding ``v_j``.  That is ``d * mu_S = d + k_I0`` if ``B`` is the light
@@ -672,6 +683,7 @@ def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
     so ``B`` is ``I0`` if ``k_B > -d`` and the other side if ``k_B < -d``; on
     a tie ``k_B = -d`` both give 0, so the tie-break by marking 1 never matters."""
     _check_vertices(tree, j)
+    _check_markings(tree, sig)
     entries: dict[tuple[int, int], int] = {}
     for v, (u, marks, verts) in enumerate(tree._below[1:], 1):
         k = _mask_k(sig, marks)  # the side under v; the other side has -2d - k
@@ -680,16 +692,30 @@ def exponent_vector(tree: StableTree, j: int, sig: Signature) -> ExponentVector:
 
 
 def ideal_generators(tree: StableTree, sig: Signature) -> frozenset[ExponentVector]:
-    """Monomial generators of the local ideal: one exponent vector per
-    principal subcurve (components of one subcurve share their vector)."""
+    """Monomial generators of the local ideal: one exponent vector
+    ``beta_j`` per principal subcurve, read at its least component.
+
+    The components of a principal subcurve share ``beta``.  They are joined
+    by weight-0 nodes, where ``k_B = -d`` on both sides, so the exponent is 0
+    from either side; every other node has the whole subcurve on one side,
+    hence one side ``B`` and one exponent ``max(0, d + k_B)`` for all of them.
+
+    Orient each node of nonzero weight toward its heavy side (``k < -d``)
+    and contract the weight-0 nodes: the principal subcurves are the sinks,
+    and ``beta_j`` is ``d + k_I0`` at each node whose light side ``I0``
+    holds subcurve ``j``, else 0.  A node's heavy side holds a sink (follow
+    the arrows from it).  Hence (a): the stratum lies in the ideal support
+    (two sinks or more) iff the tree's splits hold the splits ``I_j | rest``,
+    ``j = 1..r``, of the star of some element ``{I0, I1, .., Ir}`` of P-hat
+    with ``r >= 2``, so the images of the exceptional divisors cover the
+    support.  Heavy sides ``I_j`` that are disjoint hold distinct sinks; and
+    on the path between two sinks, some component has two nodes pointing
+    away from it, whose heavy sides ``I_1, I_2`` leave
+    ``k_I0 = -2d - k_I1 - k_I2 > 0``, so ``{I0, I1, I2}`` is in P-hat.
+    Claim (b) is at :func:`fiber_projective_dim`.
+    """
     principal, _ = principal_subcurves(tree, sig)
-    gens = set()
-    for grp in principal:
-        vecs = {exponent_vector(tree, j, sig) for j in grp}
-        if len(vecs) != 1:
-            raise StrataError("components of a principal subcurve disagree on beta")
-        gens |= vecs
-    return frozenset(gens)
+    return frozenset(exponent_vector(tree, min(g), sig) for g in principal)
 
 
 def in_ideal_support(tree: StableTree, sig: Signature) -> bool:
@@ -768,7 +794,28 @@ def _any_tree_in_support(sig: Signature, max_edges: int) -> bool:
 
 
 def fiber_projective_dim(tree: StableTree, sig: Signature) -> int:
-    """Dimension ``r0 - 1`` of the projective fiber over this stratum."""
+    """Dimension ``r0 - 1`` of the projective fiber over this stratum.
+
+    On a tree in the ideal support, the ``r0`` generators of
+    :func:`ideal_generators` span a bounded ``(r0 - 1)``-face of the Newton
+    polyhedron, whose toric variety is the fiber of the blow-up over a
+    general point of the stratum.  That is claim (b): the generators are
+    affinely independent, and some strictly positive integer weight ``w`` on
+    the nodes pairs equally with all of them.
+
+    In the oriented tree of :func:`ideal_generators`, write
+    ``beta_j = m - h_j``, with ``m_e = d + k_I0 > 0`` and ``h_j(e) = m_e``
+    iff sink ``j`` is on the heavy side of ``e``, else 0.  Take numbers
+    ``z_j`` summing to 0 with ``sum_j z_j h_j >= 0`` on every node, so the
+    ``z`` of the sinks on each node's heavy side sum to ``>= 0``.  At a sink
+    ``P`` every node points in and has a branch of the other sinks as its
+    light side, whose ``z`` then sum to ``<= 0``; over the branches,
+    ``z_P >= 0``.  So every ``z_j`` is ``>= 0``, and as they sum to 0, every
+    one is 0.  With ``=`` in place of ``>=`` this is affine
+    independence; as it stands, Stiemke's lemma gives a rational ``w > 0``
+    with ``(beta_j - beta_1) . w = 0`` for every ``j``, scaled to integers
+    (weight-0 nodes have ``beta = 0`` and take any weight).
+    """
     principal, _ = principal_subcurves(tree, sig)
     return len(principal) - 1
 

@@ -306,8 +306,35 @@ class TestVerifyRatioIdentity:
 
     def test_smooth_fiber_required(self):
         chart = build_codim2_chart(SIG_C, BLOCKS_C, t1=0, seed=21)
-        with pytest.raises(DenominatorVanishes):
+        with pytest.raises(
+            StrataError, match=r"^family verification needs nonzero node parameters$"
+        ):
             verify_ratio_identity(chart, 0, 1, samples=1)
+
+    # marking 1 sits at 1 on vertex 0; t[0-1] = 1 puts it on the node toward
+    # vertex 2 of vertex 1, and t[1-2] = 0 pinches that node, so the chart's
+    # frames raise.  The zero parameter is refused first, on every pair, by
+    # the library and through the CLI with the same line
+    PINCHED = (validate_signature(2, [-1, -1, -1, -1, -1, 1]),
+               "1,2;3;4,5,6 0-1 1-2 t[0-1]=1 t[1-2]=0")
+    ZERO_PARAMETER = "family verification needs nonzero node parameters"
+
+    def test_zero_parameter_refused_before_the_frames(self):
+        sig, spec = self.PINCHED
+        groups, edges, params = parse_tree_spec(spec, sig.n)
+        chart = build_chart(sig, StableTree(groups, tuple(edges)), params, seed=5)
+        with pytest.raises(DenominatorVanishes):
+            chart._frames
+        for j, k in ((0, 1), (1, 0), (1, 2), (2, 2)):
+            with pytest.raises(StrataError, match=f"^{self.ZERO_PARAMETER}$"):
+                verify_ratio_identity(chart, j, k, samples=1)
+
+    def test_zero_parameter_refused_through_the_cli(self, capsys):
+        sig, spec = self.PINCHED
+        kappa = ",".join(map(str, sig.kappa))
+        args = ["verify-family", "--d", "2", f"--kappa={kappa}", "--chart", spec, "--seed", "5"]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {self.ZERO_PARAMETER}\n")
 
     def test_detects_wrong_constant(self):
         # damaging the candidate ratio must fail the sampled comparison
@@ -644,8 +671,9 @@ class TestChartIsAValue:
 
 
 class TestErrorMessages:
-    # From the CLI none of these is reachable: the degenerate-chart check of
-    # verify_ratio_identity and the sampler's rejections come first.  A
+    # From the CLI none of the DenominatorVanishes and PoleHit messages is
+    # reachable: the chart's refusal in verify_ratio_identity and the
+    # sampler's rejections come first.  A
     # section meets the node coordinate toward k only where it is at INF on
     # k, and f_jk takes only the markings finite in both frames, so its
     # _phi_pair calls never raise PoleHit.
@@ -666,7 +694,7 @@ class TestErrorMessages:
     def test_denominator_vanishes(self, monkeypatch):
         pinched = build_codim2_chart(SIG_C, BLOCKS_C, t1=0, seed=21)
         with pytest.raises(
-            DenominatorVanishes, match=r"^ratio verification needs a smooth fiber \(t != 0\)$"
+            StrataError, match=r"^family verification needs nonzero node parameters$"
         ):
             verify_ratio_identity(pinched, 0, 1, samples=1)
         # marking 1 sits at 1 on vertex 0; t[0-1] = 1 puts it on the node

@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_phat_oracle import oracle_m_value, oracle_p_hat
 
+from strata0 import strata
+from strata0.local_family import build_chart
 from strata0.strata import (
     BadD,
     EntryTooSmall,
@@ -410,6 +412,24 @@ class TestExponentVectors:
                             if betas[j][(u, v)] != betas[k][(u, v)]:
                                 assert separates
 
+    def test_one_exponent_vector_per_principal_subcurve(self, monkeypatch):
+        # the components of a principal subcurve share beta (checked on every
+        # tree in tests/test_tree_oracle.py), so one is read per subcurve
+        calls = []
+
+        def spy(tree, j, sig):
+            calls.append(j)
+            return exponent_vector(tree, j, sig)
+
+        monkeypatch.setattr(strata, "exponent_vector", spy)
+        for sig in (SIG_STAR7, SIG_POLE6, SIG_QUAD4):
+            for tree in enumerate_stable_trees(sig, sig.n - 3):
+                principal, _ = principal_subcurves(tree, sig)
+                calls.clear()
+                gens = ideal_generators(tree, sig)
+                assert calls == [min(g) for g in principal]
+                assert gens == {exponent_vector(tree, min(g), sig) for g in principal}
+
     def test_support_iff_no_zero_generator(self):
         for sig in (SIG_STAR7, SIG_POLE6):
             for tree in enumerate_stable_trees(sig, 3):
@@ -446,6 +466,20 @@ def _separates(tree, edge, j, k):
                 reached.add(nxt)
                 stack.append(nxt)
     return k not in reached
+
+
+@pytest.mark.parametrize("tree_n,sig_n", [(5, 6), (6, 5)])
+def test_tree_and_signature_on_different_markings_refused(tree_n, sig_n):
+    # a tree carries the markings 1..m; with m != n every reader of the pair
+    # refuses it, instead of ignoring marking n or reading k_m past kappa
+    tree = StableTree((frozenset({1, 2}), frozenset(range(3, tree_n + 1))), ((0, 1),))
+    sig = sig2(*[-1] * 4 + [0] * (sig_n - 4))
+    message = f"^tree carries {tree_n} markings but n = {sig_n}$"
+    for read in (principal_subcurves, in_ideal_support, fiber_projective_dim, ideal_generators,
+                 lambda t, s: exponent_vector(t, 0, s), lambda t, s: node_weights(t, (0, 1), s),
+                 lambda t, s: edge_weight(t, (0, 1), s), lambda t, s: build_chart(s, t, seed=3)):
+        with pytest.raises(StrataError, match=message):
+            read(tree, sig)
 
 
 class TestFiberDim:

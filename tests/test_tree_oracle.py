@@ -11,6 +11,7 @@ paths between components) with ``Fraction`` weights.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from fraction_weights import mu, oracle_orient
@@ -31,6 +32,8 @@ from strata0.strata import (
     boundary_weight,
     enumerate_stable_trees,
     exponent_vector,
+    fiber_projective_dim,
+    ideal_generators,
     in_ideal_support,
     principal_subcurves,
     validate_signature,
@@ -488,6 +491,97 @@ def test_ideal_support_is_the_union_of_star_closures():
             assert in_ideal_support(tree, sig) == bool(covered), (sig, sorted(splits))
             met.add(max(map(len, covered), default=0))
     assert {0, 2} <= met
+
+
+def affine_rank(vectors):
+    """Rank of the differences ``v - vectors[0]``, by exact elimination."""
+    rows = [[Fraction(a - b) for a, b in zip(v, vectors[0])] for v in vectors[1:]]
+    rank = 0
+    for col in range(len(vectors[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def equal_positive_pairing(vectors):
+    """Whether some weight ``w >= 1`` (so, scaled, a strictly positive
+    integer one) pairs equally with every vector, decided exactly: the
+    equalities ``(v - vectors[0]) . w = 0`` each eliminate one variable from
+    the inequalities ``-w_e <= -1``, then Fourier-Motzkin eliminates every
+    variable, and the system is feasible iff every bound left is >= 0."""
+    size = len(vectors[0])
+    eqs = [[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]
+    ineqs = [([-(e == f) for f in range(size)], -1) for e in range(size)]  # row . w <= bound
+    while eqs:
+        eq = eqs.pop()
+        p = next((e for e in range(size) if eq[e]), None)
+        if p is None:
+            continue
+        if eq[p] < 0:
+            eq = [-x for x in eq]
+        a = eq[p]
+        # scale each row by a > 0 and subtract a multiple of the equality
+        # (which is zero), so that coefficient p goes
+        eqs = [[a * x - r[p] * y for x, y in zip(r, eq)] for r in eqs]
+        ineqs = [([a * x - row[p] * y for x, y in zip(row, eq)], a * bound)
+                 for row, bound in ineqs]
+    for e in range(size):
+        keep = [(row, b) for row, b in ineqs if not row[e]]
+        ups = [(row, b) for row, b in ineqs if row[e] > 0]
+        downs = [(row, b) for row, b in ineqs if row[e] < 0]
+        keep += [([-lo[e] * x + up[e] * y for x, y in zip(up, lo)], -lo[e] * bu + up[e] * bl)
+                 for up, bu in ups for lo, bl in downs]
+        ineqs = keep
+    return all(bound >= 0 for _, bound in ineqs)
+
+
+def test_fiber_dimension_on_every_small_signature():
+    # claim (b) of fiber_projective_dim: on a tree in the ideal support the
+    # r0 generators are distinct and affinely independent, and some strictly
+    # positive integer edge weight pairs equally with them, so they span a
+    # bounded (r0 - 1)-face of the Newton polyhedron.  On every tree, the
+    # components of a principal subcurve share their beta, which is why
+    # ideal_generators reads one component per subcurve.  The grid has
+    # 51,228 pairs, 3,416 of them in the support (48 with r0 = 3)
+    trees_of = {}
+    shared, met = 0, set()
+    for sig in small_signatures("fiber-dimension"):
+        n = sig.n
+        if n not in trees_of:
+            trees_of[n] = [StableTree.from_splits(n, key) for key in _split_keys(n, n - 3)]
+        for tree in trees_of[n]:
+            principal, _ = principal_subcurves(tree, sig)
+            for group in principal:
+                if len(group) > 1:
+                    shared += 1
+                    betas = {exponent_vector(tree, j, sig) for j in group}
+                    assert len(betas) == 1, (sig, tree, group)
+            if len(principal) < 2:
+                continue
+            met.add(len(principal))
+            gens = ideal_generators(tree, sig)
+            r0 = fiber_projective_dim(tree, sig) + 1
+            assert len(gens) == r0 == len(principal), (sig, tree)
+            vectors = [[p for _, p in g.entries] for g in gens]
+            assert affine_rank(vectors) == r0 - 1, (sig, tree)
+            assert equal_positive_pairing(vectors), (sig, tree)
+    assert shared and met == {2, 3}
+
+
+def test_equal_positive_pairing_decides_both_ways():
+    assert equal_positive_pairing([[2, 0, 1], [0, 1, 0]])  # w = (1, 3, 1)
+    assert not equal_positive_pairing([[1, 0], [2, 0]])  # w_0 = 0
+    assert not equal_positive_pairing([[3, 0, 0], [0, 1, 0], [3, 1, 0]])  # w_1 = 0
+    assert not equal_positive_pairing([[1, 1], [0, 0]])
+    assert affine_rank([[1, 0], [0, 1], [1, 1]]) == 2
+    assert affine_rank([[1, 0], [2, 0], [3, 0]]) == 1
 
 
 @st.composite

@@ -15,7 +15,9 @@ The exit status is 0 when every mutant is killed, and 1 when one
 survives, when its text no longer matches the file exactly once, when its
 tests cannot be collected, or when the unchanged copy fails.  It runs one
 pytest process at a time and is not part of the test suite: the whole list
-takes minutes.
+takes minutes.  The suite only checks the list itself
+(``tests/test_mutant_list.py``), so a change to a mutated line updates its
+mutant in the same change.
 """
 
 import os
@@ -39,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 CLI, LF, STRATA = "src/strata0/cli.py", "src/strata0/local_family.py", "src/strata0/strata.py"
+DIVISORS, INTERSECTION = "src/strata0/divisors.py", "src/strata0/intersection.py"
 ROWS_TESTS = (
     "tests/test_cli.py::TestJson::test_rows_json_int_columns_match_json_dumps",
     "tests/test_cli.py::TestJson::test_rows_match_the_dict_oracle",
@@ -92,6 +95,16 @@ MUTANTS = (
            "if not q and i not in self.mark_coords[v]", "if not q",
            ("tests/test_local_family.py::TestDegenerateChart",
             "tests/test_local_family.py::test_degenerate_chart_refusal_matches_oracle")),
+    Mutant("refusal-without-zero-parameter", LF,
+           '        if 0 in self.node_params.values():\n'
+           '            return "family verification needs nonzero node parameters"\n', "",
+           ("tests/test_local_family.py::TestVerifyRatioIdentity::test_smooth_fiber_required",
+            "tests/test_local_family.py::TestVerifyRatioIdentity"
+            "::test_zero_parameter_refused_before_the_frames")),
+    # a tree and a signature on different markings
+    Mutant("markings-check-dropped", STRATA,
+           "    if marks != (1 << sig.n) - 1:\n", "    if False:\n",
+           ("tests/test_strata.py::test_tree_and_signature_on_different_markings_refused",)),
     # the --max-codim walk's fold of the principal-subcurve rule
     Mutant("fold-heavy-leaf-ignores-ruled-parent", STRATA,
            "c += out >> top[p] & 1", "c += 1", FOLD_TESTS),
@@ -103,6 +116,21 @@ MUTANTS = (
     Mutant("principal-swaps-the-ruled-out-group", STRATA,
            "top[parent[v]] if ks[v] < -d else top[v]", "top[v] if ks[v] < -d else top[parent[v]]",
            ("tests/test_tree_oracle.py::test_ideal_support_is_the_union_of_star_closures",)),
+    # the engines: the P-hat window, McMullen's DP, W's restriction step and
+    # product_number's vertex split
+    Mutant("window-open-at-its-floor", STRATA,
+           "            if lo <= k <= hi:\n", "            if lo < k <= hi:\n",
+           ("tests/test_phat_oracle.py::test_enumerators_match_oracle",)),
+    Mutant("mcmullen-without-the-zero-floor", DIVISORS,
+           "weight.append(max(0, d + ks[mask]) **", "weight.append((d + ks[mask]) **",
+           ("tests/test_divisors.py::TestPartitionSumEngine"
+            "::test_matches_fold_on_the_whole_grid",)),
+    Mutant("w-restriction-drops-the-parentheses", DIVISORS,
+           "k_b, x = -2 * d - k_a, 2 * (d + k_a)", "k_b, x = -2 * d - k_a, 2 * d + k_a",
+           ("tests/test_divisors.py::TestFormPsiNumber::test_matches_fold_on_the_whole_grid",)),
+    Mutant("moves-tightens-the-split", INTERSECTION,
+           "if dm <= size - 2 and", "if dm <= size - 3 and",
+           ("tests/test_divisors.py::TestFormPsiNumber::test_matches_fold_on_the_whole_grid",)),
 )
 
 
