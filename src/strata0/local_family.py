@@ -550,7 +550,8 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
 
     In the frame of ``k`` the identity reads ``Phi_j J^d = C Phi_k`` with
     ``J = dz_j/dz_k`` and ``C = f_{jk} t^{beta_k} / t^{beta_j}``; ``C`` and
-    the path steps of ``J`` are read once per call.  Each sample stays
+    the path steps of ``J`` are read once per call (for ``j == k`` the path
+    is ``[j]``, so ``C = J = 1``).  Each sample stays
     reduced pairs, and one cross-multiplication of integer products decides it.
     """
     _check_vertices(chart.tree, j, k)
@@ -558,8 +559,6 @@ def verify_ratio_identity(chart: LocalChart, j: int, k: int, samples: int = 20) 
         raise ValueError("need at least one sample")
     if chart._refusal:
         raise StrataError(chart._refusal)
-    if j == k:
-        return True
     rng = make_sampler(chart.seed)
     c = ratio_constant(chart, j, k) * beta_monomial(chart, k) / beta_monomial(chart, j)
     c_num, c_den = c.numerator, c.denominator

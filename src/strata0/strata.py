@@ -150,11 +150,16 @@ class Signature:
     kappa: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        values = []
         for i, v in enumerate((self.d, *self.kappa)):
-            if not isinstance(v, int):
-                raise _not_integer(i, v)
-        # a list kappa would make the frozen signature unhashable
-        object.__setattr__(self, "kappa", tuple(self.kappa))
+            try:
+                values.append(operator.index(v))
+            except TypeError:
+                raise _not_integer(i, v) from None
+        # store the converted entries, kappa as a tuple: a list would leave the
+        # frozen signature unhashable, and an iterator is read only once
+        object.__setattr__(self, "d", values[0])
+        object.__setattr__(self, "kappa", tuple(values[1:]))
         if self.d < 2:
             raise BadD(f"d must be >= 2, got {self.d}")
         if len(self.kappa) < 3:
@@ -184,20 +189,14 @@ def _not_integer(i: int, v: object) -> StrataError:
     return StrataError(f"{f'k_{i}' if i else 'd'} = {v!r} is not an integer")
 
 
-def validate_signature(d: int, kappa: Sequence[int]) -> Signature:
+def validate_signature(d: int, kappa: Iterable[int]) -> Signature:
     """Validate ``(d, kappa)`` and return the signature.
 
     Raises :class:`BadD`, :class:`TooFewMarks`, :class:`EntryTooSmall` or
     :class:`SumMismatch` on invalid input, and :class:`StrataError` on a
     value that is not an integer (``2.7`` is refused, not truncated).
     """
-    values = []
-    for i, v in enumerate((d, *kappa)):
-        try:
-            values.append(operator.index(v))
-        except TypeError:
-            raise _not_integer(i, v) from None
-    return Signature(values[0], tuple(values[1:]))
+    return Signature(d, kappa)
 
 
 def bundle_rank(sig: Signature) -> int:

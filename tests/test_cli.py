@@ -215,6 +215,25 @@ class TestExitCodes:
         )
         assert code == 4 and "FAILED" in out
 
+    @pytest.mark.parametrize(
+        "draw,argv,message",
+        # every draw lands on the node coordinate 0 of vertex 0, and the draws
+        # do not depend on the pair: main reports the failure once
+        [(Fraction(0), ("--json", "--d", "2", "--kappa=-1,-1,-1,-1",
+                        "--chart", "1,2;3,4 0-1 t[0-1]=1/3", "--samples", "1"),
+          "no valid sample point found; chart too degenerate"),
+         # t[0-1] and marking 1 take the constant; marking 2 finds none left
+         (Fraction(2), ("--d", "2", "--kappa=-1,-1,-1,-1,1,-1", "--chart", "1,2,3,4;5,6 0-1"),
+          "could not draw a fresh coordinate")],
+        ids=["sampler", "fresh-coordinate"],
+    )
+    def test_family_check_exception_is_one_error_line(self, capsys, monkeypatch, draw, argv,
+                                                      message):
+        from strata0 import local_family
+
+        monkeypatch.setattr(local_family, "_rand_rational", lambda rng: draw)
+        assert run(capsys, "verify-family", *argv) == (4, "", f"error: {message}\n")
+
     def test_repeated_marking_in_group_is_2(self, capsys):
         code, out, err = run(
             capsys, "principal", "--d", "2", "--kappa=-1,-1,-1,-1", "--tree", "1,1,2;3,4 0-1"
@@ -265,7 +284,13 @@ class TestExitCodes:
          (("principal", "--tree", "1,2,3;4,6 0-1"), "tree carries 5 markings but n = 6"),
          (("verify-family", "--chart", "1,3;4,5,6 0-1"), "chart carries 5 markings but n = 6"),
          (("principal", "--tree", "1,2,3;3,4,5,6 0-1"),
-          "marking 3 repeated across groups (at position 6)")],
+          "marking 3 repeated across groups (at position 6)"),
+         (("verify-family", "--chart", "1,2,3;4,5,6 0-1 t[0-1]=1/0"),
+          "zero denominator in node parameter (at position 16)"),
+         (("principal", "--tree", "1,2;3,4;5,6 0-1"), "a tree on 3 vertices needs 2 edges"),
+         # connected, and every vertex stable: only the edge count refuses it
+         (("principal", "--tree", "1,2;3,4;5,6 0-1 1-2 0-2"),
+          "a tree on 3 vertices needs 2 edges")],
     )
     def test_tree_marking_outside_range_is_2(self, capsys, argv, message):
         got = run(capsys, argv[0], "--d", "2", "--kappa=-1,-1,-1,-1,-1,1", *argv[1:])

@@ -99,6 +99,26 @@ class TestSignature:
         with pytest.raises(StrataError, match=message):
             call()
 
+    def test_generator_kappa_is_read_once(self):
+        # the integer check used to consume the generator before it was stored
+        quad = validate_signature(2, (-1,) * 4)
+        for build in (Signature, validate_signature):
+            assert build(2, (k for k in (-1, -1, -1, -1))) == quad, build
+
+    def test_index_objects_accepted_alike(self):
+        # both entry points convert with operator.index and store plain ints
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        for build in (Signature, validate_signature):
+            sig = build(Index(2), [Index(-1)] * 4)
+            assert sig == validate_signature(2, (-1,) * 4), build
+            assert type(sig.d) is int and set(map(type, sig.kappa)) == {int}, build
+
     def test_list_kappa_is_stored_as_a_tuple(self):
         # a list kappa used to build, and then hash() raised TypeError
         sig = Signature(2, [-1, -1, -1, -1])
@@ -244,6 +264,20 @@ class TestStableTree:
         marks = (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
         with pytest.raises(StrataError, match=r"^edge \(0, 1\) given twice$"):
             StableTree(marks, edges)
+
+    @pytest.mark.parametrize("edges", [((0, 1),), ((0, 1), (1, 2), (0, 2))],
+                             ids=["too-few", "cycle"])
+    def test_validation_rejects_edge_count_off_by_a_tree(self, edges):
+        # the cycle is connected and leaves every vertex stable: only the
+        # count refuses it
+        marks = (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
+        with pytest.raises(StrataError, match=r"^a tree on 3 vertices needs 2 edges$"):
+            StableTree(marks, edges)
+
+    def test_validation_rejects_overlapping_marking_sets(self):
+        marks = (frozenset({1, 2, 3}), frozenset({3, 4, 5}))
+        with pytest.raises(StrataError, match=r"^vertex marking sets must be disjoint$"):
+            StableTree(marks, ((0, 1),))
 
     @pytest.mark.parametrize("edge", [(0, 0), (0, 2), (-1, 0)], ids=["loop", "high", "negative"])
     def test_validation_rejects_bad_edges(self, edge):

@@ -101,6 +101,24 @@ MUTANTS = (
            ("tests/test_local_family.py::TestVerifyRatioIdentity::test_smooth_fiber_required",
             "tests/test_local_family.py::TestVerifyRatioIdentity"
             "::test_zero_parameter_refused_before_the_frames")),
+    # the refusals of trees, signatures and chart specs, and main's exit 4
+    Mutant("tree-edge-count-dropped", STRATA,
+           "        if len(edges) != nv - 1:\n", "        if False:\n",
+           ("tests/test_strata.py::TestStableTree"
+            "::test_validation_rejects_edge_count_off_by_a_tree",
+            "tests/test_cli.py::TestExitCodes::test_tree_marking_outside_range_is_2")),
+    Mutant("tree-overlapping-marks-accepted", STRATA,
+           "            if m & seen:\n", "            if False:\n",
+           ("tests/test_strata.py::TestStableTree"
+            "::test_validation_rejects_overlapping_marking_sets",)),
+    Mutant("signature-truncates-non-integers", STRATA, "operator.index(v)", "int(v)",
+           ("tests/test_strata.py::TestSignature::test_non_integers_refused",)),
+    Mutant("zero-denominator-reaches-fraction", CLI,
+           "            if den == 0:\n", "            if False:\n",
+           ("tests/test_cli.py::TestExitCodes::test_tree_marking_outside_range_is_2",)),
+    Mutant("main-lets-family-check-errors-escape", CLI,
+           "    except (PoleHit, DenominatorVanishes) as exc:", "    except () as exc:",
+           ("tests/test_cli.py::TestExitCodes::test_family_check_exception_is_one_error_line",)),
     # a tree and a signature on different markings
     Mutant("markings-check-dropped", STRATA,
            "    if marks != (1 << sig.n) - 1:\n", "    if False:\n",

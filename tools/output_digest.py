@@ -66,9 +66,11 @@ degenerate chart, ``verify-family --json --d 3
 node toward component 2 and marking 5 on the node toward component 1, so it
 pins which one the refusal names: the first marking.  The last two are the
 other refusals of ``verify-family`` (exit 2): ``--samples 0`` and a chart
-with ``t[0-1]=0``.  The ``PoleHit`` and ``DenominatorVanishes`` paths of the
-family check cannot be reached from the CLI: those refusals and the
-sampler's rejections come first.
+with ``t[0-1]=0``.  The family check's ``PoleHit`` cannot be reached from
+the CLI: those refusals and the sampler's rejections come first.  Its
+``DenominatorVanishes`` comes only from a sampler or a coordinate draw that
+runs out, which no query here meets; ``main`` reports it once (exit 4, one
+``error:`` line, nothing on stdout).
 
 Output is byte-identical across two commits iff the count and digest agree.
 ``--rev COMMIT`` compares this checkout with a commit in one command: it
